@@ -32,6 +32,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .codes_and_maps import (
+    DENSE_MAX_QUBITS,
     SCENARIOS,
     ModelParams,
     pair_hamiltonian,
@@ -39,6 +40,7 @@ from .codes_and_maps import (
     scenario_rho0,
 )
 from .dynamics import (
+    METHODS,
     IntegratorConfig,
     IntegrationError,
     Trajectory,
@@ -119,10 +121,28 @@ class ExperimentConfig:
             raise ConfigError("tau_c must be > 0")
         if self.engine == "weak-step" and self.kappa * self.tau_c > 1.0:
             raise ConfigError("weak-step needs eps = kappa * tau_c <= 1")
+        if self.engine == "weak-step" and self.t_max > 0:
+            self.weak_steps()
         try:
             IntegratorConfig(method=self.method, rtol=self.rtol, atol=self.atol)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if self.method == "spectral" and spec.register.total > DENSE_MAX_QUBITS:
+            raise ConfigError(
+                f"method spectral needs a dense generator; {self.scenario} is matrix-free"
+            )
+
+    def weak_steps(self):
+        """Number of weak-map cycles in the horizon, which must hold a whole
+        number >= 1 of cycles tau_c (to 1e-9 relative)."""
+        cycles = self.t_max / self.unit / self.tau_c
+        n_steps = round(cycles)
+        if n_steps < 1 or abs(cycles - n_steps) > 1e-9 * cycles:
+            raise ConfigError(
+                f"weak-step horizon {self.t_max:g} is {cycles:.6g} cycles of tau_c = "
+                f"{self.tau_c:g}; it must be a whole number >= 1 of cycles"
+            )
+        return n_steps
 
     @property
     def unit(self):
@@ -246,7 +266,7 @@ def _run_trajectory(config):
     h = pair_hamiltonian(code, config.gamma)
     if config.engine == "weak-step":
         eps = config.kappa * config.tau_c
-        n_steps = max(1, int(round(t_phys / config.tau_c)))
+        n_steps = config.weak_steps()
         stride = max(1, n_steps // max(config.samples - 1, 1))
         traj = step_weak_map(rho0, h, code, eps, config.tau_c, n_steps, sample_stride=stride)
         return traj, None
@@ -390,6 +410,9 @@ def _parse_grid(text):
         raise ConfigError(f"bad grid {text!r}: {exc}") from exc
     if len(grid) < 4:
         raise ConfigError("scan needs a grid of at least 4 rates")
+    bad = [r for r in grid if not (np.isfinite(r) and r > 0)]
+    if bad:
+        raise ConfigError(f"scan rates must be finite and > 0, got {bad}")
     return grid
 
 
@@ -470,7 +493,7 @@ def _add_common(p):
     p.add_argument("--seed", type=int)
     p.add_argument("--n-traj", dest="n_traj", type=int)
     p.add_argument("--tau-c", dest="tau_c", type=float)
-    p.add_argument("--method", choices=("adaptive-RK", "fixed-RK4", "spectral"))
+    p.add_argument("--method", choices=METHODS)
     p.add_argument("--rtol", type=float)
     p.add_argument("--atol", type=float)
     p.add_argument("--out", default="-", help="output path (default: stdout)")

@@ -12,12 +12,18 @@ combined with either
 
 Superoperators are stored as dense matrices in the column-stacking
 convention of :mod:`cqec.tensor_core` whenever the register is small
-enough (here: up to 4 qubits / 256x256 superoperator).  The six-qubit
-pair-coupled scenario would need a 4096x4096 matrix, so it is handled
-by a matrix-free generator object with the same ``apply`` interface.
+enough (``DENSE_MAX_QUBITS``: up to 4 qubits / 256x256 superoperator).
+The six-qubit pair-coupled scenario would need a 4096x4096 matrix, so it
+is handled by a matrix-free generator object with the same ``apply``
+interface.
+
+``apply_recovery`` is the one fast implementation of Phi (x) id_bath: a
+gather and sum of syndrome blocks on ``(..., d, d)`` stacks.  The Kraus
+form (``apply_kraus`` with ``lifted_kraus``) is kept as its reference.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +35,10 @@ from .tensor_core import (
     vectorize,
     devectorize,
 )
+
+# Registers of at most this many qubits (system + bath) get dense
+# superoperators; larger ones are handled matrix-free.
+DENSE_MAX_QUBITS = 4
 
 
 @dataclass(frozen=True)
@@ -65,6 +75,26 @@ class CodeSpec:
                     k[self.corrected[s], s] = 1.0
             ops.append(k)
         return ops
+
+    @cached_property
+    def recovery_gather(self):
+        """Index arrays of Phi on matrix units, grouped by target block.
+
+        Returns (target_row, target_col, source_row, source_col, starts):
+        block (target_row[g], target_col[g]) of Phi(rho) is the sum of the
+        blocks (source_row[q], source_col[q]) of rho for q in the g-th
+        segment, which begins at starts[g].
+        """
+        d = 2**self.system_count
+        quads = sorted(
+            (self.corrected[s], self.corrected[sp], s, sp)
+            for s in range(d)
+            for sp in range(d)
+            if self.syndrome_of[s] == self.syndrome_of[sp]
+        )
+        tr, tc, sr, sc = np.array(quads).T
+        starts = np.flatnonzero(np.r_[True, (np.diff(tr) != 0) | (np.diff(tc) != 0)])
+        return tr[starts], tc[starts], sr, sc, starts
 
     def code_projector(self):
         d = 2**self.system_count
@@ -163,6 +193,21 @@ def apply_kraus(kraus, rho):
     for k in kraus:
         out += k @ rho @ k.conj().T
     return out
+
+
+def apply_recovery(code, rho, bath_dim=1):
+    """(Phi (x) id_bath)(rho) for a stack ``rho`` of shape (..., d, d) with
+    d = 2**code.system_count * bath_dim, by gathering and summing the
+    syndrome blocks of ``code.recovery_gather``; no Kraus products."""
+    tr, tc, sr, sc, starts = code.recovery_gather
+    ds = 2**code.system_count
+    rho = np.asarray(rho, dtype=complex)
+    r = rho.reshape(rho.shape[:-2] + (ds, bath_dim, ds, bath_dim))
+    # source blocks, quadruple axis first: (n_quads, ..., bath_dim, bath_dim)
+    sums = np.add.reduceat(r[..., sr, :, sc, :], starts, axis=0)
+    out = np.zeros_like(r)
+    out[..., tr, :, tc, :] = sums
+    return out.reshape(rho.shape)
 
 
 def kraus_superop_matrix(kraus):
@@ -289,8 +334,8 @@ class PairCoupledGenerator:
     H = gamma * sum_j X_(system j) X_(bath j) on the 2n-qubit register.
 
     The recovery is applied through the syndrome lookup tables of the code
-    (16 small block copies for the three-qubit code) instead of Kraus
-    matrix products, which keeps the 64-dimensional right-hand side cheap.
+    (``apply_recovery``) instead of Kraus matrix products, which keeps the
+    64-dimensional right-hand side cheap.
     """
 
     kind = "generator"
@@ -302,14 +347,6 @@ class PairCoupledGenerator:
         self.kappa = float(kappa)
         self.register = QubitRegister(n, n)
         self.hamiltonian = pair_hamiltonian(code, gamma)
-        # (source, source', target, target') index quadruples of the recovery
-        ds = 2**n
-        self._quads = [
-            (s, sp, code.corrected[s], code.corrected[sp])
-            for s in range(ds)
-            for sp in range(ds)
-            if code.syndrome_of[s] == code.syndrome_of[sp]
-        ]
 
     @property
     def hilbert_dim(self):
@@ -320,14 +357,8 @@ class PairCoupledGenerator:
         return self.register.dim**2
 
     def apply_correction(self, rho):
-        """(Phi (x) id_bath)(rho) via syndrome-block copies."""
-        ds = 2**self.code.system_count
-        db = self.register.dim // ds
-        r4 = np.asarray(rho, dtype=complex).reshape(ds, db, ds, db)
-        out = np.zeros_like(r4)
-        for s, sp, c, cp in self._quads:
-            out[c, :, cp, :] += r4[s, :, sp, :]
-        return out.reshape(self.register.dim, self.register.dim)
+        """(Phi (x) id_bath)(rho) via syndrome-block gathers."""
+        return apply_recovery(self.code, rho, 2**self.register.bath_count)
 
     def apply(self, rho):
         h = self.hamiltonian
@@ -379,9 +410,9 @@ def scenario_rho0(name):
 def total_generator(name, params):
     """Full evolution generator (noise + correction) for a named scenario.
 
-    Returns a dense :class:`Superoperator` for registers of up to four
-    qubits, and a matrix-free :class:`PairCoupledGenerator` for the
-    six-qubit pair-coupled scenario.
+    Returns a dense :class:`Superoperator` for registers of up to
+    ``DENSE_MAX_QUBITS`` qubits, and a matrix-free
+    :class:`PairCoupledGenerator` for the six-qubit pair-coupled scenario.
     """
     if name not in SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}; choose from {sorted(SCENARIOS)}")
@@ -397,7 +428,7 @@ def total_generator(name, params):
         m = gen.matrix + params.kappa * correction_generator(code, reg).matrix
         return Superoperator(m, "generator", reg.dim, kappa=params.kappa, register=reg)
 
-    if name == "hamiltonian-1q":
+    if reg.total <= DENSE_MAX_QUBITS:
         h = pair_hamiltonian(code, params.gamma)
         m = hamiltonian_generator(h).matrix
         m = m + params.kappa * correction_generator(code, reg).matrix

@@ -2,23 +2,32 @@
 
 Four routes to a trajectory:
 
-* ``integrate`` -- adaptive Dormand-Prince 5(4) (default) or fixed-step
-  RK4 on the master equation ``drho/dt = G(rho)``, where G is a dense
-  superoperator or a matrix-free generator with an ``apply`` method.
-  G is a constant, smooth linear generator (kappa (Phi - id) is a rate,
-  not a train of discrete events), so the adaptive step is limited only
-  by the error control and ``cfg.max_step``.  The fixed-step engine
-  exists as an independent cross-check of the adaptive one, not for
-  speed; its uniform step must resolve the fastest decay rate kappa.
+* ``integrate`` -- adaptive Dormand-Prince 5(4) (default) on the master
+  equation ``drho/dt = G(rho)``, where G is a dense superoperator or a
+  matrix-free generator with an ``apply`` method.  G is a constant,
+  smooth linear generator (kappa (Phi - id) is a rate, not a train of
+  discrete events), so the step is limited only by the error control and
+  ``cfg.max_step``.
 * ``integrate`` with method="spectral" / ``propagate_linear`` -- exact
   propagation of a constant linear system by eigendecomposition, with a
-  scaling-and-squaring fallback when the eigenbasis is ill-conditioned.
+  scaling-and-squaring fallback when the eigenbasis is ill-conditioned;
+  the independent cross-check of DP5(4) on dense generators.
 * ``step_weak_map`` -- discrete cycles of unitary evolution over tau_c
   followed by the weak recovery channel (1-eps) id + eps Phi; converges
   first-order in tau_c to the continuous dynamics at kappa = eps/tau_c.
+  On registers of up to ``DENSE_MAX_QUBITS`` qubits the one-cycle
+  superoperator S is built once and the samples are reached by the
+  powers S^stride (and S^remainder for the last one); larger registers
+  step cycle by cycle.
 * ``jump_monte_carlo`` -- the jump-process reading of the same model:
   full recoveries applied at Poisson(kappa) random times, averaged over
-  trajectories.
+  trajectories.  All trajectories of a chunk evolve together as one
+  (B, d, d) stack in the eigenbasis of H, where free evolution is an
+  elementwise phase; a recovery hits only the trajectories whose next
+  jump comes before the next sample.
+
+Recoveries use the syndrome-block gather ``apply_recovery`` of
+:mod:`cqec.codes_and_maps`, never Kraus products.
 
 States along trajectories are checked, never repaired: the trace must
 stay within 1e-8 of 1, and an eigenvalue below -1e-8 triggers a
@@ -35,14 +44,16 @@ from .tensor_core import (
     DensityMatrix,
     QubitRegister,
     TOL_POS,
-    basis_ket,
-    partial_trace_bath,
     vectorize,
     devectorize,
 )
-from .codes_and_maps import apply_kraus, lifted_kraus
+from .codes_and_maps import DENSE_MAX_QUBITS, apply_recovery
 
 TRACE_TOL = 1e-8
+METHODS = ("adaptive-RK", "spectral")
+# Largest number of complex state entries in one Monte Carlo chunk
+# (64 trajectories at d = 64), which bounds its memory.
+MC_CHUNK_ENTRIES = 2**18
 
 
 class IntegrationError(RuntimeError):
@@ -55,14 +66,14 @@ class PositivityWarning(UserWarning):
 
 @dataclass
 class IntegratorConfig:
-    method: str = "adaptive-RK"  # "adaptive-RK" | "fixed-RK4" | "spectral"
+    method: str = "adaptive-RK"  # "adaptive-RK" | "spectral"
     rtol: float = 1e-9
     atol: float = 1e-12
     max_step: float = np.inf
     sample_stride: int = 1
 
     def __post_init__(self):
-        if self.method not in ("adaptive-RK", "fixed-RK4", "spectral"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.rtol <= 0 or self.atol <= 0 or self.max_step <= 0:
             raise ValueError("tolerances and max_step must be > 0")
@@ -185,27 +196,12 @@ def _advance_dopri(f, y, t, t_target, h, rtol, atol, max_step):
     return y, h
 
 
-def _advance_rk4(f, y, t0, t1, h_max):
-    n = max(1, int(np.ceil((t1 - t0) / h_max)))
-    h = (t1 - t0) / n
-    for _ in range(n):
-        k1 = f(y)
-        k2 = f(y + 0.5 * h * k1)
-        k3 = f(y + 0.5 * h * k2)
-        k4 = f(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y
-
-
 def integrate(generator, rho0, t_max, cfg=None, n_samples=201):
     """Integrate drho/dt = G(rho) and sample on a uniform grid.
 
     "adaptive-RK" chooses its steps by error control alone, bounded by
-    ``cfg.max_step``.  "fixed-RK4" takes uniform steps no longer than
-    ``cfg.max_step`` and, when the generator carries a correction rate,
-    0.01/kappa, so the explicit scheme resolves the fastest decay rate;
-    with neither bound it takes 50 steps per sample interval.  t_max = 0
-    returns the single-sample trajectory.
+    ``cfg.max_step``; "spectral" propagates a dense generator exactly.
+    t_max = 0 returns the single-sample trajectory.
     """
     cfg = cfg or IntegratorConfig()
     rho0 = rho0.entries if isinstance(rho0, DensityMatrix) else np.asarray(rho0, dtype=complex)
@@ -234,21 +230,12 @@ def integrate(generator, rho0, t_max, cfg=None, n_samples=201):
         states = np.empty((len(times), d, d), dtype=complex)
         states[0] = rho0
         y = rho0.copy()
-        if cfg.method == "adaptive-RK":
-            h = _initial_step(f, y, t_max, cfg.rtol, cfg.atol, cfg.max_step)
-            for i in range(1, len(times)):
-                y, h = _advance_dopri(
-                    f, y, times[i - 1], times[i], h, cfg.rtol, cfg.atol, cfg.max_step
-                )
-                states[i] = y
-        else:
-            kappa = getattr(generator, "kappa", None)
-            h_max = min(cfg.max_step, 0.01 / kappa) if kappa else cfg.max_step
-            if not np.isfinite(h_max):
-                h_max = (times[1] - times[0]) / 50.0
-            for i in range(1, len(times)):
-                y = _advance_rk4(f, y, times[i - 1], times[i], h_max)
-                states[i] = y
+        h = _initial_step(f, y, t_max, cfg.rtol, cfg.atol, cfg.max_step)
+        for i in range(1, len(times)):
+            y, h = _advance_dopri(
+                f, y, times[i - 1], times[i], h, cfg.rtol, cfg.atol, cfg.max_step
+            )
+            states[i] = y
 
     for t, rho in zip(times, states):
         _check_sample(rho, t)
@@ -284,35 +271,61 @@ def propagate_linear(system_matrix, x0, times):
     return out
 
 
+def _pair_register(hamiltonian, code):
+    d = np.asarray(hamiltonian).shape[0]
+    return QubitRegister(code.system_count, int(round(np.log2(d))) - code.system_count)
+
+
 def step_weak_map(rho0, hamiltonian, code, eps, tau_c, n_steps, sample_stride=1):
     """Discrete recovery cycles: exp(-iH tau_c) conjugation, then the weak
-    channel (1-eps) rho + eps Phi(rho), repeated n_steps times.
+    channel (1-eps) rho + eps Phi(rho), repeated n_steps times; sampled
+    after every ``sample_stride`` cycles and after the last one.
 
     Equivalent continuous correction rate: kappa = eps / tau_c.
     """
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps must lie in [0, 1], got {eps}")
-    if tau_c <= 0 or n_steps < 1:
-        raise ValueError("need tau_c > 0 and n_steps >= 1")
+    if tau_c <= 0 or n_steps < 1 or sample_stride < 1:
+        raise ValueError("need tau_c > 0, n_steps >= 1 and sample_stride >= 1")
     rho = rho0.entries if isinstance(rho0, DensityMatrix) else np.asarray(rho0, dtype=complex)
-    h = np.asarray(hamiltonian, dtype=complex)
-    d = h.shape[0]
-    n_bath = int(round(np.log2(d))) - code.system_count
-    register = QubitRegister(code.system_count, n_bath)
-    kraus = lifted_kraus(code, register)
+    register = _pair_register(hamiltonian, code)
+    d, db = register.dim, 2**register.bath_count
 
-    w, v = np.linalg.eigh(h)
+    w, v = np.linalg.eigh(np.asarray(hamiltonian, dtype=complex))
     u = v @ (np.exp(-1j * w * tau_c)[:, None] * v.conj().T)
 
+    def cycle(r):
+        r = u @ r @ u.conj().T
+        return (1.0 - eps) * r + eps * apply_recovery(code, r, db)
+
+    steps = list(range(sample_stride, n_steps + 1, sample_stride))
+    if steps[-1:] != [n_steps]:
+        steps.append(n_steps)
+    if register.total <= DENSE_MAX_QUBITS:
+        # one-cycle superoperator on row-major flattened states: S[:, k] = cycle(E_k)
+        s = cycle(np.eye(d * d, dtype=complex).reshape(d * d, d, d)).reshape(d * d, d * d).T
+        powers = {}
+
+        def advance(r, k):
+            if k not in powers:
+                powers[k] = np.linalg.matrix_power(s, k)
+            return (powers[k] @ r.ravel()).reshape(d, d)
+
+    else:
+
+        def advance(r, k):
+            for _ in range(k):
+                r = cycle(r)
+            return r
+
     recorded = [rho.copy()]
-    rec_times = [0.0]
-    for step in range(1, n_steps + 1):
-        rho = u @ rho @ u.conj().T
-        rho = (1.0 - eps) * rho + eps * apply_kraus(kraus, rho)
-        if step % sample_stride == 0 or step == n_steps:
-            recorded.append(rho.copy())
-            rec_times.append(step * tau_c)
-    return Trajectory(np.array(rec_times), np.array(recorded), "density", register)
+    prev = 0
+    for step in steps:
+        rho = advance(rho, step - prev)
+        recorded.append(rho)
+        prev = step
+    times = np.array([0.0] + [k * tau_c for k in steps])
+    return Trajectory(times, np.array(recorded), "density", register)
 
 
 def jump_monte_carlo(rho0, hamiltonian, code, kappa, t_max, n_traj, seed, n_samples=21):
@@ -324,59 +337,82 @@ def jump_monte_carlo(rho0, hamiltonian, code, kappa, t_max, n_traj, seed, n_samp
     (seed, trajectory index), so results are reproducible and independent
     of execution order.  Returns the mean state per sample time, with the
     ensemble mean/stderr of the codeword fidelity in `observables`.
+
+    Trajectories run in chunks of at most ``MC_CHUNK_ENTRIES`` state
+    entries, as one (B, d, d) stack in the eigenbasis of H.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
     if kappa < 0 or t_max <= 0:
         raise ValueError("need kappa >= 0 and t_max > 0")
     rho0 = rho0.entries if isinstance(rho0, DensityMatrix) else np.asarray(rho0, dtype=complex)
-    h = np.asarray(hamiltonian, dtype=complex)
-    d = h.shape[0]
-    n_bath = int(round(np.log2(d))) - code.system_count
-    register = QubitRegister(code.system_count, n_bath)
-    kraus = lifted_kraus(code, register)
-    logical = basis_ket(code.logical_zero, code.system_count)[:, 0]
+    register = _pair_register(hamiltonian, code)
+    d, db = register.dim, 2**register.bath_count
 
-    w, v = np.linalg.eigh(h)
+    w, v = np.linalg.eigh(np.asarray(hamiltonian, dtype=complex))
     vh = v.conj().T
+    # F_cw = Tr[(|L><L| (x) id_bath) rho] = sum((V^dag P V)^T * rho~) in the eigenbasis
+    p_code = np.zeros(d)
+    p_code[code.logical_zero * db : (code.logical_zero + 1) * db] = 1.0
+    p_eig_t = ((vh * p_code) @ v).T
+    rho0_eig = vh @ rho0 @ v
 
-    def unitary(dt):
-        return v @ (np.exp(-1j * w * dt)[:, None] * vh)
+    def evolve(r, dt):
+        """Free evolution of r[b] by dt[b]: elementwise phases in the eigenbasis."""
+        e = np.exp(-1j * np.outer(dt, w))
+        return r * (e[:, :, None] * e.conj()[:, None, :])
+
+    def recover(r):
+        return vh @ apply_recovery(code, v @ r @ vh, db) @ v
 
     times = np.linspace(0.0, t_max, n_samples)
-    mean = np.zeros((n_samples, d, d), dtype=complex)
-    fid_sum = np.zeros(n_samples)
-    fid_sqsum = np.zeros(n_samples)
+    mean_eig = np.zeros((n_samples, d, d), dtype=complex)
+    # sums of f - shift, with the first trajectory's f as shift: the variance
+    # of nearly equal values then suffers no cancellation (and is 0 if equal)
+    shift = None
+    dev_sum = np.zeros(n_samples)
+    dev_sqsum = np.zeros(n_samples)
+    chunk = max(1, MC_CHUNK_ENTRIES // (d * d))
 
-    for idx in range(n_traj):
-        rng = np.random.Generator(np.random.Philox(key=[seed, idx]))
-        n_jump = rng.poisson(kappa * t_max)
-        jump_times = np.sort(rng.uniform(0.0, t_max, n_jump))
-        rho = rho0.copy()
-        t = 0.0
-        j = 0
+    for first in range(0, n_traj, chunk):
+        idx = np.arange(first, min(first + chunk, n_traj))
+        jumps = []
+        for i in idx:
+            rng = np.random.Generator(np.random.Philox(key=[seed, i]))
+            n_jump = rng.poisson(kappa * t_max)
+            jumps.append(np.sort(rng.uniform(0.0, t_max, n_jump)))
+        # jump times padded with +inf; one extra column so every row ends in inf
+        pending = np.full((len(idx), 1 + max(len(j) for j in jumps)), np.inf)
+        for row, j in zip(pending, jumps):
+            row[: len(j)] = j
+        rows = np.arange(len(idx))
+        nxt = np.zeros(len(idx), dtype=int)
+        t_now = np.zeros(len(idx))
+        rho = np.broadcast_to(rho0_eig, (len(idx), d, d)).copy()
+        fids = np.empty((n_samples, len(idx)))
         for k, ts in enumerate(times):
-            while j < len(jump_times) and jump_times[j] <= ts:
-                if jump_times[j] > t:
-                    u = unitary(jump_times[j] - t)
-                    rho = u @ rho @ u.conj().T
-                    t = jump_times[j]
-                rho = apply_kraus(kraus, rho)
-                j += 1
-            if ts > t:
-                u = unitary(ts - t)
-                rho = u @ rho @ u.conj().T
-                t = ts
-            mean[k] += rho
-            sys = partial_trace_bath(rho, code.system_count, n_bath)
-            f = float(np.real(logical.conj() @ sys @ logical))
-            fid_sum[k] += f
-            fid_sqsum[k] += f * f
+            while True:
+                t_jump = pending[rows, nxt]
+                hit = np.flatnonzero(t_jump <= ts)
+                if hit.size == 0:
+                    break
+                rho[hit] = recover(evolve(rho[hit], t_jump[hit] - t_now[hit]))
+                t_now[hit] = t_jump[hit]
+                nxt[hit] += 1
+            rho = evolve(rho, ts - t_now)
+            t_now[:] = ts
+            mean_eig[k] += rho.sum(axis=0)
+            fids[k] = np.einsum("ij,bij->b", p_eig_t, rho).real
+        if shift is None:
+            shift = fids[:, 0].copy()
+        dev = fids - shift[:, None]
+        dev_sum += dev.sum(axis=1)
+        dev_sqsum += (dev * dev).sum(axis=1)
 
-    mean /= n_traj
-    f_mean = fid_sum / n_traj
+    mean = v @ (mean_eig / n_traj) @ vh
+    f_mean = shift + dev_sum / n_traj
     if n_traj > 1:
-        var = (fid_sqsum - n_traj * f_mean**2) / (n_traj - 1)
+        var = (dev_sqsum - dev_sum**2 / n_traj) / (n_traj - 1)
         f_se = np.sqrt(np.maximum(var, 0.0) / n_traj)
     else:
         f_se = np.zeros(n_samples)

@@ -211,6 +211,50 @@ def test_config_errors_return_2(tmp_path):
     assert main(["eig", "--out", "-"]) == 2
 
 
+def test_spectral_method_on_matrix_free_scenario_exits_2(capsys):
+    rc = main(
+        ["simulate", "--scenario", "hamiltonian-3q", "--method", "spectral",
+         "--R", "1", "--t-max", "1"]
+    )
+    assert rc == 2
+    assert "matrix-free" in capsys.readouterr().err
+
+
+def test_fixed_rk4_method_is_gone():
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--scenario", "markovian-1q", "--method", "fixed-RK4"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("grid", ["--grid=0,1,2,3", "--grid=-1,1,2,3", "--grid=1,2,3,inf"])
+def test_scan_rejects_nonpositive_or_infinite_rates(grid, capsys):
+    rc = main(["scan", "--scenario", "markovian-1q", grid, "--fit", "--jobs", "1"])
+    assert rc == 2
+    assert "finite and > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t_max", ["0.0025", "0.0001"])
+def test_weak_step_horizon_must_be_whole_cycles(t_max, capsys):
+    """2.5 cycles and 0.1 cycle of tau_c = 1e-3 are refused, not rounded."""
+    rc = main(
+        ["simulate", "--scenario", "hamiltonian-1q", "--engine", "weak-step",
+         "--R", "5", "--t-max", t_max, "--tau-c", "1e-3"]
+    )
+    assert rc == 2
+    assert "whole number" in capsys.readouterr().err
+
+
+def test_weak_step_whole_cycles_end_on_horizon(tmp_path):
+    out = tmp_path / "weak.csv"
+    rc = main(
+        ["simulate", "--scenario", "hamiltonian-1q", "--engine", "weak-step",
+         "--R", "5", "--t-max", "0.003", "--tau-c", "1e-3", "--out", str(out)]
+    )
+    assert rc == 0
+    _, _, data = _read_csv(out)
+    assert data[-1, 0] == pytest.approx(0.003, rel=1e-12)
+
+
 def test_bad_config_file_returns_2(tmp_path):
     bad_version = tmp_path / "v9.json"
     bad_version.write_text(json.dumps({"schema_version": 9, "scenario": "markovian-1q"}))

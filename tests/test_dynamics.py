@@ -5,6 +5,10 @@ import scipy.linalg
 from cqec.codes_and_maps import (
     SCENARIOS,
     ModelParams,
+    apply_kraus,
+    apply_recovery,
+    bitflip3_code,
+    lifted_kraus,
     pair_hamiltonian,
     scenario_rho0,
     total_generator,
@@ -19,6 +23,7 @@ from cqec.dynamics import (
     step_weak_map,
 )
 from cqec.analysis import fidelity_weight_series, fit_power_law, fit_quadratic
+from cqec.tensor_core import QubitRegister, basis_ket, partial_trace_bath
 from cqec.closed_forms import (
     alpha_nonmarkov_1q,
     markov3q_exact_leak,
@@ -37,6 +42,8 @@ def test_integrator_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(method="leapfrog")
     with pytest.raises(ValueError):
+        IntegratorConfig(method="fixed-RK4")
+    with pytest.raises(ValueError):
         IntegratorConfig(rtol=0.0)
 
 
@@ -53,11 +60,11 @@ def test_trajectory_requires_increasing_times():
 
 def test_markovian_point_value_both_methods():
     """lambda=1, kappa=2, t=1: fidelity = 0.75 + 0.25 e^-4, reproduced by
-    the adaptive integrator and the independent fixed-step RK4."""
+    the adaptive integrator and the independent spectral propagation."""
     gen = total_generator("markovian-1q", ModelParams(lam=1.0, kappa=2.0))
     rho0 = scenario_rho0("markovian-1q")
     expected = 0.75 + 0.25 * np.exp(-4.0)
-    for method in ("adaptive-RK", "fixed-RK4"):
+    for method in ("adaptive-RK", "spectral"):
         traj = integrate(gen, rho0, 1.0, IntegratorConfig(method=method), n_samples=11)
         f = _fidelity(traj, "markovian-1q")
         assert f[-1] == pytest.approx(expected, abs=1e-8)
@@ -160,6 +167,113 @@ def test_propagate_defective_matrix_falls_back():
 
 
 # ---------------------------------------------------------------------------
+# vectorized engines against sequential Kraus-product reference loops
+# ---------------------------------------------------------------------------
+
+
+def _pair_setup(scenario):
+    code = SCENARIOS[scenario].code()
+    register = SCENARIOS[scenario].register
+    return code, register, pair_hamiltonian(code, 1.0), scenario_rho0(scenario)
+
+
+def _propagator(h):
+    w, v = np.linalg.eigh(h)
+    return lambda dt: v @ (np.exp(-1j * w * dt)[:, None] * v.conj().T)
+
+
+def _weak_map_reference(rho, h, code, register, eps, tau_c, n_steps, stride):
+    kraus = lifted_kraus(code, register)
+    u = _propagator(h)(tau_c)
+    times, states = [0.0], [rho.copy()]
+    for step in range(1, n_steps + 1):
+        rho = u @ rho @ u.conj().T
+        rho = (1.0 - eps) * rho + eps * apply_kraus(kraus, rho)
+        if step % stride == 0 or step == n_steps:
+            times.append(step * tau_c)
+            states.append(rho.copy())
+    return np.array(times), np.array(states)
+
+
+def _monte_carlo_reference(rho0, h, code, register, kappa, t_max, n_traj, seed, n_samples):
+    """One trajectory at a time, jump by jump, with the engine's Philox streams."""
+    kraus = lifted_kraus(code, register)
+    unitary = _propagator(h)
+    logical = basis_ket(code.logical_zero, code.system_count)[:, 0]
+    times = np.linspace(0.0, t_max, n_samples)
+    mean = np.zeros((n_samples,) + rho0.shape, dtype=complex)
+    fids = np.zeros((n_traj, n_samples))
+    for idx in range(n_traj):
+        rng = np.random.Generator(np.random.Philox(key=[seed, idx]))
+        jump_times = np.sort(rng.uniform(0.0, t_max, rng.poisson(kappa * t_max)))
+        rho, t, j = rho0.copy(), 0.0, 0
+        for k, ts in enumerate(times):
+            while j < len(jump_times) and jump_times[j] <= ts:
+                u = unitary(jump_times[j] - t)
+                rho = apply_kraus(kraus, u @ rho @ u.conj().T)
+                t = jump_times[j]
+                j += 1
+            u = unitary(ts - t)
+            rho = u @ rho @ u.conj().T
+            t = ts
+            mean[k] += rho
+            sys = partial_trace_bath(rho, register.system_count, register.bath_count)
+            fids[idx, k] = np.real(logical.conj() @ sys @ logical)
+    return times, mean / n_traj, fids.mean(axis=0), fids.std(axis=0, ddof=1) / np.sqrt(n_traj)
+
+
+def test_recovery_gather_matches_kraus_on_batched_stack():
+    """apply_recovery on a (3, 4, d, d) stack of non-Hermitian matrices equals
+    the lifted Kraus channel applied to each matrix."""
+    rng = np.random.default_rng(3)
+    for code, register in (
+        (trivial_code(), QubitRegister(1, 1)),
+        (bitflip3_code(), QubitRegister(3, 0)),
+        (bitflip3_code(), QubitRegister(3, 3)),
+    ):
+        d = register.dim
+        stack = rng.normal(size=(3, 4, d, d)) + 1j * rng.normal(size=(3, 4, d, d))
+        kraus = lifted_kraus(code, register)
+        ref = np.array([[apply_kraus(kraus, m) for m in row] for row in stack])
+        out = apply_recovery(code, stack, 2**register.bath_count)
+        assert out.shape == stack.shape
+        assert np.max(np.abs(out - ref)) < 1e-11
+
+
+@pytest.mark.parametrize("scenario, n_steps, stride", [
+    ("hamiltonian-1q", 1000, 7),  # dense cycle-power path
+    ("hamiltonian-3q", 60, 7),  # per-cycle path
+])
+def test_weak_map_matches_sequential_reference(scenario, n_steps, stride):
+    code, register, h, rho0 = _pair_setup(scenario)
+    eps, tau_c = 0.02, 4e-3
+    traj = step_weak_map(rho0, h, code, eps, tau_c, n_steps, sample_stride=stride)
+    times, states = _weak_map_reference(rho0, h, code, register, eps, tau_c, n_steps, stride)
+    assert n_steps % stride != 0
+    assert traj.times[-1] == n_steps * tau_c
+    assert np.array_equal(traj.times, times)
+    assert np.max(np.abs(traj.states - states)) < 1e-11
+
+
+@pytest.mark.parametrize("scenario, n_traj", [
+    ("hamiltonian-1q", 50),
+    ("hamiltonian-3q", 70),  # more than one chunk of trajectories at d = 64
+])
+def test_monte_carlo_matches_sequential_reference(scenario, n_traj):
+    code, register, h, rho0 = _pair_setup(scenario)
+    kappa, t_max, seed, n_samples = 4.0, 1.0, 11, 6
+    traj = jump_monte_carlo(rho0, h, code, kappa, t_max, n_traj, seed, n_samples=n_samples)
+    times, mean, f_mean, f_se = _monte_carlo_reference(
+        rho0, h, code, register, kappa, t_max, n_traj, seed, n_samples
+    )
+    assert np.array_equal(traj.times, times)
+    assert np.max(np.abs(traj.states - mean)) < 1e-11
+    assert np.max(np.abs(traj.observables["F_cw_mean"] - f_mean)) < 1e-11
+    assert np.max(np.abs(traj.observables["F_cw_se"] - f_se)) < 1e-11
+    assert np.all(f_se[1:] > 0)
+
+
+# ---------------------------------------------------------------------------
 # weak-map stepping
 # ---------------------------------------------------------------------------
 
@@ -195,6 +309,8 @@ def test_weak_map_validates_eps():
     h = pair_hamiltonian(code, 1.0)
     with pytest.raises(ValueError):
         step_weak_map(scenario_rho0("hamiltonian-1q"), h, code, 1.5, 1e-3, 10)
+    with pytest.raises(ValueError):
+        step_weak_map(scenario_rho0("hamiltonian-1q"), h, code, 0.5, 1e-3, 10, sample_stride=0)
 
 
 # ---------------------------------------------------------------------------
