@@ -10,11 +10,9 @@ sample spacing below ~0.1/max(kappa, gamma, lambda) if you care about
 its accuracy.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .tensor_core import basis_ket, partial_trace_bath, vectorize, devectorize
 from .codes_and_maps import SCENARIOS, ModelParams, total_generator, scenario_rho0
@@ -167,6 +165,8 @@ def fit_damped_cosine(times, values):
     Raises FitError when the optimizer does not converge or the window
     is shorter than one fitted period.
     """
+    import scipy.optimize  # only here: keeps scipy out of `import cqec`
+
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
     if len(t) < 8:
@@ -342,22 +342,16 @@ def _plateau_infidelity(scenario, rate):
 
 def _period_average_infidelity(big_r):
     """Quasi-stationary 1 - P_cs of the pair-coupled three-qubit model:
-    average over one fitted slow period of the reduced model."""
+    average over one period of the slow mode of the reduced model."""
     m = reduced_model.build_reduced_matrix(big_r, 1.0)
-    x0 = np.zeros(13)
-    x0[0] = 1.0
-    period_guess = 2 * np.pi * big_r**2 / 24.0
-    times = np.linspace(0.0, 1.6 * period_guess, 2001)
-    xs = propagate_linear(m, x0.astype(complex), times).real
-    fit = fit_damped_cosine(times, xs[:, 0])
-    period = 2 * np.pi / fit.params["omega"]
+    period = 2 * np.pi / reduced_model.slow_eigenvalue(m).imag
+    # 1.6 leading-order periods 2 pi R^2 / 24, or the true period where that
+    # is longer (R below ~10)
+    times = np.linspace(0.0, max(1.6 * 2 * np.pi * big_r**2 / 24.0, period), 2001)
+    xs = propagate_linear(m, reduced_model.initial_reduced_state().coeffs, times).real
     mask = times <= period
     p_cs = xs[mask, 0] + xs[mask, 12]
     return float(np.mean(1.0 - p_cs))
-
-
-def _scan_point(args):
-    return equilibrium_point(*args)
 
 
 def equilibrium_point(scenario, rate):
@@ -367,54 +361,36 @@ def equilibrium_point(scenario, rate):
     return _plateau_infidelity(scenario, rate)
 
 
-def equilibrium_scan(scenario, rates, jobs=1):
+def equilibrium_scan(scenario, rates):
     """Equilibrium infidelity 1 - P_cs for each rate in `rates`.
 
     Rates are dimensionless (r = kappa/lambda or R = kappa/gamma depending
     on the scenario).  Plateau detection integrates by decades until the
     infidelity settles; the oscillatory pair-coupled three-qubit case is
-    averaged over one fitted slow period instead.  jobs > 1 fans points
-    out to a process pool; results keep grid order either way.
+    averaged over one slow period instead.  A point without a plateau
+    raises PlateauError.
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}")
     rates = list(rates)
     if len(rates) < 4:
         raise ValueError("need a grid of at least 4 rate values")
-    work = [(scenario, float(rate)) for rate in rates]
-    if jobs and jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            values = list(pool.map(_scan_point, work))
-    else:
-        values = [_scan_point(w) for w in work]
-    return list(zip(rates, values))
+    return [(rate, equilibrium_point(scenario, float(rate))) for rate in rates]
 
 
-def coupling_reduction_scan(big_rs, jobs=1):
-    """Effective coupling-reduction factor 2 gamma / omega_fit vs R.
+def coupling_reduction_scan(big_rs):
+    """Effective coupling-reduction factor 2 gamma / omega_slow vs R.
 
-    omega_fit is the slow oscillation frequency of the reduced-model
-    codeword fidelity; an uncorrected logical qubit oscillates at 2 gamma,
-    so 2 gamma / omega is the factor by which correction slows the loss
-    (expected to grow like R^2 / 12).
+    omega_slow is the imaginary part of the slow eigenvalue of the reduced
+    13x13 generator (``reduced_model.slow_eigenvalue``); an uncorrected
+    logical qubit oscillates at 2 gamma, so 2 gamma / omega_slow is the
+    factor by which correction slows the loss (expected to grow like
+    R^2 / 12).
     """
     big_rs = list(big_rs)
     if len(big_rs) < 4:
         raise ValueError("need a grid of at least 4 R values")
-    if jobs and jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            omegas = list(pool.map(_fit_slow_omega, big_rs))
-    else:
-        omegas = [_fit_slow_omega(r) for r in big_rs]
-    return [(r, 2.0 / w) for r, w in zip(big_rs, omegas)]
-
-
-def _fit_slow_omega(big_r):
-    m = reduced_model.build_reduced_matrix(big_r, 1.0)
-    x0 = np.zeros(13, dtype=complex)
-    x0[0] = 1.0
-    period_guess = 2 * np.pi * big_r**2 / 24.0
-    times = np.linspace(0.0, 1.6 * period_guess, 3001)
-    xs = propagate_linear(m, x0, times).real
-    fit = fit_damped_cosine(times, xs[:, 0])
-    return fit.params["omega"]
+    return [
+        (r, 2.0 / reduced_model.slow_eigenvalue(reduced_model.build_reduced_matrix(r)).imag)
+        for r in big_rs
+    ]

@@ -26,7 +26,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -56,7 +55,7 @@ from .analysis import (
     fidelity_weight_series,
     fit_power_law,
     match_spectrum,
-    equilibrium_point,
+    equilibrium_scan,
     coupling_reduction_scan,
 )
 from . import reduced_model
@@ -267,7 +266,8 @@ def _run_trajectory(config):
     if config.engine == "weak-step":
         eps = config.kappa * config.tau_c
         n_steps = config.weak_steps()
-        stride = max(1, n_steps // max(config.samples - 1, 1))
+        # ceiling: at most `samples` rows, the last one on the horizon
+        stride = -(-n_steps // max(config.samples - 1, 1))
         traj = step_weak_map(rho0, h, code, eps, config.tau_c, n_steps, sample_stride=stride)
         return traj, None
 
@@ -331,11 +331,9 @@ def _cross_validate(config):
     traj = integrate(gen, rho0, t_phys, cfg, n_samples=min(config.samples, 51))
     m = reduced_model.build_reduced_matrix(config.kappa / config.gamma, config.gamma)
     xs = propagate_linear(m, reduced_model.initial_reduced_state().coeffs, traj.times).real
-    rho0_sys = np.zeros((8, 8), dtype=complex)
-    rho0_sys[0, 0] = 1.0
     dev = 0.0
     for i in range(len(traj)):
-        red = reduced_model.extract_reduced(traj.states[i], rho0_sys)
+        red = reduced_model.extract_reduced(traj.states[i])
         dev = max(dev, float(np.max(np.abs(red.coeffs - xs[i]))))
     return dev
 
@@ -416,33 +414,17 @@ def _parse_grid(text):
     return grid
 
 
-def cmd_scan(scenario, grid, fit, jobs, out):
+def cmd_scan(scenario, grid, fit, out):
     if scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {scenario!r}")
 
     if scenario == "hamiltonian-3q":
         # oscillatory case: report the effective coupling reduction 2g/omega
         value_col = "coupling_reduction"
-        points = coupling_reduction_scan(grid, jobs=jobs)
+        points = coupling_reduction_scan(grid)
     else:
         value_col = "equilibrium_infidelity"
-        points = []
-        if jobs and jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                futures = [pool.submit(equilibrium_point, scenario, r) for r in grid]
-                for rate, fut in zip(grid, futures):
-                    try:
-                        points.append((rate, fut.result()))
-                    except PlateauError as exc:
-                        print(f"warning: rate {rate:g} skipped: {exc}", file=sys.stderr)
-        else:
-            for rate in grid:
-                try:
-                    points.append((rate, equilibrium_point(scenario, rate)))
-                except PlateauError as exc:
-                    print(f"warning: rate {rate:g} skipped: {exc}", file=sys.stderr)
-        if not points:
-            raise PlateauError("no scan point produced a value")
+        points = equilibrium_scan(scenario, grid)
 
     meta = {
         "schema_version": SCHEMA_VERSION,
@@ -454,8 +436,6 @@ def cmd_scan(scenario, grid, fit, jobs, out):
     _write_csv(out, meta, ["rate", value_col], [[r, v] for r, v in points])
 
     if fit:
-        if len(points) < 4:
-            raise FitError(f"only {len(points)} scan points survived; need >= 4 to fit")
         result = fit_power_law(points)
         _write_json(out + ".fit.json" if out != "-" else "-", result.to_json())
         print(
@@ -497,8 +477,6 @@ def _add_common(p):
     p.add_argument("--rtol", type=float)
     p.add_argument("--atol", type=float)
     p.add_argument("--out", default="-", help="output path (default: stdout)")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes for scans (default: cpu count)")
     p.add_argument("--cross-validate", action="store_true",
                    help="also run the full/reduced cross-check (hamiltonian-3q)")
 
@@ -552,15 +530,14 @@ def main(argv=None):
                 scenario = _load_config_file(args.config).get("scenario")
             if scenario is None:
                 raise ConfigError("scan needs --scenario (or a config file naming one)")
-            jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-            return cmd_scan(scenario, _parse_grid(args.grid), args.fit, jobs, args.out)
+            return cmd_scan(scenario, _parse_grid(args.grid), args.fit, args.out)
         if args.command == "graph":
             return cmd_graph(args.big_r, args.out)
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (IntegrationError, PlateauError) as exc:
+    except (IntegrationError, PlateauError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except FitError as exc:

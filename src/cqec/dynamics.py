@@ -6,8 +6,7 @@ Four routes to a trajectory:
   equation ``drho/dt = G(rho)``, where G is a dense superoperator or a
   matrix-free generator with an ``apply`` method.  G is a constant,
   smooth linear generator (kappa (Phi - id) is a rate, not a train of
-  discrete events), so the step is limited only by the error control and
-  ``cfg.max_step``.
+  discrete events), so the step is limited only by the error control.
 * ``integrate`` with method="spectral" / ``propagate_linear`` -- exact
   propagation of a constant linear system by eigendecomposition, with a
   scaling-and-squaring fallback when the eigenbasis is ill-conditioned;
@@ -38,7 +37,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .tensor_core import (
     DensityMatrix,
@@ -69,16 +67,12 @@ class IntegratorConfig:
     method: str = "adaptive-RK"  # "adaptive-RK" | "spectral"
     rtol: float = 1e-9
     atol: float = 1e-12
-    max_step: float = np.inf
-    sample_stride: int = 1
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.rtol <= 0 or self.atol <= 0 or self.max_step <= 0:
-            raise ValueError("tolerances and max_step must be > 0")
-        if self.sample_stride < 1:
-            raise ValueError("sample_stride must be >= 1")
+        if self.rtol <= 0 or self.atol <= 0:
+            raise ValueError("tolerances must be > 0")
 
 
 @dataclass
@@ -103,11 +97,6 @@ class Trajectory:
     def __len__(self):
         return len(self.times)
 
-    def state(self, i):
-        """Sample i wrapped as a validated DensityMatrix."""
-        assert self.kind == "density"
-        return DensityMatrix(self.register, self.states[i])
-
 
 def _check_sample(rho, t):
     tr = abs(np.trace(rho).real - 1.0)
@@ -122,19 +111,6 @@ def _check_sample(rho, t):
             PositivityWarning,
             stacklevel=3,
         )
-
-
-def _rhs(generator):
-    if hasattr(generator, "apply"):
-        if hasattr(generator, "matrix"):
-            mat = generator.matrix
-
-            def f(rho):
-                return devectorize(mat @ vectorize(rho))
-
-            return f
-        return generator.apply
-    raise TypeError("generator must expose .apply (superoperator or matrix-free)")
 
 
 # Dormand-Prince 5(4) tableau (FSAL: last stage is the next first stage)
@@ -159,21 +135,21 @@ def _error_norm(err, y0, y1, rtol, atol):
     return float(np.sqrt(np.mean(np.abs(err / scale) ** 2)))
 
 
-def _initial_step(f, y0, span, rtol, atol, max_step):
+def _initial_step(f, y0, span, rtol, atol):
     f0 = f(y0)
     scale = atol + rtol * np.max(np.abs(y0))
     d1 = np.max(np.abs(f0)) / scale
     h = 0.01 / d1 if d1 > 0 else span / 100.0
-    return min(h, span / 10.0, max_step)
+    return min(h, span / 10.0)
 
 
-def _advance_dopri(f, y, t, t_target, h, rtol, atol, max_step):
+def _advance_dopri(f, y, t, t_target, h, rtol, atol):
     """Adaptive steps from t to t_target; returns (y, suggested h)."""
     k1 = f(y)
     tiny = 1e-12 * max(1.0, abs(t_target))
     while t_target - t > tiny:
         remaining = t_target - t
-        clipped = min(h, remaining, max_step)
+        clipped = min(h, remaining)
         if clipped < 1e-14 * max(1.0, abs(t)):
             raise IntegrationError(f"step size underflow at t={t:g}")
         ks = [k1]
@@ -199,8 +175,9 @@ def _advance_dopri(f, y, t, t_target, h, rtol, atol, max_step):
 def integrate(generator, rho0, t_max, cfg=None, n_samples=201):
     """Integrate drho/dt = G(rho) and sample on a uniform grid.
 
-    "adaptive-RK" chooses its steps by error control alone, bounded by
-    ``cfg.max_step``; "spectral" propagates a dense generator exactly.
+    "adaptive-RK" chooses its steps by error control alone; "spectral"
+    propagates a dense generator exactly.  The generator exposes
+    ``apply(rho)`` (and ``matrix`` for "spectral").
     t_max = 0 returns the single-sample trajectory.
     """
     cfg = cfg or IntegratorConfig()
@@ -216,7 +193,7 @@ def integrate(generator, rho0, t_max, cfg=None, n_samples=201):
     if t_max == 0:
         return Trajectory(np.zeros(1), rho0[None, :, :].copy(), "density", register)
 
-    times = np.linspace(0.0, t_max, n_samples)[:: cfg.sample_stride]
+    times = np.linspace(0.0, t_max, n_samples)
     if times[-1] != t_max:
         times = np.append(times, t_max)
 
@@ -226,15 +203,13 @@ def integrate(generator, rho0, t_max, cfg=None, n_samples=201):
         xs = propagate_linear(generator.matrix, vectorize(rho0), times)
         states = np.array([devectorize(x) for x in xs])
     else:
-        f = _rhs(generator)
+        f = generator.apply
         states = np.empty((len(times), d, d), dtype=complex)
         states[0] = rho0
         y = rho0.copy()
-        h = _initial_step(f, y, t_max, cfg.rtol, cfg.atol, cfg.max_step)
+        h = _initial_step(f, y, t_max, cfg.rtol, cfg.atol)
         for i in range(1, len(times)):
-            y, h = _advance_dopri(
-                f, y, times[i - 1], times[i], h, cfg.rtol, cfg.atol, cfg.max_step
-            )
+            y, h = _advance_dopri(f, y, times[i - 1], times[i], h, cfg.rtol, cfg.atol)
             states[i] = y
 
     for t, rho in zip(times, states):
@@ -264,6 +239,8 @@ def propagate_linear(system_matrix, x0, times):
         dt = times[idx] - t_prev
         if dt != 0.0:
             if dt not in cache:
+                import scipy.linalg  # only here: keeps scipy out of `import cqec`
+
                 cache[dt] = scipy.linalg.expm(m * dt)
             x = cache[dt] @ x
             t_prev = times[idx]

@@ -211,8 +211,6 @@ def test_criterion_05_predicted_spectrum():
 
 def test_criterion_06_full_reduced_equivalence():
     start = time.perf_counter()
-    rho0_sys = np.zeros((8, 8), dtype=complex)
-    rho0_sys[0, 0] = 1.0
     dev = 0.0
     spread = 0.0
     for big_r in (0.0, 1.0, 10.0):
@@ -221,7 +219,7 @@ def test_criterion_06_full_reduced_equivalence():
         m = reduced_model.build_reduced_matrix(big_r, 1.0)
         xs = propagate_linear(m, reduced_model.initial_reduced_state().coeffs, traj.times).real
         for rho, x in zip(traj.states, xs):
-            red = reduced_model.extract_reduced(rho, rho0_sys)
+            red = reduced_model.extract_reduced(rho)
             dev = max(dev, float(np.max(np.abs(red.coeffs - x))))
             spread = max(spread, reduced_model.class_spread(rho))
     elapsed = time.perf_counter() - start

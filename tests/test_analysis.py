@@ -180,13 +180,6 @@ def test_equilibrium_scan_guards():
         equilibrium_scan("no-such-scenario", [10.0, 30.0, 100.0, 300.0])
 
 
-def test_equilibrium_scan_parallel_matches_serial():
-    rates = [10.0, 30.0, 100.0, 300.0]
-    serial = equilibrium_scan("markovian-1q", rates)
-    parallel = equilibrium_scan("markovian-1q", rates, jobs=2)
-    assert serial == parallel
-
-
 def test_markovian_scan_points_match_closed_form():
     rates = [10.0, 30.0, 100.0, 300.0, 1000.0]
     for r, q in equilibrium_scan("markovian-1q", rates):
@@ -220,6 +213,27 @@ def test_coupling_reduction_factor():
     assert fit.params["slope"] == pytest.approx(2.0, abs=0.1)
 
 
+def _slow_eigenvalue_near_prediction(big_r):
+    """The eigenvalue of the reduced matrix nearest the leading slow form
+    24 i / R^2 - 144 / R^3, picked without reduced_model.slow_eigenvalue."""
+    w = np.linalg.eigvals(build_reduced_matrix(big_r))
+    return w[np.argmin(np.abs(w - (24j / big_r**2 - 144.0 / big_r**3)))]
+
+
+def test_coupling_reduction_is_twice_inverse_slow_frequency():
+    rates = [30.0, 50.0, 100.0, 200.0]
+    for big_r, factor in coupling_reduction_scan(rates):
+        omega = abs(_slow_eigenvalue_near_prediction(big_r).imag)
+        assert factor == pytest.approx(2.0 / omega, rel=1e-12)
+
+
+def test_coupling_reduction_resolves_large_r():
+    # at R = 3e4 the slow frequency 24/R^2 = 2.7e-8 is a few 1e-13 of
+    # max|lambda| = 3e4, and still resolved to 1e-6
+    for big_r, factor in coupling_reduction_scan([1e3, 3e3, 1e4, 3e4]):
+        assert factor == pytest.approx(big_r**2 / 12.0, rel=1e-4)
+
+
 def test_coupling_reduction_scan_guard():
     with pytest.raises(ValueError):
         coupling_reduction_scan([30.0, 50.0, 100.0])
@@ -243,6 +257,14 @@ def test_slow_mode_fit_r100():
     fit = _slow_fit(100.0)
     assert fit.params["omega"] == pytest.approx(24.0 / 100.0**2, rel=0.01)
     assert fit.params["decay"] == pytest.approx(144.0 / 100.0**3, rel=0.2)
+
+
+@pytest.mark.parametrize("big_r", [30.0, 50.0, 100.0, 200.0])
+def test_slow_mode_fit_matches_eigenvalue(big_r):
+    """The damped-cosine fit stays an independent check of the eigenvalue
+    that the scans use."""
+    omega = abs(_slow_eigenvalue_near_prediction(big_r).imag)
+    assert _slow_fit(big_r).params["omega"] == pytest.approx(omega, rel=1e-3)
 
 
 def test_slow_mode_fit_r50():

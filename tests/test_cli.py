@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,7 +230,7 @@ def test_fixed_rk4_method_is_gone():
 
 @pytest.mark.parametrize("grid", ["--grid=0,1,2,3", "--grid=-1,1,2,3", "--grid=1,2,3,inf"])
 def test_scan_rejects_nonpositive_or_infinite_rates(grid, capsys):
-    rc = main(["scan", "--scenario", "markovian-1q", grid, "--fit", "--jobs", "1"])
+    rc = main(["scan", "--scenario", "markovian-1q", grid, "--fit"])
     assert rc == 2
     assert "finite and > 0" in capsys.readouterr().err
 
@@ -253,6 +255,51 @@ def test_weak_step_whole_cycles_end_on_horizon(tmp_path):
     assert rc == 0
     _, _, data = _read_csv(out)
     assert data[-1, 0] == pytest.approx(0.003, rel=1e-12)
+
+
+def test_weak_step_rows_never_exceed_samples(tmp_path):
+    """999 cycles in 10 intervals: strides of 100 cycles, the last one 99."""
+    out = tmp_path / "weak.csv"
+    rc = main(
+        ["simulate", "--scenario", "hamiltonian-1q", "--engine", "weak-step",
+         "--R", "2", "--t-max", "0.999", "--tau-c", "1e-3", "--samples", "11",
+         "--out", str(out)]
+    )
+    assert rc == 0
+    _, _, data = _read_csv(out)
+    assert data.shape[0] == 11
+    assert data[-1, 0] == pytest.approx(0.999, rel=1e-12)
+
+
+def test_jobs_flag_is_gone():
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--scenario", "markovian-1q", "--grid", "10,30,100,300", "--jobs", "2"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_scan_point_without_plateau_exits_3(tmp_path, capsys):
+    """A rate that never settles fails the whole scan; no CSV is written."""
+    out = tmp_path / "scan.csv"
+    rc = main(
+        ["scan", "--scenario", "hamiltonian-1q", "--grid", "1e-12,1,2,3,4", "--fit",
+         "--out", str(out)]
+    )
+    assert rc == 3
+    assert "no plateau" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unresolved_slow_mode_exits_3(tmp_path, capsys):
+    """At R = 1e6 the slow frequency 24/R^2 is lost in rounding."""
+    out = tmp_path / "scan.csv"
+    rc = main(
+        ["scan", "--scenario", "hamiltonian-3q", "--grid", "30,100,1000,1e6",
+         "--out", str(out)]
+    )
+    assert rc == 3
+    assert "not resolved" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bad_config_file_returns_2(tmp_path):
@@ -321,7 +368,7 @@ def test_scan_with_fit(tmp_path, capsys):
     rc = main(
         [
             "scan", "--scenario", "markovian-1q", "--grid", "10,30,100,300",
-            "--fit", "--jobs", "1", "--out", str(out),
+            "--fit", "--out", str(out),
         ]
     )
     assert rc == 0
@@ -359,13 +406,30 @@ def test_fig3_dataset(tmp_path):
     assert data[i, 0] == pytest.approx(np.pi * 100.0**2 / 24.0, rel=0.02)
 
 
-def test_entry_point_runs_as_module():
-    proc = subprocess.run(
-        [sys.executable, "-m", "cqec.cli", "eig", "--R", "100", "--out", "-"],
-        capture_output=True,
-        text=True,
-        timeout=120,
+def _run_python(*args):
+    """A fresh interpreter with this checkout's `src` first on its path."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=120, env=env
     )
+
+
+def test_entry_point_runs_as_module():
+    proc = _run_python("-m", "cqec.cli", "eig", "--R", "100", "--out", "-")
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["all_bands_ok"] is True
+
+
+def test_import_loads_no_scipy():
+    """scipy is imported only by the fits and the ill-conditioned fallback
+    of propagate_linear, never by `import cqec.cli`."""
+    proc = _run_python(
+        "-c",
+        "import sys, cqec.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -110,16 +110,13 @@ def test_initial_state_is_unit_first_coefficient():
 
 
 def test_extract_from_initial_product_state():
-    rho0 = projector(basis_ket("000"))
-    full0 = scenario_rho0("hamiltonian-3q")
-    s = extract_reduced(full0, rho0)
+    s = extract_reduced(scenario_rho0("hamiltonian-3q"))
     assert np.allclose(s.coeffs, initial_reduced_state().coeffs)
 
 
 def test_expand_initial_state():
-    rho0 = projector(basis_ket("000"))
-    dm = expand_reduced(initial_reduced_state(), rho0)
-    expected = kron_all(rho0, np.eye(8) / 8.0)
+    dm = expand_reduced(initial_reduced_state())
+    expected = kron_all(projector(basis_ket("000")), np.eye(8) / 8.0)
     assert np.allclose(dm.entries, expected)
     assert partial_trace_bath(dm.entries, 3, 3)[0, 0] == pytest.approx(1.0)
 
@@ -128,11 +125,10 @@ def test_extract_expand_round_trip_after_evolution():
     """Evolve the full 64-dim model a short while, extract, expand, and
     extract again: the coefficients must survive the round trip."""
     gen = total_generator("hamiltonian-3q", ModelParams(gamma=1.0, kappa=3.0))
-    rho0 = projector(basis_ket("000"))
     traj = integrate(gen, scenario_rho0("hamiltonian-3q"), 0.3, n_samples=4)
-    s1 = extract_reduced(traj.states[-1], rho0)
-    dm = expand_reduced(s1, rho0)
-    s2 = extract_reduced(dm.entries, rho0)
+    s1 = extract_reduced(traj.states[-1])
+    dm = expand_reduced(s1)
+    s2 = extract_reduced(dm.entries)
     assert np.max(np.abs(s1.coeffs - s2.coeffs)) < 1e-12
 
 
@@ -140,12 +136,11 @@ def test_reduced_propagation_matches_full_dynamics():
     """The 13-dim linear model reproduces the 64-dim integration."""
     big_r = 4.0
     gen = total_generator("hamiltonian-3q", ModelParams(gamma=1.0, kappa=big_r))
-    rho0 = projector(basis_ket("000"))
     traj = integrate(gen, scenario_rho0("hamiltonian-3q"), 0.5, n_samples=6)
     m = build_reduced_matrix(big_r)
     xs = propagate_linear(m, initial_reduced_state().coeffs, traj.times)
     for rho, x in zip(traj.states, xs):
-        s = extract_reduced(rho, rho0)
+        s = extract_reduced(rho)
         assert np.max(np.abs(s.coeffs - x)) < 1e-8
 
 
@@ -158,9 +153,18 @@ def test_class_spread_stays_small_under_evolution():
         assert class_spread(rho) < 1e-9
 
 
-def test_extract_rejects_wrong_reference():
-    with pytest.raises(ValueError):
-        extract_reduced(scenario_rho0("hamiltonian-3q"), projector(basis_ket("001")))
+@pytest.mark.parametrize("extra, message", [
+    # |000><000| bath: outside the span of the 64 basis elements
+    (kron_all(projector(basis_ket("000")), projector(basis_ket("000")) - np.eye(8) / 8.0),
+     "left the symmetric manifold"),
+    # the basis element of C100_000 without its phase -i: an imaginary coefficient
+    (0.01 * kron_all(np.outer(basis_ket("100"), basis_ket("000")),
+                     np.array([[0.0, 0.5], [0.5, 0.0]]), np.eye(2) / 2.0, np.eye(2) / 2.0),
+     "not real"),
+])
+def test_extract_rejects_states_off_the_manifold(extra, message):
+    with pytest.raises(ValueError, match=message):
+        extract_reduced(scenario_rho0("hamiltonian-3q") + extra)
 
 
 # ---------------------------------------------------------------------------
