@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import basis_ket, partial_trace_bath, vectorize, devectorize
+from .tensor_core import basis_ket, partial_trace_bath
 from .codes_and_maps import SCENARIOS, ModelParams, total_generator, scenario_rho0
-from .dynamics import propagate_linear
+from .dynamics import propagate_linear, restrict_generator
 from .closed_forms import predicted_spectrum
 from . import reduced_model
 
@@ -321,19 +321,20 @@ def _codespace_weight(rho, scenario):
 
 def _plateau_infidelity(scenario, rate):
     """1 - P_cs once its relative change over the last decade of time
-    drops below 1e-4 (noise rate normalized to 1)."""
+    drops below 1e-4 (noise rate normalized to 1), propagated exactly in
+    the Krylov space of rho0."""
     if SCENARIOS[scenario].time_unit == "lambda":
         params = ModelParams(lam=1.0, kappa=rate)
     else:
         params = ModelParams(gamma=1.0, kappa=rate)
-    gen = total_generator(scenario, params)
     rho0 = scenario_rho0(scenario)
-    x0 = vectorize(rho0)
+    basis, gen = restrict_generator(total_generator(scenario, params), rho0)
+    c0 = basis.conj().T @ rho0.ravel()
+    d = rho0.shape[0]
     horizon = 1.0
     for _ in range(20):
-        xs = propagate_linear(gen.matrix, x0, [horizon / 10.0, horizon])
-        q_prev = 1.0 - _codespace_weight(devectorize(xs[0]), scenario)
-        q = 1.0 - _codespace_weight(devectorize(xs[1]), scenario)
+        states = propagate_linear(gen, c0, [horizon / 10.0, horizon]) @ basis.T
+        q_prev, q = (1.0 - _codespace_weight(s.reshape(d, d), scenario) for s in states)
         if abs(q - q_prev) <= 1e-4 * max(abs(q), 1e-300):
             return q
         horizon *= 10.0

@@ -31,7 +31,6 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .codes_and_maps import (
-    DENSE_MAX_QUBITS,
     SCENARIOS,
     ModelParams,
     pair_hamiltonian,
@@ -126,10 +125,6 @@ class ExperimentConfig:
             IntegratorConfig(method=self.method, rtol=self.rtol, atol=self.atol)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.method == "spectral" and spec.register.total > DENSE_MAX_QUBITS:
-            raise ConfigError(
-                f"method spectral needs a dense generator; {self.scenario} is matrix-free"
-            )
 
     def weak_steps(self):
         """Number of weak-map cycles in the horizon, which must hold a whole

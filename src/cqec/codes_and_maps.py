@@ -10,12 +10,10 @@ combined with either
 * a Hamiltonian pair coupling gamma * X_system x X_bath per qubit,
   with the bath qubits kept in the register (non-Markovian case).
 
-Superoperators are stored as dense matrices in the column-stacking
-convention of :mod:`cqec.tensor_core` whenever the register is small
-enough (``DENSE_MAX_QUBITS``: up to 4 qubits / 256x256 superoperator).
-The six-qubit pair-coupled scenario would need a 4096x4096 matrix, so it
-is handled by a matrix-free generator object with the same ``apply``
-interface.
+``total_generator`` returns a dense superoperator (column-stacking
+convention of :mod:`cqec.tensor_core`) on up to ``DENSE_MAX_QUBITS``
+qubits and the matrix-free ``PairCoupledGenerator`` on six; the engines
+of :mod:`cqec.dynamics` use only their common ``apply``.
 
 ``apply_recovery`` is the one fast implementation of Phi (x) id_bath: a
 gather and sum of syndrome blocks on ``(..., d, d)`` stacks.  The Kraus
@@ -36,8 +34,7 @@ from .tensor_core import (
     devectorize,
 )
 
-# Registers of at most this many qubits (system + bath) get dense
-# superoperators; larger ones are handled matrix-free.
+# Registers of at most this many qubits (system + bath) get dense generators.
 DENSE_MAX_QUBITS = 4
 
 

@@ -1,32 +1,25 @@
 """Time-evolution engines for master equations and their discretizations.
 
-Four routes to a trajectory:
-
 * ``integrate`` -- adaptive Dormand-Prince 5(4) (default) on the master
-  equation ``drho/dt = G(rho)``, where G is a dense superoperator or a
-  matrix-free generator with an ``apply`` method.  G is a constant,
+  equation ``drho/dt = G(rho)`` through ``G.apply``.  G is a constant,
   smooth linear generator (kappa (Phi - id) is a rate, not a train of
   discrete events), so the step is limited only by the error control.
-* ``integrate`` with method="spectral" / ``propagate_linear`` -- exact
-  propagation of a constant linear system by eigendecomposition, with a
-  scaling-and-squaring fallback when the eigenbasis is ill-conditioned;
-  the independent cross-check of DP5(4) on dense generators.
+  method="spectral" propagates G restricted to the Krylov space of rho0
+  exactly (``propagate_linear``); it is the cross-check of DP5(4).
 * ``step_weak_map`` -- discrete cycles of unitary evolution over tau_c
   followed by the weak recovery channel (1-eps) id + eps Phi; converges
   first-order in tau_c to the continuous dynamics at kappa = eps/tau_c.
-  On registers of up to ``DENSE_MAX_QUBITS`` qubits the one-cycle
-  superoperator S is built once and the samples are reached by the
-  powers S^stride (and S^remainder for the last one); larger registers
-  step cycle by cycle.
 * ``jump_monte_carlo`` -- the jump-process reading of the same model:
   full recoveries applied at Poisson(kappa) random times, averaged over
-  trajectories.  All trajectories of a chunk evolve together as one
-  (B, d, d) stack in the eigenbasis of H, where free evolution is an
-  elementwise phase; a recovery hits only the trajectories whose next
-  jump comes before the next sample.
+  trajectories.
 
-Recoveries use the syndrome-block gather ``apply_recovery`` of
-:mod:`cqec.codes_and_maps`, never Kraus products.
+All engines but DP5(4) run on the k coordinates of the smallest subspace
+that holds rho0 and is mapped into itself by the model's operators
+(``invariant_subspace``; Saad, SIAM J. Numer. Anal. 29, 209 (1992), with
+several operators in place of one): k = 3 for ``hamiltonian-1q`` and 9
+for ``hamiltonian-3q`` from the scenario states.  The weak map and Monte
+Carlo take the rate-free operators -i[H, .] and Phi (x) id_bath, the
+latter applied by ``apply_recovery`` of :mod:`cqec.codes_and_maps`.
 
 States along trajectories are checked, never repaired: the trace must
 stay within 1e-8 of 1, and an eigenvalue below -1e-8 triggers a
@@ -38,20 +31,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor_core import (
-    DensityMatrix,
-    QubitRegister,
-    TOL_POS,
-    vectorize,
-    devectorize,
-)
-from .codes_and_maps import DENSE_MAX_QUBITS, apply_recovery
+from .tensor_core import DensityMatrix, QubitRegister, TOL_POS
+from .codes_and_maps import apply_recovery
 
 TRACE_TOL = 1e-8
 METHODS = ("adaptive-RK", "spectral")
-# Largest number of complex state entries in one Monte Carlo chunk
-# (64 trajectories at d = 64), which bounds its memory.
+# Largest number of array entries in one Monte Carlo chunk, which bounds its memory.
 MC_CHUNK_ENTRIES = 2**18
+# Smallest new direction in ``invariant_subspace``, relative to the largest image;
+# rounding leaves ~1e-16.  hamiltonian-3q keeps all k = 9 for R in [1e-10, 3e7].
+SUBSPACE_TOL = 1e-12
 
 
 class IntegrationError(RuntimeError):
@@ -176,8 +165,8 @@ def integrate(generator, rho0, t_max, cfg=None, n_samples=201):
     """Integrate drho/dt = G(rho) and sample on a uniform grid.
 
     "adaptive-RK" chooses its steps by error control alone; "spectral"
-    propagates a dense generator exactly.  The generator exposes
-    ``apply(rho)`` (and ``matrix`` for "spectral").
+    propagates the restriction of G to the Krylov space of rho0 exactly.
+    The generator exposes ``apply(rho)``.
     t_max = 0 returns the single-sample trajectory.
     """
     cfg = cfg or IntegratorConfig()
@@ -198,10 +187,9 @@ def integrate(generator, rho0, t_max, cfg=None, n_samples=201):
         times = np.append(times, t_max)
 
     if cfg.method == "spectral":
-        if not hasattr(generator, "matrix"):
-            raise ValueError("spectral method needs a dense superoperator")
-        xs = propagate_linear(generator.matrix, vectorize(rho0), times)
-        states = np.array([devectorize(x) for x in xs])
+        q, g = restrict_generator(generator, rho0)
+        coords = propagate_linear(g, q.conj().T @ rho0.ravel(), times)
+        states = (coords @ q.T).reshape(len(times), d, d)
     else:
         f = generator.apply
         states = np.empty((len(times), d, d), dtype=complex)
@@ -248,9 +236,57 @@ def propagate_linear(system_matrix, x0, times):
     return out
 
 
-def _pair_register(hamiltonian, code):
-    d = np.asarray(hamiltonian).shape[0]
-    return QubitRegister(code.system_count, int(round(np.log2(d))) - code.system_count)
+def invariant_subspace(ops, rho0):
+    """(q, blocks): orthonormal columns q (row-major flattened d x d
+    states) spanning the smallest subspace that holds rho0 and is mapped
+    into itself by every op in ``ops`` (linear maps of d x d matrices),
+    and blocks[i] = q^dag ops[i](q), the k x k restriction of ops[i].
+
+    An image of a basis vector, orthogonalised twice against the basis,
+    adds a vector when its norm exceeds ``SUBSPACE_TOL`` times the largest
+    image of the same op.
+    """
+    rho0 = np.asarray(rho0, dtype=complex)
+    d = rho0.shape[0]
+    q = (rho0 / np.linalg.norm(rho0)).reshape(1, d * d)  # basis vectors as rows
+    images = [[] for _ in ops]
+    scale = np.zeros(len(ops))
+    j = 0
+    while j < len(q):
+        for i, op in enumerate(ops):
+            w = np.asarray(op(q[j].reshape(d, d)), dtype=complex).ravel()
+            images[i].append(w)
+            scale[i] = max(scale[i], np.linalg.norm(w))
+            r = w - (q.conj() @ w) @ q
+            r = r - (q.conj() @ r) @ q
+            if np.linalg.norm(r) > SUBSPACE_TOL * scale[i]:
+                q = np.vstack([q, r / np.linalg.norm(r)])
+        j += 1
+    return q.T, [q.conj() @ np.array(img).T for img in images]
+
+
+def restrict_generator(generator, rho0):
+    """(q, g) with exp(G t) rho0 = q exp(g t) q^dag rho0: the basis q of the
+    Krylov space of ``generator.apply`` from rho0 and the restriction g,
+    less its rounding-level part along the trace functional tr(q c), which
+    would otherwise make the trace drift by ~1e-16 |G| t."""
+    rho0 = np.asarray(rho0, dtype=complex)
+    q, (g,) = invariant_subspace([generator.apply], rho0)
+    tr = np.eye(rho0.shape[0]).ravel() @ q  # tr(state) = tr @ coordinates
+    return q, g - np.outer(tr.conj(), tr @ g) / np.vdot(tr, tr).real
+
+
+def _pair_subspace(rho0, hamiltonian, code):
+    """(register, q, w, v, phi_k): q spans the subspace of rho0 invariant
+    under -i[H, .] and Phi (x) id_bath, whose restrictions are -i v w v^dag
+    (so exp(-i[H, .] t) becomes v exp(-i w t) v^dag) and phi_k."""
+    h = np.asarray(hamiltonian, dtype=complex)
+    register = QubitRegister(code.system_count, int(np.log2(len(h))) - code.system_count)
+    db = 2**register.bath_count
+    ops = [lambda r: -1j * (h @ r - r @ h), lambda r: apply_recovery(code, r, db)]
+    q, (n_k, phi_k) = invariant_subspace(ops, rho0)
+    w, v = np.linalg.eigh(1j * n_k)
+    return register, q, w, v, phi_k
 
 
 def step_weak_map(rho0, hamiltonian, code, eps, tau_c, n_steps, sample_stride=1):
@@ -258,6 +294,9 @@ def step_weak_map(rho0, hamiltonian, code, eps, tau_c, n_steps, sample_stride=1)
     channel (1-eps) rho + eps Phi(rho), repeated n_steps times; sampled
     after every ``sample_stride`` cycles and after the last one.
 
+    Samples are reached by powers of the one-cycle map ((1-eps) I + eps
+    phi_k) exp(tau_c N_k) on the coordinates of ``_pair_subspace``, where
+    N_k and phi_k restrict -i[H, .] and Phi (x) id_bath.
     Equivalent continuous correction rate: kappa = eps / tau_c.
     """
     if not 0.0 <= eps <= 1.0:
@@ -265,44 +304,21 @@ def step_weak_map(rho0, hamiltonian, code, eps, tau_c, n_steps, sample_stride=1)
     if tau_c <= 0 or n_steps < 1 or sample_stride < 1:
         raise ValueError("need tau_c > 0, n_steps >= 1 and sample_stride >= 1")
     rho = rho0.entries if isinstance(rho0, DensityMatrix) else np.asarray(rho0, dtype=complex)
-    register = _pair_register(hamiltonian, code)
-    d, db = register.dim, 2**register.bath_count
-
-    w, v = np.linalg.eigh(np.asarray(hamiltonian, dtype=complex))
-    u = v @ (np.exp(-1j * w * tau_c)[:, None] * v.conj().T)
-
-    def cycle(r):
-        r = u @ r @ u.conj().T
-        return (1.0 - eps) * r + eps * apply_recovery(code, r, db)
+    register, q, w, v, phi_k = _pair_subspace(rho, hamiltonian, code)
+    unitary = (v * np.exp(-1j * w * tau_c)) @ v.conj().T
+    s = ((1.0 - eps) * np.eye(len(w)) + eps * phi_k) @ unitary
 
     steps = list(range(sample_stride, n_steps + 1, sample_stride))
     if steps[-1:] != [n_steps]:
         steps.append(n_steps)
-    if register.total <= DENSE_MAX_QUBITS:
-        # one-cycle superoperator on row-major flattened states: S[:, k] = cycle(E_k)
-        s = cycle(np.eye(d * d, dtype=complex).reshape(d * d, d, d)).reshape(d * d, d * d).T
-        powers = {}
-
-        def advance(r, k):
-            if k not in powers:
-                powers[k] = np.linalg.matrix_power(s, k)
-            return (powers[k] @ r.ravel()).reshape(d, d)
-
-    else:
-
-        def advance(r, k):
-            for _ in range(k):
-                r = cycle(r)
-            return r
-
-    recorded = [rho.copy()]
-    prev = 0
-    for step in steps:
-        rho = advance(rho, step - prev)
-        recorded.append(rho)
-        prev = step
+    gaps = np.diff([0] + steps)  # the stride, and a shorter last gap
+    powers = {n: np.linalg.matrix_power(s, n) for n in set(gaps)}
+    coords = [q.conj().T @ rho.ravel()]
+    for n in gaps:
+        coords.append(powers[n] @ coords[-1])
     times = np.array([0.0] + [k * tau_c for k in steps])
-    return Trajectory(times, np.array(recorded), "density", register)
+    states = (np.array(coords) @ q.T).reshape(len(times), register.dim, register.dim)
+    return Trajectory(times, states, "density", register)
 
 
 def jump_monte_carlo(rho0, hamiltonian, code, kappa, t_max, n_traj, seed, n_samples=21):
@@ -315,41 +331,35 @@ def jump_monte_carlo(rho0, hamiltonian, code, kappa, t_max, n_traj, seed, n_samp
     of execution order.  Returns the mean state per sample time, with the
     ensemble mean/stderr of the codeword fidelity in `observables`.
 
-    Trajectories run in chunks of at most ``MC_CHUNK_ENTRIES`` state
-    entries, as one (B, d, d) stack in the eigenbasis of H.
+    A chunk of trajectories evolves together, each as its k coordinates on
+    ``_pair_subspace`` in the eigenbasis v: free evolution is a phase per
+    coordinate, a recovery one k x k product (for the trajectories whose
+    next jump precedes the next sample) and F_cw a dot product.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
     if kappa < 0 or t_max <= 0:
         raise ValueError("need kappa >= 0 and t_max > 0")
     rho0 = rho0.entries if isinstance(rho0, DensityMatrix) else np.asarray(rho0, dtype=complex)
-    register = _pair_register(hamiltonian, code)
+    register, q, w, v, phi_k = _pair_subspace(rho0, hamiltonian, code)
     d, db = register.dim, 2**register.bath_count
-
-    w, v = np.linalg.eigh(np.asarray(hamiltonian, dtype=complex))
-    vh = v.conj().T
-    # F_cw = Tr[(|L><L| (x) id_bath) rho] = sum((V^dag P V)^T * rho~) in the eigenbasis
-    p_code = np.zeros(d)
-    p_code[code.logical_zero * db : (code.logical_zero + 1) * db] = 1.0
-    p_eig_t = ((vh * p_code) @ v).T
-    rho0_eig = vh @ rho0 @ v
-
-    def evolve(r, dt):
-        """Free evolution of r[b] by dt[b]: elementwise phases in the eigenbasis."""
-        e = np.exp(-1j * np.outer(dt, w))
-        return r * (e[:, :, None] * e.conj()[:, None, :])
-
-    def recover(r):
-        return vh @ apply_recovery(code, v @ r @ vh, db) @ v
+    qv = q @ v  # eigen-coordinates -> row-major flattened states
+    recover_t = (v.conj().T @ phi_k @ v).T  # y -> y @ recover_t is one recovery
+    # F_cw = Tr[(|L><L| (x) id_bath) rho] = p_eig @ y, summed over diagonal entries
+    diagonal = np.arange(code.logical_zero * db, (code.logical_zero + 1) * db) * (d + 1)
+    p_eig = qv[diagonal].sum(axis=0)
+    y0 = qv.conj().T @ rho0.ravel()
 
     times = np.linspace(0.0, t_max, n_samples)
-    mean_eig = np.zeros((n_samples, d, d), dtype=complex)
+    mean_y = np.zeros((n_samples, len(w)), dtype=complex)
     # sums of f - shift, with the first trajectory's f as shift: the variance
     # of nearly equal values then suffers no cancellation (and is 0 if equal)
     shift = None
     dev_sum = np.zeros(n_samples)
     dev_sqsum = np.zeros(n_samples)
-    chunk = max(1, MC_CHUNK_ENTRIES // (d * d))
+    # per trajectory: coordinates, fidelity samples and the padded jump
+    # times, with the mean jump count standing in for the chunk's largest
+    chunk = max(1, MC_CHUNK_ENTRIES // (len(w) + n_samples + 2 + int(kappa * t_max)))
 
     for first in range(0, n_traj, chunk):
         idx = np.arange(first, min(first + chunk, n_traj))
@@ -365,7 +375,7 @@ def jump_monte_carlo(rho0, hamiltonian, code, kappa, t_max, n_traj, seed, n_samp
         rows = np.arange(len(idx))
         nxt = np.zeros(len(idx), dtype=int)
         t_now = np.zeros(len(idx))
-        rho = np.broadcast_to(rho0_eig, (len(idx), d, d)).copy()
+        y = np.broadcast_to(y0, (len(idx), len(w))).copy()
         fids = np.empty((n_samples, len(idx)))
         for k, ts in enumerate(times):
             while True:
@@ -373,30 +383,26 @@ def jump_monte_carlo(rho0, hamiltonian, code, kappa, t_max, n_traj, seed, n_samp
                 hit = np.flatnonzero(t_jump <= ts)
                 if hit.size == 0:
                     break
-                rho[hit] = recover(evolve(rho[hit], t_jump[hit] - t_now[hit]))
+                phases = np.exp(-1j * np.outer(t_jump[hit] - t_now[hit], w))
+                y[hit] = (y[hit] * phases) @ recover_t
                 t_now[hit] = t_jump[hit]
                 nxt[hit] += 1
-            rho = evolve(rho, ts - t_now)
+            y = y * np.exp(-1j * np.outer(ts - t_now, w))  # free evolution
             t_now[:] = ts
-            mean_eig[k] += rho.sum(axis=0)
-            fids[k] = np.einsum("ij,bij->b", p_eig_t, rho).real
+            mean_y[k] += y.sum(axis=0)
+            fids[k] = (y @ p_eig).real
         if shift is None:
             shift = fids[:, 0].copy()
         dev = fids - shift[:, None]
         dev_sum += dev.sum(axis=1)
         dev_sqsum += (dev * dev).sum(axis=1)
 
-    mean = v @ (mean_eig / n_traj) @ vh
+    mean = ((mean_y / n_traj) @ qv.T).reshape(n_samples, d, d)
     f_mean = shift + dev_sum / n_traj
     if n_traj > 1:
         var = (dev_sqsum - dev_sum**2 / n_traj) / (n_traj - 1)
         f_se = np.sqrt(np.maximum(var, 0.0) / n_traj)
     else:
         f_se = np.zeros(n_samples)
-    return Trajectory(
-        times,
-        mean,
-        "density",
-        register,
-        observables={"F_cw_mean": f_mean, "F_cw_se": f_se},
-    )
+    observables = {"F_cw_mean": f_mean, "F_cw_se": f_se}
+    return Trajectory(times, mean, "density", register, observables=observables)

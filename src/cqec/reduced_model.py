@@ -103,9 +103,9 @@ def build_reduced_matrix(big_r, gamma=1.0):
 
 
 def slow_eigenvalue(matrix):
-    """The slow oscillating mode of a reduced generator: among the
-    eigenvalues with Im > 1e-14 max|lambda|, the one with the largest real
-    part.
+    """The slow oscillating mode of a reduced generator (the 13x13 one, or
+    any restriction of the full generator): among the eigenvalues with
+    Im > 1e-14 max|lambda|, the one with the largest real part.
 
     For R >> 1 this is the pair 24 i gamma / R^2 - 144 gamma / R^3 of
     ``predicted_spectrum``; at R = 0 it is the bare oscillation 2 i gamma.
@@ -114,7 +114,7 @@ def slow_eigenvalue(matrix):
     mode picked instead has slower modes than itself besides the zero
     mode, and FloatingPointError is raised.
     """
-    w = np.linalg.eigvals(np.asarray(matrix, dtype=float))
+    w = np.linalg.eigvals(np.asarray(matrix))
     tol = 1e-14 * np.max(np.abs(w))
     osc = w[w.imag > tol]
     slow = osc[np.argmax(osc.real)]

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -213,13 +214,17 @@ def test_config_errors_return_2(tmp_path):
     assert main(["eig", "--out", "-"]) == 2
 
 
-def test_spectral_method_on_matrix_free_scenario_exits_2(capsys):
-    rc = main(
-        ["simulate", "--scenario", "hamiltonian-3q", "--method", "spectral",
-         "--R", "1", "--t-max", "1"]
-    )
-    assert rc == 2
-    assert "matrix-free" in capsys.readouterr().err
+def test_spectral_method_on_six_qubit_scenario(tmp_path):
+    """Spectral propagation of the matrix-free hamiltonian-3q generator
+    matches the adaptive-RK run."""
+    args = ["simulate", "--scenario", "hamiltonian-3q", "--R", "10", "--t-max", "5"]
+    spectral, adaptive = tmp_path / "spectral.csv", tmp_path / "adaptive.csv"
+    assert main(args + ["--method", "spectral", "--out", str(spectral)]) == 0
+    assert main(args + ["--out", str(adaptive)]) == 0
+    _, _, a = _read_csv(spectral)
+    _, _, b = _read_csv(adaptive)
+    assert a.shape == b.shape == (201, 4)
+    assert np.max(np.abs(a[:, 1:3] - b[:, 1:3])) < 1e-9
 
 
 def test_fixed_rk4_method_is_gone():
@@ -277,7 +282,6 @@ def test_jobs_flag_is_gone():
     assert exc.value.code == 2
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_scan_point_without_plateau_exits_3(tmp_path, capsys):
     """A rate that never settles fails the whole scan; no CSV is written."""
     out = tmp_path / "scan.csv"
@@ -288,6 +292,21 @@ def test_scan_point_without_plateau_exits_3(tmp_path, capsys):
     assert rc == 3
     assert "no plateau" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_scan_without_plateau_emits_no_runtime_warning(tmp_path):
+    """At R = 1e-12 the decade search ends in PlateauError (it does not
+    accept the true plateau 0.5) without overflow in the propagation."""
+    out = tmp_path / "scan.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(
+            ["scan", "--scenario", "hamiltonian-1q", "--grid", "1e-12,1,2,3",
+             "--out", str(out)]
+        )
+    assert rc == 3
+    assert not out.exists()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_unresolved_slow_mode_exits_3(tmp_path, capsys):

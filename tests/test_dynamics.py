@@ -20,6 +20,7 @@ from cqec.dynamics import (
     integrate,
     jump_monte_carlo,
     propagate_linear,
+    restrict_generator,
     step_weak_map,
 )
 from cqec.analysis import fidelity_weight_series, fit_power_law, fit_quadratic
@@ -84,6 +85,30 @@ def test_uncorrected_pair_is_cosine_squared():
     f = _fidelity(traj, "hamiltonian-1q")
     assert np.max(np.abs(f - np.cos(traj.times) ** 2)) < 1e-9
     assert f[-1] == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("big_r", [30.0, 100.0])
+def test_spectral_six_qubit_model_over_a_slow_period(big_r):
+    """The full 64x64 model, propagated exactly over one slow period
+    2 pi / Im lambda_slow, stays on the symmetric manifold and matches the
+    13x13 reduced model; the restricted generator's eigenvalues are
+    eigenvalues of the reduced model, the slow one included."""
+    gen = total_generator("hamiltonian-3q", ModelParams(gamma=1.0, kappa=big_r))
+    rho0 = scenario_rho0("hamiltonian-3q")
+    m = reduced_model.build_reduced_matrix(big_r)
+    slow = reduced_model.slow_eigenvalue(m)
+    cfg = IntegratorConfig(method="spectral")
+    traj = integrate(gen, rho0, 2 * np.pi / slow.imag, cfg, n_samples=301)
+    xs = propagate_linear(m, reduced_model.initial_reduced_state().coeffs, traj.times).real
+    coeffs = np.array([reduced_model.extract_reduced(s).coeffs for s in traj.states])
+    assert np.max(np.abs(coeffs - xs)) <= 1e-9
+    assert max(reduced_model.class_spread(s) for s in traj.states) <= 1e-9
+    _, g = restrict_generator(gen, rho0)
+    assert g.shape == (9, 9)
+    spectrum = np.linalg.eigvals(m)
+    gap = max(np.min(np.abs(spectrum - w)) for w in np.linalg.eigvals(g))
+    assert gap <= 1e-12 * np.max(np.abs(spectrum))
+    assert abs(reduced_model.slow_eigenvalue(g) - slow) <= 1e-9 * abs(slow)
 
 
 def test_zero_horizon_returns_initial_state():
@@ -171,10 +196,27 @@ def test_propagate_defective_matrix_falls_back():
 # ---------------------------------------------------------------------------
 
 
-def _pair_setup(scenario):
+def _random_state(rng, d):
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho)
+
+
+def _pair_setup(scenario, start="scenario"):
+    """Code, register, H and rho0: the scenario state, a random state of the
+    whole register ("random"), or a random system state (x) I/d_bath
+    ("random-system")."""
     code = SCENARIOS[scenario].code()
     register = SCENARIOS[scenario].register
-    return code, register, pair_hamiltonian(code, 1.0), scenario_rho0(scenario)
+    rng = np.random.default_rng(5)
+    if start == "scenario":
+        rho0 = scenario_rho0(scenario)
+    elif start == "random":
+        rho0 = _random_state(rng, register.dim)
+    else:
+        db = 2**register.bath_count
+        rho0 = np.kron(_random_state(rng, register.system_dim), np.eye(db) / db)
+    return code, register, pair_hamiltonian(code, 1.0), rho0
 
 
 def _propagator(h):
@@ -240,13 +282,20 @@ def test_recovery_gather_matches_kraus_on_batched_stack():
         assert np.max(np.abs(out - ref)) < 1e-11
 
 
-@pytest.mark.parametrize("scenario, n_steps, stride", [
-    ("hamiltonian-1q", 1000, 7),  # dense cycle-power path
-    ("hamiltonian-3q", 60, 7),  # per-cycle path
+@pytest.mark.parametrize("scenario, n_steps, stride, eps, start", [
+    pytest.param("hamiltonian-1q", 1000, 7, 0.02, "scenario", id="hamiltonian-1q-1000-7"),
+    pytest.param("hamiltonian-3q", 60, 7, 0.02, "scenario", id="hamiltonian-3q-60-7"),
+    pytest.param("hamiltonian-1q", 100, 7, 0.9, "scenario", id="hamiltonian-1q-eps0.9"),
+    pytest.param("hamiltonian-1q", 100, 7, 1.0, "scenario", id="hamiltonian-1q-eps1"),
+    pytest.param("hamiltonian-3q", 30, 7, 0.9, "scenario", id="hamiltonian-3q-eps0.9"),
+    pytest.param("hamiltonian-3q", 30, 7, 1.0, "scenario", id="hamiltonian-3q-eps1"),
+    pytest.param("hamiltonian-1q", 1000, 7, 0.02, "random", id="hamiltonian-1q-random"),
+    pytest.param("hamiltonian-3q", 60, 7, 0.02, "random-system",
+                 id="hamiltonian-3q-random-system"),
 ])
-def test_weak_map_matches_sequential_reference(scenario, n_steps, stride):
-    code, register, h, rho0 = _pair_setup(scenario)
-    eps, tau_c = 0.02, 4e-3
+def test_weak_map_matches_sequential_reference(scenario, n_steps, stride, eps, start):
+    code, register, h, rho0 = _pair_setup(scenario, start)
+    tau_c = 4e-3
     traj = step_weak_map(rho0, h, code, eps, tau_c, n_steps, sample_stride=stride)
     times, states = _weak_map_reference(rho0, h, code, register, eps, tau_c, n_steps, stride)
     assert n_steps % stride != 0
@@ -255,12 +304,14 @@ def test_weak_map_matches_sequential_reference(scenario, n_steps, stride):
     assert np.max(np.abs(traj.states - states)) < 1e-11
 
 
-@pytest.mark.parametrize("scenario, n_traj", [
-    ("hamiltonian-1q", 50),
-    ("hamiltonian-3q", 70),  # more than one chunk of trajectories at d = 64
+@pytest.mark.parametrize("scenario, n_traj, start", [
+    pytest.param("hamiltonian-1q", 50, "scenario", id="hamiltonian-1q-50"),
+    pytest.param("hamiltonian-3q", 70, "scenario", id="hamiltonian-3q-70"),
+    pytest.param("hamiltonian-1q", 50, "random", id="hamiltonian-1q-random"),
+    pytest.param("hamiltonian-3q", 30, "random-system", id="hamiltonian-3q-random-system"),
 ])
-def test_monte_carlo_matches_sequential_reference(scenario, n_traj):
-    code, register, h, rho0 = _pair_setup(scenario)
+def test_monte_carlo_matches_sequential_reference(scenario, n_traj, start):
+    code, register, h, rho0 = _pair_setup(scenario, start)
     kappa, t_max, seed, n_samples = 4.0, 1.0, 11, 6
     traj = jump_monte_carlo(rho0, h, code, kappa, t_max, n_traj, seed, n_samples=n_samples)
     times, mean, f_mean, f_se = _monte_carlo_reference(
