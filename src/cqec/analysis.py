@@ -311,30 +311,29 @@ def match_spectrum(numerical, big_r, gamma=1.0):
 # ---------------------------------------------------------------------------
 
 
-def _codespace_weight(rho, scenario):
-    spec = SCENARIOS[scenario]
-    code = spec.code()
-    nb = spec.register.bath_count
-    sys = partial_trace_bath(rho, code.system_count, nb) if nb else rho
-    return float(np.real(np.trace(code.code_projector() @ sys)))
-
-
 def _plateau_infidelity(scenario, rate):
     """1 - P_cs once its relative change over the last decade of time
     drops below 1e-4 (noise rate normalized to 1), propagated exactly in
-    the Krylov space of rho0."""
-    if SCENARIOS[scenario].time_unit == "lambda":
+    the Krylov space of rho0.  1 - P_cs is summed directly over the
+    diagonal outside the codewords, so it keeps its relative precision
+    when it is small."""
+    spec = SCENARIOS[scenario]
+    if spec.time_unit == "lambda":
         params = ModelParams(lam=1.0, kappa=rate)
     else:
         params = ModelParams(gamma=1.0, kappa=rate)
     rho0 = scenario_rho0(scenario)
     basis, gen = restrict_generator(total_generator(scenario, params), rho0)
     c0 = basis.conj().T @ rho0.ravel()
-    d = rho0.shape[0]
+    # 1 - P_cs = leak @ coordinates: the diagonal entries of rho whose
+    # system index is not a codeword
+    code = spec.code()
+    d, db = rho0.shape[0], 2**spec.register.bath_count
+    outside = 1.0 - np.kron(np.diag(code.code_projector()).real, np.ones(db))
+    leak = outside @ basis[:: d + 1]
     horizon = 1.0
     for _ in range(20):
-        states = propagate_linear(gen, c0, [horizon / 10.0, horizon]) @ basis.T
-        q_prev, q = (1.0 - _codespace_weight(s.reshape(d, d), scenario) for s in states)
+        q_prev, q = (propagate_linear(gen, c0, [horizon / 10.0, horizon]) @ leak).real
         if abs(q - q_prev) <= 1e-4 * max(abs(q), 1e-300):
             return q
         horizon *= 10.0

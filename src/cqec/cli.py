@@ -453,7 +453,14 @@ def cmd_graph(big_r, out):
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p):
+def build_parser():
+    parser = argparse.ArgumentParser(
+        prog="cqec",
+        description="Continuous quantum error correction simulator",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("simulate", help="integrate a scenario, write CSV")
     p.add_argument("--config", help="JSON config file (schema_version 1)")
     p.add_argument("--scenario", choices=sorted(SCENARIOS))
     p.add_argument("--R", dest="big_r", type=float,
@@ -475,32 +482,29 @@ def _add_common(p):
     p.add_argument("--cross-validate", action="store_true",
                    help="also run the full/reduced cross-check (hamiltonian-3q)")
 
-
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="cqec",
-        description="Continuous quantum error correction simulator",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="integrate a scenario, write CSV")
-    _add_common(p)
-
     p = sub.add_parser("fig", help="write canned demo datasets")
     p.add_argument("id", type=int, choices=(1, 3, 4))
     p.add_argument("--out", default="figs", help="output directory")
 
     p = sub.add_parser("eig", help="reduced-model spectrum report (JSON)")
-    _add_common(p)
+    p.add_argument("--R", dest="big_r", type=float,
+                   help="dimensionless correction rate kappa/gamma")
+    p.add_argument("--kappa", type=float, help="correction rate")
+    p.add_argument("--gamma", type=float, help="system-bath coupling")
+    p.add_argument("--out", default="-", help="output path (default: stdout)")
 
     p = sub.add_parser("scan", help="equilibrium scan over a rate grid")
-    _add_common(p)
+    p.add_argument("--config", help="JSON config file naming the scenario")
+    p.add_argument("--scenario", choices=sorted(SCENARIOS))
     p.add_argument("--grid", required=True,
                    help="comma-separated dimensionless rates (>= 4)")
     p.add_argument("--fit", action="store_true", help="power-law fit of the points")
+    p.add_argument("--out", default="-", help="output path (default: stdout)")
 
     p = sub.add_parser("graph", help="reduced-model transition graph (JSON)")
-    _add_common(p)
+    p.add_argument("--R", dest="big_r", type=float,
+                   help="dimensionless correction rate kappa/gamma")
+    p.add_argument("--out", default="-", help="output path (default: stdout)")
     return parser
 
 

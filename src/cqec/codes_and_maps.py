@@ -10,10 +10,9 @@ combined with either
 * a Hamiltonian pair coupling gamma * X_system x X_bath per qubit,
   with the bath qubits kept in the register (non-Markovian case).
 
-``total_generator`` returns a dense superoperator (column-stacking
-convention of :mod:`cqec.tensor_core`) on up to ``DENSE_MAX_QUBITS``
-qubits and the matrix-free ``PairCoupledGenerator`` on six; the engines
-of :mod:`cqec.dynamics` use only their common ``apply``.
+``total_generator`` returns one matrix-free ``Generator`` for every
+scenario; the engines of :mod:`cqec.dynamics` use only its ``apply`` on
+d x d matrices, and no d^2 x d^2 superoperator matrix is built.
 
 ``apply_recovery`` is the one fast implementation of Phi (x) id_bath: a
 gather and sum of syndrome blocks on ``(..., d, d)`` stacks.  The Kraus
@@ -30,13 +29,7 @@ from .tensor_core import (
     basis_ket,
     pauli_on,
     projector,
-    vectorize,
-    devectorize,
 )
-
-# Registers of at most this many qubits (system + bath) get dense generators.
-DENSE_MAX_QUBITS = 4
-
 
 @dataclass(frozen=True)
 class CodeSpec:
@@ -143,46 +136,8 @@ def bitflip3_code():
 
 
 # ---------------------------------------------------------------------------
-# superoperators
+# recovery channel
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class Superoperator:
-    """Dense superoperator matrix with a semantic tag.
-
-    kind = "channel": completely positive trace-preserving map (columns of
-    the matrix conserve trace).  kind = "generator": derivative of a
-    trace-preserving evolution (trace-annihilating).
-    """
-
-    matrix: np.ndarray
-    kind: str
-    hilbert_dim: int
-    kappa: float | None = None
-    register: QubitRegister | None = None
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-        n = self.hilbert_dim**2
-        if self.matrix.shape != (n, n):
-            raise ValueError(f"expected {(n, n)} matrix, got {self.matrix.shape}")
-        if self.kind not in ("channel", "generator"):
-            raise ValueError(f"unknown superoperator kind {self.kind!r}")
-
-    @property
-    def superop_dim(self):
-        return self.hilbert_dim**2
-
-    def apply(self, rho):
-        return devectorize(self.matrix @ vectorize(rho))
-
-    def trace_defect(self):
-        """Max deviation of column trace-sums from the kind's requirement."""
-        vec_id = vectorize(np.eye(self.hilbert_dim))
-        col = vec_id @ self.matrix
-        target = vec_id if self.kind == "channel" else np.zeros_like(vec_id)
-        return float(np.max(np.abs(col - target)))
 
 
 def apply_kraus(kraus, rho):
@@ -207,77 +162,11 @@ def apply_recovery(code, rho, bath_dim=1):
     return out.reshape(rho.shape)
 
 
-def kraus_superop_matrix(kraus):
-    d = kraus[0].shape[0]
-    m = np.zeros((d * d, d * d), dtype=complex)
-    for k in kraus:
-        m += np.kron(k.conj(), k)
-    return m
-
-
-def strong_map(code):
-    """The recovery channel Phi of a code as a dense superoperator."""
-    return Superoperator(
-        matrix=kraus_superop_matrix(code.kraus()),
-        kind="channel",
-        hilbert_dim=2**code.system_count,
-    )
-
-
-def weak_map(code, epsilon):
-    """(1 - epsilon) * id + epsilon * Phi; the channel applied once per
-    correlation time when the recovery acts weakly."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
-    d = 2**code.system_count
-    eye = np.eye(d * d, dtype=complex)
-    m = (1.0 - epsilon) * eye + epsilon * kraus_superop_matrix(code.kraus())
-    return Superoperator(matrix=m, kind="channel", hilbert_dim=d)
-
-
 def lifted_kraus(code, register):
     """Kraus operators of Phi (x) id_bath on a system+bath register."""
     assert register.system_count == code.system_count
     eye_bath = np.eye(2**register.bath_count, dtype=complex)
     return [np.kron(k, eye_bath) for k in code.kraus()]
-
-
-def correction_generator(code, register):
-    """Gamma = Phi - id on the full register (rate factored out)."""
-    d = register.dim
-    m = kraus_superop_matrix(lifted_kraus(code, register)) - np.eye(d * d, dtype=complex)
-    return Superoperator(matrix=m, kind="generator", hilbert_dim=d)
-
-
-def hamiltonian_generator(h):
-    """-i[H, .] as a dense superoperator; H must be Hermitian."""
-    h = np.asarray(h, dtype=complex)
-    assert np.max(np.abs(h - h.conj().T)) < 1e-12, "Hamiltonian must be Hermitian"
-    d = h.shape[0]
-    eye = np.eye(d, dtype=complex)
-    m = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    return Superoperator(matrix=m, kind="generator", hilbert_dim=d)
-
-
-def lindblad_generator(h, jumps):
-    """Lindblad generator with Hamiltonian `h` and `jumps` = [(L, rate), ...].
-
-    drho/dt = -i[H, rho] + sum_j rate_j (L rho L^dag - (L^dag L rho + rho L^dag L)/2)
-    """
-    gen = hamiltonian_generator(h)
-    d = gen.hilbert_dim
-    eye = np.eye(d, dtype=complex)
-    m = gen.matrix
-    for op, rate in jumps:
-        if rate < 0:
-            raise ValueError(f"negative jump rate {rate}")
-        op = np.asarray(op, dtype=complex)
-        ldl = op.conj().T @ op
-        m = m + rate * (
-            np.kron(op.conj(), op)
-            - 0.5 * (np.kron(eye, ldl) + np.kron(ldl.T, eye))
-        )
-    return Superoperator(matrix=m, kind="generator", hilbert_dim=d)
 
 
 # ---------------------------------------------------------------------------
@@ -324,44 +213,38 @@ def pair_hamiltonian(code, gamma):
     return gamma * h
 
 
-class PairCoupledGenerator:
-    """Matrix-free generator for a code with one bath qubit per system qubit.
+class Generator:
+    """The model's generator on a scenario register, applied matrix-free:
 
-    rho -> -i[H, rho] + kappa (Phi (x) id - id)(rho)  with
-    H = gamma * sum_j X_(system j) X_(bath j) on the 2n-qubit register.
+        rho -> -i[H, rho] + lam sum_j (X_j rho X_j - rho)
+               + kappa ((Phi (x) id_bath)(rho) - rho)
 
-    The recovery is applied through the syndrome lookup tables of the code
-    (``apply_recovery``) instead of Kraus matrix products, which keeps the
-    64-dimensional right-hand side cheap.
+    with X_j the flip of system qubit j, a permutation of rows and columns,
+    and the recovery applied by ``apply_recovery``.  ``apply`` takes stacks
+    of shape (..., d, d).  The engines of :mod:`cqec.dynamics` call it only
+    on the basis of the Krylov space of rho0.
     """
 
-    kind = "generator"
-
-    def __init__(self, code, gamma, kappa):
-        n = code.system_count
+    def __init__(self, code, register, hamiltonian, lam, kappa):
         self.code = code
-        self.gamma = float(gamma)
+        self.register = register
+        self.hamiltonian = np.asarray(hamiltonian, dtype=complex)
+        self.lam = float(lam)
         self.kappa = float(kappa)
-        self.register = QubitRegister(n, n)
-        self.hamiltonian = pair_hamiltonian(code, gamma)
-
-    @property
-    def hilbert_dim(self):
-        return self.register.dim
-
-    @property
-    def superop_dim(self):
-        return self.register.dim**2
-
-    def apply_correction(self, rho):
-        """(Phi (x) id_bath)(rho) via syndrome-block gathers."""
-        return apply_recovery(self.code, rho, 2**self.register.bath_count)
+        d = register.dim
+        # qubit j is bit d >> (j + 1) of a basis index (qubit 0 most significant)
+        self.flips = [np.arange(d) ^ (d >> (j + 1)) for j in range(register.system_count)]
 
     def apply(self, rho):
+        rho = np.asarray(rho, dtype=complex)
         h = self.hamiltonian
         out = -1j * (h @ rho - rho @ h)
+        if self.lam:
+            for p in self.flips:
+                out += self.lam * (rho[..., p, :][..., p] - rho)
         if self.kappa:
-            out = out + self.kappa * (self.apply_correction(rho) - rho)
+            bath_dim = 2**self.register.bath_count
+            out += self.kappa * (apply_recovery(self.code, rho, bath_dim) - rho)
         return out
 
 
@@ -405,30 +288,15 @@ def scenario_rho0(name):
 
 
 def total_generator(name, params):
-    """Full evolution generator (noise + correction) for a named scenario.
-
-    Returns a dense :class:`Superoperator` for registers of up to
-    ``DENSE_MAX_QUBITS`` qubits, and a matrix-free
-    :class:`PairCoupledGenerator` for the six-qubit pair-coupled scenario.
-    """
+    """Full evolution generator (noise + correction) for a named scenario:
+    Lindblad bit flips at rate ``params.lam`` or the pair coupling of
+    strength ``params.gamma``, plus correction at rate ``params.kappa``."""
     if name not in SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}; choose from {sorted(SCENARIOS)}")
     spec = SCENARIOS[name]
     code = spec.code()
     reg = spec.register
-
     if spec.noise == "lindblad":
-        n = reg.system_count
         h = np.zeros((reg.dim, reg.dim), dtype=complex)
-        jumps = [(pauli_on("X", j, n), params.lam) for j in range(n)]
-        gen = lindblad_generator(h, jumps)
-        m = gen.matrix + params.kappa * correction_generator(code, reg).matrix
-        return Superoperator(m, "generator", reg.dim, kappa=params.kappa, register=reg)
-
-    if reg.total <= DENSE_MAX_QUBITS:
-        h = pair_hamiltonian(code, params.gamma)
-        m = hamiltonian_generator(h).matrix
-        m = m + params.kappa * correction_generator(code, reg).matrix
-        return Superoperator(m, "generator", reg.dim, kappa=params.kappa, register=reg)
-
-    return PairCoupledGenerator(code, params.gamma, params.kappa)
+        return Generator(code, reg, h, params.lam, params.kappa)
+    return Generator(code, reg, pair_hamiltonian(code, params.gamma), 0.0, params.kappa)

@@ -1,11 +1,11 @@
 """Time-evolution engines for master equations and their discretizations.
 
 * ``integrate`` -- adaptive Dormand-Prince 5(4) (default) on the master
-  equation ``drho/dt = G(rho)`` through ``G.apply``.  G is a constant,
-  smooth linear generator (kappa (Phi - id) is a rate, not a train of
-  discrete events), so the step is limited only by the error control.
-  method="spectral" propagates G restricted to the Krylov space of rho0
-  exactly (``propagate_linear``); it is the cross-check of DP5(4).
+  equation ``drho/dt = G(rho)``.  G is a constant, smooth linear
+  generator (kappa (Phi - id) is a rate, not a train of discrete
+  events), so the step is limited only by the error control.
+  method="spectral" propagates the same restriction exactly
+  (``propagate_linear``); it is the cross-check of DP5(4).
 * ``step_weak_map`` -- discrete cycles of unitary evolution over tau_c
   followed by the weak recovery channel (1-eps) id + eps Phi; converges
   first-order in tau_c to the continuous dynamics at kappa = eps/tau_c.
@@ -13,13 +13,15 @@
   full recoveries applied at Poisson(kappa) random times, averaged over
   trajectories.
 
-All engines but DP5(4) run on the k coordinates of the smallest subspace
-that holds rho0 and is mapped into itself by the model's operators
+Every engine runs on the k coordinates of the smallest subspace that
+holds rho0 and is mapped into itself by the model's operators
 (``invariant_subspace``; Saad, SIAM J. Numer. Anal. 29, 209 (1992), with
 several operators in place of one): k = 3 for ``hamiltonian-1q`` and 9
-for ``hamiltonian-3q`` from the scenario states.  The weak map and Monte
-Carlo take the rate-free operators -i[H, .] and Phi (x) id_bath, the
-latter applied by ``apply_recovery`` of :mod:`cqec.codes_and_maps`.
+for ``hamiltonian-3q`` from the scenario states.  ``integrate`` takes
+the generator's ``apply`` (``restrict_generator``); the weak map and
+Monte Carlo take the rate-free operators -i[H, .] and Phi (x) id_bath,
+the latter applied by ``apply_recovery`` of :mod:`cqec.codes_and_maps`.
+Samples are expanded back to d x d states.
 
 States along trajectories are checked, never repaired: the trace must
 stay within 1e-8 of 1, and an eigenvalue below -1e-8 triggers a
@@ -164,45 +166,44 @@ def _advance_dopri(f, y, t, t_target, h, rtol, atol):
 def integrate(generator, rho0, t_max, cfg=None, n_samples=201):
     """Integrate drho/dt = G(rho) and sample on a uniform grid.
 
-    "adaptive-RK" chooses its steps by error control alone; "spectral"
-    propagates the restriction of G to the Krylov space of rho0 exactly.
-    The generator exposes ``apply(rho)``.
-    t_max = 0 returns the single-sample trajectory.
+    Both methods run on the k coordinates of the Krylov space of rho0
+    (``restrict_generator``) and expand each sample to a d x d state:
+    "adaptive-RK" steps c -> g c by DP5(4) with error control alone,
+    "spectral" propagates g exactly.  The generator exposes ``apply(rho)``
+    and ``register``.  t_max = 0 returns the single-sample trajectory.
+
+    The scenario states give k <= 9.  A generic six-qubit rho0 gives
+    k = 1287, whose restriction takes tens of seconds to build.
     """
     cfg = cfg or IntegratorConfig()
     rho0 = rho0.entries if isinstance(rho0, DensityMatrix) else np.asarray(rho0, dtype=complex)
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
     d = rho0.shape[0]
-    register = getattr(generator, "register", None)
-    if register is None and hasattr(generator, "hilbert_dim"):
-        n_qubits = int(round(np.log2(generator.hilbert_dim)))
-        register = QubitRegister(n_qubits, 0)
-
     if t_max == 0:
-        return Trajectory(np.zeros(1), rho0[None, :, :].copy(), "density", register)
+        return Trajectory(np.zeros(1), rho0[None, :, :].copy(), "density", generator.register)
 
     times = np.linspace(0.0, t_max, n_samples)
     if times[-1] != t_max:
         times = np.append(times, t_max)
 
+    q, g = restrict_generator(generator, rho0)
+    c0 = q.conj().T @ rho0.ravel()
     if cfg.method == "spectral":
-        q, g = restrict_generator(generator, rho0)
-        coords = propagate_linear(g, q.conj().T @ rho0.ravel(), times)
-        states = (coords @ q.T).reshape(len(times), d, d)
+        coords = propagate_linear(g, c0, times)
     else:
-        f = generator.apply
-        states = np.empty((len(times), d, d), dtype=complex)
-        states[0] = rho0
-        y = rho0.copy()
-        h = _initial_step(f, y, t_max, cfg.rtol, cfg.atol)
+        f = lambda c: g @ c
+        coords = np.empty((len(times), len(c0)), dtype=complex)
+        coords[0] = c = c0
+        h = _initial_step(f, c, t_max, cfg.rtol, cfg.atol)
         for i in range(1, len(times)):
-            y, h = _advance_dopri(f, y, times[i - 1], times[i], h, cfg.rtol, cfg.atol)
-            states[i] = y
+            c, h = _advance_dopri(f, c, times[i - 1], times[i], h, cfg.rtol, cfg.atol)
+            coords[i] = c
+    states = (coords @ q.T).reshape(len(times), d, d)
 
     for t, rho in zip(times, states):
         _check_sample(rho, t)
-    return Trajectory(times, states, "density", register)
+    return Trajectory(times, states, "density", generator.register)
 
 
 def propagate_linear(system_matrix, x0, times):

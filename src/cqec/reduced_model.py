@@ -232,14 +232,17 @@ _CACHE = None
 
 
 def _basis_stack():
-    """All 64 basis elements, their phases, and class indices (cached)."""
+    """All 64 basis elements flattened row-major to (64, 4096), their
+    phases and class indices, and the extraction matrix whose rows map a
+    flattened state to the coefficients C_{lmn,pqr} (cached)."""
     global _CACHE
     if _CACHE is None:
         pairs = [(l, p) for l in range(8) for p in range(8)]
-        stack = np.array([_basis_element(l, p) for l, p in pairs])
+        flat = np.array([_basis_element(l, p).ravel() for l, p in pairs])
         phases = np.array([_phase(l, p) for l, p in pairs])
         classes = np.array([_SIG_TO_INDEX[_signature(l, p)] for l, p in pairs])
-        _CACHE = (pairs, stack, phases, classes)
+        extract = 8.0 * np.conj(phases)[:, None] * flat.conj()
+        _CACHE = (flat, phases, classes, extract)
     return _CACHE
 
 
@@ -254,11 +257,11 @@ def raw_coefficients(rho):
     inner product scaled by 8 with the phase peeled off.
     """
     rho = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    _, stack, phases, _ = _basis_stack()
-    raw = 8.0 * np.conj(phases) * np.einsum("aij,ij->a", stack.conj(), rho)
+    flat, phases, _, extract = _basis_stack()
+    raw = extract @ rho.ravel()
     max_imag = float(np.max(np.abs(raw.imag)))
-    recon = np.einsum("a,aij->ij", phases * raw.real, stack)
-    residual = float(np.linalg.norm(rho - recon))
+    recon = (phases * raw.real) @ flat
+    residual = float(np.linalg.norm(rho.ravel() - recon))
     return raw, max_imag, residual
 
 
@@ -274,7 +277,7 @@ def extract_reduced(rho):
         raise ValueError(f"coefficients not real: max imaginary part {max_imag:.3e}")
     if residual > 1e-8:
         raise ValueError(f"state left the symmetric manifold: residual {residual:.3e}")
-    _, _, _, classes = _basis_stack()
+    classes = _basis_stack()[2]
     coeffs = np.zeros(13)
     for i in range(13):
         coeffs[i] = raw.real[classes == i].mean()
@@ -284,7 +287,7 @@ def extract_reduced(rho):
 def class_spread(rho):
     """Largest within-class spread of the 64 raw coefficients (symmetry check)."""
     raw, _, _ = raw_coefficients(rho)
-    _, _, _, classes = _basis_stack()
+    classes = _basis_stack()[2]
     return float(
         max(np.ptp(raw.real[classes == i]) for i in range(13))
     )
@@ -297,8 +300,8 @@ def expand_reduced(state):
     class coefficient, multiplied back by its phase.
     """
     coeffs = state.coeffs if isinstance(state, ReducedState) else np.asarray(state, float)
-    _, stack, phases, classes = _basis_stack()
-    full = np.einsum("a,aij->ij", phases * coeffs[classes], stack)
+    flat, phases, classes, _ = _basis_stack()
+    full = ((phases * coeffs[classes]) @ flat).reshape(REGISTER.dim, REGISTER.dim)
     return DensityMatrix(REGISTER, full)
 
 

@@ -1,4 +1,4 @@
-"""Qubit-register linear algebra: Pauli strings, vectorization, density matrices.
+"""Qubit-register linear algebra: Pauli strings, registers, density matrices.
 
 Conventions used throughout the package
 ---------------------------------------
@@ -8,10 +8,10 @@ Conventions used throughout the package
   ``4*l + 2*m + n``.  When a register carries both system and bath
   qubits the system qubits come first (most significant).
 
-* Vectorization is column-stacking, ``vec(rho) = rho.flatten(order="F")``,
-  which gives the identity ``vec(A @ rho @ B) = kron(B.T, A) @ vec(rho)``.
-  All superoperator matrices in this package are written in that
-  convention.
+* Maps of density matrices act on d x d arrays (or stacks of them).
+  Where the engines need coordinates, ``cqec.dynamics.invariant_subspace``
+  flattens states row-major, ``rho.ravel()``; there is no other
+  vectorization.
 
 * Tolerances: a density matrix is accepted as Hermitian / normalized
   when the corresponding deviation is below 1e-10, and as positive
@@ -85,20 +85,6 @@ def basis_ket(bits, n=None):
 def projector(ket):
     ket = np.asarray(ket, dtype=complex).reshape(-1, 1)
     return ket @ ket.conj().T
-
-
-def vectorize(mat):
-    """Column-stack a matrix into a vector."""
-    return np.asarray(mat, dtype=complex).flatten(order="F")
-
-
-def devectorize(vec):
-    """Inverse of :func:`vectorize`; the length must be a perfect square."""
-    vec = np.asarray(vec, dtype=complex)
-    d = int(round(np.sqrt(vec.size)))
-    if d * d != vec.size:
-        raise ValueError(f"vector of length {vec.size} is not a vectorized square matrix")
-    return vec.reshape((d, d), order="F")
 
 
 def hs_inner(a, b):

@@ -31,13 +31,12 @@ import numpy as np
 
 from cqec.codes_and_maps import (
     ModelParams,
+    apply_recovery,
     bitflip3_code,
     pair_hamiltonian,
     scenario_rho0,
-    strong_map,
     total_generator,
     trivial_code,
-    weak_map,
 )
 from cqec.dynamics import IntegratorConfig, integrate, jump_monte_carlo, propagate_linear, step_weak_map
 from cqec.analysis import (
@@ -351,17 +350,17 @@ def test_criterion_10_property_suites():
             kraus_dev,
             float(np.max(np.abs(sum(k.conj().T @ k for k in kraus) - np.eye(dim)))),
         )
-        for channel in (strong_map(code), weak_map(code, 0.3)):
+        # the strong map Phi and the weak map (1 - eps) id + eps Phi, eps = 0.3
+        for eps in (1.0, 0.3):
             rho = rand_rho(dim)
-            out = channel.apply(rho)
+            out = (1.0 - eps) * rho + eps * apply_recovery(code, rho)
             channel_dev = max(
                 channel_dev,
                 abs(np.trace(out) - 1.0),
                 float(np.max(np.abs(out - out.conj().T))),
             )
-        phi = strong_map(code)
-        once = phi.apply(rand_rho(dim))
-        idem_dev = max(idem_dev, float(np.max(np.abs(phi.apply(once) - once))))
+        once = apply_recovery(code, rand_rho(dim))
+        idem_dev = max(idem_dev, float(np.max(np.abs(apply_recovery(code, once) - once))))
 
     w = np.zeros(13)
     w[0], w[4], w[8], w[12] = 1.0, 3.0, 3.0, 1.0

@@ -282,6 +282,41 @@ def test_jobs_flag_is_gone():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["graph", "--R", "10", "--scenario", "markovian-1q", "--engine", "monte-carlo",
+         "--samples", "3"],
+        ["scan", "--scenario", "markovian-1q", "--grid", "10,30,100,300", "--R", "5",
+         "--engine", "reduced", "--method", "spectral", "--seed", "4"],
+        ["eig", "--scenario", "markovian-1q", "--lambda", "3", "--R", "100"],
+    ],
+    ids=["graph", "scan", "eig"],
+)
+def test_subcommands_reject_flags_they_do_not_read(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "scenario,grid,closed_form",
+    [
+        ("markovian-1q", "1e14,1e15,1e16,1e17", lambda r: 1.0 / (2.0 + r)),
+        ("hamiltonian-1q", "1e6,1e7,1e8,1e9", lambda r: 2.0 / (4.0 + r**2)),
+    ],
+    ids=["markovian-1q", "hamiltonian-1q"],
+)
+def test_scan_at_large_rates_matches_closed_form(tmp_path, scenario, grid, closed_form):
+    """The plateau keeps its relative precision when the infidelity is tiny,
+    because 1 - P_cs is summed over the weight outside the code space."""
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--scenario", scenario, "--grid", grid, "--out", str(out)]) == 0
+    _, _, data = _read_csv(out)
+    ref = closed_form(data[:, 0])
+    assert np.max(np.abs(data[:, 1] / ref - 1.0)) <= 1e-10
+
+
 def test_scan_point_without_plateau_exits_3(tmp_path, capsys):
     """A rate that never settles fails the whole scan; no CSV is written."""
     out = tmp_path / "scan.csv"

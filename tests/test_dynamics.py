@@ -87,17 +87,25 @@ def test_uncorrected_pair_is_cosine_squared():
     assert f[-1] == pytest.approx(0.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("big_r", [30.0, 100.0])
-def test_spectral_six_qubit_model_over_a_slow_period(big_r):
-    """The full 64x64 model, propagated exactly over one slow period
-    2 pi / Im lambda_slow, stays on the symmetric manifold and matches the
-    13x13 reduced model; the restricted generator's eigenvalues are
-    eigenvalues of the reduced model, the slow one included."""
+@pytest.mark.parametrize(
+    "method,big_r",
+    [
+        pytest.param("spectral", 30.0, id="30.0"),
+        pytest.param("spectral", 100.0, id="100.0"),
+        pytest.param("adaptive-RK", 30.0, id="adaptive-RK-30.0"),
+    ],
+)
+def test_spectral_six_qubit_model_over_a_slow_period(method, big_r):
+    """The full 64x64 model, propagated exactly (or by DP5(4)) over one
+    slow period 2 pi / Im lambda_slow, stays on the symmetric manifold and
+    matches the 13x13 reduced model; the restricted generator's
+    eigenvalues are eigenvalues of the reduced model, the slow one
+    included."""
     gen = total_generator("hamiltonian-3q", ModelParams(gamma=1.0, kappa=big_r))
     rho0 = scenario_rho0("hamiltonian-3q")
     m = reduced_model.build_reduced_matrix(big_r)
     slow = reduced_model.slow_eigenvalue(m)
-    cfg = IntegratorConfig(method="spectral")
+    cfg = IntegratorConfig(method=method)
     traj = integrate(gen, rho0, 2 * np.pi / slow.imag, cfg, n_samples=301)
     xs = propagate_linear(m, reduced_model.initial_reduced_state().coeffs, traj.times).real
     coeffs = np.array([reduced_model.extract_reduced(s).coeffs for s in traj.states])
@@ -171,13 +179,13 @@ def test_propagate_reduced_slow_mode_value():
 
 
 def test_propagate_matches_markovian_leak():
-    """Dense superoperator propagation reproduces the exact 4-level leak
-    formula at r = 96."""
-    from cqec.tensor_core import vectorize, devectorize
-
+    """Propagation of the generator restricted to the Krylov space of rho0
+    reproduces the exact 4-level leak formula at r = 96."""
     gen = total_generator("markovian-3q", ModelParams(lam=1.0, kappa=96.0))
-    xs = propagate_linear(gen.matrix, vectorize(scenario_rho0("markovian-3q")), [1.0])
-    rho = devectorize(xs[0])
+    rho0 = scenario_rho0("markovian-3q")
+    q, g = restrict_generator(gen, rho0)
+    xs = propagate_linear(g, q.conj().T @ rho0.ravel(), [1.0])
+    rho = (q @ xs[0]).reshape(8, 8)
     code = SCENARIOS["markovian-3q"].code()
     p_cs = np.real(np.trace(code.code_projector() @ rho))
     assert 1.0 - p_cs == pytest.approx(markov3q_exact_leak(1.0, 1.0, 96.0), abs=1e-10)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from cqec.tensor_core import (
@@ -10,13 +10,11 @@ from cqec.tensor_core import (
     DensityMatrix,
     QubitRegister,
     basis_ket,
-    devectorize,
     hs_inner,
     kron_all,
     partial_trace_bath,
     pauli_string,
     projector,
-    vectorize,
 )
 
 
@@ -58,36 +56,6 @@ def test_hs_inner_paulis():
     assert hs_inner(X, X) == pytest.approx(2)
 
 
-def test_vectorize_column_stacking():
-    # columns are stacked, so the (0,1) entry lands at index 2
-    assert np.allclose(vectorize(I2 / 2), [0.5, 0, 0, 0.5])
-    ket01 = np.zeros((2, 2), dtype=complex)
-    ket01[0, 1] = 1.0  # |0><1|
-    assert np.allclose(vectorize(ket01), [0, 0, 1, 0])
-
-
-def test_devectorize_round_trip():
-    rng = np.random.default_rng(7)
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    rho = (a + a.conj().T) / 2
-    assert np.array_equal(devectorize(vectorize(rho)), rho)
-
-
-def test_devectorize_rejects_non_square_length():
-    with pytest.raises(ValueError):
-        devectorize(np.zeros(5))
-
-
-def test_superoperator_convention():
-    """vec(A rho B) = kron(B.T, A) vec(rho) -- the identity every
-    superoperator matrix in the package relies on."""
-    rng = np.random.default_rng(3)
-    a, b, rho = (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in range(3))
-    lhs = vectorize(a @ rho @ b)
-    rhs = np.kron(b.T, a) @ vectorize(rho)
-    assert np.allclose(lhs, rhs)
-
-
 def test_partial_trace_bath_splits_product():
     rho_s = np.array([[0.75, 0.1], [0.1, 0.25]], dtype=complex)
     rho_b = np.array([[0.5, 0.2j], [-0.2j, 0.5]], dtype=complex)
@@ -110,17 +78,6 @@ def test_pauli_orthogonality(s1, s2):
     inner = hs_inner(pauli_string(a), pauli_string(b))
     expected = 2**n if a == b else 0.0
     assert abs(inner - expected) < 1e-12
-
-
-@given(st.integers(0, 2**32 - 1), st.floats(-3, 3), st.floats(-3, 3))
-@settings(max_examples=30)
-def test_vectorize_is_linear(seed, ca, cb):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(3, 3))
-    b = rng.normal(size=(3, 3))
-    lhs = vectorize(ca * a + cb * b)
-    rhs = ca * vectorize(a) + cb * vectorize(b)
-    assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 def test_register_dimensions():
