@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import basis_ket, partial_trace_bath
+from .tensor_core import basis_ket
 from .codes_and_maps import SCENARIOS, ModelParams, total_generator, scenario_rho0
 from .dynamics import propagate_linear, restrict_generator
 from .closed_forms import predicted_spectrum
@@ -74,7 +74,10 @@ class FitResult:
 
 
 def fidelity_weight_series(traj, code=None, logical_state=None):
-    """(F_cw, P_cs) arrays of a trajectory without the differentiation step."""
+    """(F_cw, P_cs) arrays of a trajectory without the differentiation step.
+
+    For density trajectories F_cw = Tr[(|psi_L><psi_L| (x) I_bath) rho] and
+    P_cs = Tr[(P_code (x) I_bath) rho], taken for all samples at once."""
     if traj.kind == "reduced":
         f = traj.states[:, 0].astype(float)
         p = (traj.states[:, 0] + traj.states[:, 12]).astype(float)
@@ -83,15 +86,13 @@ def fidelity_weight_series(traj, code=None, logical_state=None):
     if logical_state is None:
         logical_state = basis_ket(code.logical_zero, code.system_count)
     logical = np.asarray(logical_state, dtype=complex).reshape(-1)
-    proj = code.code_projector()
     nb = traj.register.bath_count if traj.register is not None else 0
-    f = np.empty(len(traj))
-    p = np.empty(len(traj))
-    for i, rho in enumerate(traj.states):
-        sys = partial_trace_bath(rho, code.system_count, nb) if nb else rho
-        f[i] = np.real(logical.conj() @ sys @ logical)
-        p[i] = np.real(np.trace(proj @ sys))
-    return f, p
+    bath = np.eye(2**nb)
+    ops = [np.kron(np.outer(logical, logical.conj()), bath), np.kron(code.code_projector(), bath)]
+    # Tr(A rho) = sum_ij A_ji rho_ij: one product of the flattened states with both A^T
+    flat_t = np.stack([a.T.ravel() for a in ops], axis=1)
+    fp = (traj.states.reshape(len(traj), -1) @ flat_t).real
+    return fp[:, 0], fp[:, 1]
 
 
 def error_rate_series(times, fidelity):

@@ -365,8 +365,8 @@ def cmd_fig(fig_id, out_dir):
 
 
 def cmd_eig(big_r, gamma, out):
-    if big_r is None or big_r <= 0:
-        raise ConfigError("eig needs --R > 0")
+    if big_r is None or not (np.isfinite(big_r) and big_r > 0):
+        raise ConfigError("eig needs a finite --R > 0")
     m = reduced_model.build_reduced_matrix(big_r, gamma)
     numerical = np.linalg.eigvals(m)
     matches = match_spectrum(numerical, big_r, gamma)
@@ -441,8 +441,8 @@ def cmd_scan(scenario, grid, fit, out):
 
 
 def cmd_graph(big_r, out):
-    if big_r is None or big_r < 0:
-        raise ConfigError("graph needs --R >= 0")
+    if big_r is None or not (np.isfinite(big_r) and big_r >= 0):
+        raise ConfigError("graph needs a finite --R >= 0")
     edges = reduced_model.graph_as_json(reduced_model.transition_graph(big_r))
     _write_json(out, {"R": big_r, "edges": edges})
     return 0
@@ -519,9 +519,11 @@ def main(argv=None):
             return cmd_fig(args.id, args.out)
         if args.command == "eig":
             gamma = args.gamma if args.gamma is not None else 1.0
-            big_r = args.big_r
-            if big_r is None and args.kappa is not None:
-                big_r = args.kappa / gamma
+            if not (np.isfinite(gamma) and gamma > 0):
+                raise ConfigError("eig needs a finite --gamma > 0")
+            if args.big_r is not None and args.kappa is not None:
+                raise ConfigError("give either --R or --kappa, not both")
+            big_r = args.big_r if args.kappa is None else args.kappa / gamma
             return cmd_eig(big_r, gamma, args.out)
         if args.command == "scan":
             scenario = args.scenario

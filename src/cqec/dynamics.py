@@ -23,9 +23,17 @@ Monte Carlo take the rate-free operators -i[H, .] and Phi (x) id_bath,
 the latter applied by ``apply_recovery`` of :mod:`cqec.codes_and_maps`.
 Samples are expanded back to d x d states.
 
-States along trajectories are checked, never repaired: the trace must
-stay within 1e-8 of 1, and an eigenvalue below -1e-8 triggers a
-PositivityWarning (below -1e-6, an IntegrationError).
+``integrate`` checks its samples, never repairs them: the trace must stay
+within 1e-8 of 1, and an eigenvalue below -1e-8 triggers a
+PositivityWarning (below -1e-6, or a non-finite trace or eigenvalue, an
+IntegrationError).  The check runs on the coordinates of the whole
+trajectory at once: the trace is one product with the traces of the
+basis states, and every state in span(q) is block diagonal on the
+connected components of the union of the basis states' nonzero patterns
+(8 blocks of 8 x 8 for ``hamiltonian-3q``, 2 of 2 x 2 for
+``hamiltonian-1q``, 1 x 1 for the Markovian scenarios), so the smallest
+eigenvalue comes from one batched ``eigvalsh`` per block size.  The weak
+map and Monte Carlo do not check their samples.
 """
 
 import warnings
@@ -42,6 +50,8 @@ METHODS = ("adaptive-RK", "spectral")
 MC_CHUNK_ENTRIES = 2**18
 # Smallest new direction in ``invariant_subspace``, relative to the largest image;
 # rounding leaves ~1e-16.  hamiltonian-3q keeps all k = 9 for R in [1e-10, 3e7].
+# Also the largest trace loss of a restricted generator that ``restrict_generator``
+# treats as rounding (the scenario generators reach 2.5e-14 at rates up to 1e17).
 SUBSPACE_TOL = 1e-12
 
 
@@ -89,19 +99,65 @@ class Trajectory:
         return len(self.times)
 
 
-def _check_sample(rho, t):
-    tr = abs(np.trace(rho).real - 1.0)
-    if tr > TRACE_TOL or abs(np.trace(rho).imag) > TRACE_TOL:
-        raise IntegrationError(f"trace deviates by {tr:.3e} at t={t:g}")
-    lo = float(np.min(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)))
-    if lo < -100.0 * TOL_POS:
-        raise IntegrationError(f"eigenvalue {lo:.3e} at t={t:g}; integration diverged")
-    if lo < -TOL_POS:
+def _diagonal_blocks(q, d):
+    """The diagonal blocks that every state in span(q) is confined to, as one
+    (m, s) array of indices per block size s (m blocks of that size).
+
+    The blocks are the connected components of the graph on the d basis
+    indices that links i and j when some basis state has a nonzero (i, j)
+    entry; a state in span(q) has exact zeros between two components."""
+    linked = (q != 0).any(axis=1).reshape(d, d)
+    reach = (linked | linked.T | np.eye(d, dtype=bool)).astype(float)
+    while True:  # transitive closure by repeated squaring
+        grown = ((reach @ reach) > 0).astype(float)
+        if np.array_equal(grown, reach):
+            break
+        reach = grown
+    # a row of reach is its index's component; keep the row of each smallest index
+    members = reach[reach.argmax(axis=1) == np.arange(d)] > 0
+    sizes = members.sum(axis=1)
+    return [np.nonzero(members[sizes == s])[1].reshape(-1, s) for s in sorted(set(sizes))]
+
+
+def _min_eigenvalues(coords, q):
+    """Smallest eigenvalue of the Hermitian part of each state coords[i] @ q.T,
+    from its diagonal blocks (``_diagonal_blocks``)."""
+    d = int(np.sqrt(len(q)))
+    lo = np.full(len(coords), np.inf)
+    for idx in _diagonal_blocks(q, d):
+        m, s = idx.shape
+        flat = (idx[:, :, None] * d + idx[:, None, :]).ravel()
+        blocks = (coords @ q[flat].T).reshape(len(coords), m, s, s)
+        herm = (blocks + blocks.conj().swapaxes(-1, -2)) / 2.0
+        lo = np.minimum(lo, np.linalg.eigvalsh(herm).min(axis=(1, 2)))
+    return lo
+
+
+def _check_samples(times, coords, q):
+    """Check the states coords[i] @ q.T sampled at ``times`` in time order:
+    every sample before the first failing one that dips below -TOL_POS
+    warns, and the first failing sample (trace off by more than TRACE_TOL,
+    an eigenvalue below -100 TOL_POS, or either non-finite) raises."""
+    d = int(np.sqrt(len(q)))
+    finite = np.isfinite(coords).all(axis=1)
+    coords = np.where(finite[:, None], coords, 0.0)  # such a sample reads nan below
+    trace = np.where(finite, coords @ q[:: d + 1].sum(axis=0), np.nan)  # tr of basis states
+    tr_dev = np.abs(trace.real - 1.0)
+    lo = np.where(finite, _min_eigenvalues(coords, q), np.nan)
+    trace_ok = (tr_dev <= TRACE_TOL) & (np.abs(trace.imag) <= TRACE_TOL)
+    fails = ~(trace_ok & (lo >= -100.0 * TOL_POS))
+    stop = int(np.argmax(fails)) if fails.any() else len(times)
+    for i in np.flatnonzero(lo[:stop] < -TOL_POS):
         warnings.warn(
-            f"state eigenvalue {lo:.3e} below -{TOL_POS:g} at t={t:g}",
+            f"state eigenvalue {lo[i]:.3e} below -{TOL_POS:g} at t={times[i]:g}",
             PositivityWarning,
             stacklevel=3,
         )
+    if stop < len(times):
+        t = times[stop]
+        if not trace_ok[stop]:
+            raise IntegrationError(f"trace deviates by {tr_dev[stop]:.3e} at t={t:g}")
+        raise IntegrationError(f"eigenvalue {lo[stop]:.3e} at t={t:g}; integration diverged")
 
 
 # Dormand-Prince 5(4) tableau (FSAL: last stage is the next first stage)
@@ -167,7 +223,8 @@ def integrate(generator, rho0, t_max, cfg=None, n_samples=201):
     """Integrate drho/dt = G(rho) and sample on a uniform grid.
 
     Both methods run on the k coordinates of the Krylov space of rho0
-    (``restrict_generator``) and expand each sample to a d x d state:
+    (``restrict_generator``), check all samples on those coordinates
+    (``_check_samples``) and expand each sample to a d x d state:
     "adaptive-RK" steps c -> g c by DP5(4) with error control alone,
     "spectral" propagates g exactly.  The generator exposes ``apply(rho)``
     and ``register``.  t_max = 0 returns the single-sample trajectory.
@@ -199,10 +256,8 @@ def integrate(generator, rho0, t_max, cfg=None, n_samples=201):
         for i in range(1, len(times)):
             c, h = _advance_dopri(f, c, times[i - 1], times[i], h, cfg.rtol, cfg.atol)
             coords[i] = c
+    _check_samples(times, coords, q)
     states = (coords @ q.T).reshape(len(times), d, d)
-
-    for t, rho in zip(times, states):
-        _check_sample(rho, t)
     return Trajectory(times, states, "density", generator.register)
 
 
@@ -270,11 +325,16 @@ def restrict_generator(generator, rho0):
     """(q, g) with exp(G t) rho0 = q exp(g t) q^dag rho0: the basis q of the
     Krylov space of ``generator.apply`` from rho0 and the restriction g,
     less its rounding-level part along the trace functional tr(q c), which
-    would otherwise make the trace drift by ~1e-16 |G| t."""
+    would otherwise make the trace drift by ~1e-16 |G| t.  A part above
+    ``SUBSPACE_TOL`` |tr| |g| is a generator that does not preserve the
+    trace; it is kept, and the sample check of ``integrate`` reports it."""
     rho0 = np.asarray(rho0, dtype=complex)
     q, (g,) = invariant_subspace([generator.apply], rho0)
     tr = np.eye(rho0.shape[0]).ravel() @ q  # tr(state) = tr @ coordinates
-    return q, g - np.outer(tr.conj(), tr @ g) / np.vdot(tr, tr).real
+    leak = tr @ g
+    if np.linalg.norm(leak) > SUBSPACE_TOL * np.linalg.norm(tr) * np.linalg.norm(g):
+        return q, g
+    return q, g - np.outer(tr.conj(), leak) / np.vdot(tr, tr).real
 
 
 def _pair_subspace(rho0, hamiltonian, code):

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqec.codes_and_maps import SCENARIOS, ModelParams, total_generator, scenario_rho0
-from cqec.dynamics import integrate, propagate_linear
+from cqec.dynamics import IntegratorConfig, integrate, propagate_linear
+from cqec.tensor_core import basis_ket, partial_trace_bath
 from cqec.reduced_model import build_reduced_matrix, initial_reduced_state
 from cqec.analysis import (
     FitError,
@@ -11,6 +14,7 @@ from cqec.analysis import (
     equilibrium_point,
     equilibrium_scan,
     error_rate_series,
+    fidelity_weight_series,
     fit_damped_cosine,
     fit_power_law,
     fit_quadratic,
@@ -70,6 +74,36 @@ def test_fidelity_below_weight_along_trajectory():
     traj = integrate(gen, scenario_rho0("markovian-3q"), 2.0, n_samples=41)
     for o in observables(traj, SCENARIOS["markovian-3q"].code()):
         assert o.f_cw <= o.p_cs + 1e-9
+
+
+@given(
+    st.sampled_from(sorted(SCENARIOS)),
+    st.floats(min_value=-6.0, max_value=5.0).map(lambda e: 10.0**e),
+    st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+)
+@settings(max_examples=30, deadline=None)
+def test_stacked_fidelity_weight_matches_partial_trace(scenario, rate, seed):
+    """F_cw and P_cs from one product with the stacked states equal the
+    per-sample partial trace over the bath, for the code's logical zero
+    (seed None) or a random logical state."""
+    spec = SCENARIOS[scenario]
+    code = spec.code()
+    unit = {"lam": 1.0} if spec.time_unit == "lambda" else {"gamma": 1.0}
+    gen = total_generator(scenario, ModelParams(kappa=rate, **unit))
+    traj = integrate(gen, scenario_rho0(scenario), 1.0, IntegratorConfig(method="spectral"),
+                     n_samples=11)
+    if seed is None:
+        logical = basis_ket(code.logical_zero, code.system_count)[:, 0]
+    else:
+        rng = np.random.default_rng(seed)
+        ds = spec.register.system_dim
+        logical = rng.normal(size=ds) + 1j * rng.normal(size=ds)
+        logical /= np.linalg.norm(logical)
+    f, p = fidelity_weight_series(traj, code, logical)
+    for i, rho in enumerate(traj.states):
+        sys = partial_trace_bath(rho, code.system_count, spec.register.bath_count)
+        assert abs(f[i] - np.real(logical.conj() @ sys @ logical)) <= 1e-14
+        assert abs(p[i] - np.real(np.trace(code.code_projector() @ sys))) <= 1e-14
 
 
 # ---------------------------------------------------------------------------

@@ -402,6 +402,28 @@ def test_eig_report(tmp_path):
     assert sum(m < 1e-10 for m in moduli) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["eig", "--R", "nan"],
+    ["eig", "--R", "inf"],
+    ["eig", "--kappa", "nan"],
+    ["eig", "--R", "10", "--gamma", "0"],
+    ["graph", "--R", "1e400"],
+    ["graph", "--R", "nan"],
+], ids=["eig-R-nan", "eig-R-inf", "eig-kappa-nan", "eig-gamma-0", "graph-R-1e400", "graph-R-nan"])
+def test_eig_and_graph_need_finite_positive_rates(argv, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eig_rejects_r_and_kappa_together(tmp_path, capsys):
+    out = tmp_path / "eig.json"
+    assert main(["eig", "--R", "100", "--kappa", "3", "--out", str(out)]) == 2
+    assert "give either --R or --kappa, not both" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_graph_report(tmp_path):
     out = tmp_path / "graph.json"
     assert main(["graph", "--R", "10", "--out", str(out)]) == 0

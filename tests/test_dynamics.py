@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqec.codes_and_maps import (
     SCENARIOS,
@@ -15,8 +17,14 @@ from cqec.codes_and_maps import (
     trivial_code,
 )
 from cqec.dynamics import (
+    METHODS,
+    IntegrationError,
     IntegratorConfig,
+    PositivityWarning,
     Trajectory,
+    _check_samples,
+    _diagonal_blocks,
+    _min_eigenvalues,
     integrate,
     jump_monte_carlo,
     propagate_linear,
@@ -142,6 +150,136 @@ def test_integrate_rejects_negative_horizon():
     gen = total_generator("markovian-1q", ModelParams(lam=1.0))
     with pytest.raises(ValueError):
         integrate(gen, scenario_rho0("markovian-1q"), -1.0)
+
+
+# ---------------------------------------------------------------------------
+# sample checks of integrate
+# ---------------------------------------------------------------------------
+
+
+class _StubGenerator:
+    """A one-qubit generator with the interface ``integrate`` reads."""
+
+    register = QubitRegister(1)
+
+    def __init__(self, apply):
+        self.apply = apply
+
+
+def _dip(eps):
+    """G(rho) = tr(rho) eps Z: from |0><0|, rho(t) = diag(1 + eps t, -eps t)
+    keeps its trace and its smallest eigenvalue is -eps t."""
+    z = np.diag([1.0, -1.0])
+    return _StubGenerator(lambda rho: np.trace(rho) * eps * z)
+
+
+KET0 = np.diag([1.0, 0.0]).astype(complex)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_integrate_raises_on_trace_loss(method):
+    """G = -id loses trace as e^-t; the first sample (t = 0.025, off by
+    1 - e^-0.025) raises."""
+    gen = _StubGenerator(lambda rho: -rho)
+    with pytest.raises(IntegrationError, match=r"^trace deviates by 2\.469e-02 at t=0\.025$"):
+        integrate(gen, KET0, 5.0, IntegratorConfig(method=method))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_integrate_warns_on_small_positivity_dip(method):
+    """eps = 8e-9: the samples from t = 1.5 on dip below -1e-8 and warn, in
+    time order and at the caller's line; none reaches -1e-6."""
+    with pytest.warns(PositivityWarning) as record:
+        traj = integrate(_dip(8e-9), KET0, 5.0, IntegratorConfig(method=method), n_samples=11)
+    assert len(traj) == 11
+    expected = [f"state eigenvalue {-8e-9 * t:.3e} below -1e-08 at t={t:g}"
+                for t in np.arange(1.5, 5.01, 0.5)]
+    assert [str(w.message) for w in record] == expected
+    assert {w.filename for w in record} == {__file__}
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_integrate_raises_on_large_positivity_dip(method):
+    """eps = 8e-7: t = 0.5 and 1 warn, then t = 1.5 (-1.2e-6) raises."""
+    error = r"^eigenvalue -1\.200e-06 at t=1\.5; integration diverged$"
+    with pytest.warns(PositivityWarning) as record:
+        with pytest.raises(IntegrationError, match=error):
+            integrate(_dip(8e-7), KET0, 5.0, IntegratorConfig(method=method), n_samples=11)
+    assert [str(w.message) for w in record] == [
+        "state eigenvalue -4.000e-07 below -1e-08 at t=0.5",
+        "state eigenvalue -8.000e-07 below -1e-08 at t=1",
+    ]
+
+
+def test_non_finite_samples_raise():
+    """A sample with every coordinate, or only a traceless one, nan or inf
+    raises at its time; the samples before it pass."""
+    gen = total_generator("hamiltonian-1q", ModelParams(gamma=1.0, kappa=2.0))
+    rho0 = scenario_rho0("hamiltonian-1q")
+    q, g = restrict_generator(gen, rho0)
+    times = np.linspace(0.0, 1.0, 6)
+    coords = propagate_linear(g, q.conj().T @ rho0.ravel(), times)
+    _check_samples(times, coords, q)
+    traceless = int(np.argmin(np.abs(q[::5].sum(axis=0))))
+    for bad in (np.nan, np.inf):
+        for cols in (slice(None), traceless):
+            broken = coords.copy()
+            broken[3, cols] = bad
+            with pytest.raises(IntegrationError, match=r"^trace deviates by nan at t=0\.6$"):
+                _check_samples(times, broken, q)
+
+
+def _params(scenario, rate):
+    if SCENARIOS[scenario].time_unit == "lambda":
+        return ModelParams(lam=1.0, kappa=rate)
+    return ModelParams(gamma=1.0, kappa=rate)
+
+
+RATES = st.floats(min_value=-6.0, max_value=5.0).map(lambda e: 10.0**e)
+
+
+@pytest.mark.parametrize("rate", [1e-6, 1e-2, 1.0, 100.0, 1e5])
+@pytest.mark.parametrize("scenario, shapes", [
+    ("markovian-1q", [(2, 1)]),
+    ("markovian-3q", [(8, 1)]),
+    ("hamiltonian-1q", [(2, 2)]),
+    ("hamiltonian-3q", [(8, 8)]),
+])
+def test_diagonal_blocks_of_the_scenarios(scenario, shapes, rate):
+    """(blocks, block size) of the Krylov basis of each scenario state."""
+    rho0 = scenario_rho0(scenario)
+    q, _ = restrict_generator(total_generator(scenario, _params(scenario, rate)), rho0)
+    blocks = _diagonal_blocks(q, len(rho0))
+    assert [b.shape for b in blocks] == shapes
+    assert sorted(np.concatenate([b.ravel() for b in blocks])) == list(range(len(rho0)))
+
+
+def _assert_block_minimum_matches_eigvalsh(gen, rho0):
+    q, g = restrict_generator(gen, rho0)
+    coords = propagate_linear(g, q.conj().T @ rho0.ravel(), np.linspace(0.0, 1.0, 6))
+    d = len(rho0)
+    states = (coords @ q.T).reshape(-1, d, d)
+    full = np.linalg.eigvalsh((states + states.conj().swapaxes(1, 2)) / 2.0).min(axis=1)
+    assert np.max(np.abs(_min_eigenvalues(coords, q) - full)) <= 1e-12
+
+
+@given(st.sampled_from(sorted(SCENARIOS)), RATES)
+@settings(max_examples=30, deadline=None)
+def test_block_minimum_eigenvalue_matches_full_eigvalsh(scenario, rate):
+    _assert_block_minimum_matches_eigvalsh(
+        total_generator(scenario, _params(scenario, rate)), scenario_rho0(scenario)
+    )
+
+
+@given(st.integers(0, 2**32 - 1), RATES)
+@settings(max_examples=15, deadline=None)
+def test_block_minimum_eigenvalue_of_a_generic_state(seed, rate):
+    """A random two-qubit rho0 on hamiltonian-1q fills one 4 x 4 block."""
+    rho0 = _random_state(np.random.default_rng(seed), 4)
+    gen = total_generator("hamiltonian-1q", ModelParams(gamma=1.0, kappa=rate))
+    q, _ = restrict_generator(gen, rho0)
+    assert [b.shape for b in _diagonal_blocks(q, 4)] == [(1, 4)]
+    _assert_block_minimum_matches_eigvalsh(gen, rho0)
 
 
 # ---------------------------------------------------------------------------
