@@ -103,6 +103,9 @@ class ExperimentConfig:
             raise ConfigError("the reduced engine exists only for hamiltonian-3q")
         if self.engine in ("weak-step", "monte-carlo") and spec.noise != "pair-bath":
             raise ConfigError(f"{self.engine} needs a Hamiltonian (pair-bath) scenario")
+        for name in ("t_max", "gamma", "lam", "kappa", "tau_c", "rtol", "atol"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if spec.time_unit == "lambda" and self.lam <= 0:
             raise ConfigError("Markovian scenarios need lambda > 0")
         if spec.time_unit == "gamma" and self.gamma <= 0:

@@ -3,7 +3,9 @@
 * ``integrate`` -- adaptive Dormand-Prince 5(4) (default) on the master
   equation ``drho/dt = G(rho)``.  G is a constant, smooth linear
   generator (kappa (Phi - id) is a rate, not a train of discrete
-  events), so the step is limited only by the error control.
+  events), so the step is limited only by the error control, and a step
+  is the method's pair of fixed polynomials in h G (the fifth-order
+  solution and the error estimate) applied to the Krylov coordinates.
   method="spectral" propagates the same restriction exactly
   (``propagate_linear``); it is the cross-check of DP5(4).
 * ``step_weak_map`` -- discrete cycles of unitary evolution over tau_c
@@ -23,19 +25,23 @@ Monte Carlo take the rate-free operators -i[H, .] and Phi (x) id_bath,
 the latter applied by ``apply_recovery`` of :mod:`cqec.codes_and_maps`.
 Samples are expanded back to d x d states.
 
-``integrate`` checks its samples, never repairs them: the trace must stay
+Every engine checks its samples, never repairs them: the trace must stay
 within 1e-8 of 1, and an eigenvalue below -1e-8 triggers a
 PositivityWarning (below -1e-6, or a non-finite trace or eigenvalue, an
-IntegrationError).  The check runs on the coordinates of the whole
-trajectory at once: the trace is one product with the traces of the
-basis states, and every state in span(q) is block diagonal on the
+IntegrationError).  ``integrate`` and the weak map check every sample,
+Monte Carlo its mean state.  The check runs on the coordinates of the
+whole trajectory at once: the trace is one product with the traces of
+the basis states, and every state in span(q) is block diagonal on the
 connected components of the union of the basis states' nonzero patterns
 (8 blocks of 8 x 8 for ``hamiltonian-3q``, 2 of 2 x 2 for
-``hamiltonian-1q``, 1 x 1 for the Markovian scenarios), so the smallest
-eigenvalue comes from one batched ``eigvalsh`` per block size.  The weak
-map and Monte Carlo do not check their samples.
+``hamiltonian-1q``, 1 x 1 for the Markovian scenarios).  Blocks whose
+rows of q are equal bit for bit hold equal entries in every state (all 8
+for ``hamiltonian-3q``, both for ``hamiltonian-1q``), so the smallest
+eigenvalue comes from one batched ``eigvalsh`` per block size over the
+distinct blocks only.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -72,6 +78,8 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        if not (np.isfinite(self.rtol) and np.isfinite(self.atol)):
+            raise ValueError("tolerances must be finite")
         if self.rtol <= 0 or self.atol <= 0:
             raise ValueError("tolerances must be > 0")
 
@@ -121,13 +129,18 @@ def _diagonal_blocks(q, d):
 
 def _min_eigenvalues(coords, q):
     """Smallest eigenvalue of the Hermitian part of each state coords[i] @ q.T,
-    from its diagonal blocks (``_diagonal_blocks``)."""
+    from its diagonal blocks (``_diagonal_blocks``).  Blocks whose rows of q
+    are equal bit for bit hold equal entries in every state, so only the
+    first of each such group is diagonalised."""
     d = int(np.sqrt(len(q)))
     lo = np.full(len(coords), np.inf)
     for idx in _diagonal_blocks(q, d):
-        m, s = idx.shape
-        flat = (idx[:, :, None] * d + idx[:, None, :]).ravel()
-        blocks = (coords @ q[flat].T).reshape(len(coords), m, s, s)
+        s = idx.shape[1]
+        distinct = {}
+        for rows in idx[:, :, None] * d + idx[:, None, :]:
+            distinct.setdefault(q[rows.ravel()].tobytes(), rows.ravel())
+        flat = np.concatenate(list(distinct.values()))
+        blocks = (coords @ q[flat].T).reshape(len(coords), len(distinct), s, s)
         herm = (blocks + blocks.conj().swapaxes(-1, -2)) / 2.0
         lo = np.minimum(lo, np.linalg.eigvalsh(herm).min(axis=(1, 2)))
     return lo
@@ -160,58 +173,68 @@ def _check_samples(times, coords, q):
         raise IntegrationError(f"eigenvalue {lo[stop]:.3e} at t={t:g}; integration diverged")
 
 
-# Dormand-Prince 5(4) tableau (FSAL: last stage is the next first stage)
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_ERR = _DP_B5 - np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-)
+# One DP5(4) step of dc/dt = g c is a pair of polynomials in z = h g, which
+# the Dormand-Prince tableau gives exactly (its seventh, FSAL stage is g y5):
+# y5 - y = sum_m _DP_POLY[0, m - 1] z^m y (the degree-6 R(z) less 1) and
+# err = sum_m _DP_POLY[1, m - 1] z^m y, for m = 1..7.
+_DP_POLY = np.array([
+    [1.0, 1 / 2, 1 / 6, 1 / 24, 1 / 120, 1 / 600, 0.0],
+    [0.0, 0.0, 0.0, 0.0, -97 / 120000, 13 / 40000, -1 / 24000],
+])
+_DP_ORDERS = np.arange(1, 8)
 
 
 def _error_norm(err, y0, y1, rtol, atol):
+    """Root mean square of err / (atol + rtol max(|y0|, |y1|))."""
     scale = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
-    return float(np.sqrt(np.mean(np.abs(err / scale) ** 2)))
+    ratio = np.abs(err / scale)
+    return math.sqrt(np.add.reduce(ratio * ratio) / len(ratio))
 
 
-def _initial_step(f, y0, span, rtol, atol):
-    f0 = f(y0)
+def _initial_step(g, y0, span, rtol, atol):
+    f0 = g @ y0
     scale = atol + rtol * np.max(np.abs(y0))
     d1 = np.max(np.abs(f0)) / scale
     h = 0.01 / d1 if d1 > 0 else span / 100.0
     return min(h, span / 10.0)
 
 
-def _advance_dopri(f, y, t, t_target, h, rtol, atol):
-    """Adaptive steps from t to t_target; returns (y, suggested h)."""
-    k1 = f(y)
+def _unit_powers(g):
+    """(powers, norm): (g / norm)^m for m = 1..7 stacked into a (7 k, k)
+    array, with norm the Frobenius norm of g (1 for g = 0).  Every power
+    has norm <= 1, so none overflows."""
+    norm = float(np.linalg.norm(g)) or 1.0
+    unit = g / norm
+    powers = [unit]
+    for _ in range(6):
+        powers.append(unit @ powers[-1])
+    return np.concatenate(powers), norm
+
+
+def _dopri_step(powers, norm, y, h):
+    """(y5, err) of one DP5(4) step of size h from y, with ``powers, norm =
+    _unit_powers(g)``: one product for the Krylov vectors (g / norm)^m y
+    and one for their combinations y5 - y and err, weighted by (h norm)^m."""
+    krylov = (powers @ y).reshape(len(_DP_ORDERS), len(y))
+    step, err = (_DP_POLY * (h * norm) ** _DP_ORDERS) @ krylov
+    return y + step, err
+
+
+def _advance_dopri(powers, norm, y, t, t_target, h, rtol, atol):
+    """Adaptive DP5(4) steps (``_dopri_step``) from t to t_target; returns
+    (y, suggested h)."""
     tiny = 1e-12 * max(1.0, abs(t_target))
     while t_target - t > tiny:
         remaining = t_target - t
         clipped = min(h, remaining)
         if clipped < 1e-14 * max(1.0, abs(t)):
             raise IntegrationError(f"step size underflow at t={t:g}")
-        ks = [k1]
-        for i in range(1, 7):
-            yi = y + clipped * sum(a * k for a, k in zip(_DP_A[i], ks))
-            ks.append(f(yi))
-        y5 = y + clipped * sum(b * k for b, k in zip(_DP_B5, ks) if b != 0.0)
-        # FSAL: stage 7 was evaluated at y5 already
-        err = clipped * sum(e * k for e, k in zip(_DP_ERR, ks) if e != 0.0)
-        norm = _error_norm(err, y, y5, rtol, atol)
-        factor = 5.0 if norm == 0.0 else min(5.0, max(0.2, 0.9 * norm ** -0.2))
-        if norm <= 1.0:
+        y5, err = _dopri_step(powers, norm, y, clipped)
+        norm_err = _error_norm(err, y, y5, rtol, atol)
+        factor = 5.0 if norm_err == 0.0 else min(5.0, max(0.2, 0.9 * norm_err ** -0.2))
+        if norm_err <= 1.0:
             t = t_target if clipped >= remaining - tiny else t + clipped
             y = y5
-            k1 = ks[6]
             if clipped >= h or factor < 1.0:
                 h = clipped * factor
         else:
@@ -225,8 +248,9 @@ def integrate(generator, rho0, t_max, cfg=None, n_samples=201):
     Both methods run on the k coordinates of the Krylov space of rho0
     (``restrict_generator``), check all samples on those coordinates
     (``_check_samples``) and expand each sample to a d x d state:
-    "adaptive-RK" steps c -> g c by DP5(4) with error control alone,
-    "spectral" propagates g exactly.  The generator exposes ``apply(rho)``
+    "adaptive-RK" steps c -> g c by DP5(4) with error control alone, each
+    step two products with the powers of g (``_dopri_step``); "spectral"
+    propagates g exactly.  The generator exposes ``apply(rho)``
     and ``register``.  t_max = 0 returns the single-sample trajectory.
 
     The scenario states give k <= 9.  A generic six-qubit rho0 gives
@@ -249,12 +273,12 @@ def integrate(generator, rho0, t_max, cfg=None, n_samples=201):
     if cfg.method == "spectral":
         coords = propagate_linear(g, c0, times)
     else:
-        f = lambda c: g @ c
+        powers, norm = _unit_powers(g)
         coords = np.empty((len(times), len(c0)), dtype=complex)
         coords[0] = c = c0
-        h = _initial_step(f, c, t_max, cfg.rtol, cfg.atol)
+        h = _initial_step(g, c, t_max, cfg.rtol, cfg.atol)
         for i in range(1, len(times)):
-            c, h = _advance_dopri(f, c, times[i - 1], times[i], h, cfg.rtol, cfg.atol)
+            c, h = _advance_dopri(powers, norm, c, times[i - 1], times[i], h, cfg.rtol, cfg.atol)
             coords[i] = c
     _check_samples(times, coords, q)
     states = (coords @ q.T).reshape(len(times), d, d)
@@ -358,7 +382,8 @@ def step_weak_map(rho0, hamiltonian, code, eps, tau_c, n_steps, sample_stride=1)
     Samples are reached by powers of the one-cycle map ((1-eps) I + eps
     phi_k) exp(tau_c N_k) on the coordinates of ``_pair_subspace``, where
     N_k and phi_k restrict -i[H, .] and Phi (x) id_bath.
-    Equivalent continuous correction rate: kappa = eps / tau_c.
+    Equivalent continuous correction rate: kappa = eps / tau_c.  The
+    samples are checked as those of ``integrate`` (``_check_samples``).
     """
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps must lie in [0, 1], got {eps}")
@@ -378,7 +403,9 @@ def step_weak_map(rho0, hamiltonian, code, eps, tau_c, n_steps, sample_stride=1)
     for n in gaps:
         coords.append(powers[n] @ coords[-1])
     times = np.array([0.0] + [k * tau_c for k in steps])
-    states = (np.array(coords) @ q.T).reshape(len(times), register.dim, register.dim)
+    coords = np.array(coords)
+    _check_samples(times, coords, q)
+    states = (coords @ q.T).reshape(len(times), register.dim, register.dim)
     return Trajectory(times, states, "density", register)
 
 
@@ -395,7 +422,8 @@ def jump_monte_carlo(rho0, hamiltonian, code, kappa, t_max, n_traj, seed, n_samp
     A chunk of trajectories evolves together, each as its k coordinates on
     ``_pair_subspace`` in the eigenbasis v: free evolution is a phase per
     coordinate, a recovery one k x k product (for the trajectories whose
-    next jump precedes the next sample) and F_cw a dot product.
+    next jump precedes the next sample) and F_cw a dot product.  The mean
+    state is checked as the samples of ``integrate`` (``_check_samples``).
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
@@ -458,7 +486,9 @@ def jump_monte_carlo(rho0, hamiltonian, code, kappa, t_max, n_traj, seed, n_samp
         dev_sum += dev.sum(axis=1)
         dev_sqsum += (dev * dev).sum(axis=1)
 
-    mean = ((mean_y / n_traj) @ qv.T).reshape(n_samples, d, d)
+    mean_y /= n_traj
+    _check_samples(times, mean_y @ v.T, q)  # the mean states' coordinates on q
+    mean = (mean_y @ qv.T).reshape(n_samples, d, d)
     f_mean = shift + dev_sum / n_traj
     if n_traj > 1:
         var = (dev_sqsum - dev_sum**2 / n_traj) / (n_traj - 1)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from cqec.cli import main
+from cqec.codes_and_maps import apply_recovery
 from cqec.closed_forms import alpha_nonmarkov_1q
 from cqec.reduced_model import LABELS
 from cqec.dynamics import IntegrationError
@@ -377,6 +378,38 @@ def test_numerical_failure_returns_3(monkeypatch):
     assert rc == 3
 
 
+@pytest.mark.parametrize("field, argv", [
+    ("t_max", ["--t-max", "nan"]),
+    ("gamma", ["--gamma", "nan", "--R", "1"]),
+    ("lam", ["--scenario", "markovian-1q", "--lambda", "nan"]),
+    ("kappa", ["--R", "nan"]),
+    ("tau_c", ["--engine", "weak-step", "--tau-c", "inf"]),
+    ("rtol", ["--rtol", "nan"]),
+    ("atol", ["--atol", "inf"]),
+])
+def test_simulate_rejects_non_finite_values(field, argv, tmp_path, capsys):
+    """A value that is not finite is a config error; none reaches the
+    `# config:` line, where it would be invalid JSON."""
+    out = tmp_path / "run.csv"
+    assert main(["simulate", *argv, "--out", str(out)]) == 2
+    assert f"config error: {field} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("engine", ["weak-step", "monte-carlo"])
+def test_discrete_engine_check_failure_returns_3(engine, monkeypatch, tmp_path, capsys):
+    """A recovery that gains trace fails the sample check of the weak map and
+    of Monte Carlo as it fails that of integrate: exit 3, no output."""
+    monkeypatch.setattr("cqec.dynamics.apply_recovery",
+                        lambda code, rho, db: 1.01 * apply_recovery(code, rho, db))
+    out = tmp_path / "run.csv"
+    argv = ["simulate", "--engine", engine, "--R", "5", "--t-max", "1", "--samples", "11",
+            "--n-traj", "50", "--out", str(out)]
+    assert main(argv) == 3
+    assert "numerical failure: trace deviates by" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fit_failure_returns_4(monkeypatch):
     def boom(*args, **kwargs):
         raise FitError("synthetic fit failure")
@@ -501,11 +534,20 @@ def test_entry_point_runs_as_module():
 
 def test_import_loads_no_scipy():
     """scipy is imported only by the fits and the ill-conditioned fallback
-    of propagate_linear, never by `import cqec.cli`."""
+    of propagate_linear, never by `import cqec.cli`; a hamiltonian-3q
+    integrate after it (block check included) loads neither scipy nor
+    numpy.ma, whose import costs peak memory."""
     proc = _run_python(
         "-c",
-        "import sys, cqec.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        "import sys, cqec.cli\n"
+        "from cqec.codes_and_maps import ModelParams, scenario_rho0, total_generator\n"
+        "def loaded():\n"
+        "    print(sorted(m for m in sys.modules\n"
+        "                 if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma']))\n"
+        "loaded()\n"
+        "gen = total_generator('hamiltonian-3q', ModelParams(gamma=1.0, kappa=10.0))\n"
+        "cqec.integrate(gen, scenario_rho0('hamiltonian-3q'), 1.0)\n"
+        "loaded()\n",
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split("\n") == ["[]", "[]", ""]

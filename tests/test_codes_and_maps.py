@@ -33,6 +33,13 @@ def _random_hermitian(rng, d, unit_trace=False):
     return h
 
 
+def _random_density(rng, d):
+    """A A^dag / tr(A A^dag): a random density matrix, its trace >= its norm."""
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
 # ---------------------------------------------------------------------------
 # code tables
 # ---------------------------------------------------------------------------
@@ -287,7 +294,7 @@ def test_channels_preserve_trace_and_hermiticity(seed):
     rng = np.random.default_rng(seed)
     for make in _CHANNELS:
         dim, op = make()
-        rho = _random_hermitian(rng, dim, unit_trace=True)
+        rho = _random_density(rng, dim)
         out = op(rho)
         assert abs(np.trace(out) - 1.0) < 1e-12
         assert np.max(np.abs(out - out.conj().T)) < 1e-12

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -22,10 +24,14 @@ from cqec.dynamics import (
     IntegratorConfig,
     PositivityWarning,
     Trajectory,
+    _DP_POLY,
     _check_samples,
     _diagonal_blocks,
+    _dopri_step,
     _min_eigenvalues,
+    _unit_powers,
     integrate,
+    invariant_subspace,
     jump_monte_carlo,
     propagate_linear,
     restrict_generator,
@@ -54,6 +60,10 @@ def test_integrator_config_validation():
         IntegratorConfig(method="fixed-RK4")
     with pytest.raises(ValueError):
         IntegratorConfig(rtol=0.0)
+    with pytest.raises(ValueError, match="finite"):
+        IntegratorConfig(rtol=float("nan"))
+    with pytest.raises(ValueError, match="finite"):
+        IntegratorConfig(atol=float("inf"))
 
 
 def test_trajectory_requires_increasing_times():
@@ -211,6 +221,108 @@ def test_integrate_raises_on_large_positivity_dip(method):
     ]
 
 
+# Z (x) I / 2 on one system and one bath qubit: traceless
+Z_HALF = np.diag([1.0, 1.0, -1.0, -1.0]) / 2.0
+
+
+def _stub_recovery(monkeypatch, dip=0.0, gain=1.0):
+    """Replace Phi (x) id_bath by rho -> gain rho + dip tr(rho) Z (x) I/2.
+    With H = 0, each recovery moves the smallest eigenvalue of
+    |0><0| (x) I/2 down by dip/2, and multiplies the trace by gain."""
+    monkeypatch.setattr(
+        "cqec.dynamics.apply_recovery",
+        lambda code, rho, db: gain * rho + dip * np.trace(rho) * Z_HALF,
+    )
+
+
+def _weak_stub_run():
+    """Ten weak cycles of eps = 0.5 and tau_c = 0.1 with H = 0, sampled
+    after each: the sample at t = 0.1 n has seen n half recoveries."""
+    return step_weak_map(scenario_rho0("hamiltonian-1q"), np.zeros((4, 4)), trivial_code(),
+                         0.5, 0.1, 10)
+
+
+def _mc_stub_run():
+    """Monte Carlo with H = 0 and kappa t_max = 10 jumps per trajectory on
+    average: the mean state at t has seen the ensemble's mean jump count."""
+    return jump_monte_carlo(scenario_rho0("hamiltonian-1q"), np.zeros((4, 4)), trivial_code(),
+                            5.0, 2.0, 200, 7, n_samples=21)
+
+
+def test_weak_map_warns_on_small_positivity_dip(monkeypatch):
+    """dip = 3.2e-8: the sample at t = 0.1 n has eigenvalue -8e-9 n, so the
+    samples from t = 0.2 on warn, in time order and at the caller's line."""
+    _stub_recovery(monkeypatch, dip=3.2e-8)
+    with pytest.warns(PositivityWarning) as record:
+        traj = _weak_stub_run()
+    assert len(traj) == 11
+    assert [str(w.message) for w in record] == [
+        f"state eigenvalue {-8e-9 * n:.3e} below -1e-08 at t={0.1 * n:g}" for n in range(2, 11)
+    ]
+    assert {w.filename for w in record} == {__file__}
+
+
+def test_weak_map_raises_on_large_positivity_dip(monkeypatch):
+    """dip = 3.2e-6: t = 0.1 (-8e-7) warns, then t = 0.2 (-1.6e-6) raises."""
+    _stub_recovery(monkeypatch, dip=3.2e-6)
+    error = r"^eigenvalue -1\.600e-06 at t=0\.2; integration diverged$"
+    with pytest.warns(PositivityWarning) as record:
+        with pytest.raises(IntegrationError, match=error):
+            _weak_stub_run()
+    assert [str(w.message) for w in record] == [
+        "state eigenvalue -8.000e-07 below -1e-08 at t=0.1"
+    ]
+
+
+def test_weak_map_raises_on_trace_gain(monkeypatch):
+    """gain = 1.01: one cycle multiplies the trace by 1.005."""
+    _stub_recovery(monkeypatch, gain=1.01)
+    with pytest.raises(IntegrationError, match=r"^trace deviates by 5\.000e-03 at t=0\.1$"):
+        _weak_stub_run()
+
+
+def _expected_dips(traj):
+    """The warnings that the check of ``integrate`` gives for these states."""
+    lo = np.linalg.eigvalsh(traj.states).min(axis=1)
+    return [f"state eigenvalue {v:.3e} below -1e-08 at t={t:g}"
+            for t, v in zip(traj.times, lo) if v < -1e-8]
+
+
+def test_monte_carlo_warns_on_small_positivity_dip(monkeypatch):
+    """dip = 4e-8: the mean state sinks to about -2e-7 (10 jumps) by t = 2;
+    the samples below -1e-8 warn, in time order and at the caller's line."""
+    _stub_recovery(monkeypatch, dip=4e-8)
+    with pytest.warns(PositivityWarning) as record:
+        traj = _mc_stub_run()
+    expected = _expected_dips(traj)
+    assert len(expected) >= 15
+    assert [str(w.message) for w in record] == expected
+    assert {w.filename for w in record} == {__file__}
+
+
+def test_monte_carlo_raises_on_large_positivity_dip(monkeypatch):
+    """dip = 4e-7: the mean state passes -1e-6 after about five jumps, near
+    t = 1; the samples from t = 0.1 to the failing one warn, and it raises."""
+    _stub_recovery(monkeypatch, dip=4e-7)
+    error = r"^eigenvalue -\S+ at t=\S+; integration diverged$"
+    with pytest.warns(PositivityWarning) as record:
+        with pytest.raises(IntegrationError, match=error) as failure:
+            _mc_stub_run()
+    n_fail = round(float(str(failure.value).split("t=")[1].split(";")[0]) / 0.1)
+    assert 8 <= n_fail <= 12
+    assert [float(str(w.message).split("t=")[1]) for w in record] == pytest.approx(
+        [0.1 * n for n in range(1, n_fail)]
+    )
+
+
+def test_monte_carlo_raises_on_trace_gain(monkeypatch):
+    """gain = 1.01: the mean trace is the mean of 1.01^jumps, off by about
+    5e-3 at t = 0.1 (half a jump on average)."""
+    _stub_recovery(monkeypatch, gain=1.01)
+    with pytest.raises(IntegrationError, match=r"^trace deviates by \S+ at t=0\.1$"):
+        _mc_stub_run()
+
+
 def test_non_finite_samples_raise():
     """A sample with every coordinate, or only a traceless one, nan or inf
     raises at its time; the samples before it pass."""
@@ -280,6 +392,103 @@ def test_block_minimum_eigenvalue_of_a_generic_state(seed, rate):
     q, _ = restrict_generator(gen, rho0)
     assert [b.shape for b in _diagonal_blocks(q, 4)] == [(1, 4)]
     _assert_block_minimum_matches_eigvalsh(gen, rho0)
+
+
+def test_block_minimum_eigenvalue_with_distinct_blocks():
+    """Diagonal blocks of sizes 2, 2 and 4 whose rows of q all differ: none is
+    skipped as a duplicate, and the minimum equals full eigvalsh."""
+    rng = np.random.default_rng(11)
+    sizes = (2, 2, 4)
+    a = scipy.linalg.block_diag(*(rng.normal(size=(s, s)) + 1j * rng.normal(size=(s, s))
+                                  for s in sizes))
+    rho0 = scipy.linalg.block_diag(*(_random_state(rng, s) / len(sizes) for s in sizes))
+    q, _ = invariant_subspace([lambda r: a @ r @ a.conj().T], rho0)
+    pairs, quad = _diagonal_blocks(q, 8)
+    assert (pairs.shape, quad.shape) == ((2, 2), (1, 4))
+    first, second = (np.add.outer(8 * b, b).ravel() for b in pairs)
+    assert q[first].tobytes() != q[second].tobytes()
+    coords = rng.normal(size=(7, q.shape[1])) + 1j * rng.normal(size=(7, q.shape[1]))
+    states = (coords @ q.T).reshape(-1, 8, 8)
+    full = np.linalg.eigvalsh((states + states.conj().swapaxes(1, 2)) / 2.0).min(axis=1)
+    assert np.max(np.abs(_min_eigenvalues(coords, q) - full)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# DP5(4) steps as polynomials in h g
+# ---------------------------------------------------------------------------
+
+_F = Fraction
+# Dormand-Prince 5(4): stage coefficients a, fifth-order weights b5 and
+# fourth-order weights b4 (the seventh stage is evaluated at y5)
+_DP_A = [
+    [],
+    [_F(1, 5)],
+    [_F(3, 40), _F(9, 40)],
+    [_F(44, 45), _F(-56, 15), _F(32, 9)],
+    [_F(19372, 6561), _F(-25360, 2187), _F(64448, 6561), _F(-212, 729)],
+    [_F(9017, 3168), _F(-355, 33), _F(46732, 5247), _F(49, 176), _F(-5103, 18656)],
+    [_F(35, 384), _F(0), _F(500, 1113), _F(125, 192), _F(-2187, 6784), _F(11, 84)],
+]
+_DP_B5 = [_F(35, 384), _F(0), _F(500, 1113), _F(125, 192), _F(-2187, 6784), _F(11, 84), _F(0)]
+_DP_B4 = [_F(5179, 57600), _F(0), _F(7571, 16695), _F(393, 640), _F(-92097, 339200),
+          _F(187, 2100), _F(1, 40)]
+
+
+def _poly_add(p, r, scale=1):
+    """p + scale r for polynomials as coefficient lists, lowest power first."""
+    n = max(len(p), len(r))
+    p, r = p + [0] * (n - len(p)), r + [0] * (n - len(r))
+    return [x + scale * y for x, y in zip(p, r)]
+
+
+def test_step_polynomials_match_the_tableau():
+    """For y' = g y and z = h g, stage i gives h k_i = p_i(z) y with
+    p_i = z (1 + sum_j a_ij p_j); then y5 - y = sum_i b5_i p_i(z) y and
+    err = sum_i (b5_i - b4_i) p_i(z) y.  In exact arithmetic these are
+    z + z^2/2 + ... + z^5/120 + z^6/600 and -97/120000 z^5 + 13/40000 z^6
+    - 1/24000 z^7, and rounded to doubles they are the module's rows."""
+    stages = []
+    for row in _DP_A:
+        inner = [_F(1)]
+        for a, p in zip(row, stages):
+            inner = _poly_add(inner, p, a)
+        stages.append([_F(0)] + inner)
+    step, err = [_F(0)], [_F(0)]
+    for b5, b4, p in zip(_DP_B5, _DP_B4, stages):
+        step = _poly_add(step, p, b5)
+        err = _poly_add(err, p, b5 - b4)
+    assert len(step) == len(err) == 8 and step[0] == err[0] == 0
+    assert step[1:] == [1, _F(1, 2), _F(1, 6), _F(1, 24), _F(1, 120), _F(1, 600), 0]
+    assert err[1:] == [0, 0, 0, 0, _F(-97, 120000), _F(13, 40000), _F(-1, 24000)]
+    assert _DP_POLY.tolist() == [[float(c) for c in step[1:]], [float(c) for c in err[1:]]]
+
+
+def _reference_dopri_step(g, y, h):
+    """One DP5(4) step of y' = g y, stage by stage: (y5, err)."""
+    ks = []
+    for row in _DP_A:
+        ks.append(g @ (y + h * sum((float(a) * k for a, k in zip(row, ks)), np.zeros_like(y))))
+    y5 = y + h * sum(float(b) * k for b, k in zip(_DP_B5, ks))
+    err = h * sum(float(b5 - b4) * k for b5, b4, k in zip(_DP_B5, _DP_B4, ks))
+    return y5, err
+
+
+@given(st.integers(1, 9), st.integers(0, 2**32 - 1), st.floats(1e-3, 3.0))
+@settings(max_examples=60, deadline=None)
+def test_polynomial_step_matches_stage_by_stage_step(k, seed, reach):
+    """On a random stable g (k <= 9) with h |g| = reach <= 3 (|g| the
+    spectral norm), the polynomial step and the stage-by-stage step agree
+    to 1e-13 relative to |y|, both in y5 and in the error estimate."""
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+    g = m - (np.linalg.eigvals(m).real.max() + rng.uniform(0.0, 2.0)) * np.eye(k)
+    y = rng.normal(size=k) + 1j * rng.normal(size=k)
+    h = reach / np.linalg.norm(g, 2)
+    y5, err = _dopri_step(*_unit_powers(g), y, h)
+    y5_ref, err_ref = _reference_dopri_step(g, y, h)
+    scale = np.linalg.norm(y)
+    assert np.linalg.norm(y5 - y5_ref) <= 1e-13 * scale
+    assert np.linalg.norm(err - err_ref) <= 1e-13 * scale
 
 
 # ---------------------------------------------------------------------------
