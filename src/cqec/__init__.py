@@ -15,7 +15,7 @@ from .codes_and_maps import (
     trivial_code,
     scenario_rho0,
 )
-from .dynamics import IntegratorConfig, integrate, jump_monte_carlo, step_weak_map
+from .dynamics import integrate, jump_monte_carlo, step_weak_map
 from .closed_forms import (
     alpha_markov_1q,
     alpha_nonmarkov_1q,
@@ -28,7 +28,6 @@ from .reduced_model import build_reduced_matrix, extract_reduced, initial_reduce
 __all__ = [
     "SCENARIOS",
     "ModelParams",
-    "IntegratorConfig",
     "alpha_markov_1q",
     "alpha_nonmarkov_1q",
     "alpha_star_markov",

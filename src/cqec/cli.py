@@ -38,8 +38,6 @@ from .codes_and_maps import (
     scenario_rho0,
 )
 from .dynamics import (
-    METHODS,
-    IntegratorConfig,
     IntegrationError,
     Trajectory,
     integrate,
@@ -59,12 +57,18 @@ from .analysis import (
 )
 from . import reduced_model
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 ENGINES = ("full", "reduced", "weak-step", "monte-carlo")
 
 
 class ConfigError(ValueError):
     pass
+
+
+def _check_number(name, value):
+    """A config number is an int or a float; a JSON true/false is neither."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
 
 
 @dataclass
@@ -80,9 +84,6 @@ class ExperimentConfig:
     seed: int = 0
     n_traj: int = 1000
     tau_c: float = 1e-3
-    method: str = "adaptive-RK"
-    rtol: float = 1e-9
-    atol: float = 1e-12
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
@@ -103,9 +104,15 @@ class ExperimentConfig:
             raise ConfigError("the reduced engine exists only for hamiltonian-3q")
         if self.engine in ("weak-step", "monte-carlo") and spec.noise != "pair-bath":
             raise ConfigError(f"{self.engine} needs a Hamiltonian (pair-bath) scenario")
-        for name in ("t_max", "gamma", "lam", "kappa", "tau_c", "rtol", "atol"):
-            if not np.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("samples", "seed", "n_traj"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("t_max", "gamma", "lam", "kappa", "tau_c"):
+            value = getattr(self, name)
+            _check_number(name, value)
+            if not np.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if spec.time_unit == "lambda" and self.lam <= 0:
             raise ConfigError("Markovian scenarios need lambda > 0")
         if spec.time_unit == "gamma" and self.gamma <= 0:
@@ -124,10 +131,6 @@ class ExperimentConfig:
             raise ConfigError("weak-step needs eps = kappa * tau_c <= 1")
         if self.engine == "weak-step" and self.t_max > 0:
             self.weak_steps()
-        try:
-            IntegratorConfig(method=self.method, rtol=self.rtol, atol=self.atol)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
 
     def weak_steps(self):
         """Number of weak-map cycles in the horizon, which must hold a whole
@@ -181,13 +184,13 @@ def _resolve_config(args):
     data = _load_config_file(args.config) if args.config else {}
 
     for key in ("scenario", "engine", "t_max", "samples", "seed", "n_traj", "tau_c",
-                "method", "rtol", "atol", "lam", "gamma", "kappa"):
+                "lam", "gamma", "kappa"):
         val = getattr(args, key, None)
         if val is not None:
             data[key] = val
 
     scenario = data.get("scenario", ExperimentConfig.scenario)
-    spec = SCENARIOS.get(scenario)
+    spec = SCENARIOS.get(scenario) if isinstance(scenario, str) else None
     if spec is None:
         raise ConfigError(f"unknown scenario {scenario!r}; choose from {sorted(SCENARIOS)}")
     if getattr(args, "big_r", None) is not None:
@@ -195,10 +198,8 @@ def _resolve_config(args):
             raise ConfigError("--R applies to Hamiltonian scenarios only (use --kappa)")
         if getattr(args, "kappa", None) is not None:
             raise ConfigError("give either --R or --kappa, not both")
-        gamma = data.get("gamma")
-        if gamma is None:
-            gamma = 1.0
-            data["gamma"] = gamma
+        gamma = data.setdefault("gamma", 1.0)
+        _check_number("gamma", gamma)
         data["kappa"] = args.big_r * gamma
     if spec.time_unit == "lambda":
         data.setdefault("lam", 1.0)
@@ -251,8 +252,7 @@ def _run_trajectory(config):
 
     if config.engine == "full":
         gen = total_generator(config.scenario, config.params())
-        cfg = IntegratorConfig(method=config.method, rtol=config.rtol, atol=config.atol)
-        return integrate(gen, rho0, t_phys, cfg, n_samples=config.samples), None
+        return integrate(gen, rho0, t_phys, n_samples=config.samples), None
 
     if config.engine == "reduced":
         m = reduced_model.build_reduced_matrix(config.kappa / config.gamma, config.gamma)
@@ -325,8 +325,7 @@ def _cross_validate(config):
     t_phys = config.t_max / config.unit
     gen = total_generator(config.scenario, config.params())
     rho0 = scenario_rho0(config.scenario)
-    cfg = IntegratorConfig(method=config.method, rtol=config.rtol, atol=config.atol)
-    traj = integrate(gen, rho0, t_phys, cfg, n_samples=min(config.samples, 51))
+    traj = integrate(gen, rho0, t_phys, n_samples=min(config.samples, 51))
     m = reduced_model.build_reduced_matrix(config.kappa / config.gamma, config.gamma)
     xs = propagate_linear(m, reduced_model.initial_reduced_state().coeffs, traj.times).real
     dev = 0.0
@@ -464,7 +463,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="integrate a scenario, write CSV")
-    p.add_argument("--config", help="JSON config file (schema_version 1)")
+    p.add_argument("--config", help="JSON config file (schema_version 2)")
     p.add_argument("--scenario", choices=sorted(SCENARIOS))
     p.add_argument("--R", dest="big_r", type=float,
                    help="dimensionless correction rate kappa/gamma")
@@ -478,9 +477,6 @@ def build_parser():
     p.add_argument("--seed", type=int)
     p.add_argument("--n-traj", dest="n_traj", type=int)
     p.add_argument("--tau-c", dest="tau_c", type=float)
-    p.add_argument("--method", choices=METHODS)
-    p.add_argument("--rtol", type=float)
-    p.add_argument("--atol", type=float)
     p.add_argument("--out", default="-", help="output path (default: stdout)")
     p.add_argument("--cross-validate", action="store_true",
                    help="also run the full/reduced cross-check (hamiltonian-3q)")

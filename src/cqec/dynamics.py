@@ -1,13 +1,14 @@
 """Time-evolution engines for master equations and their discretizations.
 
-* ``integrate`` -- adaptive Dormand-Prince 5(4) (default) on the master
-  equation ``drho/dt = G(rho)``.  G is a constant, smooth linear
-  generator (kappa (Phi - id) is a rate, not a train of discrete
-  events), so the step is limited only by the error control, and a step
-  is the method's pair of fixed polynomials in h G (the fifth-order
-  solution and the error estimate) applied to the Krylov coordinates.
-  method="spectral" propagates the same restriction exactly
-  (``propagate_linear``); it is the cross-check of DP5(4).
+* ``integrate`` -- the master equation ``drho/dt = G(rho)`` solved
+  exactly.  G is a constant linear generator (kappa (Phi - id) is a
+  rate, not a train of discrete events), so rho(t) = exp(G t) rho0, taken
+  by eigendecomposition of its restriction to the Krylov coordinates
+  (``propagate_linear``; Moler & Van Loan, SIAM Rev. 45, 3 (2003),
+  method 14).  A generator that keeps the trace is propagated in
+  coordinates whose first one is the trace, with that coordinate's rate
+  set to exactly zero (``_trace_first``), so the trace does not drift
+  with t.
 * ``step_weak_map`` -- discrete cycles of unitary evolution over tau_c
   followed by the weak recovery channel (1-eps) id + eps Phi; converges
   first-order in tau_c to the continuous dynamics at kappa = eps/tau_c.
@@ -41,7 +42,6 @@ eigenvalue comes from one batched ``eigvalsh`` per block size over the
 distinct blocks only.
 """
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -51,7 +51,6 @@ from .tensor_core import DensityMatrix, QubitRegister, TOL_POS
 from .codes_and_maps import apply_recovery
 
 TRACE_TOL = 1e-8
-METHODS = ("adaptive-RK", "spectral")
 # Largest number of array entries in one Monte Carlo chunk, which bounds its memory.
 MC_CHUNK_ENTRIES = 2**18
 # Smallest new direction in ``invariant_subspace``, relative to the largest image;
@@ -62,26 +61,11 @@ SUBSPACE_TOL = 1e-12
 
 
 class IntegrationError(RuntimeError):
-    """Step-size underflow, positivity blowup, or trace loss."""
+    """A sample that lost trace, dipped below -1e-6 or is not finite."""
 
 
 class PositivityWarning(UserWarning):
     """A sampled state dipped below -1e-8 in its smallest eigenvalue."""
-
-
-@dataclass
-class IntegratorConfig:
-    method: str = "adaptive-RK"  # "adaptive-RK" | "spectral"
-    rtol: float = 1e-9
-    atol: float = 1e-12
-
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
-        if not (np.isfinite(self.rtol) and np.isfinite(self.atol)):
-            raise ValueError("tolerances must be finite")
-        if self.rtol <= 0 or self.atol <= 0:
-            raise ValueError("tolerances must be > 0")
 
 
 @dataclass
@@ -173,90 +157,21 @@ def _check_samples(times, coords, q):
         raise IntegrationError(f"eigenvalue {lo[stop]:.3e} at t={t:g}; integration diverged")
 
 
-# One DP5(4) step of dc/dt = g c is a pair of polynomials in z = h g, which
-# the Dormand-Prince tableau gives exactly (its seventh, FSAL stage is g y5):
-# y5 - y = sum_m _DP_POLY[0, m - 1] z^m y (the degree-6 R(z) less 1) and
-# err = sum_m _DP_POLY[1, m - 1] z^m y, for m = 1..7.
-_DP_POLY = np.array([
-    [1.0, 1 / 2, 1 / 6, 1 / 24, 1 / 120, 1 / 600, 0.0],
-    [0.0, 0.0, 0.0, 0.0, -97 / 120000, 13 / 40000, -1 / 24000],
-])
-_DP_ORDERS = np.arange(1, 8)
+def integrate(generator, rho0, t_max, n_samples=201):
+    """Propagate drho/dt = G(rho) exactly and sample on a uniform grid.
 
-
-def _error_norm(err, y0, y1, rtol, atol):
-    """Root mean square of err / (atol + rtol max(|y0|, |y1|))."""
-    scale = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
-    ratio = np.abs(err / scale)
-    return math.sqrt(np.add.reduce(ratio * ratio) / len(ratio))
-
-
-def _initial_step(g, y0, span, rtol, atol):
-    f0 = g @ y0
-    scale = atol + rtol * np.max(np.abs(y0))
-    d1 = np.max(np.abs(f0)) / scale
-    h = 0.01 / d1 if d1 > 0 else span / 100.0
-    return min(h, span / 10.0)
-
-
-def _unit_powers(g):
-    """(powers, norm): (g / norm)^m for m = 1..7 stacked into a (7 k, k)
-    array, with norm the Frobenius norm of g (1 for g = 0).  Every power
-    has norm <= 1, so none overflows."""
-    norm = float(np.linalg.norm(g)) or 1.0
-    unit = g / norm
-    powers = [unit]
-    for _ in range(6):
-        powers.append(unit @ powers[-1])
-    return np.concatenate(powers), norm
-
-
-def _dopri_step(powers, norm, y, h):
-    """(y5, err) of one DP5(4) step of size h from y, with ``powers, norm =
-    _unit_powers(g)``: one product for the Krylov vectors (g / norm)^m y
-    and one for their combinations y5 - y and err, weighted by (h norm)^m."""
-    krylov = (powers @ y).reshape(len(_DP_ORDERS), len(y))
-    step, err = (_DP_POLY * (h * norm) ** _DP_ORDERS) @ krylov
-    return y + step, err
-
-
-def _advance_dopri(powers, norm, y, t, t_target, h, rtol, atol):
-    """Adaptive DP5(4) steps (``_dopri_step``) from t to t_target; returns
-    (y, suggested h)."""
-    tiny = 1e-12 * max(1.0, abs(t_target))
-    while t_target - t > tiny:
-        remaining = t_target - t
-        clipped = min(h, remaining)
-        if clipped < 1e-14 * max(1.0, abs(t)):
-            raise IntegrationError(f"step size underflow at t={t:g}")
-        y5, err = _dopri_step(powers, norm, y, clipped)
-        norm_err = _error_norm(err, y, y5, rtol, atol)
-        factor = 5.0 if norm_err == 0.0 else min(5.0, max(0.2, 0.9 * norm_err ** -0.2))
-        if norm_err <= 1.0:
-            t = t_target if clipped >= remaining - tiny else t + clipped
-            y = y5
-            if clipped >= h or factor < 1.0:
-                h = clipped * factor
-        else:
-            h = clipped * factor
-    return y, h
-
-
-def integrate(generator, rho0, t_max, cfg=None, n_samples=201):
-    """Integrate drho/dt = G(rho) and sample on a uniform grid.
-
-    Both methods run on the k coordinates of the Krylov space of rho0
-    (``restrict_generator``), check all samples on those coordinates
-    (``_check_samples``) and expand each sample to a d x d state:
-    "adaptive-RK" steps c -> g c by DP5(4) with error control alone, each
-    step two products with the powers of g (``_dopri_step``); "spectral"
-    propagates g exactly.  The generator exposes ``apply(rho)``
-    and ``register``.  t_max = 0 returns the single-sample trajectory.
+    The generator exposes ``apply(rho)`` and ``register``.  It is restricted
+    to the k coordinates of the Krylov space of rho0 (``restrict_generator``),
+    where exp(g t) is taken by ``propagate_linear``.  If g keeps the trace
+    to rounding, it is propagated in the reflected coordinates of
+    ``_trace_first``, so that the trace is one coordinate held constant
+    exactly.  All samples are checked on their coordinates
+    (``_check_samples``) and expanded to d x d states.  t_max = 0 returns
+    the single-sample trajectory.
 
     The scenario states give k <= 9.  A generic six-qubit rho0 gives
     k = 1287, whose restriction takes tens of seconds to build.
     """
-    cfg = cfg or IntegratorConfig()
     rho0 = rho0.entries if isinstance(rho0, DensityMatrix) else np.asarray(rho0, dtype=complex)
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
@@ -265,21 +180,9 @@ def integrate(generator, rho0, t_max, cfg=None, n_samples=201):
         return Trajectory(np.zeros(1), rho0[None, :, :].copy(), "density", generator.register)
 
     times = np.linspace(0.0, t_max, n_samples)
-    if times[-1] != t_max:
-        times = np.append(times, t_max)
-
     q, g = restrict_generator(generator, rho0)
-    c0 = q.conj().T @ rho0.ravel()
-    if cfg.method == "spectral":
-        coords = propagate_linear(g, c0, times)
-    else:
-        powers, norm = _unit_powers(g)
-        coords = np.empty((len(times), len(c0)), dtype=complex)
-        coords[0] = c = c0
-        h = _initial_step(g, c, t_max, cfg.rtol, cfg.atol)
-        for i in range(1, len(times)):
-            c, h = _advance_dopri(powers, norm, c, times[i - 1], times[i], h, cfg.rtol, cfg.atol)
-            coords[i] = c
+    h, g = _trace_first(q, g)
+    coords = propagate_linear(g, h @ (q.conj().T @ rho0.ravel()), times) @ h.T
     _check_samples(times, coords, q)
     states = (coords @ q.T).reshape(len(times), d, d)
     return Trajectory(times, states, "density", generator.register)
@@ -359,6 +262,24 @@ def restrict_generator(generator, rho0):
     if np.linalg.norm(leak) > SUBSPACE_TOL * np.linalg.norm(tr) * np.linalg.norm(g):
         return q, g
     return q, g - np.outer(tr.conj(), leak) / np.vdot(tr, tr).real
+
+
+def _trace_first(q, g):
+    """(h, g'): the Householder reflection h (h = h^dag = h^-1) whose
+    coordinates c' = h c carry the trace tr(q c) in c'_0 alone, and
+    g' = h g h.  The first row of g' is the trace's rate of change; below
+    ``SUBSPACE_TOL`` |g| it is rounding and is set to zero, so that LAPACK's
+    balancing isolates an exact zero eigenvalue (with g kept as it is, eig
+    puts it ~1e-16 |g| off zero and the trace drifts by that rate times t)."""
+    d = int(np.sqrt(len(q)))
+    v = (np.eye(d).ravel() @ q).conj()  # tr(q c) = v^dag c
+    # the reflection along v - beta e_0 maps v to beta e_0; this beta avoids cancellation
+    v[0] += np.exp(1j * np.angle(v[0])) * np.linalg.norm(v)
+    h = np.eye(len(v)) - 2.0 * np.outer(v, v.conj()) / np.vdot(v, v).real
+    g = h @ g @ h
+    if np.linalg.norm(g[0]) <= SUBSPACE_TOL * np.linalg.norm(g):
+        g[0] = 0.0
+    return h, g
 
 
 def _pair_subspace(rho0, hamiltonian, code):

@@ -38,7 +38,7 @@ from cqec.codes_and_maps import (
     total_generator,
     trivial_code,
 )
-from cqec.dynamics import IntegratorConfig, integrate, jump_monte_carlo, propagate_linear, step_weak_map
+from cqec.dynamics import integrate, jump_monte_carlo, propagate_linear, step_weak_map
 from cqec.analysis import (
     coupling_reduction_scan,
     equilibrium_scan,
@@ -124,18 +124,17 @@ def test_criterion_02_single_qubit_markovian():
 def test_criterion_03_three_qubit_markovian():
     start = time.perf_counter()
     code = bitflip3_code()
-    cfg = IntegratorConfig(method="spectral")
     leak_dev = 0.0
     for kappa in (0.0, 10.0, 96.0):
         gen = total_generator("markovian-3q", ModelParams(lam=1.0, kappa=kappa))
-        traj = integrate(gen, scenario_rho0("markovian-3q"), 2.0, cfg, n_samples=201)
+        traj = integrate(gen, scenario_rho0("markovian-3q"), 2.0, n_samples=201)
         _, p = fidelity_weight_series(traj, code)
         ref = markov3q_exact_leak(traj.times, 1.0, kappa)
         leak_dev = max(leak_dev, float(np.max(np.abs((1.0 - p) - ref))))
     a_dev = {}
     for r in (96.0, 960.0):
         gen = total_generator("markovian-3q", ModelParams(lam=1.0, kappa=r))
-        traj = integrate(gen, scenario_rho0("markovian-3q"), 50.0, cfg, n_samples=2001)
+        traj = integrate(gen, scenario_rho0("markovian-3q"), 50.0, n_samples=2001)
         a = np.real(traj.states[:, 0, 0])
         a_dev[r] = float(np.max(np.abs(a - markov3q_approx_a(traj.times, 1.0, r))))
     bound = 3.0 / (4.0 + 96.0)

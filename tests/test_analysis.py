@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqec.codes_and_maps import SCENARIOS, ModelParams, total_generator, scenario_rho0
-from cqec.dynamics import IntegratorConfig, integrate, propagate_linear
+from cqec.dynamics import integrate, propagate_linear
 from cqec.tensor_core import basis_ket, partial_trace_bath
 from cqec.reduced_model import build_reduced_matrix, initial_reduced_state
 from cqec.analysis import (
@@ -90,8 +90,7 @@ def test_stacked_fidelity_weight_matches_partial_trace(scenario, rate, seed):
     code = spec.code()
     unit = {"lam": 1.0} if spec.time_unit == "lambda" else {"gamma": 1.0}
     gen = total_generator(scenario, ModelParams(kappa=rate, **unit))
-    traj = integrate(gen, scenario_rho0(scenario), 1.0, IntegratorConfig(method="spectral"),
-                     n_samples=11)
+    traj = integrate(gen, scenario_rho0(scenario), 1.0, n_samples=11)
     if seed is None:
         logical = basis_ket(code.logical_zero, code.system_count)[:, 0]
     else:

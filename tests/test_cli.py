@@ -42,7 +42,7 @@ def test_simulate_writes_csv_matching_closed_form(tmp_path):
     assert rc == 0
     config, header, data = _read_csv(out)
     assert header == ["t_dimensionless", "F_cw", "P_cs", "Lambda"]
-    assert config["schema_version"] == 1
+    assert config["schema_version"] == 2
     assert config["kappa"] == 5.0
     assert data.shape == (51, 4)
     ref = alpha_nonmarkov_1q(data[:, 0], 1.0, 5.0)
@@ -84,7 +84,7 @@ def test_simulate_flags_override_config_file(tmp_path):
     cfg_path.write_text(
         json.dumps(
             {
-                "schema_version": 1,
+                "schema_version": 2,
                 "scenario": "hamiltonian-1q",
                 "kappa": 2.0,
                 "t_max": 1.0,
@@ -216,22 +216,25 @@ def test_config_errors_return_2(tmp_path):
 
 
 def test_spectral_method_on_six_qubit_scenario(tmp_path):
-    """Spectral propagation of the matrix-free hamiltonian-3q generator
-    matches the adaptive-RK run."""
+    """The full engine's propagation of the matrix-free hamiltonian-3q
+    generator gives the F_cw and P_cs of the 13x13 reduced model to 1e-13."""
     args = ["simulate", "--scenario", "hamiltonian-3q", "--R", "10", "--t-max", "5"]
-    spectral, adaptive = tmp_path / "spectral.csv", tmp_path / "adaptive.csv"
-    assert main(args + ["--method", "spectral", "--out", str(spectral)]) == 0
-    assert main(args + ["--out", str(adaptive)]) == 0
-    _, _, a = _read_csv(spectral)
-    _, _, b = _read_csv(adaptive)
-    assert a.shape == b.shape == (201, 4)
-    assert np.max(np.abs(a[:, 1:3] - b[:, 1:3])) < 1e-9
+    full, reduced = tmp_path / "full.csv", tmp_path / "reduced.csv"
+    assert main(args + ["--out", str(full)]) == 0
+    assert main(args + ["--engine", "reduced", "--out", str(reduced)]) == 0
+    _, _, a = _read_csv(full)
+    _, _, b = _read_csv(reduced)
+    assert a.shape == (201, 4) and b.shape == (201, 17)
+    assert np.array_equal(a[:, 0], b[:, 0])
+    assert np.max(np.abs(a[:, 1:3] - b[:, 1:3])) <= 1e-13
 
 
 def test_fixed_rk4_method_is_gone():
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--scenario", "markovian-1q", "--method", "fixed-RK4"])
-    assert exc.value.code == 2
+    """simulate has one propagation path: the integrator flags are unknown."""
+    for flag, value in (("--method", "spectral"), ("--rtol", "1e-9"), ("--atol", "1e-12")):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--scenario", "markovian-1q", flag, value])
+        assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("grid", ["--grid=0,1,2,3", "--grid=-1,1,2,3", "--grid=1,2,3,inf"])
@@ -357,16 +360,54 @@ def test_unresolved_slow_mode_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_bad_config_file_returns_2(tmp_path):
+def test_bad_config_file_returns_2(tmp_path, capsys):
     bad_version = tmp_path / "v9.json"
     bad_version.write_text(json.dumps({"schema_version": 9, "scenario": "markovian-1q"}))
     assert main(["simulate", "--config", str(bad_version)]) == 2
 
     unknown_field = tmp_path / "extra.json"
-    unknown_field.write_text(json.dumps({"schema_version": 1, "turbo": True}))
+    unknown_field.write_text(json.dumps({"schema_version": 2, "turbo": True}))
     assert main(["simulate", "--config", str(unknown_field)]) == 2
 
+    # version 1 had the integrator fields; its files are refused by their version
+    version_1 = "unsupported schema_version 1 (expected 2)"
+    for loaded, error in (
+        ({"schema_version": 1}, version_1),
+        ({"schema_version": 1, "method": "spectral"}, version_1),
+        ({"schema_version": 2, "method": "spectral"}, "unknown config fields: ['method']"),
+        ({"schema_version": 2, "rtol": 1e-9, "atol": 1e-12},
+         "unknown config fields: ['atol', 'rtol']"),
+    ):
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps({"scenario": "markovian-1q", **loaded}))
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(old)]) == 2
+        assert f"config error: {error}" in capsys.readouterr().err
+
     assert main(["simulate", "--config", str(tmp_path / "missing.json")]) == 2
+
+
+@pytest.mark.parametrize("loaded, flags, message", [
+    ({"samples": 2.5}, [], "samples must be an integer, got 2.5"),
+    ({"seed": True}, [], "seed must be an integer, got True"),
+    ({"n_traj": "10"}, [], "n_traj must be an integer, got '10'"),
+    ({"t_max": True}, [], "t_max must be a number, got True"),
+    ({"t_max": "x"}, [], "t_max must be a number, got 'x'"),
+    ({"kappa": None}, [], "kappa must be a number, got None"),
+    ({"gamma": "x"}, ["--R", "2"], "gamma must be a number, got 'x'"),
+    ({"scenario": ["hamiltonian-1q"]}, ["--R", "2"], "unknown scenario ['hamiltonian-1q']"),
+], ids=["samples-float", "seed-bool", "n_traj-str", "t_max-bool", "t_max-str", "kappa-null",
+        "gamma-str-with-R", "scenario-list-with-R"])
+def test_config_file_field_types_exit_2(loaded, flags, message, tmp_path, capsys):
+    """A config file value of the wrong type is a config error naming the
+    field, also where --R reads it before the config is built: no
+    traceback, and no bool taken for a number."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"schema_version": 2, "samples": 3, **loaded}))
+    out = tmp_path / "run.csv"
+    assert main(["simulate", "--config", str(path), *flags, "--out", str(out)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_numerical_failure_returns_3(monkeypatch):
@@ -384,8 +425,6 @@ def test_numerical_failure_returns_3(monkeypatch):
     ("lam", ["--scenario", "markovian-1q", "--lambda", "nan"]),
     ("kappa", ["--R", "nan"]),
     ("tau_c", ["--engine", "weak-step", "--tau-c", "inf"]),
-    ("rtol", ["--rtol", "nan"]),
-    ("atol", ["--atol", "inf"]),
 ])
 def test_simulate_rejects_non_finite_values(field, argv, tmp_path, capsys):
     """A value that is not finite is a config error; none reaches the
@@ -534,9 +573,10 @@ def test_entry_point_runs_as_module():
 
 def test_import_loads_no_scipy():
     """scipy is imported only by the fits and the ill-conditioned fallback
-    of propagate_linear, never by `import cqec.cli`; a hamiltonian-3q
-    integrate after it (block check included) loads neither scipy nor
-    numpy.ma, whose import costs peak memory."""
+    of propagate_linear, never by `import cqec.cli`.  One integrate per
+    scenario at the benchmark's rates and horizons (block check included)
+    loads neither scipy nor numpy.ma, whose import costs peak memory: none
+    of them falls back to scipy's expm."""
     proc = _run_python(
         "-c",
         "import sys, cqec.cli\n"
@@ -545,8 +585,16 @@ def test_import_loads_no_scipy():
         "    print(sorted(m for m in sys.modules\n"
         "                 if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma']))\n"
         "loaded()\n"
-        "gen = total_generator('hamiltonian-3q', ModelParams(gamma=1.0, kappa=10.0))\n"
-        "cqec.integrate(gen, scenario_rho0('hamiltonian-3q'), 1.0)\n"
+        "for scenario, unit, rate, t_max, n in [\n"
+        "        ('hamiltonian-1q', 'gamma', 1.0, 10.0, 501),\n"
+        "        ('hamiltonian-1q', 'gamma', 2.0, 10.0, 501),\n"
+        "        ('hamiltonian-1q', 'gamma', 5.0, 10.0, 501),\n"
+        "        ('markovian-1q', 'lam', 2.0, 5.0, 201),\n"
+        "        ('markovian-3q', 'lam', 96.0, 1.0, 201),\n"
+        "        ('hamiltonian-3q', 'gamma', 10.0, 5.0, 201),\n"
+        "        ('hamiltonian-3q', 'gamma', 100.0, 0.5, 501)]:\n"
+        "    gen = total_generator(scenario, ModelParams(kappa=rate, **{unit: 1.0}))\n"
+        "    cqec.integrate(gen, scenario_rho0(scenario), t_max, n_samples=n)\n"
         "loaded()\n",
     )
     assert proc.returncode == 0, proc.stderr
