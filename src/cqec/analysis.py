@@ -8,6 +8,10 @@ the ends), never from the generator, so it means the same thing for
 full, reduced, discrete-step, and Monte Carlo trajectories.  Keep the
 sample spacing below ~0.1/max(kappa, gamma, lambda) if you care about
 its accuracy.
+
+The equilibrium infidelity of a scan is read from the stationary state of
+the generator, found by one linear solve per rate; no time propagation
+and no horizon are involved.
 """
 
 from dataclasses import dataclass
@@ -16,7 +20,7 @@ import numpy as np
 
 from .tensor_core import basis_ket
 from .codes_and_maps import SCENARIOS, ModelParams, total_generator, scenario_rho0
-from .dynamics import propagate_linear, restrict_generator
+from .dynamics import invariant_subspace
 from .closed_forms import predicted_spectrum
 from . import reduced_model
 
@@ -26,7 +30,8 @@ class FitError(RuntimeError):
 
 
 class PlateauError(RuntimeError):
-    """Equilibrium detection ran out of horizon without converging."""
+    """The restricted generator has no unique stationary state of unit
+    trace, so the equilibrium is not defined."""
 
 
 @dataclass(frozen=True)
@@ -97,8 +102,8 @@ def fidelity_weight_series(traj, code=None, logical_state=None):
 
 def error_rate_series(times, fidelity):
     """Lambda = -dF/dt by centered differences, one-sided at the ends."""
-    if len(times) < 3:
-        raise ValueError("need at least 3 samples to differentiate")
+    if len(times) < 2:
+        raise ValueError("need at least 2 samples to differentiate")
     lam = np.empty(len(times))
     lam[1:-1] = -(fidelity[2:] - fidelity[:-2]) / (times[2:] - times[:-2])
     lam[0] = -(fidelity[1] - fidelity[0]) / (times[1] - times[0])
@@ -312,67 +317,53 @@ def match_spectrum(numerical, big_r, gamma=1.0):
 # ---------------------------------------------------------------------------
 
 
-def _plateau_infidelity(scenario, rate):
-    """1 - P_cs once its relative change over the last decade of time
-    drops below 1e-4 (noise rate normalized to 1), propagated exactly in
-    the Krylov space of rho0.  1 - P_cs is summed directly over the
-    diagonal outside the codewords, so it keeps its relative precision
-    when it is small."""
+def equilibrium_point(scenario, rate):
+    """Equilibrium infidelity 1 - P_cs of one scenario at one dimensionless
+    rate (noise rate normalized to 1): the stationary state g c = 0 of the
+    generator restricted to the Krylov coordinates of rho0, with the
+    equation of the largest trace coefficient replaced by tr(q c) = 1
+    (W. J. Stewart, Introduction to the Numerical Solution of Markov
+    Chains, 1994).  That equation is redundant, since tr @ g = 0.  1 - P_cs
+    is summed directly over the diagonal outside the codewords, so it keeps
+    its relative precision when it is small.  More than one stationary
+    state raises PlateauError."""
     spec = SCENARIOS[scenario]
     if spec.time_unit == "lambda":
         params = ModelParams(lam=1.0, kappa=rate)
     else:
         params = ModelParams(gamma=1.0, kappa=rate)
     rho0 = scenario_rho0(scenario)
-    basis, gen = restrict_generator(total_generator(scenario, params), rho0)
-    c0 = basis.conj().T @ rho0.ravel()
-    # 1 - P_cs = leak @ coordinates: the diagonal entries of rho whose
-    # system index is not a codeword
-    code = spec.code()
-    d, db = rho0.shape[0], 2**spec.register.bath_count
-    outside = 1.0 - np.kron(np.diag(code.code_projector()).real, np.ones(db))
-    leak = outside @ basis[:: d + 1]
-    horizon = 1.0
-    for _ in range(20):
-        q_prev, q = (propagate_linear(gen, c0, [horizon / 10.0, horizon]) @ leak).real
-        if abs(q - q_prev) <= 1e-4 * max(abs(q), 1e-300):
-            return q
-        horizon *= 10.0
-    raise PlateauError(f"no plateau for {scenario} at rate {rate:g}")
-
-
-def _period_average_infidelity(big_r):
-    """Quasi-stationary 1 - P_cs of the pair-coupled three-qubit model:
-    average over one period of the slow mode of the reduced model."""
-    m = reduced_model.build_reduced_matrix(big_r, 1.0)
-    period = 2 * np.pi / reduced_model.slow_eigenvalue(m).imag
-    # 1.6 leading-order periods 2 pi R^2 / 24, or the true period where that
-    # is longer (R below ~10)
-    times = np.linspace(0.0, max(1.6 * 2 * np.pi * big_r**2 / 24.0, period), 2001)
-    xs = propagate_linear(m, reduced_model.initial_reduced_state().coeffs, times).real
-    mask = times <= period
-    p_cs = xs[mask, 0] + xs[mask, 12]
-    return float(np.mean(1.0 - p_cs))
-
-
-def equilibrium_point(scenario, rate):
-    """Equilibrium infidelity of one scenario at one dimensionless rate."""
-    if scenario == "hamiltonian-3q":
-        return _period_average_infidelity(rate)
-    return _plateau_infidelity(scenario, rate)
+    d = rho0.shape[0]
+    q, (a,) = invariant_subspace([total_generator(scenario, params).apply], rho0)
+    tr = np.eye(d).ravel() @ q  # tr(q c) = tr @ c
+    i = int(np.argmax(np.abs(tr)))
+    a[i] = tr
+    try:
+        c = np.linalg.solve(a, np.eye(len(tr))[i])
+    except np.linalg.LinAlgError as exc:
+        raise PlateauError(
+            f"no unique stationary state for {scenario} at rate {rate:g}"
+        ) from exc
+    # 1 - P_cs = leak @ c: the diagonal entries of rho whose system index is
+    # not a codeword
+    db = 2**spec.register.bath_count
+    outside = 1.0 - np.kron(np.diag(spec.code().code_projector()).real, np.ones(db))
+    return float((outside @ q[:: d + 1] @ c).real)
 
 
 def equilibrium_scan(scenario, rates):
-    """Equilibrium infidelity 1 - P_cs for each rate in `rates`.
+    """Equilibrium infidelity 1 - P_cs for each rate in `rates`, one
+    stationary solve per rate (``equilibrium_point``).
 
     Rates are dimensionless (r = kappa/lambda or R = kappa/gamma depending
-    on the scenario).  Plateau detection integrates by decades until the
-    infidelity settles; the oscillatory pair-coupled three-qubit case is
-    averaged over one slow period instead.  A point without a plateau
-    raises PlateauError.
+    on the scenario).  The pair-coupled three-qubit model is scanned by
+    ``coupling_reduction_scan`` instead: its slow oscillation, not its
+    t -> infinity limit, carries the paper's result.
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}")
+    if scenario == "hamiltonian-3q":
+        raise ValueError("scan hamiltonian-3q with coupling_reduction_scan")
     rates = list(rates)
     if len(rates) < 4:
         raise ValueError("need a grid of at least 4 rate values")

@@ -49,7 +49,6 @@ from .analysis import (
     FitError,
     PlateauError,
     observables,
-    fidelity_weight_series,
     fit_power_law,
     match_spectrum,
     equilibrium_scan,
@@ -123,6 +122,10 @@ class ExperimentConfig:
             raise ConfigError("t_max must be >= 0")
         if self.samples < 1:
             raise ConfigError("samples must be >= 1")
+        if self.t_max > 0 and self.samples < 2:
+            raise ConfigError("samples must be >= 2 when t_max > 0 (the first and last times)")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.n_traj < 1:
             raise ConfigError("n_traj must be >= 1")
         if self.tau_c <= 0:
@@ -265,7 +268,7 @@ def _run_trajectory(config):
         eps = config.kappa * config.tau_c
         n_steps = config.weak_steps()
         # ceiling: at most `samples` rows, the last one on the horizon
-        stride = -(-n_steps // max(config.samples - 1, 1))
+        stride = -(-n_steps // (config.samples - 1))
         traj = step_weak_map(rho0, h, code, eps, config.tau_c, n_steps, sample_stride=stride)
         return traj, None
 
@@ -289,16 +292,10 @@ def cmd_simulate(config, out, cross_validate=False):
         return 0
 
     traj, coeffs = _run_trajectory(config)
-    times_out = traj.times * config.unit
-    if len(traj) >= 3:
-        obs = observables(traj, code)
-        rows = [
-            [t, o.f_cw, o.p_cs, o.error_rate / config.unit]
-            for t, o in zip(times_out, obs)
-        ]
-    else:
-        f, p = fidelity_weight_series(traj, code)
-        rows = [[t, fi, pi, 0.0] for t, fi, pi in zip(times_out, f, p)]
+    rows = [
+        [t * config.unit, o.f_cw, o.p_cs, o.error_rate / config.unit]
+        for t, o in zip(traj.times, observables(traj, code))
+    ]
 
     if config.engine == "reduced":
         header += reduced_model.LABELS

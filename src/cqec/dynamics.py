@@ -21,9 +21,9 @@ holds rho0 and is mapped into itself by the model's operators
 (``invariant_subspace``; Saad, SIAM J. Numer. Anal. 29, 209 (1992), with
 several operators in place of one): k = 3 for ``hamiltonian-1q`` and 9
 for ``hamiltonian-3q`` from the scenario states.  ``integrate`` takes
-the generator's ``apply`` (``restrict_generator``); the weak map and
-Monte Carlo take the rate-free operators -i[H, .] and Phi (x) id_bath,
-the latter applied by ``apply_recovery`` of :mod:`cqec.codes_and_maps`.
+the generator's ``apply``; the weak map and Monte Carlo take the
+rate-free operators -i[H, .] and Phi (x) id_bath, the latter applied by
+``apply_recovery`` of :mod:`cqec.codes_and_maps`.
 Samples are expanded back to d x d states.
 
 Every engine checks its samples, never repairs them: the trace must stay
@@ -55,8 +55,9 @@ TRACE_TOL = 1e-8
 MC_CHUNK_ENTRIES = 2**18
 # Smallest new direction in ``invariant_subspace``, relative to the largest image;
 # rounding leaves ~1e-16.  hamiltonian-3q keeps all k = 9 for R in [1e-10, 3e7].
-# Also the largest trace loss of a restricted generator that ``restrict_generator``
-# treats as rounding (the scenario generators reach 2.5e-14 at rates up to 1e17).
+# Also the largest trace row of the reflected generator, relative to its norm, that
+# ``_trace_first`` zeroes as rounding: the scenario generators leave ~1e-16, and up
+# to 1e-12 at rates above ~1e12, where a Krylov direction falls below the tolerance.
 SUBSPACE_TOL = 1e-12
 
 
@@ -161,7 +162,7 @@ def integrate(generator, rho0, t_max, n_samples=201):
     """Propagate drho/dt = G(rho) exactly and sample on a uniform grid.
 
     The generator exposes ``apply(rho)`` and ``register``.  It is restricted
-    to the k coordinates of the Krylov space of rho0 (``restrict_generator``),
+    to the k coordinates of the Krylov space of rho0 (``invariant_subspace``),
     where exp(g t) is taken by ``propagate_linear``.  If g keeps the trace
     to rounding, it is propagated in the reflected coordinates of
     ``_trace_first``, so that the trace is one coordinate held constant
@@ -180,7 +181,7 @@ def integrate(generator, rho0, t_max, n_samples=201):
         return Trajectory(np.zeros(1), rho0[None, :, :].copy(), "density", generator.register)
 
     times = np.linspace(0.0, t_max, n_samples)
-    q, g = restrict_generator(generator, rho0)
+    q, (g,) = invariant_subspace([generator.apply], rho0)
     h, g = _trace_first(q, g)
     coords = propagate_linear(g, h @ (q.conj().T @ rho0.ravel()), times) @ h.T
     _check_samples(times, coords, q)
@@ -246,22 +247,6 @@ def invariant_subspace(ops, rho0):
                 q = np.vstack([q, r / np.linalg.norm(r)])
         j += 1
     return q.T, [q.conj() @ np.array(img).T for img in images]
-
-
-def restrict_generator(generator, rho0):
-    """(q, g) with exp(G t) rho0 = q exp(g t) q^dag rho0: the basis q of the
-    Krylov space of ``generator.apply`` from rho0 and the restriction g,
-    less its rounding-level part along the trace functional tr(q c), which
-    would otherwise make the trace drift by ~1e-16 |G| t.  A part above
-    ``SUBSPACE_TOL`` |tr| |g| is a generator that does not preserve the
-    trace; it is kept, and the sample check of ``integrate`` reports it."""
-    rho0 = np.asarray(rho0, dtype=complex)
-    q, (g,) = invariant_subspace([generator.apply], rho0)
-    tr = np.eye(rho0.shape[0]).ravel() @ q  # tr(state) = tr @ coordinates
-    leak = tr @ g
-    if np.linalg.norm(leak) > SUBSPACE_TOL * np.linalg.norm(tr) * np.linalg.norm(g):
-        return q, g
-    return q, g - np.outer(tr.conj(), leak) / np.vdot(tr, tr).real
 
 
 def _trace_first(q, g):

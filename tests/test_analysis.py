@@ -41,9 +41,12 @@ def test_observable_sample_invariant():
         ObservableSample(0.0, 0.5, 1.2, 0.1)  # weight above 1
 
 
-def test_error_rate_needs_three_samples():
-    with pytest.raises(ValueError):
-        error_rate_series(np.array([0.0, 1.0]), np.array([1.0, 0.9]))
+def test_error_rate_needs_two_samples():
+    """Two samples give the one-sided difference at both ends; one is too few."""
+    lam = error_rate_series(np.array([0.0, 0.5]), np.array([1.0, 0.75]))
+    assert np.array_equal(lam, [0.5, 0.5])
+    with pytest.raises(ValueError, match="need at least 2 samples"):
+        error_rate_series(np.array([0.0]), np.array([1.0]))
 
 
 def test_error_rate_initial_value():
@@ -211,6 +214,8 @@ def test_equilibrium_scan_guards():
         equilibrium_scan("markovian-1q", [10.0, 30.0, 100.0])
     with pytest.raises(ValueError):
         equilibrium_scan("no-such-scenario", [10.0, 30.0, 100.0, 300.0])
+    with pytest.raises(ValueError, match="coupling_reduction_scan"):
+        equilibrium_scan("hamiltonian-3q", [10.0, 30.0, 100.0, 300.0])
 
 
 def test_markovian_scan_points_match_closed_form():

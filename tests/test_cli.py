@@ -2,8 +2,8 @@ import json
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -106,13 +106,27 @@ def test_simulate_zero_horizon_single_row(tmp_path):
     rc = main(
         [
             "simulate", "--scenario", "markovian-1q", "--kappa", "1",
-            "--t-max", "0", "--out", str(out),
+            "--t-max", "0", "--samples", "1", "--out", str(out),
         ]
     )
     assert rc == 0
     _, header, data = _read_csv(out)
     assert data.shape == (1, 4)
     assert data[0, 0] == 0.0 and data[0, 1] == 1.0
+
+
+@pytest.mark.parametrize("engine", ["full", "weak-step", "monte-carlo"])
+def test_simulate_two_samples_give_the_one_sided_rate(engine, tmp_path):
+    """Two rows, at t = 0 and t_max, both carry Lambda = -(F_1 - F_0)/t_max.
+    Uncorrected, F_cw = cos^2(gamma t)."""
+    out = tmp_path / "two.csv"
+    argv = ["simulate", "--engine", engine, "--samples", "2", "--t-max", "1", "--n-traj", "5",
+            "--out", str(out)]
+    assert main(argv) == 0
+    _, _, data = _read_csv(out)
+    assert np.array_equal(data[:, 0], [0.0, 1.0])
+    assert np.max(np.abs(data[:, 1] - [1.0, np.cos(1.0) ** 2])) <= 1e-12
+    assert np.array_equal(data[:, 3], [data[0, 1] - data[1, 1]] * 2)
 
 
 def test_simulate_reduced_engine_has_coefficient_columns(tmp_path):
@@ -308,12 +322,15 @@ def test_subcommands_reject_flags_they_do_not_read(argv):
     [
         ("markovian-1q", "1e14,1e15,1e16,1e17", lambda r: 1.0 / (2.0 + r)),
         ("hamiltonian-1q", "1e6,1e7,1e8,1e9", lambda r: 2.0 / (4.0 + r**2)),
+        ("hamiltonian-1q", "1e-12,1e-6,1e-3,1", lambda r: 2.0 / (4.0 + r**2)),
+        ("markovian-3q", "1e-12,1e-3,1e3,1e7", lambda r: 3.0 / (4.0 + r)),
     ],
-    ids=["markovian-1q", "hamiltonian-1q"],
+    ids=["markovian-1q", "hamiltonian-1q", "hamiltonian-1q-small", "markovian-3q"],
 )
 def test_scan_at_large_rates_matches_closed_form(tmp_path, scenario, grid, closed_form):
-    """The plateau keeps its relative precision when the infidelity is tiny,
-    because 1 - P_cs is summed over the weight outside the code space."""
+    """The stationary solve needs no horizon, so it holds at tiny rates, and
+    it keeps its relative precision when the infidelity is tiny, because
+    1 - P_cs is summed over the weight outside the code space."""
     out = tmp_path / "scan.csv"
     assert main(["scan", "--scenario", scenario, "--grid", grid, "--out", str(out)]) == 0
     _, _, data = _read_csv(out)
@@ -321,31 +338,19 @@ def test_scan_at_large_rates_matches_closed_form(tmp_path, scenario, grid, close
     assert np.max(np.abs(data[:, 1] / ref - 1.0)) <= 1e-10
 
 
-def test_scan_point_without_plateau_exits_3(tmp_path, capsys):
-    """A rate that never settles fails the whole scan; no CSV is written."""
+def test_scan_without_unique_stationary_state_exits_3(monkeypatch, tmp_path, capsys):
+    """A generator whose restriction has no unique stationary state (here a
+    trace-free nilpotent map, tr(rho) |0><1|) fails the scan with exit 3 and
+    no CSV."""
+    unit = np.zeros((4, 4))
+    unit[0, 1] = 1.0
+    generator = SimpleNamespace(apply=lambda r: np.trace(r) * unit)
+    monkeypatch.setattr("cqec.analysis.total_generator", lambda scenario, params: generator)
     out = tmp_path / "scan.csv"
-    rc = main(
-        ["scan", "--scenario", "hamiltonian-1q", "--grid", "1e-12,1,2,3,4", "--fit",
-         "--out", str(out)]
-    )
+    rc = main(["scan", "--scenario", "hamiltonian-1q", "--grid", "1,2,3,4", "--out", str(out)])
     assert rc == 3
-    assert "no plateau" in capsys.readouterr().err
+    assert "no unique stationary state for hamiltonian-1q at rate 1" in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_scan_without_plateau_emits_no_runtime_warning(tmp_path):
-    """At R = 1e-12 the decade search ends in PlateauError (it does not
-    accept the true plateau 0.5) without overflow in the propagation."""
-    out = tmp_path / "scan.csv"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rc = main(
-            ["scan", "--scenario", "hamiltonian-1q", "--grid", "1e-12,1,2,3",
-             "--out", str(out)]
-        )
-    assert rc == 3
-    assert not out.exists()
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_unresolved_slow_mode_exits_3(tmp_path, capsys):
@@ -389,19 +394,24 @@ def test_bad_config_file_returns_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("loaded, flags, message", [
     ({"samples": 2.5}, [], "samples must be an integer, got 2.5"),
+    ({"samples": 1}, [], "samples must be >= 2 when t_max > 0"),
     ({"seed": True}, [], "seed must be an integer, got True"),
+    ({"seed": -1}, [], "seed must lie in [0, 2**64), got -1"),
+    ({"seed": 2**64}, ["--engine", "monte-carlo"],
+     "seed must lie in [0, 2**64), got 18446744073709551616"),
     ({"n_traj": "10"}, [], "n_traj must be an integer, got '10'"),
     ({"t_max": True}, [], "t_max must be a number, got True"),
     ({"t_max": "x"}, [], "t_max must be a number, got 'x'"),
     ({"kappa": None}, [], "kappa must be a number, got None"),
     ({"gamma": "x"}, ["--R", "2"], "gamma must be a number, got 'x'"),
     ({"scenario": ["hamiltonian-1q"]}, ["--R", "2"], "unknown scenario ['hamiltonian-1q']"),
-], ids=["samples-float", "seed-bool", "n_traj-str", "t_max-bool", "t_max-str", "kappa-null",
-        "gamma-str-with-R", "scenario-list-with-R"])
+], ids=["samples-float", "samples-1", "seed-bool", "seed-negative", "seed-2**64",
+        "n_traj-str", "t_max-bool", "t_max-str", "kappa-null", "gamma-str-with-R",
+        "scenario-list-with-R"])
 def test_config_file_field_types_exit_2(loaded, flags, message, tmp_path, capsys):
-    """A config file value of the wrong type is a config error naming the
-    field, also where --R reads it before the config is built: no
-    traceback, and no bool taken for a number."""
+    """A config file value of the wrong type or out of range is a config
+    error naming the field, also where --R reads it before the config is
+    built: no traceback, and no bool taken for a number."""
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"schema_version": 2, "samples": 3, **loaded}))
     out = tmp_path / "run.csv"

@@ -27,7 +27,6 @@ from cqec.dynamics import (
     invariant_subspace,
     jump_monte_carlo,
     propagate_linear,
-    restrict_generator,
     step_weak_map,
 )
 from cqec.analysis import fidelity_weight_series, fit_power_law, fit_quadratic
@@ -101,7 +100,7 @@ def test_spectral_six_qubit_model_over_a_slow_period(big_r):
     coeffs = np.array([reduced_model.extract_reduced(s).coeffs for s in traj.states])
     assert np.max(np.abs(coeffs - xs)) <= 1e-9
     assert max(reduced_model.class_spread(s) for s in traj.states) <= 1e-9
-    _, g = restrict_generator(gen, rho0)
+    _, (g,) = invariant_subspace([gen.apply], rho0)
     assert g.shape == (9, 9)
     spectrum = np.linalg.eigvals(m)
     gap = max(np.min(np.abs(spectrum - w)) for w in np.linalg.eigvals(g))
@@ -306,7 +305,7 @@ def test_non_finite_samples_raise():
     raises at its time; the samples before it pass."""
     gen = total_generator("hamiltonian-1q", ModelParams(gamma=1.0, kappa=2.0))
     rho0 = scenario_rho0("hamiltonian-1q")
-    q, g = restrict_generator(gen, rho0)
+    q, (g,) = invariant_subspace([gen.apply], rho0)
     times = np.linspace(0.0, 1.0, 6)
     coords = propagate_linear(g, q.conj().T @ rho0.ravel(), times)
     _check_samples(times, coords, q)
@@ -338,14 +337,15 @@ RATES = st.floats(min_value=-6.0, max_value=5.0).map(lambda e: 10.0**e)
 def test_diagonal_blocks_of_the_scenarios(scenario, shapes, rate):
     """(blocks, block size) of the Krylov basis of each scenario state."""
     rho0 = scenario_rho0(scenario)
-    q, _ = restrict_generator(total_generator(scenario, _params(scenario, rate)), rho0)
+    gen = total_generator(scenario, _params(scenario, rate))
+    q, _ = invariant_subspace([gen.apply], rho0)
     blocks = _diagonal_blocks(q, len(rho0))
     assert [b.shape for b in blocks] == shapes
     assert sorted(np.concatenate([b.ravel() for b in blocks])) == list(range(len(rho0)))
 
 
 def _assert_block_minimum_matches_eigvalsh(gen, rho0):
-    q, g = restrict_generator(gen, rho0)
+    q, (g,) = invariant_subspace([gen.apply], rho0)
     coords = propagate_linear(g, q.conj().T @ rho0.ravel(), np.linspace(0.0, 1.0, 6))
     d = len(rho0)
     states = (coords @ q.T).reshape(-1, d, d)
@@ -367,7 +367,7 @@ def test_block_minimum_eigenvalue_of_a_generic_state(seed, rate):
     """A random two-qubit rho0 on hamiltonian-1q fills one 4 x 4 block."""
     rho0 = _random_state(np.random.default_rng(seed), 4)
     gen = total_generator("hamiltonian-1q", ModelParams(gamma=1.0, kappa=rate))
-    q, _ = restrict_generator(gen, rho0)
+    q, _ = invariant_subspace([gen.apply], rho0)
     assert [b.shape for b in _diagonal_blocks(q, 4)] == [(1, 4)]
     _assert_block_minimum_matches_eigvalsh(gen, rho0)
 
@@ -430,7 +430,7 @@ def test_propagate_matches_markovian_leak():
     reproduces the exact 4-level leak formula at r = 96."""
     gen = total_generator("markovian-3q", ModelParams(lam=1.0, kappa=96.0))
     rho0 = scenario_rho0("markovian-3q")
-    q, g = restrict_generator(gen, rho0)
+    q, (g,) = invariant_subspace([gen.apply], rho0)
     xs = propagate_linear(g, q.conj().T @ rho0.ravel(), [1.0])
     rho = (q @ xs[0]).reshape(8, 8)
     code = SCENARIOS["markovian-3q"].code()
