@@ -82,7 +82,8 @@ def fidelity_weight_series(traj, code=None, logical_state=None):
     """(F_cw, P_cs) arrays of a trajectory without the differentiation step.
 
     For density trajectories F_cw = Tr[(|psi_L><psi_L| (x) I_bath) rho] and
-    P_cs = Tr[(P_code (x) I_bath) rho], taken for all samples at once."""
+    P_cs = Tr[(P_code (x) I_bath) rho], taken for all samples at once, from
+    the coordinates when the trajectory has them (no d x d state is built)."""
     if traj.kind == "reduced":
         f = traj.states[:, 0].astype(float)
         p = (traj.states[:, 0] + traj.states[:, 12]).astype(float)
@@ -94,9 +95,13 @@ def fidelity_weight_series(traj, code=None, logical_state=None):
     nb = traj.register.bath_count if traj.register is not None else 0
     bath = np.eye(2**nb)
     ops = [np.kron(np.outer(logical, logical.conj()), bath), np.kron(code.code_projector(), bath)]
-    # Tr(A rho) = sum_ij A_ji rho_ij: one product of the flattened states with both A^T
+    # Tr(A rho) = sum_ij A_ji rho_ij: one product of the flattened states with both A^T,
+    # or of the coordinates with both A^T on the basis states
     flat_t = np.stack([a.T.ravel() for a in ops], axis=1)
-    fp = (traj.states.reshape(len(traj), -1) @ flat_t).real
+    if traj.coords is None:
+        fp = (traj.states.reshape(len(traj), -1) @ flat_t).real
+    else:
+        fp = (traj.coords @ (traj.basis.T @ flat_t)).real
     return fp[:, 0], fp[:, 1]
 
 

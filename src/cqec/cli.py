@@ -430,7 +430,10 @@ def cmd_scan(scenario, grid, fit, out):
     _write_csv(out, meta, ["rate", value_col], [[r, v] for r, v in points])
 
     if fit:
-        result = fit_power_law(points)
+        try:
+            result = fit_power_law(points)
+        except ValueError as exc:  # e.g. an infidelity that reads 0
+            raise FitError(str(exc)) from exc
         _write_json(out + ".fit.json" if out != "-" else "-", result.to_json())
         print(
             f"power-law slope {result.params['slope']:+.4f} "

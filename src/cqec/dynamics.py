@@ -24,7 +24,8 @@ for ``hamiltonian-3q`` from the scenario states.  ``integrate`` takes
 the generator's ``apply``; the weak map and Monte Carlo take the
 rate-free operators -i[H, .] and Phi (x) id_bath, the latter applied by
 ``apply_recovery`` of :mod:`cqec.codes_and_maps`.
-Samples are expanded back to d x d states.
+A trajectory keeps its samples as these coordinates with the basis; the
+d x d states are built from them only when ``Trajectory.states`` is read.
 
 Every engine checks its samples, never repairs them: the trace must stay
 within 1e-8 of 1, and an eigenvalue below -1e-8 triggers a
@@ -43,7 +44,7 @@ distinct blocks only.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -69,24 +70,36 @@ class PositivityWarning(UserWarning):
     """A sampled state dipped below -1e-8 in its smallest eigenvalue."""
 
 
-@dataclass
 class Trajectory:
-    """Sampled evolution: `states` is (n, d, d) complex for kind="density"
-    or (n, 13) float for kind="reduced"; observables are filled in by
-    cqec.analysis (Monte Carlo adds its own mean/stderr entries)."""
+    """Sampled evolution.  A density trajectory holds its samples as
+    coordinates `coords` (n, k) on the basis columns `basis` (d^2, k, the
+    row-major flattened d x d basis states); `states` (n, d, d) complex is
+    coords @ basis.T, built on first access and kept.  States may instead be
+    passed directly: (n, d, d) complex for kind="density" or (n, 13) float
+    for kind="reduced".  `observables` are filled in by cqec.analysis
+    (Monte Carlo adds its own mean/stderr entries)."""
 
-    times: np.ndarray
-    states: np.ndarray
-    kind: str = "density"
-    register: QubitRegister | None = None
-    observables: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
+    def __init__(self, times, states=None, kind="density", register=None, observables=None,
+                 coords=None, basis=None):
+        self.times = np.asarray(times, dtype=float)
         if self.times.ndim != 1:
             raise ValueError("times must be one-dimensional")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("sample times must be strictly increasing")
+        if (states is None) == (coords is None):
+            raise ValueError("give either states or coords with their basis")
+        if states is not None:
+            self.states = states
+        self.kind = kind
+        self.register = register
+        self.observables = {} if observables is None else observables
+        self.coords = coords
+        self.basis = basis
+
+    @cached_property
+    def states(self):
+        d = int(np.sqrt(len(self.basis)))
+        return (self.coords @ self.basis.T).reshape(len(self.times), d, d)
 
     def __len__(self):
         return len(self.times)
@@ -167,8 +180,8 @@ def integrate(generator, rho0, t_max, n_samples=201):
     to rounding, it is propagated in the reflected coordinates of
     ``_trace_first``, so that the trace is one coordinate held constant
     exactly.  All samples are checked on their coordinates
-    (``_check_samples``) and expanded to d x d states.  t_max = 0 returns
-    the single-sample trajectory.
+    (``_check_samples``) and kept as coordinates on q.  t_max = 0 returns
+    the single-sample trajectory of rho0.
 
     The scenario states give k <= 9.  A generic six-qubit rho0 gives
     k = 1287, whose restriction takes tens of seconds to build.
@@ -176,7 +189,6 @@ def integrate(generator, rho0, t_max, n_samples=201):
     rho0 = rho0.entries if isinstance(rho0, DensityMatrix) else np.asarray(rho0, dtype=complex)
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
-    d = rho0.shape[0]
     if t_max == 0:
         return Trajectory(np.zeros(1), rho0[None, :, :].copy(), "density", generator.register)
 
@@ -185,8 +197,7 @@ def integrate(generator, rho0, t_max, n_samples=201):
     h, g = _trace_first(q, g)
     coords = propagate_linear(g, h @ (q.conj().T @ rho0.ravel()), times) @ h.T
     _check_samples(times, coords, q)
-    states = (coords @ q.T).reshape(len(times), d, d)
-    return Trajectory(times, states, "density", generator.register)
+    return Trajectory(times, register=generator.register, coords=coords, basis=q)
 
 
 def propagate_linear(system_matrix, x0, times):
@@ -232,21 +243,31 @@ def invariant_subspace(ops, rho0):
     """
     rho0 = np.asarray(rho0, dtype=complex)
     d = rho0.shape[0]
-    q = (rho0 / np.linalg.norm(rho0)).reshape(1, d * d)  # basis vectors as rows
-    images = [[] for _ in ops]
+    # basis vectors (rows of q) and their images under each op, in arrays
+    # whose rows double when full
+    q = np.empty((16, d * d), dtype=complex)
+    images = np.empty((len(ops), 16, d * d), dtype=complex)
+    q[0] = rho0.ravel() / np.linalg.norm(rho0)
     scale = np.zeros(len(ops))
+    k = 1
     j = 0
-    while j < len(q):
+    while j < k:
         for i, op in enumerate(ops):
             w = np.asarray(op(q[j].reshape(d, d)), dtype=complex).ravel()
-            images[i].append(w)
+            images[i, j] = w
             scale[i] = max(scale[i], np.linalg.norm(w))
-            r = w - (q.conj() @ w) @ q
-            r = r - (q.conj() @ r) @ q
+            # conj(b @ conj(w)) = b.conj() @ w without a conjugate copy of b
+            r = w - np.conj(q[:k] @ np.conj(w)) @ q[:k]
+            r = r - np.conj(q[:k] @ np.conj(r)) @ q[:k]
             if np.linalg.norm(r) > SUBSPACE_TOL * scale[i]:
-                q = np.vstack([q, r / np.linalg.norm(r)])
+                if k == len(q):
+                    q = np.concatenate([q, np.empty_like(q)])
+                    images = np.concatenate([images, np.empty_like(images)], axis=1)
+                q[k] = r / np.linalg.norm(r)
+                k += 1
         j += 1
-    return q.T, [q.conj() @ np.array(img).T for img in images]
+    q = q[:k]
+    return q.T, [q.conj() @ img[:k].T for img in images]
 
 
 def _trace_first(q, g):
@@ -311,8 +332,7 @@ def step_weak_map(rho0, hamiltonian, code, eps, tau_c, n_steps, sample_stride=1)
     times = np.array([0.0] + [k * tau_c for k in steps])
     coords = np.array(coords)
     _check_samples(times, coords, q)
-    states = (coords @ q.T).reshape(len(times), register.dim, register.dim)
-    return Trajectory(times, states, "density", register)
+    return Trajectory(times, register=register, coords=coords, basis=q)
 
 
 def jump_monte_carlo(rho0, hamiltonian, code, kappa, t_max, n_traj, seed, n_samples=21):
@@ -394,7 +414,6 @@ def jump_monte_carlo(rho0, hamiltonian, code, kappa, t_max, n_traj, seed, n_samp
 
     mean_y /= n_traj
     _check_samples(times, mean_y @ v.T, q)  # the mean states' coordinates on q
-    mean = (mean_y @ qv.T).reshape(n_samples, d, d)
     f_mean = shift + dev_sum / n_traj
     if n_traj > 1:
         var = (dev_sqsum - dev_sum**2 / n_traj) / (n_traj - 1)
@@ -402,4 +421,4 @@ def jump_monte_carlo(rho0, hamiltonian, code, kappa, t_max, n_traj, seed, n_samp
     else:
         f_se = np.zeros(n_samples)
     observables = {"F_cw_mean": f_mean, "F_cw_se": f_se}
-    return Trajectory(times, mean, "density", register, observables=observables)
+    return Trajectory(times, register=register, observables=observables, coords=mean_y, basis=qv)

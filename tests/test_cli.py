@@ -468,6 +468,22 @@ def test_fit_failure_returns_4(monkeypatch):
     assert rc == 4
 
 
+def test_scan_fit_of_zero_infidelities_exits_4(tmp_path, capsys):
+    """hamiltonian-1q scans to exact zeros from R ~ 1.5e12 (a Krylov direction
+    falls below SUBSPACE_TOL): the CSV is written, then the fit fails with
+    exit 4 and a one-line message instead of a ValueError traceback."""
+    out = tmp_path / "scan.csv"
+    argv = ["scan", "--scenario", "hamiltonian-1q", "--grid", "1e11,1e12,1e13,1e14", "--fit",
+            "--out", str(out)]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err == "fit failed: power-law fit needs positive data\n"
+    rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    assert [float(r) for r, _ in rows] == [1e11, 1e12, 1e13, 1e14]
+    assert [float(v) for _, v in rows][2:] == [0.0, 0.0]
+    assert not (tmp_path / "scan.csv.fit.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # eig / graph / scan / fig
 # ---------------------------------------------------------------------------

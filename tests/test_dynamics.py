@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -17,6 +19,7 @@ from cqec.codes_and_maps import (
     trivial_code,
 )
 from cqec.dynamics import (
+    SUBSPACE_TOL,
     IntegrationError,
     PositivityWarning,
     Trajectory,
@@ -29,7 +32,7 @@ from cqec.dynamics import (
     propagate_linear,
     step_weak_map,
 )
-from cqec.analysis import fidelity_weight_series, fit_power_law, fit_quadratic
+from cqec.analysis import fidelity_weight_series, fit_power_law, fit_quadratic, observables
 from cqec.tensor_core import QubitRegister, basis_ket, partial_trace_bath
 from cqec.closed_forms import (
     alpha_markov_1q,
@@ -686,3 +689,120 @@ def test_markovian_short_time_exponents():
     slope_d = fit_power_law(list(zip(traj.times[mask], d[mask]))).params["slope"]
     assert slope_b == pytest.approx(1.0, abs=0.02)
     assert slope_d >= 2.9
+
+
+# ---------------------------------------------------------------------------
+# coordinate-native trajectories and the Krylov basis
+# ---------------------------------------------------------------------------
+
+
+COORDINATE_CASES = [("integrate", s) for s in sorted(SCENARIOS)] + [
+    (engine, s) for engine in ("weak-map", "monte-carlo")
+    for s in ("hamiltonian-1q", "hamiltonian-3q")
+]
+
+
+def _coordinate_trajectory(engine, scenario):
+    code, rho0 = SCENARIOS[scenario].code(), scenario_rho0(scenario)
+    if engine == "integrate":
+        gen = total_generator(scenario, _params(scenario, 3.0))
+        return integrate(gen, rho0, 1.0, n_samples=11), code
+    h = pair_hamiltonian(code, 1.0)
+    if engine == "weak-map":
+        return step_weak_map(rho0, h, code, 0.02, 4e-3, 250, sample_stride=25), code
+    return jump_monte_carlo(rho0, h, code, 3.0, 1.0, 40, 5, n_samples=11), code
+
+
+@pytest.mark.parametrize("engine, scenario", COORDINATE_CASES)
+def test_states_expand_from_coordinates_on_demand(engine, scenario):
+    """Observables are read from the coordinates without building the state
+    stack; `states` is coords @ basis.T, built once, and gives the same F_cw
+    and P_cs."""
+    traj, code = _coordinate_trajectory(engine, scenario)
+    f, p = fidelity_weight_series(traj, code)
+    observables(traj, code)
+    assert "states" not in vars(traj)
+    d = traj.register.dim
+    assert np.array_equal(traj.states, (traj.coords @ traj.basis.T).reshape(len(traj), d, d))
+    assert traj.states is traj.states
+    f_s, p_s = fidelity_weight_series(Trajectory(traj.times, traj.states, register=traj.register),
+                                      code)
+    assert np.max(np.abs(f - f_s)) <= 1e-15
+    assert np.max(np.abs(p - p_s)) <= 1e-15
+
+
+def test_trajectory_needs_states_or_coordinates():
+    for kwargs in ({}, {"states": np.zeros((1, 2, 2)), "coords": np.ones((1, 1))}):
+        with pytest.raises(ValueError, match="either states or coords"):
+            Trajectory(np.zeros(1), **kwargs)
+
+
+def test_fig4_case_peaks_under_8_mb():
+    """integrate of hamiltonian-3q at R = 100 to t = 0.5 with 501 samples, then
+    its observables, never hold the (501, 64, 64) state stack (33 MB)."""
+    gen = total_generator("hamiltonian-3q", ModelParams(gamma=1.0, kappa=100.0))
+    rho0, code = scenario_rho0("hamiltonian-3q"), SCENARIOS["hamiltonian-3q"].code()
+    tracemalloc.start()
+    try:
+        observables(integrate(gen, rho0, 0.5, n_samples=501), code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+def _vstack_subspace(ops, rho0):
+    """``invariant_subspace`` as it was written before its arrays were
+    preallocated: the basis regrown by one row per new vector."""
+    d = rho0.shape[0]
+    q = (rho0 / np.linalg.norm(rho0)).reshape(1, d * d)
+    images = [[] for _ in ops]
+    scale = np.zeros(len(ops))
+    j = 0
+    while j < len(q):
+        for i, op in enumerate(ops):
+            w = np.asarray(op(q[j].reshape(d, d)), dtype=complex).ravel()
+            images[i].append(w)
+            scale[i] = max(scale[i], np.linalg.norm(w))
+            r = w - (q.conj() @ w) @ q
+            r = r - (q.conj() @ r) @ q
+            if np.linalg.norm(r) > SUBSPACE_TOL * scale[i]:
+                q = np.vstack([q, r / np.linalg.norm(r)])
+        j += 1
+    return q.T, [q.conj() @ np.array(img).T for img in images]
+
+
+def _assert_subspace_matches_vstack(ops, rho0):
+    q, blocks = invariant_subspace(ops, rho0)
+    q_ref, blocks_ref = _vstack_subspace(ops, rho0)
+    assert q.shape == q_ref.shape
+    assert np.max(np.abs(q @ q.conj().T - q_ref @ q_ref.conj().T)) <= 1e-12
+    for b, b_ref in zip(blocks, blocks_ref):
+        assert np.max(np.abs(b - b_ref)) <= 1e-12 * np.max(np.abs(b_ref))
+    return q.shape[1]
+
+
+@pytest.mark.parametrize("rate", [1e-10, 1.0, 1e3, 1e7])
+@pytest.mark.parametrize("scenario, k", [
+    ("markovian-1q", 2), ("hamiltonian-1q", 3), ("markovian-3q", 4), ("hamiltonian-3q", 9),
+])
+def test_invariant_subspace_of_the_scenario_states(scenario, k, rate):
+    gen = total_generator(scenario, _params(scenario, rate))
+    assert _assert_subspace_matches_vstack([gen.apply], scenario_rho0(scenario)) == k
+
+
+def test_invariant_subspace_of_the_pair_operators():
+    code, register, h, rho0 = _pair_setup("hamiltonian-3q")
+    ops = [lambda r: -1j * (h @ r - r @ h), lambda r: apply_recovery(code, r, 8)]
+    assert _assert_subspace_matches_vstack(ops, rho0) == 9
+
+
+def test_invariant_subspace_grows_past_its_first_rows():
+    """A random state of two qubits and a bath qubit under -i[H, .] and
+    r -> a r a^dag, both random, spans all k = 64 directions, so the
+    preallocated rows double twice (16 -> 32 -> 64)."""
+    rng = np.random.default_rng(7)
+    h, a = (rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)) for _ in range(2))
+    h = h + h.conj().T
+    ops = [lambda r: -1j * (h @ r - r @ h), lambda r: a @ r @ a.conj().T]
+    assert _assert_subspace_matches_vstack(ops, _random_state(rng, 8)) == 64
