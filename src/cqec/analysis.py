@@ -79,29 +79,23 @@ class FitResult:
 
 
 def fidelity_weight_series(traj, code=None, logical_state=None):
-    """(F_cw, P_cs) arrays of a trajectory without the differentiation step.
-
-    For density trajectories F_cw = Tr[(|psi_L><psi_L| (x) I_bath) rho] and
-    P_cs = Tr[(P_code (x) I_bath) rho], taken for all samples at once, from
-    the coordinates when the trajectory has them (no d x d state is built)."""
-    if traj.kind == "reduced":
-        f = traj.states[:, 0].astype(float)
-        p = (traj.states[:, 0] + traj.states[:, 12]).astype(float)
-        return f, p
-    assert code is not None, "density trajectories need the code for observables"
+    """(F_cw, P_cs) arrays of a trajectory without the differentiation step:
+    F_cw = Tr[(|psi_L><psi_L| (x) I_bath) rho] and
+    P_cs = Tr[(P_code (x) I_bath) rho], taken for all samples at once from
+    the coordinates (no d x d state is built).  On the 13 class states of
+    the reduced model these are C000_000 and C000_000 + C111_111."""
+    assert code is not None, "the observables need the code"
     if logical_state is None:
         logical_state = basis_ket(code.logical_zero, code.system_count)
     logical = np.asarray(logical_state, dtype=complex).reshape(-1)
     nb = traj.register.bath_count if traj.register is not None else 0
     bath = np.eye(2**nb)
     ops = [np.kron(np.outer(logical, logical.conj()), bath), np.kron(code.code_projector(), bath)]
-    # Tr(A rho) = sum_ij A_ji rho_ij: one product of the flattened states with both A^T,
-    # or of the coordinates with both A^T on the basis states
+    # Tr(A rho) = sum_ij A_ji rho_ij, one product of the coordinates with both A^T on the
+    # basis states; real weights (the class states') spare real coordinates a complex copy
     flat_t = np.stack([a.T.ravel() for a in ops], axis=1)
-    if traj.coords is None:
-        fp = (traj.states.reshape(len(traj), -1) @ flat_t).real
-    else:
-        fp = (traj.coords @ (traj.basis.T @ flat_t)).real
+    weights = traj.basis.T @ flat_t
+    fp = (traj.coords @ (weights if weights.imag.any() else weights.real)).real
     return fp[:, 0], fp[:, 1]
 
 
@@ -117,7 +111,7 @@ def error_rate_series(times, fidelity):
 
 
 def observables(traj, code=None, logical_state=None):
-    """Per-sample (F_cw, P_cs, Lambda) for any trajectory kind."""
+    """Per-sample (F_cw, P_cs, Lambda) of a trajectory."""
     f, p = fidelity_weight_series(traj, code, logical_state)
     lam = error_rate_series(traj.times, f)
     return [
@@ -322,43 +316,51 @@ def match_spectrum(numerical, big_r, gamma=1.0):
 # ---------------------------------------------------------------------------
 
 
-def equilibrium_point(scenario, rate):
-    """Equilibrium infidelity 1 - P_cs of one scenario at one dimensionless
-    rate (noise rate normalized to 1): the stationary state g c = 0 of the
-    generator restricted to the Krylov coordinates of rho0, with the
-    equation of the largest trace coefficient replaced by tr(q c) = 1
-    (W. J. Stewart, Introduction to the Numerical Solution of Markov
-    Chains, 1994).  That equation is redundant, since tr @ g = 0.  1 - P_cs
-    is summed directly over the diagonal outside the codewords, so it keeps
-    its relative precision when it is small.  More than one stationary
-    state raises PlateauError."""
+def _stationary_infidelities(scenario, rates):
+    """1 - P_cs of the stationary state at each rate.  The rate-free noise n
+    and correction c are restricted once, to the Krylov coordinates of rho0
+    under both, so the subspace does not depend on the rate.  (n + rate c) x
+    = 0 is solved with its equation of the largest trace coefficient
+    (redundant: tr @ n = tr @ c = 0) replaced by tr(q x) = 1 (W. J. Stewart,
+    Introduction to the Numerical Solution of Markov Chains, 1994).  1 - P_cs
+    is summed over the diagonal outside the codewords, so it keeps its
+    relative precision when small.  No unique solution raises PlateauError."""
     spec = SCENARIOS[scenario]
-    if spec.time_unit == "lambda":
-        params = ModelParams(lam=1.0, kappa=rate)
-    else:
-        params = ModelParams(gamma=1.0, kappa=rate)
+    noise = ModelParams(lam=1.0) if spec.time_unit == "lambda" else ModelParams(gamma=1.0)
+    ops = [total_generator(scenario, p).apply for p in (noise, ModelParams(kappa=1.0))]
     rho0 = scenario_rho0(scenario)
     d = rho0.shape[0]
-    q, (a,) = invariant_subspace([total_generator(scenario, params).apply], rho0)
-    tr = np.eye(d).ravel() @ q  # tr(q c) = tr @ c
+    q, (n, c) = invariant_subspace(ops, rho0)
+    tr = np.eye(d).ravel() @ q  # tr(q x) = tr @ x
     i = int(np.argmax(np.abs(tr)))
-    a[i] = tr
-    try:
-        c = np.linalg.solve(a, np.eye(len(tr))[i])
-    except np.linalg.LinAlgError as exc:
-        raise PlateauError(
-            f"no unique stationary state for {scenario} at rate {rate:g}"
-        ) from exc
-    # 1 - P_cs = leak @ c: the diagonal entries of rho whose system index is
+    # 1 - P_cs = leak @ x: the diagonal entries of rho whose system index is
     # not a codeword
     db = 2**spec.register.bath_count
     outside = 1.0 - np.kron(np.diag(spec.code().code_projector()).real, np.ones(db))
-    return float((outside @ q[:: d + 1] @ c).real)
+    leak = outside @ q[:: d + 1]
+    out = []
+    for rate in rates:
+        a = n + rate * c
+        a[i] = tr
+        try:
+            out.append(float((leak @ np.linalg.solve(a, np.eye(len(tr))[i])).real))
+        except np.linalg.LinAlgError as exc:
+            msg = f"no unique stationary state for {scenario} at rate {rate:g}"
+            raise PlateauError(msg) from exc
+    return out
+
+
+def equilibrium_point(scenario, rate):
+    """Equilibrium infidelity 1 - P_cs of one scenario at one dimensionless
+    rate (noise rate normalized to 1), from its stationary state
+    (``_stationary_infidelities``)."""
+    return _stationary_infidelities(scenario, [rate])[0]
 
 
 def equilibrium_scan(scenario, rates):
-    """Equilibrium infidelity 1 - P_cs for each rate in `rates`, one
-    stationary solve per rate (``equilibrium_point``).
+    """Equilibrium infidelity 1 - P_cs for each rate in `rates`: one
+    stationary solve per rate on one rate-free restriction
+    (``_stationary_infidelities``).
 
     Rates are dimensionless (r = kappa/lambda or R = kappa/gamma depending
     on the scenario).  The pair-coupled three-qubit model is scanned by
@@ -369,10 +371,10 @@ def equilibrium_scan(scenario, rates):
         raise ValueError(f"unknown scenario {scenario!r}")
     if scenario == "hamiltonian-3q":
         raise ValueError("scan hamiltonian-3q with coupling_reduction_scan")
-    rates = list(rates)
+    rates = [float(rate) for rate in rates]
     if len(rates) < 4:
         raise ValueError("need a grid of at least 4 rate values")
-    return [(rate, equilibrium_point(scenario, float(rate))) for rate in rates]
+    return list(zip(rates, _stationary_infidelities(scenario, rates)))
 
 
 def coupling_reduction_scan(big_rs):

@@ -246,8 +246,15 @@ def _write_json(path, payload):
 # ---------------------------------------------------------------------------
 
 
+def _reduced_coefficients(config, times):
+    """The 13 class coefficients (n, 13) of the reduced model at `times`
+    (a copy of the real part, so that the complex result is freed)."""
+    m = reduced_model.build_reduced_matrix(config.kappa / config.gamma, config.gamma)
+    return propagate_linear(m, reduced_model.initial_reduced_state().coeffs, times).real.copy()
+
+
 def _run_trajectory(config):
-    """Dispatch on engine; returns (trajectory, coeff matrix or None)."""
+    """Dispatch on engine; returns the trajectory (reduced: on the class states)."""
     spec = SCENARIOS[config.scenario]
     code = spec.code()
     t_phys = config.t_max / config.unit
@@ -255,13 +262,12 @@ def _run_trajectory(config):
 
     if config.engine == "full":
         gen = total_generator(config.scenario, config.params())
-        return integrate(gen, rho0, t_phys, n_samples=config.samples), None
+        return integrate(gen, rho0, t_phys, n_samples=config.samples)
 
     if config.engine == "reduced":
-        m = reduced_model.build_reduced_matrix(config.kappa / config.gamma, config.gamma)
         times = np.linspace(0.0, t_phys, config.samples)
-        coeffs = propagate_linear(m, reduced_model.initial_reduced_state().coeffs, times).real
-        return Trajectory(times, coeffs, kind="reduced"), coeffs
+        return Trajectory(times, _reduced_coefficients(config, times),
+                          reduced_model.class_basis(), reduced_model.REGISTER)
 
     h = pair_hamiltonian(code, config.gamma)
     if config.engine == "weak-step":
@@ -269,14 +275,12 @@ def _run_trajectory(config):
         n_steps = config.weak_steps()
         # ceiling: at most `samples` rows, the last one on the horizon
         stride = -(-n_steps // (config.samples - 1))
-        traj = step_weak_map(rho0, h, code, eps, config.tau_c, n_steps, sample_stride=stride)
-        return traj, None
+        return step_weak_map(rho0, h, code, eps, config.tau_c, n_steps, sample_stride=stride)
 
-    traj = jump_monte_carlo(
+    return jump_monte_carlo(
         rho0, h, code, config.kappa, t_phys, config.n_traj, config.seed,
         n_samples=config.samples,
     )
-    return traj, None
 
 
 def cmd_simulate(config, out, cross_validate=False):
@@ -291,7 +295,7 @@ def cmd_simulate(config, out, cross_validate=False):
         _write_csv(out, config.to_dict(), header, [row])
         return 0
 
-    traj, coeffs = _run_trajectory(config)
+    traj = _run_trajectory(config)
     rows = [
         [t * config.unit, o.f_cw, o.p_cs, o.error_rate / config.unit]
         for t, o in zip(traj.times, observables(traj, code))
@@ -299,7 +303,7 @@ def cmd_simulate(config, out, cross_validate=False):
 
     if config.engine == "reduced":
         header += reduced_model.LABELS
-        for row, c in zip(rows, coeffs):
+        for row, c in zip(rows, traj.coords):
             row.extend(c)
 
     if cross_validate:
@@ -315,21 +319,15 @@ def cmd_simulate(config, out, cross_validate=False):
 
 
 def _cross_validate(config):
-    """Max deviation between full 64-dim integration (class-extracted) and
-    reduced propagation on a shared grid."""
+    """Max deviation between the class coefficients of the full 64-dim
+    integration and the reduced propagation, at every sample."""
     if config.scenario != "hamiltonian-3q":
         raise ConfigError("--cross-validate compares the hamiltonian-3q engines")
-    t_phys = config.t_max / config.unit
     gen = total_generator(config.scenario, config.params())
     rho0 = scenario_rho0(config.scenario)
-    traj = integrate(gen, rho0, t_phys, n_samples=min(config.samples, 51))
-    m = reduced_model.build_reduced_matrix(config.kappa / config.gamma, config.gamma)
-    xs = propagate_linear(m, reduced_model.initial_reduced_state().coeffs, traj.times).real
-    dev = 0.0
-    for i in range(len(traj)):
-        red = reduced_model.extract_reduced(traj.states[i])
-        dev = max(dev, float(np.max(np.abs(red.coeffs - xs[i]))))
-    return dev
+    traj = integrate(gen, rho0, config.t_max / config.unit, n_samples=config.samples)
+    coeffs = reduced_model.class_coefficients(traj.coords, traj.basis)
+    return float(np.max(np.abs(coeffs - _reduced_coefficients(config, traj.times))))
 
 
 # ---------------------------------------------------------------------------

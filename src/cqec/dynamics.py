@@ -26,6 +26,8 @@ rate-free operators -i[H, .] and Phi (x) id_bath, the latter applied by
 ``apply_recovery`` of :mod:`cqec.codes_and_maps`.
 A trajectory keeps its samples as these coordinates with the basis; the
 d x d states are built from them only when ``Trajectory.states`` is read.
+The reduced model of :mod:`cqec.reduced_model` gives trajectories of the
+same form: its 13 class coefficients on the 13 class states.
 
 Every engine checks its samples, never repairs them: the trace must stay
 within 1e-8 of 1, and an eigenvalue below -1e-8 triggers a
@@ -48,7 +50,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .tensor_core import DensityMatrix, QubitRegister, TOL_POS
+from .tensor_core import QubitRegister, TOL_POS
 from .codes_and_maps import apply_recovery
 
 TRACE_TOL = 1e-8
@@ -71,30 +73,22 @@ class PositivityWarning(UserWarning):
 
 
 class Trajectory:
-    """Sampled evolution.  A density trajectory holds its samples as
-    coordinates `coords` (n, k) on the basis columns `basis` (d^2, k, the
-    row-major flattened d x d basis states); `states` (n, d, d) complex is
-    coords @ basis.T, built on first access and kept.  States may instead be
-    passed directly: (n, d, d) complex for kind="density" or (n, 13) float
-    for kind="reduced".  `observables` are filled in by cqec.analysis
-    (Monte Carlo adds its own mean/stderr entries)."""
+    """Sampled evolution: the samples at `times` as coordinates `coords`
+    (n, k) on the basis columns `basis` (d^2, k, the row-major flattened
+    d x d basis states).  `states` (n, d, d) complex is coords @ basis.T,
+    built on first access and kept.  `observables` are filled in by
+    cqec.analysis (Monte Carlo adds its own mean/stderr entries)."""
 
-    def __init__(self, times, states=None, kind="density", register=None, observables=None,
-                 coords=None, basis=None):
+    def __init__(self, times, coords, basis, register=None, observables=None):
         self.times = np.asarray(times, dtype=float)
         if self.times.ndim != 1:
             raise ValueError("times must be one-dimensional")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("sample times must be strictly increasing")
-        if (states is None) == (coords is None):
-            raise ValueError("give either states or coords with their basis")
-        if states is not None:
-            self.states = states
-        self.kind = kind
-        self.register = register
-        self.observables = {} if observables is None else observables
         self.coords = coords
         self.basis = basis
+        self.register = register
+        self.observables = {} if observables is None else observables
 
     @cached_property
     def states(self):
@@ -181,23 +175,23 @@ def integrate(generator, rho0, t_max, n_samples=201):
     ``_trace_first``, so that the trace is one coordinate held constant
     exactly.  All samples are checked on their coordinates
     (``_check_samples``) and kept as coordinates on q.  t_max = 0 returns
-    the single-sample trajectory of rho0.
+    the single sample rho0, as the coordinate 1 on the basis column rho0.
 
     The scenario states give k <= 9.  A generic six-qubit rho0 gives
     k = 1287, whose restriction takes tens of seconds to build.
     """
-    rho0 = rho0.entries if isinstance(rho0, DensityMatrix) else np.asarray(rho0, dtype=complex)
+    rho0 = np.array(rho0, dtype=complex)
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
     if t_max == 0:
-        return Trajectory(np.zeros(1), rho0[None, :, :].copy(), "density", generator.register)
+        return Trajectory(np.zeros(1), np.ones((1, 1)), rho0.reshape(-1, 1), generator.register)
 
     times = np.linspace(0.0, t_max, n_samples)
     q, (g,) = invariant_subspace([generator.apply], rho0)
     h, g = _trace_first(q, g)
     coords = propagate_linear(g, h @ (q.conj().T @ rho0.ravel()), times) @ h.T
     _check_samples(times, coords, q)
-    return Trajectory(times, register=generator.register, coords=coords, basis=q)
+    return Trajectory(times, coords, q, generator.register)
 
 
 def propagate_linear(system_matrix, x0, times):
@@ -316,7 +310,7 @@ def step_weak_map(rho0, hamiltonian, code, eps, tau_c, n_steps, sample_stride=1)
         raise ValueError(f"eps must lie in [0, 1], got {eps}")
     if tau_c <= 0 or n_steps < 1 or sample_stride < 1:
         raise ValueError("need tau_c > 0, n_steps >= 1 and sample_stride >= 1")
-    rho = rho0.entries if isinstance(rho0, DensityMatrix) else np.asarray(rho0, dtype=complex)
+    rho = np.asarray(rho0, dtype=complex)
     register, q, w, v, phi_k = _pair_subspace(rho, hamiltonian, code)
     unitary = (v * np.exp(-1j * w * tau_c)) @ v.conj().T
     s = ((1.0 - eps) * np.eye(len(w)) + eps * phi_k) @ unitary
@@ -332,7 +326,7 @@ def step_weak_map(rho0, hamiltonian, code, eps, tau_c, n_steps, sample_stride=1)
     times = np.array([0.0] + [k * tau_c for k in steps])
     coords = np.array(coords)
     _check_samples(times, coords, q)
-    return Trajectory(times, register=register, coords=coords, basis=q)
+    return Trajectory(times, coords, q, register)
 
 
 def jump_monte_carlo(rho0, hamiltonian, code, kappa, t_max, n_traj, seed, n_samples=21):
@@ -355,7 +349,7 @@ def jump_monte_carlo(rho0, hamiltonian, code, kappa, t_max, n_traj, seed, n_samp
         raise ValueError("n_traj must be >= 1")
     if kappa < 0 or t_max <= 0:
         raise ValueError("need kappa >= 0 and t_max > 0")
-    rho0 = rho0.entries if isinstance(rho0, DensityMatrix) else np.asarray(rho0, dtype=complex)
+    rho0 = np.asarray(rho0, dtype=complex)
     register, q, w, v, phi_k = _pair_subspace(rho0, hamiltonian, code)
     d, db = register.dim, 2**register.bath_count
     qv = q @ v  # eigen-coordinates -> row-major flattened states
@@ -421,4 +415,4 @@ def jump_monte_carlo(rho0, hamiltonian, code, kappa, t_max, n_traj, seed, n_samp
     else:
         f_se = np.zeros(n_samples)
     observables = {"F_cw_mean": f_mean, "F_cw_se": f_se}
-    return Trajectory(times, register=register, observables=observables, coords=mean_y, basis=qv)
+    return Trajectory(times, mean_y, qv, register, observables)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import DensityMatrix, QubitRegister, kron_all, I2, X
+from .tensor_core import DensityMatrix, QubitRegister
 
 # class representatives (lmn, pqr) as 3-bit integers, in vector order
 ORDER = [
@@ -161,11 +161,9 @@ def _signature(lmn, pqr):
 _SIG_TO_INDEX = {_signature(l, p): i for i, (l, p) in enumerate(ORDER)}
 assert len(_SIG_TO_INDEX) == 13
 
-_MULTIPLICITY = [0] * 13
-for _l in range(8):
-    for _p in range(8):
-        _MULTIPLICITY[_SIG_TO_INDEX[_signature(_l, _p)]] += 1
-assert sum(_MULTIPLICITY) == 64
+# class of each C_{lmn,pqr}, (lmn, pqr) in the order (0, 0), (0, 1), ..., (7, 7)
+_CLASS_OF = np.array([_SIG_TO_INDEX[_signature(l, p)] for l in range(8) for p in range(8)])
+_MULTIPLICITY = np.bincount(_CLASS_OF, minlength=13).tolist()
 
 
 def coeff_class(lmn, pqr):
@@ -205,10 +203,6 @@ class ReducedState:
     def fidelity(self):
         return float(self.coeffs[0])
 
-    @property
-    def code_space_weight(self):
-        return float(self.coeffs[0] + self.coeffs[12])
-
 
 def initial_reduced_state():
     c = np.zeros(13)
@@ -216,81 +210,86 @@ def initial_reduced_state():
     return ReducedState(c)
 
 
-def _phase(lmn, pqr):
-    return (-1j) ** bin(lmn).count("1") * (1j) ** bin(pqr).count("1")
-
-
-def _basis_element(lmn, pqr):
-    sys = np.zeros((8, 8), dtype=complex)
-    sys[lmn, pqr] = 1.0
-    flips = lmn ^ pqr
-    bath = [(X if (flips >> k) & 1 else I2) / 2.0 for k in (2, 1, 0)]
-    return np.kron(sys, kron_all(*bath))
-
-
-_CACHE = None
-
-
-def _basis_stack():
-    """All 64 basis elements flattened row-major to (64, 4096), their
-    phases and class indices, and the extraction matrix whose rows map a
-    flattened state to the coefficients C_{lmn,pqr} (cached)."""
-    global _CACHE
-    if _CACHE is None:
-        pairs = [(l, p) for l in range(8) for p in range(8)]
-        flat = np.array([_basis_element(l, p).ravel() for l, p in pairs])
-        phases = np.array([_phase(l, p) for l, p in pairs])
-        classes = np.array([_SIG_TO_INDEX[_signature(l, p)] for l, p in pairs])
-        extract = 8.0 * np.conj(phases)[:, None] * flat.conj()
-        _CACHE = (flat, phases, classes, extract)
-    return _CACHE
-
-
 REGISTER = QubitRegister(3, 3)
 
 
-def raw_coefficients(rho):
-    """The 64 coefficients C_{lmn,pqr} of a state on the symmetric manifold.
+def _members():
+    """The 64 members rho_{lmn,pqr}, in the order of ``_CLASS_OF``: the
+    row-major flat indices (64, 8) of each member's 8 nonzero entries, all
+    1/8 (row lmn (x) b, column pqr (x) (b xor lmn xor pqr) for the 8 bath
+    indices b), and each member's phase."""
+    lmn, pqr = np.divmod(np.arange(64), 8)
+    bath = np.arange(8)
+    index = (lmn[:, None] * 8 + bath) * 64 + pqr[:, None] * 8 + (bath ^ (lmn ^ pqr)[:, None])
+    ones = np.array([bin(v).count("1") for v in range(8)])
+    # (-i)^ones(lmn) i^ones(pqr) = i^(ones(pqr) - ones(lmn))
+    return index, np.array([1, 1j, -1, -1j])[(ones[pqr] - ones[lmn]) % 4]
 
-    Returns (coeffs[64], max imaginary part, expansion residual); the basis
-    is Hilbert-Schmidt orthogonal with norm^2 = 1/8, so extraction is the
-    inner product scaled by 8 with the phase peeled off.
-    """
-    rho = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    flat, phases, _, extract = _basis_stack()
-    raw = extract @ rho.ravel()
-    max_imag = float(np.max(np.abs(raw.imag)))
-    recon = (phases * raw.real) @ flat
-    residual = float(np.linalg.norm(rho.ravel() - recon))
-    return raw, max_imag, residual
+
+def class_basis():
+    """The 13 class states as columns (4096, 13): column i is the row-major
+    flattened sum of the members of class i, each times its phase, so the
+    state with class coefficients c is class_basis() @ c.  Built from the
+    512 nonzero entries alone."""
+    index, phases = _members()
+    basis = np.zeros((REGISTER.dim**2, 13), dtype=complex)
+    basis[index, _CLASS_OF[:, None]] = phases[:, None] / 8.0
+    return basis
+
+
+def _raw_and_off(basis):
+    """The coefficients C_{lmn,pqr} (64, k) of the basis columns (row-major
+    flattened 64 x 64 states) and the columns' part off the members' span
+    (4096, k).  The members are orthogonal with norm^2 = 1/8, so a coefficient
+    is the sum of its member's 8 entries of the state, phase peeled off."""
+    index, phases = _members()
+    raw = np.conj(phases)[:, None] * basis[index].sum(axis=1)
+    off = np.array(basis, dtype=complex)
+    off[index] -= (phases[:, None] * raw / 8.0)[:, None, :]
+    return raw, off
+
+
+def raw_coefficients(rho):
+    """The 64 coefficients C_{lmn,pqr} of a state on the symmetric manifold:
+    (coeffs[64], max imaginary part, expansion residual)."""
+    raw, off = _raw_and_off(np.asarray(rho, dtype=complex).reshape(-1, 1))
+    return raw[:, 0], float(np.max(np.abs(raw.imag))), float(np.linalg.norm(off))
+
+
+def class_coefficients(coords, basis):
+    """The 13 class coefficients (n, 13) of the states coords[i] @ basis.T,
+    each the mean of its class's raw coefficients, taken on the k basis
+    columns (the residuals from the Gram matrix of their part off the
+    manifold).  Raises ValueError at the first state whose raw coefficients
+    are complex (imaginary part > 1e-10), that has left the symmetric
+    manifold (residual > 1e-8) or whose weighted trace is off 1 by > 1e-10."""
+    basis_raw, off = _raw_and_off(basis)
+    raw = coords @ basis_raw.T
+    gram = off.conj().T @ off
+    residual = np.sqrt(np.abs(np.einsum("ni,ij,nj->n", coords.conj(), gram, coords)))
+    coeffs = np.stack([raw.real[:, _CLASS_OF == i].mean(axis=1) for i in range(13)], axis=1)
+    traces = coeffs[:, list(TRACE_WEIGHTS)] @ list(TRACE_WEIGHTS.values())
+    for n, (imag, res, wt) in enumerate(zip(np.abs(raw.imag).max(axis=1), residual, traces)):
+        if imag > 1e-10:
+            raise ValueError(f"coefficients not real: max imaginary part {imag:.3e} (state {n})")
+        if res > 1e-8:
+            raise ValueError(f"state left the symmetric manifold: residual {res:.3e} (state {n})")
+        if abs(wt - 1.0) > 1e-10:
+            raise ValueError(f"weighted trace {wt} deviates from 1 (state {n})")
+    return coeffs
 
 
 def extract_reduced(rho):
     """Project a 6-qubit state, evolved from |000><000| (x) (I/2)^3, onto
-    the 13 class coefficients.
-
-    Raises if the state has left the symmetric manifold (expansion residual
-    > 1e-8) or if coefficients come out complex (imaginary part > 1e-10).
-    """
-    raw, max_imag, residual = raw_coefficients(rho)
-    if max_imag > 1e-10:
-        raise ValueError(f"coefficients not real: max imaginary part {max_imag:.3e}")
-    if residual > 1e-8:
-        raise ValueError(f"state left the symmetric manifold: residual {residual:.3e}")
-    classes = _basis_stack()[2]
-    coeffs = np.zeros(13)
-    for i in range(13):
-        coeffs[i] = raw.real[classes == i].mean()
-    return ReducedState(coeffs)
+    the 13 class coefficients, checked as by ``class_coefficients``."""
+    flat_rho = np.asarray(rho, dtype=complex).reshape(-1, 1)
+    return ReducedState(class_coefficients(np.ones((1, 1)), flat_rho)[0])
 
 
 def class_spread(rho):
     """Largest within-class spread of the 64 raw coefficients (symmetry check)."""
     raw, _, _ = raw_coefficients(rho)
-    classes = _basis_stack()[2]
-    return float(
-        max(np.ptp(raw.real[classes == i]) for i in range(13))
-    )
+    return float(max(np.ptp(raw.real[_CLASS_OF == i]) for i in range(13)))
 
 
 def expand_reduced(state):
@@ -300,8 +299,7 @@ def expand_reduced(state):
     class coefficient, multiplied back by its phase.
     """
     coeffs = state.coeffs if isinstance(state, ReducedState) else np.asarray(state, float)
-    flat, phases, classes, _ = _basis_stack()
-    full = ((phases * coeffs[classes]) @ flat).reshape(REGISTER.dim, REGISTER.dim)
+    full = (class_basis() @ coeffs).reshape(REGISTER.dim, REGISTER.dim)
     return DensityMatrix(REGISTER, full)
 
 

@@ -1,19 +1,22 @@
 import json
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from cqec.cli import main
-from cqec.codes_and_maps import apply_recovery
+from cqec import reduced_model
+from cqec.cli import ExperimentConfig, _run_trajectory, main
+from cqec.codes_and_maps import SCENARIOS, apply_recovery
 from cqec.closed_forms import alpha_nonmarkov_1q
 from cqec.reduced_model import LABELS
 from cqec.dynamics import IntegrationError
-from cqec.analysis import FitError
+from cqec.analysis import FitError, fidelity_weight_series, observables
 
 
 def _read_csv(path):
@@ -145,6 +148,43 @@ def test_simulate_reduced_engine_has_coefficient_columns(tmp_path):
     assert np.max(np.abs(data[:, 1] - data[:, 4])) < 1e-15
 
 
+def _reduced_config(big_r, t_max, samples):
+    return ExperimentConfig(scenario="hamiltonian-3q", engine="reduced", gamma=1.0,
+                            kappa=float(big_r), t_max=float(t_max), samples=samples)
+
+
+@pytest.mark.parametrize("big_r, t_max, samples", [(100, 3000, 3001), (10, 20, 201), (4, 5, 51)])
+def test_reduced_engine_gives_coordinates_on_the_class_states(big_r, t_max, samples):
+    """The reduced engine's trajectory is its 13 class coefficients on the 13
+    class states: F_cw and P_cs read from it are C000_000 and
+    C000_000 + C111_111 bit for bit, and its states are those that
+    expand_reduced builds from the coefficients."""
+    traj = _run_trajectory(_reduced_config(big_r, t_max, samples))
+    c = traj.coords
+    assert c.shape == (samples, 13) and traj.basis.shape == (4096, 13)
+    f, p = fidelity_weight_series(traj, SCENARIOS["hamiltonian-3q"].code())
+    assert np.array_equal(f, c[:, 0])
+    assert np.array_equal(p, c[:, 0] + c[:, 12])
+    for i in np.linspace(0, samples - 1, 6).astype(int):
+        expanded = reduced_model.expand_reduced(c[i]).entries
+        assert np.max(np.abs(traj.states[i] - expanded)) <= 1e-15
+
+
+def test_fig3_case_peaks_under_4_mb():
+    """The fig-3 run (reduced engine, R = 100, 3001 samples) with its
+    observables, including the class basis it builds, never holds the
+    (3001, 64, 64) state stack (197 MB)."""
+    tracemalloc.start()
+    try:
+        traj = _run_trajectory(_reduced_config(100, 3000, 3001))
+        observables(traj, SCENARIOS["hamiltonian-3q"].code())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "states" not in vars(traj)
+    assert peak < 4e6
+
+
 def test_simulate_weak_step_engine(tmp_path):
     out = tmp_path / "weak.csv"
     rc = main(
@@ -173,16 +213,16 @@ def test_simulate_monte_carlo_engine_seeded(tmp_path):
 
 
 def test_simulate_cross_validate(tmp_path, capsys):
+    """Every sample of the full integration (all 6, all 201) is read as class
+    coefficients, and they agree with the reduced model."""
     out = tmp_path / "xval.csv"
-    rc = main(
-        [
-            "simulate", "--scenario", "hamiltonian-3q", "--R", "4",
-            "--t-max", "0.5", "--samples", "6", "--cross-validate",
-            "--out", str(out),
-        ]
-    )
-    assert rc == 0
-    assert "cross-validate" in capsys.readouterr().err
+    for big_r, t_max, samples in (("4", "0.5", "6"), ("10", "20", "201")):
+        rc = main(["simulate", "--scenario", "hamiltonian-3q", "--R", big_r, "--t-max", t_max,
+                   "--samples", samples, "--cross-validate", "--out", str(out)])
+        assert rc == 0
+        err = capsys.readouterr().err
+        dev = float(re.fullmatch(r"cross-validate: max coefficient deviation (\S+)\n", err)[1])
+        assert dev <= 1e-9
 
 
 def test_simulate_writes_stdout_by_default(capsys):
@@ -323,9 +363,11 @@ def test_subcommands_reject_flags_they_do_not_read(argv):
         ("markovian-1q", "1e14,1e15,1e16,1e17", lambda r: 1.0 / (2.0 + r)),
         ("hamiltonian-1q", "1e6,1e7,1e8,1e9", lambda r: 2.0 / (4.0 + r**2)),
         ("hamiltonian-1q", "1e-12,1e-6,1e-3,1", lambda r: 2.0 / (4.0 + r**2)),
+        ("hamiltonian-1q", "1e13,1e14,1e15,1e16", lambda r: 2.0 / (4.0 + r**2)),
         ("markovian-3q", "1e-12,1e-3,1e3,1e7", lambda r: 3.0 / (4.0 + r)),
     ],
-    ids=["markovian-1q", "hamiltonian-1q", "hamiltonian-1q-small", "markovian-3q"],
+    ids=["markovian-1q", "hamiltonian-1q", "hamiltonian-1q-small", "hamiltonian-1q-huge",
+         "markovian-3q"],
 )
 def test_scan_at_large_rates_matches_closed_form(tmp_path, scenario, grid, closed_form):
     """The stationary solve needs no horizon, so it holds at tiny rates, and
@@ -469,18 +511,18 @@ def test_fit_failure_returns_4(monkeypatch):
 
 
 def test_scan_fit_of_zero_infidelities_exits_4(tmp_path, capsys):
-    """hamiltonian-1q scans to exact zeros from R ~ 1.5e12 (a Krylov direction
-    falls below SUBSPACE_TOL): the CSV is written, then the fit fails with
-    exit 4 and a one-line message instead of a ValueError traceback."""
+    """Where the infidelity 2/(4 + R^2) itself underflows, hamiltonian-1q
+    scans to zeros: the CSV is written, then the fit fails with exit 4 and a
+    one-line message instead of a ValueError traceback."""
     out = tmp_path / "scan.csv"
-    argv = ["scan", "--scenario", "hamiltonian-1q", "--grid", "1e11,1e12,1e13,1e14", "--fit",
-            "--out", str(out)]
+    argv = ["scan", "--scenario", "hamiltonian-1q", "--grid", "1e160,1e170,1e200,1e300",
+            "--fit", "--out", str(out)]
     assert main(argv) == 4
     err = capsys.readouterr().err
     assert err == "fit failed: power-law fit needs positive data\n"
     rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
-    assert [float(r) for r, _ in rows] == [1e11, 1e12, 1e13, 1e14]
-    assert [float(v) for _, v in rows][2:] == [0.0, 0.0]
+    assert [float(r) for r, _ in rows] == [1e160, 1e170, 1e200, 1e300]
+    assert [float(v) for _, v in rows][1:] == [0.0, 0.0, 0.0]
     assert not (tmp_path / "scan.csv.fit.json").exists()
 
 

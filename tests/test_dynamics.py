@@ -49,9 +49,10 @@ def _fidelity(traj, scenario):
 
 
 def test_trajectory_requires_increasing_times():
-    states = np.zeros((2, 2, 2), dtype=complex)
-    with pytest.raises(ValueError):
-        Trajectory(np.array([0.0, 0.0]), states)
+    coords, basis = np.ones((2, 1)), np.eye(4)[:, :1]
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Trajectory(np.array([0.0, 0.0]), coords, basis)
+    assert len(Trajectory(np.array([0.0, 1.0]), coords, basis)) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -713,11 +714,21 @@ def _coordinate_trajectory(engine, scenario):
     return jump_monte_carlo(rho0, h, code, 3.0, 1.0, 40, 5, n_samples=11), code
 
 
+def _fidelity_weight_from_states(traj, code):
+    """F_cw and P_cs of the expanded states, through the partial trace over
+    the bath."""
+    reg = traj.register
+    rho_s = [partial_trace_bath(s, reg.system_count, reg.bath_count) for s in traj.states]
+    f = np.array([r[code.logical_zero, code.logical_zero].real for r in rho_s])
+    p = np.array([np.trace(code.code_projector() @ r).real for r in rho_s])
+    return f, p
+
+
 @pytest.mark.parametrize("engine, scenario", COORDINATE_CASES)
 def test_states_expand_from_coordinates_on_demand(engine, scenario):
     """Observables are read from the coordinates without building the state
     stack; `states` is coords @ basis.T, built once, and gives the same F_cw
-    and P_cs."""
+    and P_cs through the partial trace."""
     traj, code = _coordinate_trajectory(engine, scenario)
     f, p = fidelity_weight_series(traj, code)
     observables(traj, code)
@@ -725,16 +736,23 @@ def test_states_expand_from_coordinates_on_demand(engine, scenario):
     d = traj.register.dim
     assert np.array_equal(traj.states, (traj.coords @ traj.basis.T).reshape(len(traj), d, d))
     assert traj.states is traj.states
-    f_s, p_s = fidelity_weight_series(Trajectory(traj.times, traj.states, register=traj.register),
-                                      code)
+    f_s, p_s = _fidelity_weight_from_states(traj, code)
     assert np.max(np.abs(f - f_s)) <= 1e-15
     assert np.max(np.abs(p - p_s)) <= 1e-15
 
 
-def test_trajectory_needs_states_or_coordinates():
-    for kwargs in ({}, {"states": np.zeros((1, 2, 2)), "coords": np.ones((1, 1))}):
-        with pytest.raises(ValueError, match="either states or coords"):
-            Trajectory(np.zeros(1), **kwargs)
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_integrate_at_zero_horizon_is_rho0_on_one_column(scenario):
+    """t_max = 0 gives the single sample rho0: the coordinate 1 on the basis
+    column rho0, with F_cw = P_cs = 1."""
+    rho0, code = scenario_rho0(scenario), SCENARIOS[scenario].code()
+    traj = integrate(total_generator(scenario, _params(scenario, 3.0)), rho0, 0.0)
+    assert np.array_equal(traj.times, [0.0])
+    assert np.array_equal(traj.coords, [[1.0]])
+    assert np.array_equal(traj.basis, rho0.reshape(-1, 1))
+    assert np.array_equal(traj.states[0], rho0)
+    f, p = fidelity_weight_series(traj, code)
+    assert (f[0], p[0]) == (1.0, 1.0)
 
 
 def test_fig4_case_peaks_under_8_mb():
