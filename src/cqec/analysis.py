@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import basis_ket
 from .codes_and_maps import SCENARIOS, ModelParams, total_generator, scenario_rho0
 from .dynamics import invariant_subspace
 from .closed_forms import predicted_spectrum
@@ -78,23 +77,16 @@ class FitResult:
 # ---------------------------------------------------------------------------
 
 
-def fidelity_weight_series(traj, code=None, logical_state=None):
+def fidelity_weight_series(traj, code):
     """(F_cw, P_cs) arrays of a trajectory without the differentiation step:
-    F_cw = Tr[(|psi_L><psi_L| (x) I_bath) rho] and
-    P_cs = Tr[(P_code (x) I_bath) rho], taken for all samples at once from
-    the coordinates (no d x d state is built).  On the 13 class states of
-    the reduced model these are C000_000 and C000_000 + C111_111."""
-    assert code is not None, "the observables need the code"
-    if logical_state is None:
-        logical_state = basis_ket(code.logical_zero, code.system_count)
-    logical = np.asarray(logical_state, dtype=complex).reshape(-1)
-    nb = traj.register.bath_count if traj.register is not None else 0
-    bath = np.eye(2**nb)
-    ops = [np.kron(np.outer(logical, logical.conj()), bath), np.kron(code.code_projector(), bath)]
-    # Tr(A rho) = sum_ij A_ji rho_ij, one product of the coordinates with both A^T on the
-    # basis states; real weights (the class states') spare real coordinates a complex copy
-    flat_t = np.stack([a.T.ravel() for a in ops], axis=1)
-    weights = traj.basis.T @ flat_t
+    F_cw = Tr[(|0_L><0_L| (x) I_bath) rho] and P_cs = Tr[(P_code (x) I_bath)
+    rho], both sums over the diagonal of rho weighted by
+    ``code.diagonal_weights``, taken for all samples at once from the
+    coordinates (no d x d state is built).  On the 13 class states of the
+    reduced model these are C000_000 and C000_000 + C111_111."""
+    d = int(np.sqrt(len(traj.basis)))
+    weights = traj.basis[:: d + 1].T @ code.diagonal_weights(d)
+    # real weights (the class states') spare real coordinates a complex copy
     fp = (traj.coords @ (weights if weights.imag.any() else weights.real)).real
     return fp[:, 0], fp[:, 1]
 
@@ -110,9 +102,9 @@ def error_rate_series(times, fidelity):
     return lam
 
 
-def observables(traj, code=None, logical_state=None):
+def observables(traj, code):
     """Per-sample (F_cw, P_cs, Lambda) of a trajectory."""
-    f, p = fidelity_weight_series(traj, code, logical_state)
+    f, p = fidelity_weight_series(traj, code)
     lam = error_rate_series(traj.times, f)
     return [
         ObservableSample(float(t), float(fi), float(pi), float(li))
@@ -331,13 +323,9 @@ def _stationary_infidelities(scenario, rates):
     rho0 = scenario_rho0(scenario)
     d = rho0.shape[0]
     q, (n, c) = invariant_subspace(ops, rho0)
-    tr = np.eye(d).ravel() @ q  # tr(q x) = tr @ x
+    tr = np.ones(d) @ q[:: d + 1]  # tr(q x) = tr @ x
     i = int(np.argmax(np.abs(tr)))
-    # 1 - P_cs = leak @ x: the diagonal entries of rho whose system index is
-    # not a codeword
-    db = 2**spec.register.bath_count
-    outside = 1.0 - np.kron(np.diag(spec.code().code_projector()).real, np.ones(db))
-    leak = outside @ q[:: d + 1]
+    leak = (1.0 - spec.code().diagonal_weights(d)[:, 1]) @ q[:: d + 1]  # 1 - P_cs = leak @ x
     out = []
     for rate in rates:
         a = n + rate * c

@@ -23,6 +23,7 @@ non-convergence.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -38,6 +39,7 @@ from .codes_and_maps import (
     scenario_rho0,
 )
 from .dynamics import (
+    MC_CHUNK_ENTRIES,
     IntegrationError,
     Trajectory,
     integrate,
@@ -54,6 +56,7 @@ from .analysis import (
     equilibrium_scan,
     coupling_reduction_scan,
 )
+from .closed_forms import predicted_spectrum
 from . import reduced_model
 
 SCHEMA_VERSION = 2
@@ -68,6 +71,14 @@ def _check_number(name, value):
     """A config number is an int or a float; a JSON true/false is neither."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number, got {value!r}")
+
+
+def _scenario_spec(name):
+    """The scenario called `name`; any other value, a non-string too, is a config error."""
+    spec = SCENARIOS.get(name) if isinstance(name, str) else None
+    if spec is None:
+        raise ConfigError(f"unknown scenario {name!r}; choose from {sorted(SCENARIOS)}")
+    return spec
 
 
 @dataclass
@@ -85,11 +96,7 @@ class ExperimentConfig:
     tau_c: float = 1e-3
 
     def __post_init__(self):
-        if self.scenario not in SCENARIOS:
-            raise ConfigError(
-                f"unknown scenario {self.scenario!r}; choose from {sorted(SCENARIOS)}"
-            )
-        spec = SCENARIOS[self.scenario]
+        spec = _scenario_spec(self.scenario)
         expected_code = spec.code().name
         if not self.code:
             self.code = expected_code
@@ -134,6 +141,10 @@ class ExperimentConfig:
             raise ConfigError("weak-step needs eps = kappa * tau_c <= 1")
         if self.engine == "weak-step" and self.t_max > 0:
             self.weak_steps()
+        jumps = self.kappa * self.t_max / self.unit  # expected per Monte Carlo trajectory
+        if self.engine == "monte-carlo" and jumps > MC_CHUNK_ENTRIES:
+            raise ConfigError(f"monte-carlo expects kappa t = {jumps:.6g} jumps per trajectory, "
+                              f"more than the {MC_CHUNK_ENTRIES} array entries of one chunk")
 
     def weak_steps(self):
         """Number of weak-map cycles in the horizon, which must hold a whole
@@ -192,10 +203,7 @@ def _resolve_config(args):
         if val is not None:
             data[key] = val
 
-    scenario = data.get("scenario", ExperimentConfig.scenario)
-    spec = SCENARIOS.get(scenario) if isinstance(scenario, str) else None
-    if spec is None:
-        raise ConfigError(f"unknown scenario {scenario!r}; choose from {sorted(SCENARIOS)}")
+    spec = _scenario_spec(data.get("scenario", ExperimentConfig.scenario))
     if getattr(args, "big_r", None) is not None:
         if spec.time_unit != "gamma":
             raise ConfigError("--R applies to Hamiltonian scenarios only (use --kappa)")
@@ -221,24 +229,23 @@ def _fmt(x):
     return f"{float(x):.17g}"
 
 
-def _write_text(path, text):
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+def _open_out(path):
+    """The file `path` opened for writing, or stdout (left open) for "-"."""
+    return contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w")
 
 
 def _write_csv(path, config_dict, header, rows):
-    lines = ["# config: " + json.dumps(config_dict, sort_keys=True)]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
-    _write_text(path, "\n".join(lines) + "\n")
+    """Write the `# config:` line, the header, then each row as it is formatted."""
+    with _open_out(path) as fh:
+        fh.write("# config: " + json.dumps(config_dict, sort_keys=True) + "\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(x) for x in row) + "\n")
 
 
 def _write_json(path, payload):
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with _open_out(path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +273,7 @@ def _run_trajectory(config):
 
     if config.engine == "reduced":
         times = np.linspace(0.0, t_phys, config.samples)
-        return Trajectory(times, _reduced_coefficients(config, times),
-                          reduced_model.class_basis(), reduced_model.REGISTER)
+        return Trajectory(times, _reduced_coefficients(config, times), reduced_model.class_basis())
 
     h = pair_hamiltonian(code, config.gamma)
     if config.engine == "weak-step":
@@ -285,26 +291,22 @@ def _run_trajectory(config):
 
 def cmd_simulate(config, out, cross_validate=False):
     code = SCENARIOS[config.scenario].code()
-    header = ["t_dimensionless", "F_cw", "P_cs", "Lambda"]
+    reduced = config.engine == "reduced"
+    labels = reduced_model.LABELS if reduced else []  # the 13 class coefficients
+    header = ["t_dimensionless", "F_cw", "P_cs", "Lambda", *labels]
 
     if config.t_max == 0:
-        row = [0.0, 1.0, 1.0, 0.0]
-        if config.engine == "reduced":
-            header += reduced_model.LABELS
-            row += list(reduced_model.initial_reduced_state().coeffs)
-        _write_csv(out, config.to_dict(), header, [row])
+        c0 = reduced_model.initial_reduced_state().coeffs if reduced else []
+        _write_csv(out, config.to_dict(), header, [[0.0, 1.0, 1.0, 0.0, *c0]])
         return 0
 
     traj = _run_trajectory(config)
-    rows = [
-        [t * config.unit, o.f_cw, o.p_cs, o.error_rate / config.unit]
-        for t, o in zip(traj.times, observables(traj, code))
-    ]
-
-    if config.engine == "reduced":
-        header += reduced_model.LABELS
-        for row, c in zip(rows, traj.coords):
-            row.extend(c)
+    coords = traj.coords if reduced else np.empty((len(traj), 0))
+    # built one at a time as `_write_csv` writes them
+    rows = (
+        [t * config.unit, o.f_cw, o.p_cs, o.error_rate / config.unit, *c]
+        for t, o, c in zip(traj.times, observables(traj, code), coords)
+    )
 
     if cross_validate:
         dev = _cross_validate(config)
@@ -364,6 +366,11 @@ def cmd_fig(fig_id, out_dir):
 def cmd_eig(big_r, gamma, out):
     if big_r is None or not (np.isfinite(big_r) and big_r > 0):
         raise ConfigError("eig needs a finite --R > 0")
+    with np.errstate(all="ignore"):  # an overflow or a division by zero reads inf or 0
+        slow = predicted_spectrum(np.float64(big_r), gamma)[-2]
+    if not (np.isfinite(slow) and slow.real and slow.imag):
+        raise ConfigError(f"eig needs a finite, nonzero slow pair -144 gamma/R^3 + 24i gamma/R^2;"
+                          f" R = {big_r:g} gives {slow:g}")
     m = reduced_model.build_reduced_matrix(big_r, gamma)
     numerical = np.linalg.eigvals(m)
     matches = match_spectrum(numerical, big_r, gamma)
@@ -407,8 +414,7 @@ def _parse_grid(text):
 
 
 def cmd_scan(scenario, grid, fit, out):
-    if scenario not in SCENARIOS:
-        raise ConfigError(f"unknown scenario {scenario!r}")
+    _scenario_spec(scenario)
 
     if scenario == "hamiltonian-3q":
         # oscillatory case: report the effective coupling reduction 2g/omega
@@ -425,7 +431,7 @@ def cmd_scan(scenario, grid, fit, out):
         "grid": list(grid),
         "quantity": value_col,
     }
-    _write_csv(out, meta, ["rate", value_col], [[r, v] for r, v in points])
+    _write_csv(out, meta, ["rate", value_col], points)
 
     if fit:
         try:

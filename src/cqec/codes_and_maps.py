@@ -93,6 +93,16 @@ class CodeSpec:
             p = p + projector(basis_ket(self.logical_one, self.system_count))
         return p
 
+    def diagonal_weights(self, d):
+        """(d, 2) diagonals of |L><L| (x) I_bath and P_code (x) I_bath on a
+        register of d states, system qubits first, with L the logical zero:
+        F_cw = w[:, 0] @ diag(rho) and P_cs = w[:, 1] @ diag(rho)."""
+        w = np.zeros((2**self.system_count, 2))
+        w[self.logical_zero] = 1.0
+        if self.logical_one is not None:
+            w[self.logical_one, 1] = 1.0
+        return np.repeat(w, d >> self.system_count, axis=0)
+
 
 def trivial_code():
     """Single-qubit 'code' whose recovery resets everything to |0>."""

@@ -24,8 +24,8 @@ for ``hamiltonian-3q`` from the scenario states.  ``integrate`` takes
 the generator's ``apply``; the weak map and Monte Carlo take the
 rate-free operators -i[H, .] and Phi (x) id_bath, the latter applied by
 ``apply_recovery`` of :mod:`cqec.codes_and_maps`.
-A trajectory keeps its samples as these coordinates with the basis; the
-d x d states are built from them only when ``Trajectory.states`` is read.
+A trajectory keeps only these coordinates and the basis (d is read from
+it); the d x d states are built only when ``Trajectory.states`` is read.
 The reduced model of :mod:`cqec.reduced_model` gives trajectories of the
 same form: its 13 class coefficients on the 13 class states.
 
@@ -50,7 +50,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .tensor_core import QubitRegister, TOL_POS
+from .tensor_core import TOL_POS
 from .codes_and_maps import apply_recovery
 
 TRACE_TOL = 1e-8
@@ -79,7 +79,7 @@ class Trajectory:
     built on first access and kept.  `observables` are filled in by
     cqec.analysis (Monte Carlo adds its own mean/stderr entries)."""
 
-    def __init__(self, times, coords, basis, register=None, observables=None):
+    def __init__(self, times, coords, basis, observables=None):
         self.times = np.asarray(times, dtype=float)
         if self.times.ndim != 1:
             raise ValueError("times must be one-dimensional")
@@ -87,7 +87,6 @@ class Trajectory:
             raise ValueError("sample times must be strictly increasing")
         self.coords = coords
         self.basis = basis
-        self.register = register
         self.observables = {} if observables is None else observables
 
     @cached_property
@@ -168,7 +167,7 @@ def _check_samples(times, coords, q):
 def integrate(generator, rho0, t_max, n_samples=201):
     """Propagate drho/dt = G(rho) exactly and sample on a uniform grid.
 
-    The generator exposes ``apply(rho)`` and ``register``.  It is restricted
+    The generator exposes ``apply(rho)``.  It is restricted
     to the k coordinates of the Krylov space of rho0 (``invariant_subspace``),
     where exp(g t) is taken by ``propagate_linear``.  If g keeps the trace
     to rounding, it is propagated in the reflected coordinates of
@@ -184,14 +183,14 @@ def integrate(generator, rho0, t_max, n_samples=201):
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
     if t_max == 0:
-        return Trajectory(np.zeros(1), np.ones((1, 1)), rho0.reshape(-1, 1), generator.register)
+        return Trajectory(np.zeros(1), np.ones((1, 1)), rho0.reshape(-1, 1))
 
     times = np.linspace(0.0, t_max, n_samples)
     q, (g,) = invariant_subspace([generator.apply], rho0)
     h, g = _trace_first(q, g)
     coords = propagate_linear(g, h @ (q.conj().T @ rho0.ravel()), times) @ h.T
     _check_samples(times, coords, q)
-    return Trajectory(times, coords, q, generator.register)
+    return Trajectory(times, coords, q)
 
 
 def propagate_linear(system_matrix, x0, times):
@@ -283,16 +282,15 @@ def _trace_first(q, g):
 
 
 def _pair_subspace(rho0, hamiltonian, code):
-    """(register, q, w, v, phi_k): q spans the subspace of rho0 invariant
-    under -i[H, .] and Phi (x) id_bath, whose restrictions are -i v w v^dag
-    (so exp(-i[H, .] t) becomes v exp(-i w t) v^dag) and phi_k."""
+    """(q, w, v, phi_k): q spans the subspace of rho0 invariant under
+    -i[H, .] and Phi (x) id_bath, whose restrictions are -i v w v^dag (so
+    exp(-i[H, .] t) becomes v exp(-i w t) v^dag) and phi_k."""
     h = np.asarray(hamiltonian, dtype=complex)
-    register = QubitRegister(code.system_count, int(np.log2(len(h))) - code.system_count)
-    db = 2**register.bath_count
+    db = len(h) >> code.system_count
     ops = [lambda r: -1j * (h @ r - r @ h), lambda r: apply_recovery(code, r, db)]
     q, (n_k, phi_k) = invariant_subspace(ops, rho0)
     w, v = np.linalg.eigh(1j * n_k)
-    return register, q, w, v, phi_k
+    return q, w, v, phi_k
 
 
 def step_weak_map(rho0, hamiltonian, code, eps, tau_c, n_steps, sample_stride=1):
@@ -311,7 +309,7 @@ def step_weak_map(rho0, hamiltonian, code, eps, tau_c, n_steps, sample_stride=1)
     if tau_c <= 0 or n_steps < 1 or sample_stride < 1:
         raise ValueError("need tau_c > 0, n_steps >= 1 and sample_stride >= 1")
     rho = np.asarray(rho0, dtype=complex)
-    register, q, w, v, phi_k = _pair_subspace(rho, hamiltonian, code)
+    q, w, v, phi_k = _pair_subspace(rho, hamiltonian, code)
     unitary = (v * np.exp(-1j * w * tau_c)) @ v.conj().T
     s = ((1.0 - eps) * np.eye(len(w)) + eps * phi_k) @ unitary
 
@@ -326,7 +324,7 @@ def step_weak_map(rho0, hamiltonian, code, eps, tau_c, n_steps, sample_stride=1)
     times = np.array([0.0] + [k * tau_c for k in steps])
     coords = np.array(coords)
     _check_samples(times, coords, q)
-    return Trajectory(times, coords, q, register)
+    return Trajectory(times, coords, q)
 
 
 def jump_monte_carlo(rho0, hamiltonian, code, kappa, t_max, n_traj, seed, n_samples=21):
@@ -350,13 +348,11 @@ def jump_monte_carlo(rho0, hamiltonian, code, kappa, t_max, n_traj, seed, n_samp
     if kappa < 0 or t_max <= 0:
         raise ValueError("need kappa >= 0 and t_max > 0")
     rho0 = np.asarray(rho0, dtype=complex)
-    register, q, w, v, phi_k = _pair_subspace(rho0, hamiltonian, code)
-    d, db = register.dim, 2**register.bath_count
+    q, w, v, phi_k = _pair_subspace(rho0, hamiltonian, code)
+    d = len(rho0)
     qv = q @ v  # eigen-coordinates -> row-major flattened states
     recover_t = (v.conj().T @ phi_k @ v).T  # y -> y @ recover_t is one recovery
-    # F_cw = Tr[(|L><L| (x) id_bath) rho] = p_eig @ y, summed over diagonal entries
-    diagonal = np.arange(code.logical_zero * db, (code.logical_zero + 1) * db) * (d + 1)
-    p_eig = qv[diagonal].sum(axis=0)
+    p_eig = code.diagonal_weights(d)[:, 0] @ qv[:: d + 1]  # F_cw = p_eig @ y
     y0 = qv.conj().T @ rho0.ravel()
 
     times = np.linspace(0.0, t_max, n_samples)
@@ -415,4 +411,4 @@ def jump_monte_carlo(rho0, hamiltonian, code, kappa, t_max, n_traj, seed, n_samp
     else:
         f_se = np.zeros(n_samples)
     observables = {"F_cw_mean": f_mean, "F_cw_se": f_se}
-    return Trajectory(times, mean_y, qv, register, observables)
+    return Trajectory(times, mean_y, qv, observables)

@@ -433,6 +433,13 @@ def test_bad_config_file_returns_2(tmp_path, capsys):
 
     assert main(["simulate", "--config", str(tmp_path / "missing.json")]) == 2
 
+    # scan reads the scenario from the config file; a non-string one is unknown
+    listed = tmp_path / "listed.json"
+    listed.write_text(json.dumps({"schema_version": 2, "scenario": ["x"]}))
+    capsys.readouterr()
+    assert main(["scan", "--config", str(listed), "--grid", "1,2,3,4"]) == 2
+    assert "config error: unknown scenario ['x']" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("loaded, flags, message", [
     ({"samples": 2.5}, [], "samples must be an integer, got 2.5"),
@@ -447,9 +454,11 @@ def test_bad_config_file_returns_2(tmp_path, capsys):
     ({"kappa": None}, [], "kappa must be a number, got None"),
     ({"gamma": "x"}, ["--R", "2"], "gamma must be a number, got 'x'"),
     ({"scenario": ["hamiltonian-1q"]}, ["--R", "2"], "unknown scenario ['hamiltonian-1q']"),
+    ({"n_traj": 2}, ["--engine", "monte-carlo", "--R", "1e15", "--t-max", "1"],
+     "monte-carlo expects kappa t = 1e+15 jumps per trajectory, more than the 262144 array"),
 ], ids=["samples-float", "samples-1", "seed-bool", "seed-negative", "seed-2**64",
         "n_traj-str", "t_max-bool", "t_max-str", "kappa-null", "gamma-str-with-R",
-        "scenario-list-with-R"])
+        "scenario-list-with-R", "monte-carlo-jumps"])
 def test_config_file_field_types_exit_2(loaded, flags, message, tmp_path, capsys):
     """A config file value of the wrong type or out of range is a config
     error naming the field, also where --R reads it before the config is
@@ -547,14 +556,32 @@ def test_eig_report(tmp_path):
     ["eig", "--R", "inf"],
     ["eig", "--kappa", "nan"],
     ["eig", "--R", "10", "--gamma", "0"],
+    ["eig", "--R", "1e103"],
+    ["eig", "--R", "1e-107"],
+    ["eig", "--R", "1e-109"],
     ["graph", "--R", "1e400"],
     ["graph", "--R", "nan"],
-], ids=["eig-R-nan", "eig-R-inf", "eig-kappa-nan", "eig-gamma-0", "graph-R-1e400", "graph-R-nan"])
+], ids=["eig-R-nan", "eig-R-inf", "eig-kappa-nan", "eig-gamma-0", "eig-R-1e103", "eig-R-1e-107",
+        "eig-R-1e-109", "graph-R-1e400", "graph-R-nan"])
 def test_eig_and_graph_need_finite_positive_rates(argv, tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(argv + ["--out", str(out)]) == 2
     assert "finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("big_r", ["5e102", "1e-100"])
+def test_eig_near_the_slow_pair_bounds_writes_finite_json(big_r, tmp_path):
+    """Inside the range of R where 24/R^2 and -144/R^3 are finite and
+    nonzero, eig exits 0 and its report holds no Infinity or NaN."""
+    out = tmp_path / "eig.json"
+    assert main(["eig", "--R", big_r, "--out", str(out)]) == 0
+
+    def refuse(constant):
+        raise AssertionError(f"non-finite number {constant} in eig.json")
+
+    report = json.loads(out.read_text(), parse_constant=refuse)
+    assert len(report["entries"]) == 13
 
 
 def test_eig_rejects_r_and_kappa_together(tmp_path, capsys):

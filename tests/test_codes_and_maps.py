@@ -62,6 +62,21 @@ def test_bitflip3_syndrome_structure():
     assert np.allclose(total, np.eye(8))
 
 
+@pytest.mark.parametrize("code_factory", [trivial_code, bitflip3_code])
+@pytest.mark.parametrize("bath_count", [0, 1, 2, 3])
+def test_diagonal_weights_are_the_lifted_projector_diagonals(code_factory, bath_count):
+    """Column 0 is the diagonal of |0_L><0_L| (x) I_bath, column 1 that of
+    P_code (x) I_bath, with the system qubits first."""
+    code = code_factory()
+    eye = np.eye(2**bath_count)
+    d = 2 ** (code.system_count + bath_count)
+    logical = projector(basis_ket(code.logical_zero, code.system_count))
+    w = code.diagonal_weights(d)
+    assert w.shape == (d, 2)
+    assert np.array_equal(w[:, 0], np.diag(np.kron(logical, eye)).real)
+    assert np.array_equal(w[:, 1], np.diag(np.kron(code.code_projector(), eye)).real)
+
+
 def test_bitflip3_strong_map_action():
     code = bitflip3_code()
 

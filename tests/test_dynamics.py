@@ -714,10 +714,9 @@ def _coordinate_trajectory(engine, scenario):
     return jump_monte_carlo(rho0, h, code, 3.0, 1.0, 40, 5, n_samples=11), code
 
 
-def _fidelity_weight_from_states(traj, code):
-    """F_cw and P_cs of the expanded states, through the partial trace over
-    the bath."""
-    reg = traj.register
+def _fidelity_weight_from_states(traj, code, reg):
+    """F_cw and P_cs of the expanded states on the register `reg`, through
+    the partial trace over the bath."""
     rho_s = [partial_trace_bath(s, reg.system_count, reg.bath_count) for s in traj.states]
     f = np.array([r[code.logical_zero, code.logical_zero].real for r in rho_s])
     p = np.array([np.trace(code.code_projector() @ r).real for r in rho_s])
@@ -733,10 +732,11 @@ def test_states_expand_from_coordinates_on_demand(engine, scenario):
     f, p = fidelity_weight_series(traj, code)
     observables(traj, code)
     assert "states" not in vars(traj)
-    d = traj.register.dim
+    reg = SCENARIOS[scenario].register
+    d = reg.dim
     assert np.array_equal(traj.states, (traj.coords @ traj.basis.T).reshape(len(traj), d, d))
     assert traj.states is traj.states
-    f_s, p_s = _fidelity_weight_from_states(traj, code)
+    f_s, p_s = _fidelity_weight_from_states(traj, code, reg)
     assert np.max(np.abs(f - f_s)) <= 1e-15
     assert np.max(np.abs(p - p_s)) <= 1e-15
 
