@@ -7,6 +7,8 @@ noise or a non-Markovian system-bath pair coupling.
 
 __version__ = "0.1.0"
 
+import gc
+
 from .codes_and_maps import (
     SCENARIOS,
     ModelParams,
@@ -23,7 +25,7 @@ from .closed_forms import (
     alpha_star_nonmarkov,
     predicted_spectrum,
 )
-from .reduced_model import build_reduced_matrix, extract_reduced, initial_reduced_state
+from .reduced_model import build_reduced_matrix
 
 __all__ = [
     "SCENARIOS",
@@ -34,8 +36,6 @@ __all__ = [
     "alpha_star_nonmarkov",
     "bitflip3_code",
     "build_reduced_matrix",
-    "extract_reduced",
-    "initial_reduced_state",
     "integrate",
     "jump_monte_carlo",
     "predicted_spectrum",
@@ -44,3 +44,9 @@ __all__ = [
     "total_generator",
     "trivial_code",
 ]
+
+# The import leaves thousands of objects (numpy's and cqec's) in the young
+# garbage-collector generations; the generation-1 collection that moves them
+# to the old one takes 1-2 ms.  Take it here, so that it does not fall inside
+# a caller's first call.
+gc.collect(1)

@@ -273,19 +273,21 @@ def match_spectrum(numerical, big_r, gamma=1.0):
         _, j = min(dists)
         used.add(j)
         order.append(j)
-    # 2-opt: swap assignments while it shrinks the total distance
+    # 2-opt: swap assignments while it shrinks the total distance.  The sums
+    # are of half distances (exact in binary), so that two distances near the
+    # largest float do not overflow at R ~ 1e-102.
     improved = True
     while improved:
         improved = False
         for i in range(13):
             for k in range(i + 1, 13):
-                now = abs(predicted[i] - numerical[order[i]]) + abs(
+                now = 0.5 * abs(predicted[i] - numerical[order[i]]) + 0.5 * abs(
                     predicted[k] - numerical[order[k]]
                 )
-                swapped = abs(predicted[i] - numerical[order[k]]) + abs(
+                swapped = 0.5 * abs(predicted[i] - numerical[order[k]]) + 0.5 * abs(
                     predicted[k] - numerical[order[i]]
                 )
-                if swapped < now - 1e-15:
+                if swapped < now - 0.5e-15:
                     order[i], order[k] = order[k], order[i]
                     improved = True
     out = []

@@ -40,6 +40,7 @@ from .codes_and_maps import (
 )
 from .dynamics import (
     MC_CHUNK_ENTRIES,
+    TRACE_TOL,
     IntegrationError,
     Trajectory,
     integrate,
@@ -255,9 +256,19 @@ def _write_json(path, payload):
 
 def _reduced_coefficients(config, times):
     """The 13 class coefficients (n, 13) of the reduced model at `times`
-    (a copy of the real part, so that the complex result is freed)."""
+    (a copy of the real part, so that the complex result is freed), from
+    the unit first coefficient.  Raises IntegrationError at the first sample
+    with a non-finite coefficient or a weighted trace off 1 by more than
+    TRACE_TOL; positivity is not checked."""
     m = reduced_model.build_reduced_matrix(config.kappa / config.gamma, config.gamma)
-    return propagate_linear(m, reduced_model.initial_reduced_state().coeffs, times).real.copy()
+    coeffs = propagate_linear(m, np.eye(13)[0], times).real.copy()
+    trace = reduced_model.weighted_trace(coeffs)
+    tr_dev = np.where(np.isfinite(coeffs).all(axis=1), np.abs(trace - 1.0), np.nan)
+    fails = ~(tr_dev <= TRACE_TOL)
+    if fails.any():
+        i = int(np.argmax(fails))
+        raise IntegrationError(f"trace deviates by {tr_dev[i]:.3e} at t={times[i]:g}")
+    return coeffs
 
 
 def _run_trajectory(config):
@@ -296,7 +307,7 @@ def cmd_simulate(config, out, cross_validate=False):
     header = ["t_dimensionless", "F_cw", "P_cs", "Lambda", *labels]
 
     if config.t_max == 0:
-        c0 = reduced_model.initial_reduced_state().coeffs if reduced else []
+        c0 = np.eye(13)[0] if reduced else []
         _write_csv(out, config.to_dict(), header, [[0.0, 1.0, 1.0, 0.0, *c0]])
         return 0
 
@@ -328,7 +339,10 @@ def _cross_validate(config):
     gen = total_generator(config.scenario, config.params())
     rho0 = scenario_rho0(config.scenario)
     traj = integrate(gen, rho0, config.t_max / config.unit, n_samples=config.samples)
-    coeffs = reduced_model.class_coefficients(traj.coords, traj.basis)
+    try:
+        coeffs = reduced_model.class_coefficients(traj.coords, traj.basis)
+    except ValueError as exc:  # a sample off the real symmetric manifold
+        raise IntegrationError(f"full/reduced cross-validation failed: {exc}") from exc
     return float(np.max(np.abs(coeffs - _reduced_coefficients(config, traj.times))))
 
 

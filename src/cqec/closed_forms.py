@@ -38,60 +38,6 @@ class Approximation:
     horizon: float
 
 
-@dataclass(frozen=True)
-class SingleQubitState:
-    """Fidelity/coherence pair (alpha, beta) of the single-qubit models.
-
-    beta is the hidden coherence feeding fidelity loss in the Hamiltonian
-    model; physical states satisfy |beta| <= sqrt(alpha(1-alpha)).
-    """
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        bound = np.sqrt(max(self.alpha * (1.0 - self.alpha), 0.0))
-        if abs(self.beta) > bound + 1e-9:
-            raise ValueError(f"|beta|={abs(self.beta):.3e} exceeds sqrt(a(1-a))={bound:.3e}")
-
-
-@dataclass(frozen=True)
-class Markov3qCoeffs:
-    """Mixture weights over 0-, 1-, 2-, 3-qubit error sectors."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-
-    def __post_init__(self):
-        for name in "abcd":
-            if getattr(self, name) < -1e-10:
-                raise ValueError(f"negative weight {name}={getattr(self, name):.3e}")
-        s = self.a + self.b + self.c + self.d
-        if abs(s - 1.0) > 1e-10:
-            raise ValueError(f"weights sum to {s}, not 1")
-
-
-@dataclass(frozen=True)
-class ZenoEstimate:
-    """Short-time quadratic-decay summary: 1 - F(t) ~ C t^2.
-
-    dt_z is a chosen time scale and alpha_z = 1 - C dt_z^2 the fidelity
-    retained over it.
-    """
-
-    c: float
-    dt_z: float
-    alpha_z: float
-
-    def __post_init__(self):
-        if self.c < 0:
-            raise ValueError("quadratic decay coefficient must be >= 0")
-        if abs(self.alpha_z - (1.0 - self.c * self.dt_z**2)) > 1e-12:
-            raise ValueError("alpha_z inconsistent with 1 - C dt_z^2")
-
-
 # ---------------------------------------------------------------------------
 # single qubit
 # ---------------------------------------------------------------------------
@@ -310,17 +256,3 @@ def zeno_equilibrium(c, kappa):
         raise ValueError("kappa must be > 0")
     return 1.0 - 2.0 * c / kappa**2
 
-
-def ancilla_rate(g, tau_c):
-    """Effective correction rate kappa = g^2 tau_c of an ancilla-mediated
-    recovery: per-cycle success probability (g tau_c)^2 spent every tau_c
-    (proportionality constant set to 1)."""
-    if g <= 0 or tau_c <= 0:
-        raise ValueError("need g > 0 and tau_c > 0")
-    return g * g * tau_c
-
-
-def zeno_estimate(h, rho_system0, rho_bath0, dt_z):
-    """Bundle the Zeno coefficient with the fidelity retained over dt_z."""
-    c = zeno_coefficient(h, rho_system0, rho_bath0)
-    return ZenoEstimate(c=c, dt_z=dt_z, alpha_z=1.0 - c * dt_z**2)

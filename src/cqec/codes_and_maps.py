@@ -198,20 +198,6 @@ class ModelParams:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
 
-    @property
-    def r(self):
-        """kappa / lambda, the dimensionless correction rate (Markovian)."""
-        if self.lam <= 0:
-            raise ValueError("r undefined: lambda is zero")
-        return self.kappa / self.lam
-
-    @property
-    def R(self):
-        """kappa / gamma, the dimensionless correction rate (Hamiltonian)."""
-        if self.gamma <= 0:
-            raise ValueError("R undefined: gamma is zero")
-        return self.kappa / self.gamma
-
 
 def pair_hamiltonian(code, gamma):
     """H = gamma * sum_j X_(system j) X_(bath j) on the doubled register."""

@@ -5,10 +5,11 @@
   rate, not a train of discrete events), so rho(t) = exp(G t) rho0, taken
   by eigendecomposition of its restriction to the Krylov coordinates
   (``propagate_linear``; Moler & Van Loan, SIAM Rev. 45, 3 (2003),
-  method 14).  A generator that keeps the trace is propagated in
-  coordinates whose first one is the trace, with that coordinate's rate
-  set to exactly zero (``_trace_first``), so the trace does not drift
-  with t.
+  method 14), which refuses an eigenbasis whose condition number reaches
+  1e8 with IntegrationError.  A generator that keeps the trace is
+  propagated in coordinates whose first one is the trace, with that
+  coordinate's rate set to exactly zero (``_trace_first``), so the trace
+  does not drift with t.
 * ``step_weak_map`` -- discrete cycles of unitary evolution over tau_c
   followed by the weak recovery channel (1-eps) id + eps Phi; converges
   first-order in tau_c to the continuous dynamics at kappa = eps/tau_c.
@@ -65,7 +66,8 @@ SUBSPACE_TOL = 1e-12
 
 
 class IntegrationError(RuntimeError):
-    """A sample that lost trace, dipped below -1e-6 or is not finite."""
+    """A sample that lost trace, dipped below -1e-6 or is not finite, or a
+    generator whose eigenbasis is too ill-conditioned to propagate."""
 
 
 class PositivityWarning(UserWarning):
@@ -196,32 +198,19 @@ def integrate(generator, rho0, t_max, n_samples=201):
 def propagate_linear(system_matrix, x0, times):
     """x(t) = exp(M t) x0 for each requested time, by eigendecomposition.
 
-    Falls back to incremental scaling-and-squaring exponentials when the
-    eigenbasis condition number exceeds 1e8 (defective or near-defective M).
+    Raises IntegrationError when the eigenbasis condition number reaches
+    1e8 (M defective or nearly so), where the product is not resolved.
     """
     m = np.asarray(system_matrix)
     x0 = np.asarray(x0, dtype=complex)
     times = np.asarray(times, dtype=float)
     w, v = np.linalg.eig(m)
-    if np.linalg.cond(v) < 1e8:
-        c = np.linalg.solve(v, x0)
-        return (np.exp(np.outer(times, w)) * c) @ v.T
-    order = np.argsort(times)
-    out = np.empty((len(times), len(x0)), dtype=complex)
-    x = x0
-    t_prev = 0.0
-    cache = {}
-    for idx in order:
-        dt = times[idx] - t_prev
-        if dt != 0.0:
-            if dt not in cache:
-                import scipy.linalg  # only here: keeps scipy out of `import cqec`
-
-                cache[dt] = scipy.linalg.expm(m * dt)
-            x = cache[dt] @ x
-            t_prev = times[idx]
-        out[idx] = x
-    return out
+    cond = np.linalg.cond(v)
+    if not cond < 1e8:
+        raise IntegrationError(f"eigenbasis condition number {cond:.3e} >= 1e8; "
+                               "exp(M t) is not resolved")
+    c = np.linalg.solve(v, x0)
+    return (np.exp(np.outer(times, w)) * c) @ v.T
 
 
 def invariant_subspace(ops, rho0):

@@ -28,8 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import DensityMatrix, QubitRegister
-
 # class representatives (lmn, pqr) as 3-bit integers, in vector order
 ORDER = [
     (0b000, 0b000),
@@ -128,29 +126,6 @@ def slow_eigenvalue(matrix):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoeffClass:
-    rep: tuple  # representative (lmn, pqr) as integers
-    signature: tuple  # (max ones, min ones, overlap) - transpose-invariant
-    multiplicity: int
-    index: int  # position in ORDER
-
-    @property
-    def label(self):
-        return LABELS[self.index]
-
-
-def _as_bits(v):
-    if isinstance(v, str):
-        v = int(v, 2)
-    elif isinstance(v, (tuple, list)):
-        v = (v[0] << 2) | (v[1] << 1) | v[2]
-    v = int(v)
-    if not 0 <= v <= 7:
-        raise ValueError(f"not a bit triple: {v}")
-    return v
-
-
 def _signature(lmn, pqr):
     nl = bin(lmn).count("1")
     nr = bin(pqr).count("1")
@@ -163,54 +138,11 @@ assert len(_SIG_TO_INDEX) == 13
 
 # class of each C_{lmn,pqr}, (lmn, pqr) in the order (0, 0), (0, 1), ..., (7, 7)
 _CLASS_OF = np.array([_SIG_TO_INDEX[_signature(l, p)] for l in range(8) for p in range(8)])
-_MULTIPLICITY = np.bincount(_CLASS_OF, minlength=13).tolist()
-
-
-def coeff_class(lmn, pqr):
-    """Class of the coefficient C_{lmn,pqr}; accepts ints, "110"-style
-    strings, or bit tuples."""
-    lmn, pqr = _as_bits(lmn), _as_bits(pqr)
-    sig = _signature(lmn, pqr)
-    idx = _SIG_TO_INDEX[sig]
-    return CoeffClass(rep=ORDER[idx], signature=sig, multiplicity=_MULTIPLICITY[idx], index=idx)
 
 
 # ---------------------------------------------------------------------------
-# reduced state and extraction
+# class states and extraction
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ReducedState:
-    """The 13 class coefficients, ordered as in ORDER/LABELS."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        object.__setattr__(self, "coeffs", c)
-        if c.shape != (13,):
-            raise ValueError(f"expected 13 coefficients, got shape {c.shape}")
-        wt = self.weighted_trace
-        if abs(wt - 1.0) > 1e-10:
-            raise ValueError(f"weighted trace {wt} deviates from 1")
-
-    @property
-    def weighted_trace(self):
-        return float(sum(w * self.coeffs[i] for i, w in TRACE_WEIGHTS.items()))
-
-    @property
-    def fidelity(self):
-        return float(self.coeffs[0])
-
-
-def initial_reduced_state():
-    c = np.zeros(13)
-    c[0] = 1.0
-    return ReducedState(c)
-
-
-REGISTER = QubitRegister(3, 3)
 
 
 def _members():
@@ -232,7 +164,7 @@ def class_basis():
     state with class coefficients c is class_basis() @ c.  Built from the
     512 nonzero entries alone."""
     index, phases = _members()
-    basis = np.zeros((REGISTER.dim**2, 13), dtype=complex)
+    basis = np.zeros((64 * 64, 13), dtype=complex)
     basis[index, _CLASS_OF[:, None]] = phases[:, None] / 8.0
     return basis
 
@@ -256,6 +188,11 @@ def raw_coefficients(rho):
     return raw[:, 0], float(np.max(np.abs(raw.imag))), float(np.linalg.norm(off))
 
 
+def weighted_trace(coeffs):
+    """The physical trace of each row of class coefficients (n, 13)."""
+    return coeffs[:, list(TRACE_WEIGHTS)] @ list(TRACE_WEIGHTS.values())
+
+
 def class_coefficients(coords, basis):
     """The 13 class coefficients (n, 13) of the states coords[i] @ basis.T,
     each the mean of its class's raw coefficients, taken on the k basis
@@ -268,7 +205,7 @@ def class_coefficients(coords, basis):
     gram = off.conj().T @ off
     residual = np.sqrt(np.abs(np.einsum("ni,ij,nj->n", coords.conj(), gram, coords)))
     coeffs = np.stack([raw.real[:, _CLASS_OF == i].mean(axis=1) for i in range(13)], axis=1)
-    traces = coeffs[:, list(TRACE_WEIGHTS)] @ list(TRACE_WEIGHTS.values())
+    traces = weighted_trace(coeffs)
     for n, (imag, res, wt) in enumerate(zip(np.abs(raw.imag).max(axis=1), residual, traces)):
         if imag > 1e-10:
             raise ValueError(f"coefficients not real: max imaginary part {imag:.3e} (state {n})")
@@ -279,28 +216,10 @@ def class_coefficients(coords, basis):
     return coeffs
 
 
-def extract_reduced(rho):
-    """Project a 6-qubit state, evolved from |000><000| (x) (I/2)^3, onto
-    the 13 class coefficients, checked as by ``class_coefficients``."""
-    flat_rho = np.asarray(rho, dtype=complex).reshape(-1, 1)
-    return ReducedState(class_coefficients(np.ones((1, 1)), flat_rho)[0])
-
-
 def class_spread(rho):
     """Largest within-class spread of the 64 raw coefficients (symmetry check)."""
     raw, _, _ = raw_coefficients(rho)
     return float(max(np.ptp(raw.real[_CLASS_OF == i]) for i in range(13)))
-
-
-def expand_reduced(state):
-    """Rebuild the full 64x64 density matrix from class coefficients.
-
-    Inverse of :func:`extract_reduced`: every member of a class gets the
-    class coefficient, multiplied back by its phase.
-    """
-    coeffs = state.coeffs if isinstance(state, ReducedState) else np.asarray(state, float)
-    full = (class_basis() @ coeffs).reshape(REGISTER.dim, REGISTER.dim)
-    return DensityMatrix(REGISTER, full)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Qubit-register linear algebra: Pauli strings, registers, density matrices.
+"""Qubit-register linear algebra: Pauli strings, basis kets, registers.
 
 Conventions used throughout the package
 ---------------------------------------
@@ -13,18 +13,15 @@ Conventions used throughout the package
   flattens states row-major, ``rho.ravel()``; there is no other
   vectorization.
 
-* Tolerances: a density matrix is accepted as Hermitian / normalized
-  when the corresponding deviation is below 1e-10, and as positive
-  when its smallest eigenvalue is above -1e-8.  Validation raises;
-  it never renormalizes silently.
+* Tolerance: a sampled state counts as positive when its smallest
+  eigenvalue is above -TOL_POS = -1e-8 (``cqec.dynamics`` checks every
+  sample against it and raises or warns; it never renormalizes).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-TOL_HERM = 1e-10
-TOL_TRACE = 1e-10
 TOL_POS = 1e-8
 
 I2 = np.eye(2, dtype=complex)
@@ -87,11 +84,6 @@ def projector(ket):
     return ket @ ket.conj().T
 
 
-def hs_inner(a, b):
-    """Hilbert-Schmidt inner product Tr(a^dagger b)."""
-    return np.trace(np.asarray(a).conj().T @ np.asarray(b))
-
-
 def partial_trace_bath(rho, system_count, bath_count):
     """Trace out the trailing bath qubits of a system+bath density matrix."""
     ds, db = 2**system_count, 2**bath_count
@@ -123,42 +115,3 @@ class QubitRegister:
     def system_dim(self):
         return 2**self.system_count
 
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """A validated density matrix living on a :class:`QubitRegister`.
-
-    Validation policy: Hermiticity and unit trace are hard (1e-10);
-    eigenvalues may dip to -1e-8 to leave room for round-off from
-    integrators.  Anything worse raises ValueError.
-    """
-
-    register: QubitRegister
-    entries: np.ndarray
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=complex)
-        object.__setattr__(self, "entries", entries)
-        d = self.register.dim
-        if entries.shape != (d, d):
-            raise ValueError(f"expected shape {(d, d)}, got {entries.shape}")
-        herm = np.max(np.abs(entries - entries.conj().T))
-        if herm > TOL_HERM:
-            raise ValueError(f"not Hermitian: max |rho - rho^dagger| = {herm:.3e}")
-        tr = abs(np.trace(entries) - 1.0)
-        if tr > TOL_TRACE:
-            raise ValueError(f"trace deviates from 1 by {tr:.3e}")
-        lo = float(np.min(np.linalg.eigvalsh((entries + entries.conj().T) / 2)))
-        if lo < -TOL_POS:
-            raise ValueError(f"negative eigenvalue {lo:.3e} below tolerance")
-
-    def system_state(self):
-        """Reduced state of the system qubits (bath traced out)."""
-        if self.register.bath_count == 0:
-            return self.entries
-        return partial_trace_bath(
-            self.entries, self.register.system_count, self.register.bath_count
-        )
-
-    def expectation(self, op):
-        return float(np.real(np.trace(np.asarray(op) @ self.entries)))

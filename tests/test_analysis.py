@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from cqec.codes_and_maps import SCENARIOS, ModelParams, total_generator, scenario_rho0
 from cqec.dynamics import integrate, propagate_linear
 from cqec.tensor_core import basis_ket, partial_trace_bath
-from cqec.reduced_model import build_reduced_matrix, initial_reduced_state
+from cqec.reduced_model import build_reduced_matrix
 from cqec.analysis import (
     FitError,
     ObservableSample,
@@ -276,7 +276,7 @@ def test_coupling_reduction_scan_guard():
 
 def _slow_fit(big_r):
     m = build_reduced_matrix(big_r)
-    x0 = initial_reduced_state().coeffs
+    x0 = np.eye(13)[0]
     period = 2 * np.pi * big_r**2 / 24.0
     times = np.linspace(0.0, 2.0 * period, 3001)
     xs = propagate_linear(m, x0, times).real

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -158,7 +159,7 @@ def test_reduced_engine_gives_coordinates_on_the_class_states(big_r, t_max, samp
     """The reduced engine's trajectory is its 13 class coefficients on the 13
     class states: F_cw and P_cs read from it are C000_000 and
     C000_000 + C111_111 bit for bit, and its states are those that
-    expand_reduced builds from the coefficients."""
+    class_basis() builds from the coefficients."""
     traj = _run_trajectory(_reduced_config(big_r, t_max, samples))
     c = traj.coords
     assert c.shape == (samples, 13) and traj.basis.shape == (4096, 13)
@@ -166,7 +167,7 @@ def test_reduced_engine_gives_coordinates_on_the_class_states(big_r, t_max, samp
     assert np.array_equal(f, c[:, 0])
     assert np.array_equal(p, c[:, 0] + c[:, 12])
     for i in np.linspace(0, samples - 1, 6).astype(int):
-        expanded = reduced_model.expand_reduced(c[i]).entries
+        expanded = (reduced_model.class_basis() @ c[i]).reshape(64, 64)
         assert np.max(np.abs(traj.states[i] - expanded)) <= 1e-15
 
 
@@ -510,6 +511,58 @@ def test_discrete_engine_check_failure_returns_3(engine, monkeypatch, tmp_path, 
     assert not out.exists()
 
 
+def _reduced_argv(big_r, t_max, out):
+    return ["simulate", "--scenario", "hamiltonian-3q", "--engine", "reduced", "--R", big_r,
+            "--t-max", t_max, "--samples", "11", "--out", str(out)]
+
+
+@pytest.mark.parametrize("big_r, t_max, extra, message", [
+    # the slow pair is lost in rounding, and the weighted trace drifts
+    ("3e4", "1.18e8", [], r"^numerical failure: trace deviates by \S+ at t=\S+$"),
+    # the full trajectory's class coefficients drift off the real manifold
+    ("3e4", "1.18e8", ["--engine", "full", "--cross-validate"],
+     r"^numerical failure: full/reduced cross-validation failed: coefficients not real"),
+    # the eigenbasis of M(R) is singular in double precision
+    ("1e50", "10", [], r"^numerical failure: eigenbasis condition number \S+ >= 1e8"),
+], ids=["slow-horizon", "slow-horizon-cross-validate", "R-1e50"])
+def test_reduced_engine_check_failure_returns_3(big_r, t_max, extra, message, tmp_path,
+                                                capsys):
+    """A reduced run the double-precision model does not resolve is exit 3,
+    with no output and no traceback."""
+    out = tmp_path / "run.csv"
+    assert main(_reduced_argv(big_r, t_max, out) + extra) == 3
+    assert re.search(message, capsys.readouterr().err.strip())
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [[], ["--engine", "full", "--cross-validate"]],
+                         ids=["reduced", "cross-validate"])
+def test_reduced_engine_rejects_non_finite_coefficients(extra, monkeypatch, tmp_path, capsys):
+    """The reduced coefficients are checked, under --cross-validate too: a
+    non-finite one fails even where the weighted trace does not see it."""
+    def propagate(m, x0, times):
+        xs = np.tile(x0, (len(times), 1)).astype(complex)
+        xs[3:, 1] = np.nan  # C100_000, which carries no trace
+        return xs
+
+    monkeypatch.setattr("cqec.cli.propagate_linear", propagate)
+    out = tmp_path / "run.csv"
+    assert main(_reduced_argv("10", "10", out) + extra) == 3
+    assert capsys.readouterr().err.strip() == (
+        "numerical failure: trace deviates by nan at t=3")
+    assert not out.exists()
+
+
+def test_reduced_engine_passes_its_check_on_long_horizons(tmp_path):
+    """R = 1000 at gamma t = 1e5 keeps the weighted trace to ~2e-9."""
+    out = tmp_path / "run.csv"
+    assert main(_reduced_argv("1000", "1e5", out)) == 0
+    _, header, data = _read_csv(out)
+    weights = reduced_model.TRACE_WEIGHTS
+    cols = [header.index(LABELS[i]) for i in weights]
+    assert np.max(np.abs(data[:, cols] @ list(weights.values()) - 1.0)) <= 1e-8
+
+
 def test_fit_failure_returns_4(monkeypatch):
     def boom(*args, **kwargs):
         raise FitError("synthetic fit failure")
@@ -570,7 +623,7 @@ def test_eig_and_graph_need_finite_positive_rates(argv, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("big_r", ["5e102", "1e-100"])
+@pytest.mark.parametrize("big_r", ["5e102", "1e-100", "1e-102"])
 def test_eig_near_the_slow_pair_bounds_writes_finite_json(big_r, tmp_path):
     """Inside the range of R where 24/R^2 and -144/R^3 are finite and
     nonzero, eig exits 0 and its report holds no Infinity or NaN."""
@@ -649,6 +702,24 @@ def test_fig3_dataset(tmp_path):
     assert data[i, 0] == pytest.approx(np.pi * 100.0**2 / 24.0, rel=0.02)
 
 
+def _readme_cli_commands():
+    """The `cqec ...` lines of README's CLI block, `\\` continuations joined,
+    as argument lists without the program name and comments."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("cqec ")]
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch):
+    """Every command of README's CLI block exits 0."""
+    commands = _readme_cli_commands()
+    assert len(commands) >= 6
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == 0, argv
+
+
 def _run_python(*args):
     """A fresh interpreter with this checkout's `src` first on its path."""
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -667,11 +738,10 @@ def test_entry_point_runs_as_module():
 
 
 def test_import_loads_no_scipy():
-    """scipy is imported only by the fits and the ill-conditioned fallback
-    of propagate_linear, never by `import cqec.cli`.  One integrate per
-    scenario at the benchmark's rates and horizons (block check included)
-    loads neither scipy nor numpy.ma, whose import costs peak memory: none
-    of them falls back to scipy's expm."""
+    """scipy is imported only by fit_damped_cosine, never by `import
+    cqec.cli`.  One integrate per scenario at the benchmark's rates and
+    horizons (block check included) loads neither scipy nor numpy.ma,
+    whose import costs peak memory."""
     proc = _run_python(
         "-c",
         "import sys, cqec.cli\n"

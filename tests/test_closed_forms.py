@@ -5,14 +5,10 @@ from cqec.codes_and_maps import bitflip3_code, pair_hamiltonian, trivial_code
 from cqec.closed_forms import (
     Approximation,
     ApproximationWarning,
-    Markov3qCoeffs,
-    SingleQubitState,
-    ZenoEstimate,
     alpha_markov_1q,
     alpha_nonmarkov_1q,
     alpha_star_markov,
     alpha_star_nonmarkov,
-    ancilla_rate,
     beta_nonmarkov_1q,
     fidelity_approx_damped,
     fidelity_approx_lowest,
@@ -21,7 +17,6 @@ from cqec.closed_forms import (
     predicted_spectrum,
     zeno_coefficient,
     zeno_equilibrium,
-    zeno_estimate,
 )
 
 
@@ -119,12 +114,6 @@ def test_beta_partner_limits():
     assert beta_nonmarkov_1q(0.0, 1.0, 7.0) == pytest.approx(0.0)
 
 
-def test_single_qubit_state_bound():
-    SingleQubitState(alpha=0.5, beta=0.5)
-    with pytest.raises(ValueError):
-        SingleQubitState(alpha=0.9, beta=0.5)
-
-
 # ---------------------------------------------------------------------------
 # three qubits, Markovian
 # ---------------------------------------------------------------------------
@@ -145,14 +134,6 @@ def test_markov3q_approx_a():
     assert markov3q_approx_a(8.0, 1.0, 96.0) == pytest.approx((1 + np.exp(-1.0)) / 2)
     with pytest.raises(ValueError):
         markov3q_approx_a(1.0, 1.0, 0.0)
-
-
-def test_markov3q_coeffs_validation():
-    Markov3qCoeffs(0.4, 0.3, 0.2, 0.1)
-    with pytest.raises(ValueError):
-        Markov3qCoeffs(0.5, 0.5, 0.5, -0.5)
-    with pytest.raises(ValueError):
-        Markov3qCoeffs(0.4, 0.3, 0.2, 0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -234,19 +215,3 @@ def test_zeno_equilibrium():
     assert zeno_equilibrium(0.0, 3.0) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         zeno_equilibrium(1.0, 0.0)
-
-
-def test_ancilla_rate_scaling():
-    base = ancilla_rate(1.0, 0.01)
-    assert ancilla_rate(2.0, 0.01) == pytest.approx(4 * base)
-    with pytest.raises(ValueError):
-        ancilla_rate(0.0, 0.01)
-
-
-def test_zeno_estimate_bundle():
-    h = pair_hamiltonian(trivial_code(), 1.0)
-    est = zeno_estimate(h, np.diag([1.0, 0.0]), np.eye(2) / 2, dt_z=0.1)
-    assert isinstance(est, ZenoEstimate)
-    assert est.alpha_z == pytest.approx(1.0 - 0.01)
-    with pytest.raises(ValueError):
-        ZenoEstimate(c=1.0, dt_z=0.1, alpha_z=0.5)

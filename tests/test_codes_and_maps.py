@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from cqec.tensor_core import (
     QubitRegister,
     basis_ket,
-    hs_inner,
     pauli_string,
     pauli_on,
     projector,
@@ -144,23 +143,21 @@ def test_hamiltonian_generator_single_pair_ode():
     for alpha, beta in ((1.0, 0.0), (0.7, 0.3), (0.5, -0.5)):
         rho = alpha * p0 + (1 - alpha) * p1 + beta * b_op
         out = gen.apply(rho)
-        assert np.real(hs_inner(alpha_op, out)) == pytest.approx(-2 * gamma * beta)
-        assert np.real(hs_inner(b_op, out)) == pytest.approx(gamma * (2 * alpha - 1))
+        assert np.real(np.vdot(alpha_op, out)) == pytest.approx(-2 * gamma * beta)
+        assert np.real(np.vdot(b_op, out)) == pytest.approx(gamma * (2 * alpha - 1))
 
 
 def test_three_qubit_hamiltonian_feeds_single_error_classes():
     """[H, .] applied to the initial product state only populates the
     single-error coefficient class."""
-    from cqec.reduced_model import raw_coefficients, coeff_class
+    from cqec.reduced_model import _CLASS_OF, LABELS, raw_coefficients
 
     gen = total_generator("hamiltonian-3q", ModelParams(gamma=1.0))
     deriv = gen.apply(scenario_rho0("hamiltonian-3q"))
     raw, _, residual = raw_coefficients(deriv)
     assert residual < 1e-12
-    single = coeff_class("100", "000").index
-    for a, (l, p) in zip(raw.real, [(l, p) for l in range(8) for p in range(8)]):
-        if abs(a) > 1e-12:
-            assert coeff_class(l, p).index == single
+    fed = _CLASS_OF[np.abs(raw.real) > 1e-12]
+    assert fed.size and set(fed) == {LABELS.index("C100_000")}
 
 
 def test_weak_map_limits():
@@ -211,10 +208,10 @@ def test_total_generator_hamiltonian_1q_ode():
     alpha, beta = 0.6, 0.2
     rho = alpha * p0 + (1 - alpha) * p1 + beta * b_op
     out = gen.apply(rho)
-    assert np.real(hs_inner(alpha_op, out)) == pytest.approx(
+    assert np.real(np.vdot(alpha_op, out)) == pytest.approx(
         -2 * gamma * beta + kappa * (1 - alpha)
     )
-    assert np.real(hs_inner(b_op, out)) == pytest.approx(
+    assert np.real(np.vdot(b_op, out)) == pytest.approx(
         gamma * (2 * alpha - 1) - kappa * beta
     )
 
@@ -254,14 +251,11 @@ def test_scenario_rho0_shapes():
     assert np.trace(rho) == pytest.approx(1.0)
 
 
-def test_model_params_ratios():
-    p = ModelParams(lam=0.5, gamma=2.0, kappa=10.0)
-    assert p.r == pytest.approx(20.0)
-    assert p.R == pytest.approx(5.0)
-    with pytest.raises(ValueError):
-        _ = ModelParams(kappa=1.0).r
-    with pytest.raises(ValueError):
-        ModelParams(lam=-1.0)
+def test_model_params_rejects_negative_rates():
+    assert ModelParams(lam=0.5, gamma=2.0, kappa=10.0).kappa == 10.0
+    for name in ("lam", "gamma", "kappa"):
+        with pytest.raises(ValueError, match=f"{name} must be >= 0"):
+            ModelParams(**{name: -1.0})
 
 
 # ---------------------------------------------------------------------------

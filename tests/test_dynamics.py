@@ -100,8 +100,8 @@ def test_spectral_six_qubit_model_over_a_slow_period(big_r):
     m = reduced_model.build_reduced_matrix(big_r)
     slow = reduced_model.slow_eigenvalue(m)
     traj = integrate(gen, rho0, 2 * np.pi / slow.imag, n_samples=301)
-    xs = propagate_linear(m, reduced_model.initial_reduced_state().coeffs, traj.times).real
-    coeffs = np.array([reduced_model.extract_reduced(s).coeffs for s in traj.states])
+    xs = propagate_linear(m, np.eye(13)[0], traj.times).real
+    coeffs = reduced_model.class_coefficients(traj.coords, traj.basis)
     assert np.max(np.abs(coeffs - xs)) <= 1e-9
     assert max(reduced_model.class_spread(s) for s in traj.states) <= 1e-9
     _, (g,) = invariant_subspace([gen.apply], rho0)
@@ -154,17 +154,19 @@ def test_integrate_rejects_negative_horizon():
 class _StubGenerator:
     """A one-qubit generator with the interface ``integrate`` reads."""
 
-    register = QubitRegister(1)
-
     def __init__(self, apply):
         self.apply = apply
 
 
+Z1 = np.diag([1.0, -1.0])
+
+
 def _dip(eps):
-    """G(rho) = tr(rho) eps Z: from |0><0|, rho(t) = diag(1 + eps t, -eps t)
-    keeps its trace and its smallest eigenvalue is -eps t."""
-    z = np.diag([1.0, -1.0])
-    return _StubGenerator(lambda rho: np.trace(rho) * eps * z)
+    """G(rho) = eps tr(Z rho) Z, diagonalisable with eigenvalues 0 (on I)
+    and 2 eps (on Z): from |0><0|, rho(t) = diag(1 + s, -s) with
+    s = (e^(2 eps t) - 1)/2 = eps t (1 + eps t + ...) keeps its trace, and its
+    smallest eigenvalue is -s."""
+    return _StubGenerator(lambda rho: eps * np.trace(Z1 @ rho) * Z1)
 
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
@@ -422,7 +424,7 @@ def test_propagate_many_times_matches_expm():
 def test_propagate_reduced_slow_mode_value():
     """13-dim propagation at R=100 evaluated at gamma t = pi R^2 / 24."""
     m = reduced_model.build_reduced_matrix(100.0, 1.0)
-    x0 = reduced_model.initial_reduced_state().coeffs
+    x0 = np.eye(13)[0]
     t_star = np.pi * 100.0**2 / 24.0
     xs = propagate_linear(m, x0, [t_star])
     assert xs[0][0].real == pytest.approx(0.0859, abs=1e-3)
@@ -443,11 +445,16 @@ def test_propagate_matches_markovian_leak():
     assert 1.0 - p_cs == pytest.approx(0.03, abs=1e-6)
 
 
-def test_propagate_defective_matrix_falls_back():
-    # Jordan block: eigenbasis is singular, expm fallback must kick in
+def test_propagate_defective_matrix_raises():
+    """A Jordan block has no eigenbasis (cond(V) ~ 1e16): propagate_linear
+    refuses it, and so does ``integrate`` of the nilpotent one-qubit
+    generator G(rho) = 1e-3 tr(rho) Z, whose restriction is one."""
     m = np.array([[0.0, 1.0], [0.0, 0.0]])
-    xs = propagate_linear(m, np.array([0.0, 1.0]), [0.0, 2.0])
-    assert np.allclose(xs[1], [2.0, 1.0])
+    with pytest.raises(IntegrationError, match=r"^eigenbasis condition number \S+ >= 1e8"):
+        propagate_linear(m, np.array([0.0, 1.0]), [0.0, 2.0])
+    nilpotent = _StubGenerator(lambda rho: 1e-3 * np.trace(rho) * Z1)
+    with pytest.raises(IntegrationError, match="condition number"):
+        integrate(nilpotent, KET0, 5.0, n_samples=11)
 
 
 # ---------------------------------------------------------------------------

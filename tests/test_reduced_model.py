@@ -8,15 +8,16 @@ from cqec.tensor_core import basis_ket, projector, kron_all, partial_trace_bath
 from cqec.codes_and_maps import ModelParams, scenario_rho0, total_generator
 from cqec.dynamics import integrate, propagate_linear
 from cqec.reduced_model import (
+    _CLASS_OF,
+    _signature,
     LABELS,
     ORDER,
+    TRACE_WEIGHTS,
     build_reduced_matrix,
+    class_basis,
+    class_coefficients,
     class_spread,
-    coeff_class,
-    expand_reduced,
-    extract_reduced,
     graph_as_json,
-    initial_reduced_state,
     transition_graph,
 )
 
@@ -26,26 +27,34 @@ from cqec.reduced_model import (
 # ---------------------------------------------------------------------------
 
 
+def _class(lmn, pqr):
+    """Class index of C_{lmn,pqr}, bit strings such as "110"."""
+    return _CLASS_OF[int(lmn, 2) * 8 + int(pqr, 2)]
+
+
 def test_coeff_class_examples():
-    c = coeff_class("110", "011")
-    assert c.signature == (2, 2, 1)
-    assert c.multiplicity == 6
-    assert coeff_class("000", "000").multiplicity == 1
+    multiplicity = np.bincount(_CLASS_OF, minlength=13)
+    c = _class("110", "011")
+    assert _signature(0b110, 0b011) == (2, 2, 1)
+    assert LABELS[c] == "C110_011"
+    assert multiplicity[c] == 6
+    assert multiplicity[_class("000", "000")] == 1
     # same unordered signature -> same class
-    assert coeff_class("101", "110") == coeff_class("110", "011")
+    assert _class("101", "110") == c
 
 
 def test_classes_partition_all_64_pairs():
-    seen = {}
-    for l in range(8):
-        for r in range(8):
-            c = coeff_class(l, r)
-            seen[c.index] = seen.get(c.index, 0) + 1
-    assert len(seen) == 13
-    assert sum(seen.values()) == 64
-    for idx, count in seen.items():
-        rep = ORDER[idx]
-        assert coeff_class(*rep).multiplicity == count
+    """_CLASS_OF puts each of the 64 (lmn, pqr) in one of 13 classes, each
+    representative in its own, and the diagonal classes' sizes are the
+    trace weights."""
+    multiplicity = np.bincount(_CLASS_OF, minlength=13)
+    assert len(_CLASS_OF) == 64 and set(_CLASS_OF) == set(range(13))
+    for idx, (l, p) in enumerate(ORDER):
+        assert _CLASS_OF[l * 8 + p] == idx
+    assert multiplicity.sum() == 64
+    assert {i: float(multiplicity[i]) for i in TRACE_WEIGHTS} == TRACE_WEIGHTS
+    diagonal = {_CLASS_OF[l * 8 + l] for l in range(8)}
+    assert diagonal == set(TRACE_WEIGHTS)
 
 
 def test_labels_follow_order():
@@ -102,23 +111,40 @@ def test_free_spectrum_purely_imaginary():
 # ---------------------------------------------------------------------------
 
 
-def test_initial_state_is_unit_first_coefficient():
-    s = initial_reduced_state()
-    assert s.coeffs[0] == pytest.approx(1.0)
-    assert np.max(np.abs(s.coeffs[1:])) == 0.0
-    assert s.fidelity == pytest.approx(1.0)
+def _coefficients(rho):
+    """The 13 class coefficients of one 64 x 64 state."""
+    return class_coefficients(np.ones((1, 1)), np.asarray(rho).reshape(-1, 1))[0]
+
+
+def test_initial_state_is_unit_first_coefficient(tmp_path):
+    """The reduced engine starts from the unit first coefficient (fidelity
+    C000_000 = 1, weighted trace 1): its `--t-max 0` row is that vector,
+    and its propagation returns it at t = 0 to rounding."""
+    from cqec.cli import ExperimentConfig, _reduced_coefficients, main
+
+    out = tmp_path / "zero.csv"
+    argv = ["simulate", "--scenario", "hamiltonian-3q", "--engine", "reduced", "--R", "10",
+            "--t-max", "0", "--samples", "1", "--out", str(out)]
+    assert main(argv) == 0
+    header, row = out.read_text().splitlines()[1:]
+    coeffs = np.array([float(x) for x in row.split(",")[4:]])
+    assert header.split(",")[4:] == LABELS
+    assert np.array_equal(coeffs, np.eye(13)[0])
+    assert coeffs[list(TRACE_WEIGHTS)] @ list(TRACE_WEIGHTS.values()) == 1.0
+    config = ExperimentConfig(scenario="hamiltonian-3q", engine="reduced", kappa=10.0)
+    assert np.max(np.abs(_reduced_coefficients(config, np.array([0.0, 1.0]))[0] - coeffs)) < 1e-15
 
 
 def test_extract_from_initial_product_state():
-    s = extract_reduced(scenario_rho0("hamiltonian-3q"))
-    assert np.allclose(s.coeffs, initial_reduced_state().coeffs)
+    c = _coefficients(scenario_rho0("hamiltonian-3q"))
+    assert np.allclose(c, np.eye(13)[0])
 
 
 def test_expand_initial_state():
-    dm = expand_reduced(initial_reduced_state())
+    rho = (class_basis() @ np.eye(13)[0]).reshape(64, 64)
     expected = kron_all(projector(basis_ket("000")), np.eye(8) / 8.0)
-    assert np.allclose(dm.entries, expected)
-    assert partial_trace_bath(dm.entries, 3, 3)[0, 0] == pytest.approx(1.0)
+    assert np.allclose(rho, expected)
+    assert partial_trace_bath(rho, 3, 3)[0, 0] == pytest.approx(1.0)
 
 
 def test_extract_expand_round_trip_after_evolution():
@@ -126,10 +152,9 @@ def test_extract_expand_round_trip_after_evolution():
     extract again: the coefficients must survive the round trip."""
     gen = total_generator("hamiltonian-3q", ModelParams(gamma=1.0, kappa=3.0))
     traj = integrate(gen, scenario_rho0("hamiltonian-3q"), 0.3, n_samples=4)
-    s1 = extract_reduced(traj.states[-1])
-    dm = expand_reduced(s1)
-    s2 = extract_reduced(dm.entries)
-    assert np.max(np.abs(s1.coeffs - s2.coeffs)) < 1e-12
+    c1 = _coefficients(traj.states[-1])
+    c2 = _coefficients(class_basis() @ c1)
+    assert np.max(np.abs(c1 - c2)) < 1e-12
 
 
 def test_reduced_propagation_matches_full_dynamics():
@@ -138,10 +163,9 @@ def test_reduced_propagation_matches_full_dynamics():
     gen = total_generator("hamiltonian-3q", ModelParams(gamma=1.0, kappa=big_r))
     traj = integrate(gen, scenario_rho0("hamiltonian-3q"), 0.5, n_samples=6)
     m = build_reduced_matrix(big_r)
-    xs = propagate_linear(m, initial_reduced_state().coeffs, traj.times)
+    xs = propagate_linear(m, np.eye(13)[0], traj.times)
     for rho, x in zip(traj.states, xs):
-        s = extract_reduced(rho)
-        assert np.max(np.abs(s.coeffs - x)) < 1e-8
+        assert np.max(np.abs(_coefficients(rho) - x)) < 1e-8
 
 
 def test_class_spread_stays_small_under_evolution():
@@ -164,7 +188,7 @@ def test_class_spread_stays_small_under_evolution():
 ])
 def test_extract_rejects_states_off_the_manifold(extra, message):
     with pytest.raises(ValueError, match=message):
-        extract_reduced(scenario_rho0("hamiltonian-3q") + extra)
+        _coefficients(scenario_rho0("hamiltonian-3q") + extra)
 
 
 # ---------------------------------------------------------------------------
