@@ -320,10 +320,11 @@ def jump_monte_carlo(rho0, hamiltonian, code, kappa, t_max, n_traj, seed, n_samp
     """Ensemble average of the jump-process unraveling.
 
     Each trajectory evolves unitarily under H and suffers instantaneous
-    full recoveries Phi at Poisson(kappa) random times.  Per-trajectory
-    randomness comes from an independent counter-based stream keyed by
-    (seed, trajectory index), so results are reproducible and independent
-    of execution order.  Returns the mean state per sample time, with the
+    full recoveries Phi at Poisson(kappa) random times.  Trajectory i draws
+    its jump count and times from Generator(Philox(key=(seed, i))), the
+    key taken as two uint64 words, so results are reproducible, independent
+    of execution order and of the chunking, and every seed in [0, 2**64)
+    has its own streams.  Returns the mean state per sample time, with the
     ensemble mean/stderr of the codeword fidelity in `observables`.
 
     A chunk of trajectories evolves together, each as its k coordinates on
@@ -355,17 +356,27 @@ def jump_monte_carlo(rho0, hamiltonian, code, kappa, t_max, n_traj, seed, n_samp
     # times, with the mean jump count standing in for the chunk's largest
     chunk = max(1, MC_CHUNK_ENTRIES // (len(w) + n_samples + 2 + int(kappa * t_max)))
 
+    # one generator, reset to counter 0 and key (seed, i) before trajectory i's
+    # draws: the stream of Generator(Philox(key=(seed, i))) without building one
+    key = np.array([seed, 0], dtype=np.uint64)
+    bits = np.random.Philox(key=key)
+    rng = np.random.Generator(bits)
+    start = bits.state  # counter 0 and an empty buffer
+    start["state"]["key"] = key
+
     for first in range(0, n_traj, chunk):
         idx = np.arange(first, min(first + chunk, n_traj))
-        jumps = []
-        for i in idx:
-            rng = np.random.Generator(np.random.Philox(key=[seed, i]))
-            n_jump = rng.poisson(kappa * t_max)
-            jumps.append(np.sort(rng.uniform(0.0, t_max, n_jump)))
+        counts = np.empty(len(idx), dtype=int)
+        draws = []
+        for row, i in enumerate(idx):
+            key[1] = i
+            bits.state = start
+            counts[row] = rng.poisson(kappa * t_max)
+            draws.append(rng.uniform(0.0, t_max, counts[row]))
         # jump times padded with +inf; one extra column so every row ends in inf
-        pending = np.full((len(idx), 1 + max(len(j) for j in jumps)), np.inf)
-        for row, j in zip(pending, jumps):
-            row[: len(j)] = j
+        pending = np.full((len(idx), 1 + counts.max()), np.inf)
+        pending[np.arange(pending.shape[1]) < counts[:, None]] = np.concatenate(draws)
+        pending.sort(axis=1)
         rows = np.arange(len(idx))
         nxt = np.zeros(len(idx), dtype=int)
         t_now = np.zeros(len(idx))

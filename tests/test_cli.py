@@ -213,6 +213,24 @@ def test_simulate_monte_carlo_engine_seeded(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_simulate_monte_carlo_seeds_above_2_63(tmp_path):
+    """Seeds 2**63 and 2**63 + 1 give different samples, and 2**64 - 1 runs
+    with no cast warning (an error under the suite's RuntimeWarning filter)
+    and gives samples other than seed 0's."""
+    args = [
+        "simulate", "--scenario", "hamiltonian-1q", "--engine", "monte-carlo",
+        "--R", "2", "--t-max", "1", "--samples", "5", "--n-traj", "20",
+    ]
+    data = {}
+    for seed in (0, 2**63, 2**63 + 1, 2**64 - 1):
+        out = tmp_path / f"mc_{seed}.csv"
+        assert main(args + ["--seed", str(seed), "--out", str(out)]) == 0
+        config, _, data[seed] = _read_csv(out)
+        assert config["seed"] == seed
+    assert not np.array_equal(data[2**63], data[2**63 + 1])
+    assert not np.array_equal(data[2**64 - 1], data[0])
+
+
 def test_simulate_cross_validate(tmp_path, capsys):
     """Every sample of the full integration (all 6, all 201) is read as class
     coefficients, and they agree with the reduced model."""

@@ -26,6 +26,7 @@ from cqec.dynamics import (
     _check_samples,
     _diagonal_blocks,
     _min_eigenvalues,
+    _pair_subspace,
     integrate,
     invariant_subspace,
     jump_monte_carlo,
@@ -512,7 +513,7 @@ def _monte_carlo_reference(rho0, h, code, register, kappa, t_max, n_traj, seed, 
     mean = np.zeros((n_samples,) + rho0.shape, dtype=complex)
     fids = np.zeros((n_traj, n_samples))
     for idx in range(n_traj):
-        rng = np.random.Generator(np.random.Philox(key=[seed, idx]))
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, idx], dtype=np.uint64)))
         jump_times = np.sort(rng.uniform(0.0, t_max, rng.poisson(kappa * t_max)))
         rho, t, j = rho0.copy(), 0.0, 0
         for k, ts in enumerate(times):
@@ -570,15 +571,32 @@ def test_weak_map_matches_sequential_reference(scenario, n_steps, stride, eps, s
     assert np.max(np.abs(traj.states - states)) < 1e-11
 
 
-@pytest.mark.parametrize("scenario, n_traj, start", [
-    pytest.param("hamiltonian-1q", 50, "scenario", id="hamiltonian-1q-50"),
-    pytest.param("hamiltonian-3q", 70, "scenario", id="hamiltonian-3q-70"),
-    pytest.param("hamiltonian-1q", 50, "random", id="hamiltonian-1q-random"),
-    pytest.param("hamiltonian-3q", 30, "random-system", id="hamiltonian-3q-random-system"),
+@pytest.mark.parametrize("scenario, n_traj, start, seed, chunk", [
+    pytest.param("hamiltonian-1q", 50, "scenario", 11, None, id="hamiltonian-1q-50"),
+    pytest.param("hamiltonian-3q", 70, "scenario", 11, None, id="hamiltonian-3q-70"),
+    pytest.param("hamiltonian-1q", 50, "random", 11, None, id="hamiltonian-1q-random"),
+    pytest.param("hamiltonian-3q", 30, "random-system", 11, None,
+                 id="hamiltonian-3q-random-system"),
+    pytest.param("hamiltonian-1q", 50, "scenario", 2**64 - 5, None,
+                 id="hamiltonian-1q-seed-2**64-5"),
+    pytest.param("hamiltonian-3q", 30, "scenario", 2**63 + 1, None,
+                 id="hamiltonian-3q-seed-2**63+1"),
+    pytest.param("hamiltonian-1q", 50, "scenario", 11, 16, id="hamiltonian-1q-chunks-of-16"),
+    pytest.param("hamiltonian-3q", 70, "scenario", 11, 16, id="hamiltonian-3q-chunks-of-16"),
 ])
-def test_monte_carlo_matches_sequential_reference(scenario, n_traj, start):
+def test_monte_carlo_matches_sequential_reference(monkeypatch, scenario, n_traj, start, seed,
+                                                  chunk):
+    """The engine against the one-trajectory-at-a-time reference.  With
+    ``chunk`` set, MC_CHUNK_ENTRIES holds that many trajectories: 3 or 4
+    full chunks and a short last one, so the streams and the sums carried
+    from chunk to chunk are checked across chunk boundaries."""
     code, register, h, rho0 = _pair_setup(scenario, start)
-    kappa, t_max, seed, n_samples = 4.0, 1.0, 11, 6
+    kappa, t_max, n_samples = 4.0, 1.0, 6
+    if chunk is not None:
+        k = len(_pair_subspace(rho0, h, code)[1])
+        monkeypatch.setattr("cqec.dynamics.MC_CHUNK_ENTRIES",
+                            chunk * (k + n_samples + 2 + int(kappa * t_max)))
+        assert n_traj // chunk >= 3 and n_traj % chunk != 0
     traj = jump_monte_carlo(rho0, h, code, kappa, t_max, n_traj, seed, n_samples=n_samples)
     times, mean, f_mean, f_se = _monte_carlo_reference(
         rho0, h, code, register, kappa, t_max, n_traj, seed, n_samples
@@ -654,6 +672,22 @@ def test_monte_carlo_seed_determinism():
     t2 = jump_monte_carlo(rho0, h, code, 5.0, 1.0, 50, seed=42, n_samples=5)
     assert np.array_equal(t1.states, t2.states)
     assert np.array_equal(t1.observables["F_cw_mean"], t2.observables["F_cw_mean"])
+
+
+def test_monte_carlo_seeds_above_2_63_have_their_own_streams():
+    """The key (seed, i) is two uint64 words, so 2**63 and 2**63 + 1 draw
+    different jumps, and 2**64 - 1 draws its own (not seed 0's) with no
+    cast warning (the suite turns RuntimeWarning into an error)."""
+    code = trivial_code()
+    h = pair_hamiltonian(code, 1.0)
+    rho0 = scenario_rho0("hamiltonian-1q")
+    f = {
+        seed: jump_monte_carlo(rho0, h, code, 5.0, 1.0, 50, seed, n_samples=5)
+        .observables["F_cw_mean"]
+        for seed in (0, 2**63, 2**63 + 1, 2**64 - 1)
+    }
+    assert not np.array_equal(f[2**63], f[2**63 + 1])
+    assert not np.array_equal(f[2**64 - 1], f[0])
 
 
 def test_monte_carlo_mean_within_errors():
