@@ -311,20 +311,20 @@ def match_spectrum(numerical, big_r, gamma=1.0):
 
 
 def _stationary_infidelities(scenario, rates):
-    """1 - P_cs of the stationary state at each rate.  The rate-free noise n
-    and correction c are restricted once, to the Krylov coordinates of rho0
-    under both, so the subspace does not depend on the rate.  (n + rate c) x
-    = 0 is solved with its equation of the largest trace coefficient
-    (redundant: tr @ n = tr @ c = 0) replaced by tr(q x) = 1 (W. J. Stewart,
-    Introduction to the Numerical Solution of Markov Chains, 1994).  1 - P_cs
-    is summed over the diagonal outside the codewords, so it keeps its
-    relative precision when small.  No unique solution raises PlateauError."""
+    """1 - P_cs of the stationary state at each rate.  The noise n at unit
+    rate and the correction c of the scenario's ``Generator`` are restricted
+    once, to the Krylov coordinates of rho0 under both, so the subspace does
+    not depend on the rate.  (n + rate c) x = 0 is solved with its equation
+    of the largest trace coefficient (redundant: tr @ n = tr @ c = 0)
+    replaced by tr(q x) = 1 (W. J. Stewart, Introduction to the Numerical
+    Solution of Markov Chains, 1994).  1 - P_cs is summed over the diagonal
+    outside the codewords, so it keeps its relative precision when small.
+    No unique solution raises PlateauError."""
     spec = SCENARIOS[scenario]
-    noise = ModelParams(lam=1.0) if spec.time_unit == "lambda" else ModelParams(gamma=1.0)
-    ops = [total_generator(scenario, p).apply for p in (noise, ModelParams(kappa=1.0))]
+    gen = total_generator(scenario, ModelParams(lam=1.0, gamma=1.0))  # the noise at unit rate
     rho0 = scenario_rho0(scenario)
     d = rho0.shape[0]
-    q, (n, c) = invariant_subspace(ops, rho0)
+    q, (n, c) = invariant_subspace([gen.noise, gen.correction], rho0)
     tr = np.ones(d) @ q[:: d + 1]  # tr(q x) = tr @ x
     i = int(np.argmax(np.abs(tr)))
     leak = (1.0 - spec.code().diagonal_weights(d)[:, 1]) @ q[:: d + 1]  # 1 - P_cs = leak @ x

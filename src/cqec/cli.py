@@ -27,7 +27,7 @@ import contextlib
 import json
 import os
 import sys
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
@@ -40,11 +40,9 @@ from .codes_and_maps import (
 )
 from .dynamics import (
     MC_CHUNK_ENTRIES,
-    TRACE_TOL,
     IntegrationError,
-    Trajectory,
     integrate,
-    propagate_linear,
+    integrate_reduced,
     step_weak_map,
     jump_monte_carlo,
 )
@@ -254,27 +252,9 @@ def _write_json(path, payload):
 # ---------------------------------------------------------------------------
 
 
-def _reduced_coefficients(config, times):
-    """The 13 class coefficients (n, 13) of the reduced model at `times`
-    (a copy of the real part, so that the complex result is freed), from
-    the unit first coefficient.  Raises IntegrationError at the first sample
-    with a non-finite coefficient or a weighted trace off 1 by more than
-    TRACE_TOL; positivity is not checked."""
-    m = reduced_model.build_reduced_matrix(config.kappa / config.gamma, config.gamma)
-    coeffs = propagate_linear(m, np.eye(13)[0], times).real.copy()
-    trace = reduced_model.weighted_trace(coeffs)
-    tr_dev = np.where(np.isfinite(coeffs).all(axis=1), np.abs(trace - 1.0), np.nan)
-    fails = ~(tr_dev <= TRACE_TOL)
-    if fails.any():
-        i = int(np.argmax(fails))
-        raise IntegrationError(f"trace deviates by {tr_dev[i]:.3e} at t={times[i]:g}")
-    return coeffs
-
-
 def _run_trajectory(config):
     """Dispatch on engine; returns the trajectory (reduced: on the class states)."""
-    spec = SCENARIOS[config.scenario]
-    code = spec.code()
+    code = SCENARIOS[config.scenario].code()
     t_phys = config.t_max / config.unit
     rho0 = scenario_rho0(config.scenario)
 
@@ -283,8 +263,8 @@ def _run_trajectory(config):
         return integrate(gen, rho0, t_phys, n_samples=config.samples)
 
     if config.engine == "reduced":
-        times = np.linspace(0.0, t_phys, config.samples)
-        return Trajectory(times, _reduced_coefficients(config, times), reduced_model.class_basis())
+        return integrate_reduced(config.kappa / config.gamma, config.gamma, t_phys,
+                                 n_samples=config.samples)
 
     h = pair_hamiltonian(code, config.gamma)
     if config.engine == "weak-step":
@@ -301,6 +281,8 @@ def _run_trajectory(config):
 
 
 def cmd_simulate(config, out, cross_validate=False):
+    if cross_validate and config.scenario != "hamiltonian-3q":
+        raise ConfigError("--cross-validate compares the hamiltonian-3q engines")
     code = SCENARIOS[config.scenario].code()
     reduced = config.engine == "reduced"
     labels = reduced_model.LABELS if reduced else []  # the 13 class coefficients
@@ -333,17 +315,14 @@ def cmd_simulate(config, out, cross_validate=False):
 
 def _cross_validate(config):
     """Max deviation between the class coefficients of the full 64-dim
-    integration and the reduced propagation, at every sample."""
-    if config.scenario != "hamiltonian-3q":
-        raise ConfigError("--cross-validate compares the hamiltonian-3q engines")
-    gen = total_generator(config.scenario, config.params())
-    rho0 = scenario_rho0(config.scenario)
-    traj = integrate(gen, rho0, config.t_max / config.unit, n_samples=config.samples)
+    integration and those of the reduced engine, at every sample."""
+    full = _run_trajectory(replace(config, engine="full"))
     try:
-        coeffs = reduced_model.class_coefficients(traj.coords, traj.basis)
+        coeffs = reduced_model.class_coefficients(full.coords, full.basis)
     except ValueError as exc:  # a sample off the real symmetric manifold
         raise IntegrationError(f"full/reduced cross-validation failed: {exc}") from exc
-    return float(np.max(np.abs(coeffs - _reduced_coefficients(config, traj.times))))
+    reduced = _run_trajectory(replace(config, engine="reduced"))
+    return float(np.max(np.abs(coeffs - reduced.coords)))
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +358,7 @@ def cmd_fig(fig_id, out_dir):
 
 def cmd_eig(big_r, gamma, out):
     if big_r is None or not (np.isfinite(big_r) and big_r > 0):
-        raise ConfigError("eig needs a finite --R > 0")
+        raise ConfigError(f"eig needs a finite R = kappa/gamma > 0 (--R or --kappa), got {big_r}")
     with np.errstate(all="ignore"):  # an overflow or a division by zero reads inf or 0
         slow = predicted_spectrum(np.float64(big_r), gamma)[-2]
     if not (np.isfinite(slow) and slow.real and slow.imag):
@@ -507,7 +486,7 @@ def build_parser():
     p.add_argument("--R", dest="big_r", type=float,
                    help="dimensionless correction rate kappa/gamma")
     p.add_argument("--kappa", type=float, help="correction rate")
-    p.add_argument("--gamma", type=float, help="system-bath coupling")
+    p.add_argument("--gamma", type=float, default=1.0, help="system-bath coupling")
     p.add_argument("--out", default="-", help="output path (default: stdout)")
 
     p = sub.add_parser("scan", help="equilibrium scan over a rate grid")
@@ -535,13 +514,12 @@ def main(argv=None):
         if args.command == "fig":
             return cmd_fig(args.id, args.out)
         if args.command == "eig":
-            gamma = args.gamma if args.gamma is not None else 1.0
-            if not (np.isfinite(gamma) and gamma > 0):
+            if not (np.isfinite(args.gamma) and args.gamma > 0):
                 raise ConfigError("eig needs a finite --gamma > 0")
             if args.big_r is not None and args.kappa is not None:
                 raise ConfigError("give either --R or --kappa, not both")
-            big_r = args.big_r if args.kappa is None else args.kappa / gamma
-            return cmd_eig(big_r, gamma, args.out)
+            big_r = args.big_r if args.kappa is None else args.kappa / args.gamma
+            return cmd_eig(big_r, args.gamma, args.out)
         if args.command == "scan":
             scenario = args.scenario
             if scenario is None and args.config:

@@ -10,9 +10,9 @@ combined with either
 * a Hamiltonian pair coupling gamma * X_system x X_bath per qubit,
   with the bath qubits kept in the register (non-Markovian case).
 
-``total_generator`` returns one matrix-free ``Generator`` for every
-scenario; the engines of :mod:`cqec.dynamics` use only its ``apply`` on
-d x d matrices, and no d^2 x d^2 superoperator matrix is built.
+``total_generator`` returns one matrix-free ``Generator`` per scenario,
+the one definition of the noise and correction maps that the engines and
+scans restrict; no d^2 x d^2 superoperator matrix is built.
 
 ``apply_recovery`` is the one fast implementation of Phi (x) id_bath: a
 gather and sum of syndrome blocks on ``(..., d, d)`` stacks.  The Kraus
@@ -210,37 +210,42 @@ def pair_hamiltonian(code, gamma):
 
 
 class Generator:
-    """The model's generator on a scenario register, applied matrix-free:
+    """The model's generator, matrix-free on stacks (..., d, d) with d the
+    dimension of H: apply = noise + kappa correction, with the maps
 
-        rho -> -i[H, rho] + lam sum_j (X_j rho X_j - rho)
-               + kappa ((Phi (x) id_bath)(rho) - rho)
+        noise(rho)      = -i[H, rho] + lam sum_j (X_j rho X_j - rho)
+        correction(rho) = (Phi (x) id_bath)(rho) - rho
 
-    with X_j the flip of system qubit j, a permutation of rows and columns,
-    and the recovery applied by ``apply_recovery``.  ``apply`` takes stacks
-    of shape (..., d, d).  The engines of :mod:`cqec.dynamics` call it only
-    on the basis of the Krylov space of rho0.
+    X_j flips system qubit j (a permutation of rows and columns), and
+    ``apply_recovery`` applies Phi.  Phi - id is taken on d x d matrices,
+    so that a restriction of it does not carry the rounding of Phi_k - I.
     """
 
-    def __init__(self, code, register, hamiltonian, lam, kappa):
+    def __init__(self, code, hamiltonian, lam, kappa):
         self.code = code
-        self.register = register
         self.hamiltonian = np.asarray(hamiltonian, dtype=complex)
         self.lam = float(lam)
         self.kappa = float(kappa)
-        d = register.dim
+        d = len(self.hamiltonian)
+        self.bath_dim = d >> code.system_count
         # qubit j is bit d >> (j + 1) of a basis index (qubit 0 most significant)
-        self.flips = [np.arange(d) ^ (d >> (j + 1)) for j in range(register.system_count)]
+        self.flips = [np.arange(d) ^ (d >> (j + 1)) for j in range(code.system_count)]
 
-    def apply(self, rho):
+    def noise(self, rho):
         rho = np.asarray(rho, dtype=complex)
-        h = self.hamiltonian
-        out = -1j * (h @ rho - rho @ h)
+        out = -1j * (self.hamiltonian @ rho - rho @ self.hamiltonian)
         if self.lam:
             for p in self.flips:
                 out += self.lam * (rho[..., p, :][..., p] - rho)
+        return out
+
+    def correction(self, rho):
+        return apply_recovery(self.code, rho, self.bath_dim) - rho
+
+    def apply(self, rho):
+        out = self.noise(rho)
         if self.kappa:
-            bath_dim = 2**self.register.bath_count
-            out += self.kappa * (apply_recovery(self.code, rho, bath_dim) - rho)
+            out += self.kappa * self.correction(rho)
         return out
 
 
@@ -291,8 +296,7 @@ def total_generator(name, params):
         raise ValueError(f"unknown scenario {name!r}; choose from {sorted(SCENARIOS)}")
     spec = SCENARIOS[name]
     code = spec.code()
-    reg = spec.register
     if spec.noise == "lindblad":
-        h = np.zeros((reg.dim, reg.dim), dtype=complex)
-        return Generator(code, reg, h, params.lam, params.kappa)
-    return Generator(code, reg, pair_hamiltonian(code, params.gamma), 0.0, params.kappa)
+        d = spec.register.dim
+        return Generator(code, np.zeros((d, d)), params.lam, params.kappa)
+    return Generator(code, pair_hamiltonian(code, params.gamma), 0.0, params.kappa)

@@ -16,34 +16,34 @@
 * ``jump_monte_carlo`` -- the jump-process reading of the same model:
   full recoveries applied at Poisson(kappa) random times, averaged over
   trajectories.
+* ``integrate_reduced`` -- the 13 class coefficients of the reduced model
+  (:mod:`cqec.reduced_model`, ``hamiltonian-3q``) on the 13 class states.
 
-Every engine runs on the k coordinates of the smallest subspace that
+The other engines run on the k coordinates of the smallest subspace that
 holds rho0 and is mapped into itself by the model's operators
 (``invariant_subspace``; Saad, SIAM J. Numer. Anal. 29, 209 (1992), with
 several operators in place of one): k = 3 for ``hamiltonian-1q`` and 9
-for ``hamiltonian-3q`` from the scenario states.  ``integrate`` takes
-the generator's ``apply``; the weak map and Monte Carlo take the
-rate-free operators -i[H, .] and Phi (x) id_bath, the latter applied by
-``apply_recovery`` of :mod:`cqec.codes_and_maps`.
-A trajectory keeps only these coordinates and the basis (d is read from
+for ``hamiltonian-3q`` from the scenario states.  The operators are the
+``Generator``'s: ``integrate`` takes its ``apply``; the weak map and Monte
+Carlo take its rate-free ``noise`` and ``correction`` (Phi (x) id_bath -
+id), with Phi restricted as I plus the restricted correction.
+A trajectory keeps only its coordinates and the basis (d is read from
 it); the d x d states are built only when ``Trajectory.states`` is read.
-The reduced model of :mod:`cqec.reduced_model` gives trajectories of the
-same form: its 13 class coefficients on the 13 class states.
 
 Every engine checks its samples, never repairs them: the trace must stay
 within 1e-8 of 1, and an eigenvalue below -1e-8 triggers a
 PositivityWarning (below -1e-6, or a non-finite trace or eigenvalue, an
-IntegrationError).  ``integrate`` and the weak map check every sample,
-Monte Carlo its mean state.  The check runs on the coordinates of the
-whole trajectory at once: the trace is one product with the traces of
-the basis states, and every state in span(q) is block diagonal on the
-connected components of the union of the basis states' nonzero patterns
-(8 blocks of 8 x 8 for ``hamiltonian-3q``, 2 of 2 x 2 for
-``hamiltonian-1q``, 1 x 1 for the Markovian scenarios).  Blocks whose
-rows of q are equal bit for bit hold equal entries in every state (all 8
-for ``hamiltonian-3q``, both for ``hamiltonian-1q``), so the smallest
-eigenvalue comes from one batched ``eigvalsh`` per block size over the
-distinct blocks only.
+IntegrationError).  ``integrate``, the reduced engine and the weak map
+check every sample, Monte Carlo its mean state.  The check runs on the
+coordinates of the whole trajectory at once: the trace is one product
+with the traces of the basis states, and every state in span(q) is block
+diagonal on the connected components of the union of the basis states'
+nonzero patterns (8 blocks of 8 x 8 for ``hamiltonian-3q``, its class
+states too, 2 of 2 x 2 for ``hamiltonian-1q``, 1 x 1 for the Markovian
+scenarios).  Blocks whose rows of q are equal bit for bit hold equal
+entries in every state (all 8 for ``hamiltonian-3q``, both for
+``hamiltonian-1q``), so the smallest eigenvalue comes from one batched
+``eigvalsh`` per block size over the distinct blocks only.
 """
 
 import warnings
@@ -51,14 +51,19 @@ from functools import cached_property
 
 import numpy as np
 
+from . import reduced_model
 from .tensor_core import TOL_POS
-from .codes_and_maps import apply_recovery
+from .codes_and_maps import Generator
 
 TRACE_TOL = 1e-8
 # Largest number of array entries in one Monte Carlo chunk, which bounds its memory.
 MC_CHUNK_ENTRIES = 2**18
 # Smallest new direction in ``invariant_subspace``, relative to the largest image;
 # rounding leaves ~1e-16.  hamiltonian-3q keeps all k = 9 for R in [1e-10, 3e7].
+# Beyond, ``integrate``'s restriction of one rate's ``apply`` finds k = 8 at R = 1e8,
+# 15 at 1e10 and 2 from 1e13 on, where the noise's images sink to the rounding of the
+# kappa-sized correction; the rate-free noise and correction of the weak map, Monte
+# Carlo and the scan keep k = 9.
 # Also the largest trace row of the reflected generator, relative to its norm, that
 # ``_trace_first`` zeroes as rounding: the scenario generators leave ~1e-16, and up
 # to 1e-12 at rates above ~1e12, where a Krylov direction falls below the tolerance.
@@ -132,10 +137,12 @@ def _min_eigenvalues(coords, q):
         distinct = {}
         for rows in idx[:, :, None] * d + idx[:, None, :]:
             distinct.setdefault(q[rows.ravel()].tobytes(), rows.ravel())
-        flat = np.concatenate(list(distinct.values()))
-        blocks = (coords @ q[flat].T).reshape(len(coords), len(distinct), s, s)
-        herm = (blocks + blocks.conj().swapaxes(-1, -2)) / 2.0
-        lo = np.minimum(lo, np.linalg.eigvalsh(herm).min(axis=(1, 2)))
+        qt = q[np.concatenate(list(distinct.values()))].T
+        for i in range(0, len(coords), 256):  # 256 samples at a time bound the memory
+            part = slice(i, i + 256)
+            blocks = (coords[part] @ qt).reshape(-1, len(distinct), s, s)
+            herm = (blocks + blocks.conj().swapaxes(-1, -2)) / 2.0
+            lo[part] = np.minimum(lo[part], np.linalg.eigvalsh(herm).min(axis=(1, 2)))
     return lo
 
 
@@ -193,6 +200,21 @@ def integrate(generator, rho0, t_max, n_samples=201):
     coords = propagate_linear(g, h @ (q.conj().T @ rho0.ravel()), times) @ h.T
     _check_samples(times, coords, q)
     return Trajectory(times, coords, q)
+
+
+def integrate_reduced(big_r, gamma, t_max, n_samples=201):
+    """The 13 class coefficients of the reduced model, exp(gamma M(R) t)
+    applied to the unit first one (``propagate_linear``) on a uniform grid
+    of t in [0, t_max], t_max > 0: real coordinates on the class states
+    ``reduced_model.class_basis()``, checked as every engine's samples
+    (``_check_samples``)."""
+    times = np.linspace(0.0, t_max, n_samples)
+    m = reduced_model.build_reduced_matrix(big_r, gamma)
+    # a copy of the real part, so that the complex result is freed
+    coords = propagate_linear(m, np.eye(13)[0], times).real.copy()
+    basis = reduced_model.class_basis()
+    _check_samples(times, coords, basis)
+    return Trajectory(times, coords, basis)
 
 
 def propagate_linear(system_matrix, x0, times):
@@ -271,15 +293,14 @@ def _trace_first(q, g):
 
 
 def _pair_subspace(rho0, hamiltonian, code):
-    """(q, w, v, phi_k): q spans the subspace of rho0 invariant under
-    -i[H, .] and Phi (x) id_bath, whose restrictions are -i v w v^dag (so
-    exp(-i[H, .] t) becomes v exp(-i w t) v^dag) and phi_k."""
-    h = np.asarray(hamiltonian, dtype=complex)
-    db = len(h) >> code.system_count
-    ops = [lambda r: -1j * (h @ r - r @ h), lambda r: apply_recovery(code, r, db)]
-    q, (n_k, phi_k) = invariant_subspace(ops, rho0)
+    """(q, w, v, phi_k): q spans the subspace of rho0 invariant under the
+    noise -i[H, .] and the correction c = Phi (x) id_bath - id of
+    ``Generator``, whose restrictions are -i v w v^dag (so exp(-i[H, .] t)
+    becomes v exp(-i w t) v^dag) and c_k, with phi_k = I + c_k."""
+    gen = Generator(code, hamiltonian, 0.0, 0.0)
+    q, (n_k, c_k) = invariant_subspace([gen.noise, gen.correction], rho0)
     w, v = np.linalg.eigh(1j * n_k)
-    return q, w, v, phi_k
+    return q, w, v, np.eye(len(w)) + c_k
 
 
 def step_weak_map(rho0, hamiltonian, code, eps, tau_c, n_steps, sample_stride=1):
@@ -289,7 +310,8 @@ def step_weak_map(rho0, hamiltonian, code, eps, tau_c, n_steps, sample_stride=1)
 
     Samples are reached by powers of the one-cycle map ((1-eps) I + eps
     phi_k) exp(tau_c N_k) on the coordinates of ``_pair_subspace``, where
-    N_k and phi_k restrict -i[H, .] and Phi (x) id_bath.
+    N_k restricts -i[H, .] and phi_k = I + c_k, c_k the restriction of the
+    correction Phi (x) id_bath - id.
     Equivalent continuous correction rate: kappa = eps / tau_c.  The
     samples are checked as those of ``integrate`` (``_check_samples``).
     """

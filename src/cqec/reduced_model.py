@@ -188,11 +188,6 @@ def raw_coefficients(rho):
     return raw[:, 0], float(np.max(np.abs(raw.imag))), float(np.linalg.norm(off))
 
 
-def weighted_trace(coeffs):
-    """The physical trace of each row of class coefficients (n, 13)."""
-    return coeffs[:, list(TRACE_WEIGHTS)] @ list(TRACE_WEIGHTS.values())
-
-
 def class_coefficients(coords, basis):
     """The 13 class coefficients (n, 13) of the states coords[i] @ basis.T,
     each the mean of its class's raw coefficients, taken on the k basis
@@ -205,7 +200,7 @@ def class_coefficients(coords, basis):
     gram = off.conj().T @ off
     residual = np.sqrt(np.abs(np.einsum("ni,ij,nj->n", coords.conj(), gram, coords)))
     coeffs = np.stack([raw.real[:, _CLASS_OF == i].mean(axis=1) for i in range(13)], axis=1)
-    traces = weighted_trace(coeffs)
+    traces = coeffs[:, list(TRACE_WEIGHTS)] @ list(TRACE_WEIGHTS.values())
     for n, (imag, res, wt) in enumerate(zip(np.abs(raw.imag).max(axis=1), residual, traces)):
         if imag > 1e-10:
             raise ValueError(f"coefficients not real: max imaginary part {imag:.3e} (state {n})")

@@ -4,19 +4,21 @@ import re
 import shlex
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cqec import reduced_model
+from cqec import dynamics, reduced_model
 from cqec.cli import ExperimentConfig, _run_trajectory, main
 from cqec.codes_and_maps import SCENARIOS, apply_recovery
 from cqec.closed_forms import alpha_nonmarkov_1q
 from cqec.reduced_model import LABELS
-from cqec.dynamics import IntegrationError
+from cqec.dynamics import IntegrationError, PositivityWarning
 from cqec.analysis import FitError, fidelity_weight_series, observables
 
 
@@ -405,7 +407,8 @@ def test_scan_without_unique_stationary_state_exits_3(monkeypatch, tmp_path, cap
     no CSV."""
     unit = np.zeros((4, 4))
     unit[0, 1] = 1.0
-    generator = SimpleNamespace(apply=lambda r: np.trace(r) * unit)
+    generator = SimpleNamespace(noise=lambda r: np.trace(r) * unit,
+                                correction=lambda r: np.trace(r) * unit)
     monkeypatch.setattr("cqec.analysis.total_generator", lambda scenario, params: generator)
     out = tmp_path / "scan.csv"
     rc = main(["scan", "--scenario", "hamiltonian-1q", "--grid", "1,2,3,4", "--out", str(out)])
@@ -519,7 +522,7 @@ def test_simulate_rejects_non_finite_values(field, argv, tmp_path, capsys):
 def test_discrete_engine_check_failure_returns_3(engine, monkeypatch, tmp_path, capsys):
     """A recovery that gains trace fails the sample check of the weak map and
     of Monte Carlo as it fails that of integrate: exit 3, no output."""
-    monkeypatch.setattr("cqec.dynamics.apply_recovery",
+    monkeypatch.setattr("cqec.codes_and_maps.apply_recovery",
                         lambda code, rho, db: 1.01 * apply_recovery(code, rho, db))
     out = tmp_path / "run.csv"
     argv = ["simulate", "--engine", engine, "--R", "5", "--t-max", "1", "--samples", "11",
@@ -558,12 +561,16 @@ def test_reduced_engine_check_failure_returns_3(big_r, t_max, extra, message, tm
 def test_reduced_engine_rejects_non_finite_coefficients(extra, monkeypatch, tmp_path, capsys):
     """The reduced coefficients are checked, under --cross-validate too: a
     non-finite one fails even where the weighted trace does not see it."""
+    full_engine = dynamics.propagate_linear
+
     def propagate(m, x0, times):
+        if len(m) != 13:  # the full engine's propagation under --cross-validate
+            return full_engine(m, x0, times)
         xs = np.tile(x0, (len(times), 1)).astype(complex)
         xs[3:, 1] = np.nan  # C100_000, which carries no trace
         return xs
 
-    monkeypatch.setattr("cqec.cli.propagate_linear", propagate)
+    monkeypatch.setattr("cqec.dynamics.propagate_linear", propagate)
     out = tmp_path / "run.csv"
     assert main(_reduced_argv("10", "10", out) + extra) == 3
     assert capsys.readouterr().err.strip() == (
@@ -579,6 +586,91 @@ def test_reduced_engine_passes_its_check_on_long_horizons(tmp_path):
     weights = reduced_model.TRACE_WEIGHTS
     cols = [header.index(LABELS[i]) for i in weights]
     assert np.max(np.abs(data[:, cols] @ list(weights.values()) - 1.0)) <= 1e-8
+
+
+def _dipping_propagation(dip):
+    """A stub of the reduced propagation: the unit first coefficient, with
+    8 dip moved from the C100_100 class to the C110_110 class from the
+    fourth sample on.  The trace, F_cw and P_cs stay 1, and the smallest
+    eigenvalue of those states is -dip."""
+    def propagate(m, x0, times):
+        xs = np.tile(x0, (len(times), 1)).astype(complex)
+        xs[3:, 4] -= 8.0 * dip
+        xs[3:, 8] += 8.0 * dip
+        return xs
+
+    return propagate
+
+
+def test_reduced_engine_warns_on_a_shallow_dip(monkeypatch, tmp_path):
+    """The reduced engine checks positivity as every engine does: a dip
+    below -1e-8 warns once per sample and the run still writes its CSV."""
+    monkeypatch.setattr("cqec.dynamics.propagate_linear", _dipping_propagation(1e-7))
+    out = tmp_path / "run.csv"
+    with pytest.warns(PositivityWarning) as record:
+        assert main(_reduced_argv("10", "10", out)) == 0
+    assert [str(w.message) for w in record] == [
+        f"state eigenvalue -1.000e-07 below -1e-08 at t={t}" for t in range(3, 11)]
+    assert out.exists()
+
+
+def test_reduced_engine_dip_below_tolerance_exits_3(monkeypatch, tmp_path, capsys):
+    """A dip below -1e-6 fails the reduced engine's sample check: exit 3 with
+    that check's message and no output."""
+    monkeypatch.setattr("cqec.dynamics.propagate_linear", _dipping_propagation(1e-5))
+    out = tmp_path / "run.csv"
+    assert main(_reduced_argv("10", "10", out)) == 3
+    assert capsys.readouterr().err.strip() == (
+        "numerical failure: eigenvalue -1.000e-05 at t=3; integration diverged")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("t_max", ["0", "1"])
+def test_cross_validate_outside_hamiltonian_3q_exits_2(t_max, monkeypatch, tmp_path, capsys):
+    """--cross-validate on another scenario is a config error before any
+    engine runs, at --t-max 0 too."""
+    def no_engine(config):
+        raise AssertionError("the engine ran")
+
+    monkeypatch.setattr("cqec.cli._run_trajectory", no_engine)
+    out = tmp_path / "x.csv"
+    argv = ["simulate", "--scenario", "markovian-1q", "--t-max", t_max, "--cross-validate",
+            "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.strip() == (
+        "config error: --cross-validate compares the hamiltonian-3q engines")
+    assert not out.exists()
+
+
+# every (engine, scenario) pair that simulate runs
+_ENGINE_RUNS = (
+    [("full", scenario) for scenario in sorted(SCENARIOS)]
+    + [("reduced", "hamiltonian-3q")]
+    + [(engine, scenario) for engine in ("weak-step", "monte-carlo")
+       for scenario in ("hamiltonian-1q", "hamiltonian-3q")]
+)
+
+
+@given(run=st.sampled_from(_ENGINE_RUNS), rate=st.floats(0.1, 1e3),
+       cycles=st.integers(1, 5000), n_traj=st.integers(1, 50), seed=st.integers(0, 2**64 - 1))
+@settings(max_examples=25, deadline=None)
+def test_every_engine_exits_0_or_3_with_valid_rows(run, rate, cycles, n_traj, seed):
+    """A valid simulate run of any engine exits 0 or 3, never with a
+    traceback, and every row it writes has 0 <= F_cw <= P_cs <= 1 within
+    the tolerances of ObservableSample.  The horizon is a whole number of
+    weak-map cycles tau_c = 1e-3 (at most 5)."""
+    engine, scenario = run
+    flag = "--kappa" if SCENARIOS[scenario].time_unit == "lambda" else "--R"
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "run.csv"
+        rc = main(["simulate", "--scenario", scenario, "--engine", engine, flag, repr(rate),
+                   "--t-max", repr(cycles * 1e-3), "--samples", "11", "--tau-c", "1e-3",
+                   "--n-traj", str(n_traj), "--seed", str(seed), "--out", str(out)])
+        assert rc in (0, 3)
+        if rc == 0:
+            _, _, data = _read_csv(out)
+            f, p = data[:, 1], data[:, 2]
+            assert np.all((f >= -1e-9) & (f <= p + 1e-9) & (p + 1e-9 <= 1.0 + 2e-9))
 
 
 def test_fit_failure_returns_4(monkeypatch):
@@ -653,6 +745,17 @@ def test_eig_near_the_slow_pair_bounds_writes_finite_json(big_r, tmp_path):
 
     report = json.loads(out.read_text(), parse_constant=refuse)
     assert len(report["entries"]) == 13
+
+
+@pytest.mark.parametrize("argv, big_r", [(["--kappa", "0"], "0.0"),
+                                         (["--kappa", "-3", "--gamma", "2"], "-1.5")])
+def test_eig_names_the_rate_it_was_given(argv, big_r, tmp_path, capsys):
+    """A rate given as --kappa is named as R = kappa/gamma, with its value."""
+    out = tmp_path / "eig.json"
+    assert main(["eig", *argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.strip() == (
+        f"config error: eig needs a finite R = kappa/gamma > 0 (--R or --kappa), got {big_r}")
+    assert not out.exists()
 
 
 def test_eig_rejects_r_and_kappa_together(tmp_path, capsys):

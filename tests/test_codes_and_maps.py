@@ -218,7 +218,7 @@ def test_total_generator_hamiltonian_1q_ode():
 
 def test_total_generator_3q_is_matrix_free_and_trace_annihilating():
     gen = total_generator("hamiltonian-3q", ModelParams(gamma=1.0, kappa=3.0))
-    assert gen.register.dim == 64
+    assert gen.hamiltonian.shape == (64, 64)
     assert not hasattr(gen, "matrix")
     rng = np.random.default_rng(5)
     for _ in range(5):

@@ -214,7 +214,7 @@ def _stub_recovery(monkeypatch, dip=0.0, gain=1.0):
     With H = 0, each recovery moves the smallest eigenvalue of
     |0><0| (x) I/2 down by dip/2, and multiplies the trace by gain."""
     monkeypatch.setattr(
-        "cqec.dynamics.apply_recovery",
+        "cqec.codes_and_maps.apply_recovery",
         lambda code, rho, db: gain * rho + dip * np.trace(rho) * Z_HALF,
     )
 
@@ -848,6 +848,21 @@ def _assert_subspace_matches_vstack(ops, rho0):
 def test_invariant_subspace_of_the_scenario_states(scenario, k, rate):
     gen = total_generator(scenario, _params(scenario, rate))
     assert _assert_subspace_matches_vstack([gen.apply], scenario_rho0(scenario)) == k
+
+
+@pytest.mark.parametrize("rate", [1e-6, 1.0, 1e3, 1e7])
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_apply_is_noise_plus_kappa_correction_on_their_subspace(scenario, rate):
+    """On the Krylov basis q of rho0 under the generator's two rate-free maps,
+    q^dag apply(q) is the restricted noise plus kappa times the restricted
+    correction: the engines restrict one definition of each map."""
+    gen = total_generator(scenario, _params(scenario, rate))
+    rho0 = scenario_rho0(scenario)
+    d = len(rho0)
+    q, (n, c) = invariant_subspace([gen.noise, gen.correction], rho0)
+    g = q.conj().T @ gen.apply(q.T.reshape(-1, d, d)).reshape(len(q.T), -1).T
+    expected = n + gen.kappa * c
+    assert np.max(np.abs(g - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_invariant_subspace_of_the_pair_operators():

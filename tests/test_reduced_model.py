@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from cqec.tensor_core import basis_ket, projector, kron_all, partial_trace_bath
 from cqec.codes_and_maps import ModelParams, scenario_rho0, total_generator
-from cqec.dynamics import integrate, propagate_linear
+from cqec.dynamics import integrate, integrate_reduced, propagate_linear
 from cqec.reduced_model import (
     _CLASS_OF,
     _signature,
@@ -120,7 +120,7 @@ def test_initial_state_is_unit_first_coefficient(tmp_path):
     """The reduced engine starts from the unit first coefficient (fidelity
     C000_000 = 1, weighted trace 1): its `--t-max 0` row is that vector,
     and its propagation returns it at t = 0 to rounding."""
-    from cqec.cli import ExperimentConfig, _reduced_coefficients, main
+    from cqec.cli import main
 
     out = tmp_path / "zero.csv"
     argv = ["simulate", "--scenario", "hamiltonian-3q", "--engine", "reduced", "--R", "10",
@@ -131,8 +131,8 @@ def test_initial_state_is_unit_first_coefficient(tmp_path):
     assert header.split(",")[4:] == LABELS
     assert np.array_equal(coeffs, np.eye(13)[0])
     assert coeffs[list(TRACE_WEIGHTS)] @ list(TRACE_WEIGHTS.values()) == 1.0
-    config = ExperimentConfig(scenario="hamiltonian-3q", engine="reduced", kappa=10.0)
-    assert np.max(np.abs(_reduced_coefficients(config, np.array([0.0, 1.0]))[0] - coeffs)) < 1e-15
+    traj = integrate_reduced(10.0, 1.0, 1.0, n_samples=2)
+    assert np.max(np.abs(traj.coords[0] - coeffs)) < 1e-15
 
 
 def test_extract_from_initial_product_state():
