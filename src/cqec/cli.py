@@ -302,7 +302,7 @@ def cmd_simulate(config, out, cross_validate=False):
     )
 
     if cross_validate:
-        dev = _cross_validate(config)
+        dev = _cross_validate(config, traj)
         print(f"cross-validate: max coefficient deviation {dev:.3e}", file=sys.stderr)
         if dev > 1e-6:
             raise IntegrationError(
@@ -313,15 +313,20 @@ def cmd_simulate(config, out, cross_validate=False):
     return 0
 
 
-def _cross_validate(config):
+def _cross_validate(config, traj):
     """Max deviation between the class coefficients of the full 64-dim
-    integration and those of the reduced engine, at every sample."""
-    full = _run_trajectory(replace(config, engine="full"))
+    integration and those of the reduced engine, at every sample.  ``traj``
+    is the trajectory of the config's own engine, which stands in for that
+    engine's run."""
+    def run(engine):
+        return traj if config.engine == engine else _run_trajectory(replace(config, engine=engine))
+
+    full = run("full")
     try:
         coeffs = reduced_model.class_coefficients(full.coords, full.basis)
     except ValueError as exc:  # a sample off the real symmetric manifold
         raise IntegrationError(f"full/reduced cross-validation failed: {exc}") from exc
-    reduced = _run_trajectory(replace(config, engine="reduced"))
+    reduced = run("reduced")
     return float(np.max(np.abs(coeffs - reduced.coords)))
 
 

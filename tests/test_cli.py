@@ -246,6 +246,34 @@ def test_simulate_cross_validate(tmp_path, capsys):
         assert dev <= 1e-9
 
 
+def test_cross_validate_runs_each_engine_once(monkeypatch, tmp_path, capsys):
+    """The trajectory of the engine that was asked for is the one compared:
+    the full and the reduced engine run once each, whichever was asked for,
+    and the deviation line is the same."""
+    calls = {}
+
+    def counted(name, engine):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return engine(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr("cqec.cli.integrate", counted("full", dynamics.integrate))
+    monkeypatch.setattr("cqec.cli.integrate_reduced",
+                        counted("reduced", dynamics.integrate_reduced))
+    lines = set()
+    for engine in ("full", "reduced", "monte-carlo"):
+        calls.clear()
+        argv = ["simulate", "--scenario", "hamiltonian-3q", "--engine", engine, "--R", "10",
+                "--t-max", "1", "--n-traj", "20", "--cross-validate",
+                "--out", str(tmp_path / f"{engine}.csv")]
+        assert main(argv) == 0
+        assert calls == {"full": 1, "reduced": 1}, engine
+        lines.add(capsys.readouterr().err)
+    assert len(lines) == 1
+    assert re.fullmatch(r"cross-validate: max coefficient deviation \S+\n", lines.pop())
+
+
 def test_simulate_writes_stdout_by_default(capsys):
     rc = main(
         [

@@ -571,27 +571,43 @@ def test_weak_map_matches_sequential_reference(scenario, n_steps, stride, eps, s
     assert np.max(np.abs(traj.states - states)) < 1e-11
 
 
-@pytest.mark.parametrize("scenario, n_traj, start, seed, chunk", [
-    pytest.param("hamiltonian-1q", 50, "scenario", 11, None, id="hamiltonian-1q-50"),
-    pytest.param("hamiltonian-3q", 70, "scenario", 11, None, id="hamiltonian-3q-70"),
-    pytest.param("hamiltonian-1q", 50, "random", 11, None, id="hamiltonian-1q-random"),
-    pytest.param("hamiltonian-3q", 30, "random-system", 11, None,
+# (kappa, t_max, samples): ~0.8 jumps per sample interval, and 40 or 20 per interval
+FEW_JUMPS, MANY_JUMPS, LONG_RUN = (4.0, 1.0, 6), (40.0, 2.0, 3), (4.0, 25.0, 6)
+
+
+@pytest.mark.parametrize("scenario, n_traj, start, seed, chunk, jumps", [
+    pytest.param("hamiltonian-1q", 50, "scenario", 11, None, FEW_JUMPS, id="hamiltonian-1q-50"),
+    pytest.param("hamiltonian-3q", 70, "scenario", 11, None, FEW_JUMPS, id="hamiltonian-3q-70"),
+    pytest.param("hamiltonian-1q", 50, "random", 11, None, FEW_JUMPS, id="hamiltonian-1q-random"),
+    pytest.param("hamiltonian-3q", 30, "random-system", 11, None, FEW_JUMPS,
                  id="hamiltonian-3q-random-system"),
-    pytest.param("hamiltonian-1q", 50, "scenario", 2**64 - 5, None,
+    pytest.param("hamiltonian-1q", 50, "scenario", 2**64 - 5, None, FEW_JUMPS,
                  id="hamiltonian-1q-seed-2**64-5"),
-    pytest.param("hamiltonian-3q", 30, "scenario", 2**63 + 1, None,
+    pytest.param("hamiltonian-3q", 30, "scenario", 2**63 + 1, None, FEW_JUMPS,
                  id="hamiltonian-3q-seed-2**63+1"),
-    pytest.param("hamiltonian-1q", 50, "scenario", 11, 16, id="hamiltonian-1q-chunks-of-16"),
-    pytest.param("hamiltonian-3q", 70, "scenario", 11, 16, id="hamiltonian-3q-chunks-of-16"),
+    pytest.param("hamiltonian-1q", 50, "scenario", 11, 16, FEW_JUMPS,
+                 id="hamiltonian-1q-chunks-of-16"),
+    pytest.param("hamiltonian-3q", 70, "scenario", 11, 16, FEW_JUMPS,
+                 id="hamiltonian-3q-chunks-of-16"),
+    pytest.param("hamiltonian-1q", 50, "scenario", 11, None, MANY_JUMPS,
+                 id="hamiltonian-1q-kappa40-t2"),
+    pytest.param("hamiltonian-3q", 12, "scenario", 11, None, MANY_JUMPS,
+                 id="hamiltonian-3q-kappa40-t2"),
+    pytest.param("hamiltonian-1q", 50, "scenario", 11, None, LONG_RUN,
+                 id="hamiltonian-1q-kappa4-t25"),
+    pytest.param("hamiltonian-3q", 12, "scenario", 11, None, LONG_RUN,
+                 id="hamiltonian-3q-kappa4-t25"),
 ])
 def test_monte_carlo_matches_sequential_reference(monkeypatch, scenario, n_traj, start, seed,
-                                                  chunk):
+                                                  chunk, jumps):
     """The engine against the one-trajectory-at-a-time reference.  With
     ``chunk`` set, MC_CHUNK_ENTRIES holds that many trajectories: 3 or 4
     full chunks and a short last one, so the streams and the sums carried
-    from chunk to chunk are checked across chunk boundaries."""
+    from chunk to chunk are checked across chunk boundaries.  The
+    MANY_JUMPS and LONG_RUN rows take many recoveries between two samples,
+    up to gamma t = 25."""
     code, register, h, rho0 = _pair_setup(scenario, start)
-    kappa, t_max, n_samples = 4.0, 1.0, 6
+    kappa, t_max, n_samples = jumps
     if chunk is not None:
         k = len(_pair_subspace(rho0, h, code)[1])
         monkeypatch.setattr("cqec.dynamics.MC_CHUNK_ENTRIES",
@@ -662,6 +678,21 @@ def test_monte_carlo_no_jumps_is_deterministic():
     assert np.allclose(t1.states, t2.states)
     f, _ = fidelity_weight_series(t1, code)
     assert np.max(np.abs(f - np.cos(t1.times) ** 2)) < 1e-10
+
+
+@pytest.mark.parametrize("scenario", ["hamiltonian-1q", "hamiltonian-3q"])
+@pytest.mark.parametrize("t_max", [1.0, 1e2, 1e3])
+def test_monte_carlo_without_jumps_matches_integrate(scenario, t_max):
+    """kappa = 0: every trajectory evolves freely, and the mean state
+    matches the exact propagation of the kappa = 0 generator to 1e-12 up
+    to gamma t = 1e3."""
+    code, rho0 = SCENARIOS[scenario].code(), scenario_rho0(scenario)
+    traj = jump_monte_carlo(rho0, pair_hamiltonian(code, 1.0), code, 0.0, t_max, 2, 0,
+                            n_samples=11)
+    gen = total_generator(scenario, ModelParams(gamma=1.0, kappa=0.0))
+    ref = integrate(gen, rho0, t_max, n_samples=11)
+    assert np.array_equal(traj.times, ref.times)
+    assert np.max(np.abs(traj.states - ref.states)) < 1e-12
 
 
 def test_monte_carlo_seed_determinism():
