@@ -14,6 +14,7 @@ the generator, found by one linear solve per rate; no time propagation
 and no horizon are involved.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,19 +34,22 @@ class PlateauError(RuntimeError):
     trace, so the equilibrium is not defined."""
 
 
-@dataclass(frozen=True)
-class ObservableSample:
-    time: float
-    f_cw: float  # codeword fidelity <psi_bar| rho_S |psi_bar>
-    p_cs: float  # code-space weight Tr(P_code rho_S)
-    error_rate: float  # Lambda = -dF_cw/dt
+class ObservableSample(namedtuple("ObservableSample", "time f_cw p_cs error_rate")):
+    """One sample of a trajectory's observables, a tuple record (time, f_cw,
+    p_cs, error_rate) of Python floats: the codeword fidelity F_cw =
+    <psi_bar| rho_S |psi_bar>, the code-space weight P_cs = Tr(P_code rho_S)
+    and Lambda = -dF_cw/dt.  Construction checks 0 <= F_cw <= P_cs <= 1 to
+    rounding and raises ValueError otherwise."""
 
-    def __post_init__(self):
-        if not (-1e-9 <= self.f_cw <= self.p_cs + 1e-9 <= 1.0 + 2e-9):
+    __slots__ = ()
+
+    def __new__(cls, time, f_cw, p_cs, error_rate):
+        if not (-1e-9 <= f_cw <= p_cs + 1e-9 <= 1.0 + 2e-9):
             raise ValueError(
-                f"invalid sample: F_cw={self.f_cw}, P_cs={self.p_cs} "
+                f"invalid sample: F_cw={f_cw}, P_cs={p_cs} "
                 "(need 0 <= F_cw <= P_cs <= 1)"
             )
+        return tuple.__new__(cls, (time, f_cw, p_cs, error_rate))
 
 
 @dataclass
@@ -103,13 +107,13 @@ def error_rate_series(times, fidelity):
 
 
 def observables(traj, code):
-    """Per-sample (F_cw, P_cs, Lambda) of a trajectory."""
+    """Per-sample (F_cw, P_cs, Lambda) of a trajectory, as a list of
+    ``ObservableSample``.  A single sample (t_max = 0) has Lambda = 0."""
     f, p = fidelity_weight_series(traj, code)
-    lam = error_rate_series(traj.times, f)
-    return [
-        ObservableSample(float(t), float(fi), float(pi), float(li))
-        for t, fi, pi, li in zip(traj.times, f, p, lam)
-    ]
+    lam = error_rate_series(traj.times, f) if len(traj) > 1 else np.zeros(1)
+    # .tolist() columns hold Python floats already
+    return list(map(ObservableSample, traj.times.tolist(), f.tolist(), p.tolist(),
+                    lam.tolist()))
 
 
 # ---------------------------------------------------------------------------

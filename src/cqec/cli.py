@@ -224,22 +224,20 @@ def _resolve_config(args):
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x):
-    return f"{float(x):.17g}"
-
-
 def _open_out(path):
     """The file `path` opened for writing, or stdout (left open) for "-"."""
     return contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w")
 
 
 def _write_csv(path, config_dict, header, rows):
-    """Write the `# config:` line, the header, then each row as it is formatted."""
+    """Write the `# config:` line, the header, then each row as it is formatted:
+    one value per header column, each as %.17g, so that it reads back exactly."""
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     with _open_out(path) as fh:
         fh.write("# config: " + json.dumps(config_dict, sort_keys=True) + "\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+            fh.write(line % tuple(row))
 
 
 def _write_json(path, payload):

@@ -43,8 +43,9 @@ nonzero patterns (8 blocks of 8 x 8 for ``hamiltonian-3q``, its class
 states too, 2 of 2 x 2 for ``hamiltonian-1q``, 1 x 1 for the Markovian
 scenarios).  Blocks whose rows of q are equal bit for bit hold equal
 entries in every state (all 8 for ``hamiltonian-3q``, both for
-``hamiltonian-1q``), so the smallest eigenvalue comes from one batched
-``eigvalsh`` per block size over the distinct blocks only.
+``hamiltonian-1q``), so only the distinct blocks are read: 1 x 1 and 2 x 2
+blocks in closed form, larger ones by one batched ``eigvalsh`` per block
+size.
 """
 
 import warnings
@@ -126,11 +127,27 @@ def _diagonal_blocks(q, d):
     return [np.nonzero(members[sizes == s])[1].reshape(-1, s) for s in sorted(set(sizes))]
 
 
+def _block_minima(blocks):
+    """Smallest eigenvalue of the Hermitian part of each s x s block of the
+    stack ``blocks`` (..., s, s), over the last two axes.  Blocks of size 1
+    and 2 are read in closed form: the real part of the entry, and
+    (a + d)/2 - hypot((a - d)/2, |b|) for the Hermitian part [[a, b], [b*, d]].
+    Larger blocks go to ``np.linalg.eigvalsh``."""
+    s = blocks.shape[-1]
+    if s == 1:
+        return blocks[..., 0, 0].real
+    if s == 2:
+        a, d = blocks[..., 0, 0].real, blocks[..., 1, 1].real
+        b = (blocks[..., 0, 1] + blocks[..., 1, 0].conj()) / 2.0
+        return (a + d) / 2.0 - np.hypot((a - d) / 2.0, np.abs(b))
+    return np.linalg.eigvalsh((blocks + blocks.conj().swapaxes(-1, -2)) / 2.0).min(axis=-1)
+
+
 def _min_eigenvalues(coords, q):
     """Smallest eigenvalue of the Hermitian part of each state coords[i] @ q.T,
-    from its diagonal blocks (``_diagonal_blocks``).  Blocks whose rows of q
-    are equal bit for bit hold equal entries in every state, so only the
-    first of each such group is diagonalised."""
+    from its diagonal blocks (``_diagonal_blocks``, ``_block_minima``).  Blocks
+    whose rows of q are equal bit for bit hold equal entries in every state, so
+    only the first of each such group is read."""
     d = int(np.sqrt(len(q)))
     lo = np.full(len(coords), np.inf)
     for idx in _diagonal_blocks(q, d):
@@ -142,8 +159,7 @@ def _min_eigenvalues(coords, q):
         for i in range(0, len(coords), 256):  # 256 samples at a time bound the memory
             part = slice(i, i + 256)
             blocks = (coords[part] @ qt).reshape(-1, len(distinct), s, s)
-            herm = (blocks + blocks.conj().swapaxes(-1, -2)) / 2.0
-            lo[part] = np.minimum(lo[part], np.linalg.eigvalsh(herm).min(axis=(1, 2)))
+            lo[part] = np.minimum(lo[part], _block_minima(blocks).min(axis=1))
     return lo
 
 

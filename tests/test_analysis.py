@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqec.codes_and_maps import SCENARIOS, ModelParams, total_generator, scenario_rho0
-from cqec.dynamics import integrate, propagate_linear
+from cqec.dynamics import Trajectory, integrate, propagate_linear
 from cqec.tensor_core import basis_ket, partial_trace_bath
 from cqec.reduced_model import build_reduced_matrix
 from cqec.analysis import (
@@ -47,6 +47,29 @@ def test_error_rate_needs_two_samples():
     assert np.array_equal(lam, [0.5, 0.5])
     with pytest.raises(ValueError, match="need at least 2 samples"):
         error_rate_series(np.array([0.0]), np.array([1.0]))
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_observables_of_a_single_sample(scenario):
+    """t_max = 0 gives the one sample rho0: F_cw = P_cs = 1 and Lambda = 0,
+    the row that `simulate --t-max 0` writes."""
+    spec = SCENARIOS[scenario]
+    unit = {"lam": 1.0} if spec.time_unit == "lambda" else {"gamma": 1.0}
+    gen = total_generator(scenario, ModelParams(kappa=3.0, **unit))
+    traj = integrate(gen, scenario_rho0(scenario), 0.0)
+    assert observables(traj, spec.code()) == [(0.0, 1.0, 1.0, 0.0)]
+
+
+def test_observables_raise_on_an_invalid_sample():
+    """A trajectory whose third sample has F_cw = 1 above P_cs = 0.5 (the
+    weight -0.5 on |111><111|) raises the ObservableSample error for it."""
+    rho0 = scenario_rho0("markovian-3q")
+    bad = rho0.copy()
+    bad[7, 7] = -0.5
+    coords = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+    traj = Trajectory(np.arange(4) * 0.1, coords, np.stack([rho0.ravel(), bad.ravel()], axis=1))
+    with pytest.raises(ValueError, match=r"^invalid sample: F_cw=1\.0, P_cs=0\.5 \(need"):
+        observables(traj, SCENARIOS["markovian-3q"].code())
 
 
 def test_error_rate_initial_value():

@@ -398,6 +398,69 @@ def test_block_minimum_eigenvalue_with_distinct_blocks():
     assert np.max(np.abs(_min_eigenvalues(coords, q) - full)) <= 1e-12
 
 
+@pytest.mark.parametrize("s", [1, 2])
+def test_block_minimum_closed_forms_match_eigvalsh(s):
+    """1 x 1 and 2 x 2 blocks, read in closed form, against eigvalsh of their
+    Hermitian part, within 1e-15: U diag(lo, hi) U^dag with random lo in
+    [-0.01, 1], lo = 0 (pure states for s = 2), and lo near -1e-8 and -1e-6,
+    each plus a random anti-Hermitian part that the check must ignore."""
+    rng = np.random.default_rng(20 + s)
+    n = 100
+    lo = np.concatenate([rng.uniform(-0.01, 1.0, n), np.zeros(n),
+                         -1e-8 * rng.uniform(0.5, 1.5, n), -1e-6 * rng.uniform(0.5, 1.5, n)])
+    hi = np.where(lo == 0.0, 1.0, rng.uniform(0.0, 1.0, len(lo)))
+    u = np.linalg.qr(rng.normal(size=(len(lo), s, s)) + 1j * rng.normal(size=(len(lo), s, s)))[0]
+    herm = (u * np.stack([lo, hi], axis=1)[:, None, :s]) @ u.conj().swapaxes(1, 2)
+    a = rng.normal(size=herm.shape) + 1j * rng.normal(size=herm.shape)
+    states = herm + (a - a.conj().swapaxes(1, 2)) / 2.0
+    full = np.linalg.eigvalsh((states + states.conj().swapaxes(1, 2)) / 2.0).min(axis=1)
+    # on the basis of all s^2 entries the state is one s x s block
+    lo_blocks = _min_eigenvalues(states.reshape(-1, s * s), np.eye(s * s))
+    assert np.max(np.abs(lo_blocks - full)) <= 1e-15
+
+
+def _pair_dip_samples(step):
+    """Samples at t = 0.1 n, n = 0..10, on the Krylov basis q of hamiltonian-1q
+    (two equal 2 x 2 blocks): I/4 + (1/4 + step n) X, with X the basis state
+    without diagonal entries scaled to eigenvalues +-1, so that the smallest
+    eigenvalue of sample n is -step n.  Returns (times, coords, q)."""
+    gen = total_generator("hamiltonian-1q", ModelParams(gamma=1.0, kappa=2.0))
+    q, _ = invariant_subspace([gen.apply], scenario_rho0("hamiltonian-1q"))
+    assert [b.shape for b in _diagonal_blocks(q, 4)] == [(2, 2)]
+    (col,) = np.flatnonzero(~q[::5].any(axis=0))
+    x = q[:, col].reshape(4, 4)
+    x = x / np.linalg.eigvalsh(x).max()
+    n = np.arange(11)
+    states = np.eye(4) / 4.0 + (0.25 + step * n)[:, None, None] * x
+    coords = states.reshape(11, 16) @ q.conj()
+    assert np.max(np.abs(coords @ q.T - states.reshape(11, 16))) <= 1e-15
+    return 0.1 * n, coords, q
+
+
+def test_check_warns_on_small_dip_in_2x2_blocks():
+    """step = 4e-9: the samples from t = 0.3 (-1.2e-8) on warn, in time order;
+    none reaches -1e-6."""
+    times, coords, q = _pair_dip_samples(4e-9)
+    with pytest.warns(PositivityWarning) as record:
+        _check_samples(times, coords, q)
+    assert [str(w.message) for w in record] == [
+        f"state eigenvalue {-4e-9 * n:.3e} below -1e-08 at t={0.1 * n:g}" for n in range(3, 11)
+    ]
+
+
+def test_check_raises_on_large_dip_in_2x2_blocks():
+    """step = 4e-7: t = 0.1 and 0.2 warn, then t = 0.3 (-1.2e-6) raises."""
+    times, coords, q = _pair_dip_samples(4e-7)
+    error = r"^eigenvalue -1\.200e-06 at t=0\.3; integration diverged$"
+    with pytest.warns(PositivityWarning) as record:
+        with pytest.raises(IntegrationError, match=error):
+            _check_samples(times, coords, q)
+    assert [str(w.message) for w in record] == [
+        "state eigenvalue -4.000e-07 below -1e-08 at t=0.1",
+        "state eigenvalue -8.000e-07 below -1e-08 at t=0.2",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # propagate_linear
 # ---------------------------------------------------------------------------
