@@ -1,6 +1,6 @@
 """Observables and model checks: codeword fidelity, code-space weight,
-instantaneous error rate, power-law / damped-cosine / quadratic fits,
-predicted-spectrum matching, and equilibrium scans.
+instantaneous error rate, the power-law fit of a scan, predicted-spectrum
+matching, and equilibrium scans.
 
 The instantaneous error rate Lambda(t) = -dF_cw/dt is always computed
 from the sampled fidelity by centered finite differences (one-sided at
@@ -26,7 +26,7 @@ from . import reduced_model
 
 
 class FitError(RuntimeError):
-    """Nonlinear fit failed to converge; message carries diagnostics."""
+    """The power-law fit of a scan failed; the message says why."""
 
 
 class PlateauError(RuntimeError):
@@ -54,15 +54,13 @@ class ObservableSample(namedtuple("ObservableSample", "time f_cw p_cs error_rate
 
 @dataclass
 class FitResult:
-    model: str  # "power-law" | "damped-cosine" | "quadratic"
+    model: str  # "power-law"
     params: dict
     stderr: dict
     residual: float
     window: tuple
 
     def __post_init__(self):
-        if self.model not in ("power-law", "damped-cosine", "quadratic"):
-            raise ValueError(f"unknown fit model {self.model!r}")
         if not np.isfinite(self.residual):
             raise ValueError("residual norm must be finite")
 
@@ -151,79 +149,6 @@ def fit_power_law(points):
         },
         residual=float(np.sqrt(np.mean((ly - fitted) ** 2))),
         window=(float(pts[:, 0].min()), float(pts[:, 0].max())),
-    )
-
-
-def _damped_cosine(t, offset, amplitude, decay, omega):
-    return offset + amplitude * np.exp(-decay * t) * np.cos(omega * t)
-
-
-def fit_damped_cosine(times, values):
-    """Fit offset + amplitude * exp(-decay t) * cos(omega t).
-
-    Initial guesses: omega from the FFT peak of the detrended series,
-    decay from the amplitude drop between the two halves of the window.
-    Raises FitError when the optimizer does not converge or the window
-    is shorter than one fitted period.
-    """
-    import scipy.optimize  # only here: keeps scipy out of `import cqec`
-
-    t = np.asarray(times, dtype=float)
-    v = np.asarray(values, dtype=float)
-    if len(t) < 8:
-        raise FitError("too few samples for a damped-cosine fit")
-    offset0 = 0.5 * (v.max() + v.min())
-    amp0 = 0.5 * (v.max() - v.min())
-    dt = t[1] - t[0]
-    spectrum = np.abs(np.fft.rfft(v - v.mean()))
-    freqs = np.fft.rfftfreq(len(v), dt)
-    omega0 = 2 * np.pi * freqs[np.argmax(spectrum[1:]) + 1]
-    half = len(v) // 2
-    a1 = np.std(v[:half]) + 1e-30
-    a2 = np.std(v[half:]) + 1e-30
-    span = t[-1] - t[0]
-    decay0 = max(2.0 * np.log(a1 / a2) / span, 1e-12)
-    p0 = [offset0, amp0, decay0, omega0]
-    try:
-        popt, pcov = scipy.optimize.curve_fit(
-            _damped_cosine, t, v, p0=p0, maxfev=20000
-        )
-    except RuntimeError as exc:
-        raise FitError(f"damped-cosine fit did not converge (p0={p0}): {exc}") from exc
-    offset, amplitude, decay, omega = popt
-    omega = abs(omega)
-    if span * omega < 2 * np.pi:
-        raise FitError(
-            f"window ({span:g}) shorter than one fitted period ({2 * np.pi / omega:g})"
-        )
-    err = np.sqrt(np.maximum(np.diag(pcov), 0.0))
-    resid = float(np.sqrt(np.mean((v - _damped_cosine(t, *popt)) ** 2)))
-    return FitResult(
-        model="damped-cosine",
-        params={"offset": offset, "amplitude": amplitude, "decay": decay, "omega": omega},
-        stderr={"offset": err[0], "amplitude": err[1], "decay": err[2], "omega": err[3]},
-        residual=resid,
-        window=(float(t[0]), float(t[-1])),
-    )
-
-
-def fit_quadratic(times, values):
-    """Fit values = c2 * t^2 (short-time fidelity loss); returns c2."""
-    t = np.asarray(times, dtype=float)
-    v = np.asarray(values, dtype=float)
-    if len(t) < 3:
-        raise ValueError("need at least 3 samples")
-    t2 = t * t
-    c2 = float(np.dot(t2, v) / np.dot(t2, t2))
-    resid = v - c2 * t2
-    dof = max(len(t) - 1, 1)
-    stderr = float(np.sqrt(np.sum(resid**2) / dof / np.dot(t2, t2)))
-    return FitResult(
-        model="quadratic",
-        params={"c2": c2},
-        stderr={"c2": stderr},
-        residual=float(np.sqrt(np.mean(resid**2))),
-        window=(float(t[0]), float(t[-1])),
     )
 
 
@@ -342,13 +267,6 @@ def _stationary_infidelities(scenario, rates):
             msg = f"no unique stationary state for {scenario} at rate {rate:g}"
             raise PlateauError(msg) from exc
     return out
-
-
-def equilibrium_point(scenario, rate):
-    """Equilibrium infidelity 1 - P_cs of one scenario at one dimensionless
-    rate (noise rate normalized to 1), from its stationary state
-    (``_stationary_infidelities``)."""
-    return _stationary_infidelities(scenario, [rate])[0]
 
 
 def equilibrium_scan(scenario, rates):

@@ -14,9 +14,9 @@ combined with either
 the one definition of the noise and correction maps that the engines and
 scans restrict; no d^2 x d^2 superoperator matrix is built.
 
-``apply_recovery`` is the one fast implementation of Phi (x) id_bath: a
-gather and sum of syndrome blocks on ``(..., d, d)`` stacks.  The Kraus
-form (``apply_kraus`` with ``lifted_kraus``) is kept as its reference.
+``apply_recovery`` is the one implementation of Phi (x) id_bath: a gather
+and sum of syndrome blocks on ``(..., d, d)`` stacks, with no Kraus
+products.
 """
 
 from dataclasses import dataclass, field
@@ -55,17 +55,6 @@ class CodeSpec:
         d = 2**self.system_count
         assert len(self.syndrome_of) == d and len(self.corrected) == d
 
-    def kraus(self):
-        d = 2**self.system_count
-        ops = []
-        for v in sorted(set(self.syndrome_of)):
-            k = np.zeros((d, d), dtype=complex)
-            for s in range(d):
-                if self.syndrome_of[s] == v:
-                    k[self.corrected[s], s] = 1.0
-            ops.append(k)
-        return ops
-
     @cached_property
     def recovery_gather(self):
         """Index arrays of Phi on matrix units, grouped by target block.
@@ -85,13 +74,6 @@ class CodeSpec:
         tr, tc, sr, sc = np.array(quads).T
         starts = np.flatnonzero(np.r_[True, (np.diff(tr) != 0) | (np.diff(tc) != 0)])
         return tr[starts], tc[starts], sr, sc, starts
-
-    def code_projector(self):
-        d = 2**self.system_count
-        p = projector(basis_ket(self.logical_zero, self.system_count))
-        if self.logical_one is not None:
-            p = p + projector(basis_ket(self.logical_one, self.system_count))
-        return p
 
     def diagonal_weights(self, d):
         """(d, 2) diagonals of |L><L| (x) I_bath and P_code (x) I_bath on a
@@ -150,13 +132,6 @@ def bitflip3_code():
 # ---------------------------------------------------------------------------
 
 
-def apply_kraus(kraus, rho):
-    out = np.zeros_like(np.asarray(rho, dtype=complex))
-    for k in kraus:
-        out += k @ rho @ k.conj().T
-    return out
-
-
 def apply_recovery(code, rho, bath_dim=1):
     """(Phi (x) id_bath)(rho) for a stack ``rho`` of shape (..., d, d) with
     d = 2**code.system_count * bath_dim, by gathering and summing the
@@ -170,13 +145,6 @@ def apply_recovery(code, rho, bath_dim=1):
     out = np.zeros_like(r)
     out[..., tr, :, tc, :] = sums
     return out.reshape(rho.shape)
-
-
-def lifted_kraus(code, register):
-    """Kraus operators of Phi (x) id_bath on a system+bath register."""
-    assert register.system_count == code.system_count
-    eye_bath = np.eye(2**register.bath_count, dtype=complex)
-    return [np.kron(k, eye_bath) for k in code.kraus()]
 
 
 # ---------------------------------------------------------------------------

@@ -260,9 +260,26 @@ def invariant_subspace(ops, rho0):
 
     An image of a basis vector, orthogonalised twice against the basis,
     adds a vector when its norm exceeds ``SUBSPACE_TOL`` times the largest
-    image of the same op.
+    image of the same op.  An overflow on the way, in an image, its norm or
+    the norm of the blocks that ``_trace_first`` takes (rates whose square
+    exceeds the largest float, from ~4e153 for hamiltonian-1q), raises
+    IntegrationError: a norm read as inf would stop the subspace at k = 1,
+    a state that never moves.
     """
-    rho0 = np.asarray(rho0, dtype=complex)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            q, images = _krylov_rows(ops, np.asarray(rho0, dtype=complex))
+            blocks = [q.conj() @ img.T for img in images]
+            np.linalg.norm(blocks)
+    except FloatingPointError as exc:
+        raise IntegrationError(f"rates beyond double precision: {exc} in the restriction "
+                               "of the generator") from exc
+    return q.T, blocks
+
+
+def _krylov_rows(ops, rho0):
+    """(q, images): the basis of ``invariant_subspace`` as rows q (k, d^2)
+    and the images of each row under each op, (len(ops), k, d^2)."""
     d = rho0.shape[0]
     # basis vectors (rows of q) and their images under each op, in arrays
     # whose rows double when full
@@ -287,8 +304,7 @@ def invariant_subspace(ops, rho0):
                 q[k] = r / np.linalg.norm(r)
                 k += 1
         j += 1
-    q = q[:k]
-    return q.T, [q.conj() @ img[:k].T for img in images]
+    return q[:k], images[:, :k]
 
 
 def _trace_first(q, g):

@@ -110,15 +110,19 @@ def slow_eigenvalue(matrix):
     Near R ~ 1e5, where 24 / R^2 meets 1e-14 R, rounding errors in that
     frequency reach ~1e-3 relative.  Beyond, the pair is not taken; the
     mode picked instead has slower modes than itself besides the zero
-    mode, and FloatingPointError is raised.
+    mode, and FloatingPointError is raised.  It is raised too where no
+    eigenvalue has Im above the threshold (from R ~ 1e16), or where an
+    entry has overflowed (R ~ 6e307).
     """
-    w = np.linalg.eigvals(np.asarray(matrix))
+    matrix = np.asarray(matrix)
+    if not np.isfinite(matrix).all():
+        raise FloatingPointError("slow mode not resolved: the matrix is not finite")
+    w = np.linalg.eigvals(matrix)
     tol = 1e-14 * np.max(np.abs(w))
     osc = w[w.imag > tol]
-    slow = osc[np.argmax(osc.real)]
-    if np.count_nonzero(w.real > slow.real + tol) > 1:
+    if not osc.size or np.count_nonzero(w.real > osc.real.max() + tol) > 1:
         raise FloatingPointError("slow mode not resolved in double precision")
-    return complex(slow)
+    return complex(osc[np.argmax(osc.real)])
 
 
 # ---------------------------------------------------------------------------
@@ -181,13 +185,6 @@ def _raw_and_off(basis):
     return raw, off
 
 
-def raw_coefficients(rho):
-    """The 64 coefficients C_{lmn,pqr} of a state on the symmetric manifold:
-    (coeffs[64], max imaginary part, expansion residual)."""
-    raw, off = _raw_and_off(np.asarray(rho, dtype=complex).reshape(-1, 1))
-    return raw[:, 0], float(np.max(np.abs(raw.imag))), float(np.linalg.norm(off))
-
-
 def class_coefficients(coords, basis):
     """The 13 class coefficients (n, 13) of the states coords[i] @ basis.T,
     each the mean of its class's raw coefficients, taken on the k basis
@@ -209,12 +206,6 @@ def class_coefficients(coords, basis):
         if abs(wt - 1.0) > 1e-10:
             raise ValueError(f"weighted trace {wt} deviates from 1 (state {n})")
     return coeffs
-
-
-def class_spread(rho):
-    """Largest within-class spread of the 64 raw coefficients (symmetry check)."""
-    raw, _, _ = raw_coefficients(rho)
-    return float(max(np.ptp(raw.real[_CLASS_OF == i]) for i in range(13)))
 
 
 # ---------------------------------------------------------------------------

@@ -84,14 +84,6 @@ def projector(ket):
     return ket @ ket.conj().T
 
 
-def partial_trace_bath(rho, system_count, bath_count):
-    """Trace out the trailing bath qubits of a system+bath density matrix."""
-    ds, db = 2**system_count, 2**bath_count
-    rho = np.asarray(rho, dtype=complex)
-    assert rho.shape == (ds * db, ds * db)
-    return np.trace(rho.reshape(ds, db, ds, db), axis1=1, axis2=3)
-
-
 @dataclass(frozen=True)
 class QubitRegister:
     """A register of `system_count` system qubits followed by `bath_count` bath qubits."""
@@ -110,8 +102,3 @@ class QubitRegister:
     @property
     def dim(self):
         return 2**self.total
-
-    @property
-    def system_dim(self):
-        return 2**self.system_count
-

@@ -1,26 +1,24 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqec.codes_and_maps import SCENARIOS, ModelParams, total_generator, scenario_rho0
-from cqec.dynamics import Trajectory, integrate, propagate_linear
-from cqec.tensor_core import basis_ket, partial_trace_bath
-from cqec.reduced_model import build_reduced_matrix
+from cqec.dynamics import Trajectory, integrate
+from cqec.tensor_core import basis_ket
+from cqec.reduced_model import TRACE_WEIGHTS, build_reduced_matrix, slow_eigenvalue
 from cqec.analysis import (
-    FitError,
     ObservableSample,
     coupling_reduction_scan,
-    equilibrium_point,
     equilibrium_scan,
     error_rate_series,
     fidelity_weight_series,
-    fit_damped_cosine,
     fit_power_law,
-    fit_quadratic,
     match_spectrum,
     observables,
 )
+from reference import code_projector, partial_trace_bath
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +118,7 @@ def test_stacked_fidelity_weight_matches_partial_trace(scenario, rate):
     for i, rho in enumerate(traj.states):
         sys = partial_trace_bath(rho, code.system_count, spec.register.bath_count)
         assert abs(f[i] - np.real(logical.conj() @ sys @ logical)) <= 1e-14
-        assert abs(p[i] - np.real(np.trace(code.code_projector() @ sys))) <= 1e-14
+        assert abs(p[i] - np.real(np.trace(code_projector(code) @ sys))) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -151,33 +149,6 @@ def test_power_law_input_guards():
         fit_power_law([(1.0, 1.0), (2.0, 0.5), (3.0, 0.3)])  # too few
     with pytest.raises(ValueError):
         fit_power_law([(1.0, 1.0), (2.0, -0.5), (3.0, 0.3), (4.0, 0.2)])
-
-
-def test_damped_cosine_exact_data():
-    t = np.linspace(0.0, 40.0, 600)
-    v = 0.45 + 0.55 * np.exp(-0.03 * t) * np.cos(0.9 * t)
-    fit = fit_damped_cosine(t, v)
-    assert fit.params["offset"] == pytest.approx(0.45, rel=1e-3)
-    assert fit.params["amplitude"] == pytest.approx(0.55, rel=1e-3)
-    assert fit.params["decay"] == pytest.approx(0.03, rel=1e-3)
-    assert fit.params["omega"] == pytest.approx(0.9, rel=1e-3)
-
-
-@pytest.mark.filterwarnings("ignore::scipy.optimize.OptimizeWarning")
-def test_damped_cosine_guards():
-    with pytest.raises(FitError):
-        fit_damped_cosine([0.0, 1.0, 2.0], [1.0, 0.5, 0.2])
-    # converges, but the window holds less than one period
-    t = np.linspace(0.0, 50.0, 200)
-    with pytest.raises(FitError):
-        fit_damped_cosine(t, 0.5 + 0.1 * np.cos(0.05 * t))
-
-
-def test_quadratic_fit():
-    t = np.linspace(0.0, 1e-2, 50)
-    fit = fit_quadratic(t, 3.0 * t * t)
-    assert fit.params["c2"] == pytest.approx(3.0, rel=1e-12)
-    assert fit.model == "quadratic"
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +187,14 @@ def test_match_spectrum_flags_wrong_input():
 
 def test_equilibrium_point_markovian():
     # exact equilibrium infidelity is 1/(2 + r)
-    assert equilibrium_point("markovian-1q", 98.0) == pytest.approx(0.01, rel=1e-6)
+    points = dict(equilibrium_scan("markovian-1q", [98.0, 198.0, 398.0, 998.0]))
+    assert points[98.0] == pytest.approx(0.01, rel=1e-6)
 
 
 def test_equilibrium_point_pair_coupled():
     # exact equilibrium infidelity is 2/(4 + R^2)
-    assert equilibrium_point("hamiltonian-1q", 14.0) == pytest.approx(0.01, rel=1e-6)
+    points = dict(equilibrium_scan("hamiltonian-1q", [14.0, 30.0, 100.0, 300.0]))
+    assert points[14.0] == pytest.approx(0.01, rel=1e-6)
 
 
 def test_equilibrium_scan_guards():
@@ -293,33 +266,49 @@ def test_coupling_reduction_scan_guard():
 
 
 # ---------------------------------------------------------------------------
-# slow-mode fits on the reduced model
+# the slow mode of the reduced model
 # ---------------------------------------------------------------------------
 
 
-def _slow_fit(big_r):
+def _slow_period_residual(big_r):
+    """How far exp(M t) e0 is from one damped slow mode over one slow period.
+
+    lambda = slow_eigenvalue(M), T = 2 pi / Im lambda, and x(t) = exp(M t) e0
+    by scipy's expm, apart from propagate_linear.  After t0 = 60/R the fast
+    modes have decayed by e^-60 or more, so x(t0 + T) - x_inf equals
+    e^{Re lambda T} (x(t0) - x_inf), x_inf the null vector of M with unit
+    weighted trace.  Returns the relative norm of the difference; T off by
+    1e-3 makes it read ~1e-3."""
     m = build_reduced_matrix(big_r)
-    x0 = np.eye(13)[0]
-    period = 2 * np.pi * big_r**2 / 24.0
-    times = np.linspace(0.0, 2.0 * period, 3001)
-    xs = propagate_linear(m, x0, times).real
-    return fit_damped_cosine(times, xs[:, 0])
+    lam = slow_eigenvalue(m)
+    period = 2.0 * np.pi / lam.imag
+    t0 = 60.0 / big_r
+    x0, x1 = (scipy.linalg.expm(m * t)[:, 0] for t in (t0, t0 + period))
+    null = np.linalg.svd(m)[2][-1]
+    x_inf = null / (null[list(TRACE_WEIGHTS)] @ list(TRACE_WEIGHTS.values()))
+    gap = (x1 - x_inf) - np.exp(lam.real * period) * (x0 - x_inf)
+    return np.linalg.norm(gap) / np.linalg.norm(x0 - x_inf)
 
 
 def test_slow_mode_fit_r100():
-    fit = _slow_fit(100.0)
-    assert fit.params["omega"] == pytest.approx(24.0 / 100.0**2, rel=0.01)
-    assert fit.params["decay"] == pytest.approx(144.0 / 100.0**3, rel=0.2)
+    """The propagated slow mode is the eigenvalue near its leading form
+    24 i / R^2 - 144 / R^3."""
+    lam = slow_eigenvalue(build_reduced_matrix(100.0))
+    assert _slow_period_residual(100.0) <= 1e-8
+    assert lam.imag == pytest.approx(24.0 / 100.0**2, rel=0.01)
+    assert -lam.real == pytest.approx(144.0 / 100.0**3, rel=0.2)
 
 
 @pytest.mark.parametrize("big_r", [30.0, 50.0, 100.0, 200.0])
 def test_slow_mode_fit_matches_eigenvalue(big_r):
-    """The damped-cosine fit stays an independent check of the eigenvalue
-    that the scans use."""
-    omega = abs(_slow_eigenvalue_near_prediction(big_r).imag)
-    assert _slow_fit(big_r).params["omega"] == pytest.approx(omega, rel=1e-3)
+    """The slow eigenvalue that the scans use is the mode of the propagated
+    state, and the one nearest its leading form."""
+    assert _slow_period_residual(big_r) <= 1e-8
+    lam = slow_eigenvalue(build_reduced_matrix(big_r))
+    assert lam == _slow_eigenvalue_near_prediction(big_r)
 
 
 def test_slow_mode_fit_r50():
-    fit = _slow_fit(50.0)
-    assert fit.params["omega"] == pytest.approx(24.0 / 50.0**2, rel=0.02)
+    assert _slow_period_residual(50.0) <= 1e-8
+    lam = slow_eigenvalue(build_reduced_matrix(50.0))
+    assert lam.imag == pytest.approx(24.0 / 50.0**2, rel=0.02)

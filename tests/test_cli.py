@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cqec import dynamics, reduced_model
-from cqec.cli import ExperimentConfig, _run_trajectory, main
+from cqec.cli import ENGINES, ExperimentConfig, _run_trajectory, main
 from cqec.codes_and_maps import SCENARIOS, apply_recovery
 from cqec.closed_forms import alpha_nonmarkov_1q
 from cqec.reduced_model import LABELS
@@ -446,15 +446,52 @@ def test_scan_without_unique_stationary_state_exits_3(monkeypatch, tmp_path, cap
 
 
 def test_unresolved_slow_mode_exits_3(tmp_path, capsys):
-    """At R = 1e6 the slow frequency 24/R^2 is lost in rounding."""
-    out = tmp_path / "scan.csv"
-    rc = main(
-        ["scan", "--scenario", "hamiltonian-3q", "--grid", "30,100,1000,1e6",
-         "--out", str(out)]
-    )
+    """At R = 1e6 the slow frequency 24/R^2 is lost in rounding; from R ~
+    1e16 no eigenvalue is above the oscillation threshold, and at 1e308 the
+    matrix overflows."""
+    for grid in ("30,100,1000,1e6", "1e16,1e17,1e18,1e19", "1e308,1e308,1e308,1e308"):
+        out = tmp_path / "scan.csv"
+        rc = main(["scan", "--scenario", "hamiltonian-3q", "--grid", grid, "--out", str(out)])
+        assert rc == 3, grid
+        assert "not resolved" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--scenario", "hamiltonian-1q", "--gamma", "1e160", "--R", "1"],
+    # the images' norms hold, but that of the 3 x 3 restriction overflows
+    ["--scenario", "hamiltonian-1q", "--gamma", "4.2e153", "--R", "1"],
+    ["--scenario", "hamiltonian-3q", "--gamma", "1e160", "--R", "10"],
+    ["--scenario", "hamiltonian-1q", "--gamma", "1e160", "--R", "1",
+     "--engine", "monte-carlo", "--n-traj", "10"],
+    ["--scenario", "hamiltonian-3q", "--gamma", "1e160", "--R", "10",
+     "--engine", "monte-carlo", "--n-traj", "10"],
+    ["--scenario", "markovian-1q", "--lambda", "1e300", "--kappa", "1e300"],
+], ids=["full-1q", "full-1q-restriction", "full-3q", "monte-carlo-1q", "monte-carlo-3q",
+        "markovian-1q"])
+def test_rates_beyond_double_precision_exit_3(tmp_path, capsys, argv):
+    """Rates whose square overflows cannot be restricted: the run exits 3
+    with a message and writes no CSV, rather than a state that never moves
+    (F_cw = 1 at every sample)."""
+    out = tmp_path / "run.csv"
+    rc = main(["simulate", *argv, "--t-max", "1", "--samples", "3", "--out", str(out)])
     assert rc == 3
-    assert "not resolved" in capsys.readouterr().err
+    assert "rates beyond double precision" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_large_rates_give_the_unit_rate_curve(tmp_path):
+    """Below the overflow, a run at gamma = 1e150 writes the gamma = 1 curve
+    in dimensionless time, F_cw = 0.6057 at gamma t = 1 for R = 1."""
+    rows = {}
+    for gamma in ("1", "1e150"):
+        out = tmp_path / f"g{gamma}.csv"
+        argv = ["simulate", "--scenario", "hamiltonian-1q", "--gamma", gamma, "--R", "1",
+                "--t-max", "1", "--samples", "3", "--out", str(out)]
+        assert main(argv) == 0
+        rows[gamma] = _read_csv(out)[2]
+    assert np.max(np.abs(rows["1e150"][:, :3] - rows["1"][:, :3])) <= 1e-12
+    assert rows["1e150"][-1, 1] == pytest.approx(alpha_nonmarkov_1q(1.0, 1.0, 1.0), abs=1e-12)
 
 
 def test_bad_config_file_returns_2(tmp_path, capsys):
@@ -886,18 +923,31 @@ def test_entry_point_runs_as_module():
     assert report["all_bands_ok"] is True
 
 
-def test_import_loads_no_scipy():
-    """scipy is imported only by fit_damped_cosine, never by `import
-    cqec.cli`.  One integrate per scenario at the benchmark's rates and
-    horizons (block check included) loads neither scipy nor numpy.ma,
-    whose import costs peak memory."""
+def test_import_loads_no_scipy(tmp_path):
+    """No command imports scipy, which is a test dependency only, nor
+    numpy.ma, whose import costs peak memory.  One fresh interpreter imports
+    cqec.cli, runs every command (fig 1, 3 and 4, scan --fit on each
+    scenario, eig, graph, and simulate with each engine), then integrates
+    each scenario at the benchmark's rates and horizons (block check
+    included), and lists the loaded modules after each stage."""
+    commands = [["fig", str(i), "--out", str(tmp_path / "figs")] for i in (1, 3, 4)]
+    commands += [["scan", "--scenario", s, "--grid", "30,100,300,1000", "--fit",
+                  "--out", str(tmp_path / f"scan-{s}.csv")] for s in sorted(SCENARIOS)]
+    commands += [[cmd, "--R", "100", "--out", str(tmp_path / f"{cmd}.json")]
+                 for cmd in ("eig", "graph")]
+    commands += [["simulate", "--scenario", "hamiltonian-3q", "--engine", engine, "--R", "10",
+                  "--t-max", "1", "--samples", "11", "--n-traj", "20", "--tau-c", "0.01",
+                  "--out", str(tmp_path / f"sim-{engine}.csv")] for engine in ENGINES]
     proc = _run_python(
         "-c",
-        "import sys, cqec.cli\n"
+        "import json, sys, cqec.cli\n"
         "from cqec.codes_and_maps import ModelParams, scenario_rho0, total_generator\n"
         "def loaded():\n"
-        "    print(sorted(m for m in sys.modules\n"
-        "                 if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma']))\n"
+        "    print('loaded:', sorted(m for m in sys.modules\n"
+        "          if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma']))\n"
+        "loaded()\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert cqec.cli.main(argv) == 0, argv\n"
         "loaded()\n"
         "for scenario, unit, rate, t_max, n in [\n"
         "        ('hamiltonian-1q', 'gamma', 1.0, 10.0, 501),\n"
@@ -910,6 +960,9 @@ def test_import_loads_no_scipy():
         "    gen = total_generator(scenario, ModelParams(kappa=rate, **{unit: 1.0}))\n"
         "    cqec.integrate(gen, scenario_rho0(scenario), t_max, n_samples=n)\n"
         "loaded()\n",
+        json.dumps(commands),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n") == ["[]", "[]", ""]
+    stages = [line for line in proc.stdout.split("\n") if line.startswith("loaded:")]
+    assert stages == ["loaded: []"] * 3
+    assert len(list((tmp_path / "figs").iterdir())) == 5

@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 from cqec.codes_and_maps import (
     SCENARIOS,
     ModelParams,
-    apply_kraus,
     apply_recovery,
     bitflip3_code,
-    lifted_kraus,
     pair_hamiltonian,
     scenario_rho0,
     total_generator,
@@ -33,8 +31,8 @@ from cqec.dynamics import (
     propagate_linear,
     step_weak_map,
 )
-from cqec.analysis import fidelity_weight_series, fit_power_law, fit_quadratic, observables
-from cqec.tensor_core import QubitRegister, basis_ket, partial_trace_bath
+from cqec.analysis import fidelity_weight_series, fit_power_law, observables
+from cqec.tensor_core import QubitRegister, basis_ket
 from cqec.closed_forms import (
     alpha_markov_1q,
     alpha_nonmarkov_1q,
@@ -42,6 +40,14 @@ from cqec.closed_forms import (
     zeno_coefficient,
 )
 from cqec import reduced_model
+from reference import (
+    apply_kraus,
+    class_spread,
+    code_projector,
+    lifted_kraus,
+    partial_trace_bath,
+    system_dim,
+)
 
 
 def _fidelity(traj, scenario):
@@ -104,7 +110,7 @@ def test_spectral_six_qubit_model_over_a_slow_period(big_r):
     xs = propagate_linear(m, np.eye(13)[0], traj.times).real
     coeffs = reduced_model.class_coefficients(traj.coords, traj.basis)
     assert np.max(np.abs(coeffs - xs)) <= 1e-9
-    assert max(reduced_model.class_spread(s) for s in traj.states) <= 1e-9
+    assert max(class_spread(s) for s in traj.states) <= 1e-9
     _, (g,) = invariant_subspace([gen.apply], rho0)
     assert g.shape == (9, 9)
     spectrum = np.linalg.eigvals(m)
@@ -504,7 +510,7 @@ def test_propagate_matches_markovian_leak():
     xs = propagate_linear(g, q.conj().T @ rho0.ravel(), [1.0])
     rho = (q @ xs[0]).reshape(8, 8)
     code = SCENARIOS["markovian-3q"].code()
-    p_cs = np.real(np.trace(code.code_projector() @ rho))
+    p_cs = np.real(np.trace(code_projector(code) @ rho))
     assert 1.0 - p_cs == pytest.approx(markov3q_exact_leak(1.0, 1.0, 96.0), abs=1e-10)
     assert 1.0 - p_cs == pytest.approx(0.03, abs=1e-6)
 
@@ -545,7 +551,7 @@ def _pair_setup(scenario, start="scenario"):
         rho0 = _random_state(rng, register.dim)
     else:
         db = 2**register.bath_count
-        rho0 = np.kron(_random_state(rng, register.system_dim), np.eye(db) / db)
+        rho0 = np.kron(_random_state(rng, system_dim(register)), np.eye(db) / db)
     return code, register, pair_hamiltonian(code, 1.0), rho0
 
 
@@ -805,11 +811,12 @@ def test_zeno_quadratic_coefficient_single_qubit():
     gen = total_generator("hamiltonian-1q", ModelParams(gamma=1.0, kappa=0.0))
     traj = integrate(gen, scenario_rho0("hamiltonian-1q"), 1e-2, n_samples=101)
     f = _fidelity(traj, "hamiltonian-1q")
-    fit = fit_quadratic(traj.times, 1.0 - f)
     c_ref = zeno_coefficient(
         pair_hamiltonian(trivial_code(), 1.0), np.diag([1.0, 0.0]), np.eye(2) / 2
     )
-    assert fit.params["c2"] == pytest.approx(c_ref, rel=0.01)
+    # the fidelity loss itself over t^2, at every sample past t = 0
+    c = (1.0 - f[1:]) / traj.times[1:] ** 2
+    assert np.max(np.abs(c - c_ref)) <= 0.01 * c_ref
 
 
 def test_markovian_short_time_exponents():
@@ -854,7 +861,7 @@ def _fidelity_weight_from_states(traj, code, reg):
     the partial trace over the bath."""
     rho_s = [partial_trace_bath(s, reg.system_count, reg.bath_count) for s in traj.states]
     f = np.array([r[code.logical_zero, code.logical_zero].real for r in rho_s])
-    p = np.array([np.trace(code.code_projector() @ r).real for r in rho_s])
+    p = np.array([np.trace(code_projector(code) @ r).real for r in rho_s])
     return f, p
 
 

@@ -4,11 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cqec.tensor_core import basis_ket, projector, kron_all, partial_trace_bath
-from cqec.codes_and_maps import ModelParams, scenario_rho0, total_generator
+from cqec.tensor_core import basis_ket, projector, kron_all
+from cqec.codes_and_maps import (
+    Generator,
+    ModelParams,
+    bitflip3_code,
+    pair_hamiltonian,
+    scenario_rho0,
+    total_generator,
+)
 from cqec.dynamics import integrate, integrate_reduced, propagate_linear
 from cqec.reduced_model import (
     _CLASS_OF,
+    _M_CORR,
+    _M_FREE,
     _signature,
     LABELS,
     ORDER,
@@ -16,10 +25,10 @@ from cqec.reduced_model import (
     build_reduced_matrix,
     class_basis,
     class_coefficients,
-    class_spread,
     graph_as_json,
     transition_graph,
 )
+from reference import class_spread, partial_trace_bath
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +102,24 @@ def test_weighted_trace_is_conserved(big_r):
     w = np.zeros(13)
     w[0], w[4], w[8], w[12] = 1.0, 3.0, 3.0, 1.0
     assert np.max(np.abs(w @ m)) == 0.0
+
+
+def test_tables_are_the_restriction_of_the_maps():
+    """The model's noise and correction maps (``Generator``, gamma = 1) send
+    each class state b_j to class_basis() @ column j of the free and the
+    correction table, exactly: the 13x13 tables are the restriction of the
+    two maps, "decoherence" edges of the noise and "correction" edges of
+    the correction."""
+    code = bitflip3_code()
+    gen = Generator(code, pair_hamiltonian(code, 1.0), 0.0, 0.0)
+    basis = class_basis()
+    m_corr = np.zeros((13, 13))
+    for i, j, coeff in _M_CORR:
+        m_corr[i, j] = coeff
+    for j, b in enumerate(basis.T):
+        state = b.reshape(64, 64)
+        assert np.array_equal(gen.noise(state).ravel(), basis @ _M_FREE[:, j])
+        assert np.array_equal(gen.correction(state).ravel(), basis @ m_corr[:, j])
 
 
 def test_spectrum_contains_zero_for_any_rate():
