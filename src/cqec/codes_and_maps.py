@@ -24,12 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .tensor_core import (
-    QubitRegister,
-    basis_ket,
-    pauli_on,
-    projector,
-)
+from .tensor_core import QubitRegister, basis_ket, projector
 
 @dataclass(frozen=True)
 class CodeSpec:
@@ -168,12 +163,16 @@ class ModelParams:
 
 
 def pair_hamiltonian(code, gamma):
-    """H = gamma * sum_j X_(system j) X_(bath j) on the doubled register."""
+    """H = gamma * sum_j X_(system j) X_(bath j) on the doubled register.
+    X_(system j) X_(bath j) flips bits d >> (j + 1) and d >> (n + j + 1) of a
+    basis index (qubit 0 most significant, as ``Generator.flips``), so it is
+    the permutation matrix with a 1 at (i, i ^ mask_j) for every index i."""
     n = code.system_count
     d = 2 ** (2 * n)
+    i = np.arange(d)
     h = np.zeros((d, d), dtype=complex)
     for j in range(n):
-        h += pauli_on("X", j, 2 * n) @ pauli_on("X", n + j, 2 * n)
+        h[i, i ^ (d >> (j + 1)) ^ (d >> (n + j + 1))] = 1.0
     return gamma * h
 
 

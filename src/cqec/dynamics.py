@@ -20,14 +20,18 @@
 * ``integrate_reduced`` -- the 13 class coefficients of the reduced model
   (:mod:`cqec.reduced_model`, ``hamiltonian-3q``) on the 13 class states.
 
-The other engines run on the k coordinates of the smallest subspace that
-holds rho0 and is mapped into itself by the model's operators
-(``invariant_subspace``; Saad, SIAM J. Numer. Anal. 29, 209 (1992), with
-several operators in place of one): k = 3 for ``hamiltonian-1q`` and 9
-for ``hamiltonian-3q`` from the scenario states.  The operators are the
-``Generator``'s: ``integrate`` takes its ``apply``; the weak map and Monte
-Carlo take its rate-free ``noise`` and ``correction`` (Phi (x) id_bath -
-id), with Phi restricted as I plus the restricted correction.
+The other engines run on the k coordinates of a subspace that holds rho0
+and is mapped into itself by the model's operators.  ``integrate`` takes
+the smallest one, the Krylov space of rho0 under the ``Generator``'s
+``apply`` (``invariant_subspace``; Saad, SIAM J. Numer. Anal. 29, 209
+(1992), with several operators in place of one): k = 3 for
+``hamiltonian-1q`` and 9 for ``hamiltonian-3q`` from the scenario states.
+The weak map and Monte Carlo take the rate-free ``noise`` and
+``correction`` (Phi (x) id_bath - id), with Phi restricted as I plus the
+restricted correction.  For ``hamiltonian-3q`` from states in the class
+span, their subspace is the 13 class states, with both restrictions read
+from the reduced model's tables (``reduced_model.class_restriction``);
+otherwise it is the Krylov space of rho0 under the two maps.
 A trajectory keeps only its coordinates and the basis (d is read from
 it); the d x d states are built only when ``Trajectory.states`` is read.
 
@@ -70,11 +74,19 @@ MC_CHUNK_ENTRIES = 2**18
 # ``_trace_first`` zeroes as rounding: the scenario generators leave ~1e-16, and up
 # to 1e-12 at rates above ~1e12, where a Krylov direction falls below the tolerance.
 SUBSPACE_TOL = 1e-12
+# An op whose nonzero images all have norms below this one is refused by
+# ``invariant_subspace``: it is the norm whose square is the smallest normal double.
+# Below it the squares of the entries lose digits (all of them from ~1e-162), and
+# Gram-Schmidt on such norms no longer removes the span.  Without the check, the
+# full engine's F_cw at gamma t = 1 is off the unit-rate curve by 7e-16 at
+# gamma = 1e-154, 5e-14 at 1e-155 and 1e-4 at 1e-160 (hamiltonian-3q, R = 1).
+UNDERFLOW_NORM = np.sqrt(np.finfo(float).tiny)
 
 
 class IntegrationError(RuntimeError):
-    """A sample that lost trace, dipped below -1e-6 or is not finite, or a
-    generator whose eigenbasis is too ill-conditioned to propagate."""
+    """A sample that lost trace, dipped below -1e-6 or is not finite, a
+    generator whose eigenbasis is too ill-conditioned to propagate, or one
+    whose restriction is not resolved in double precision."""
 
 
 class PositivityWarning(UserWarning):
@@ -264,17 +276,29 @@ def invariant_subspace(ops, rho0):
     the norm of the blocks that ``_trace_first`` takes (rates whose square
     exceeds the largest float, from ~4e153 for hamiltonian-1q), raises
     IntegrationError: a norm read as inf would stop the subspace at k = 1,
-    a state that never moves.
+    a state that never moves.  So does a nonzero image while the op's
+    largest image norm is below ``UNDERFLOW_NORM`` (rates below ~1e-154),
+    whose norms read 0 or lose digits, and a direction past the d^2 that
+    the states hold, which only a Gram-Schmidt that lost orthogonality adds.
     """
+    def restrict():
+        q, images = _krylov_rows(ops, np.asarray(rho0, dtype=complex))
+        blocks = [q.conj() @ img.T for img in images]
+        np.linalg.norm(blocks)
+        return q.T, blocks
+
+    return _in_double_precision(restrict)
+
+
+def _in_double_precision(restrict, *args):
+    """restrict(*args), with an overflow or invalid value in it raised as
+    IntegrationError: rates whose restriction exceeds double precision."""
     try:
         with np.errstate(over="raise", invalid="raise"):
-            q, images = _krylov_rows(ops, np.asarray(rho0, dtype=complex))
-            blocks = [q.conj() @ img.T for img in images]
-            np.linalg.norm(blocks)
+            return restrict(*args)
     except FloatingPointError as exc:
         raise IntegrationError(f"rates beyond double precision: {exc} in the restriction "
                                "of the generator") from exc
-    return q.T, blocks
 
 
 def _krylov_rows(ops, rho0):
@@ -294,10 +318,16 @@ def _krylov_rows(ops, rho0):
             w = np.asarray(op(q[j].reshape(d, d)), dtype=complex).ravel()
             images[i, j] = w
             scale[i] = max(scale[i], np.linalg.norm(w))
+            if scale[i] < UNDERFLOW_NORM and w.any():
+                raise IntegrationError(f"rates below double precision: image norm "
+                                       f"{scale[i]:.3e} in the restriction of the generator")
             # conj(b @ conj(w)) = b.conj() @ w without a conjugate copy of b
             r = w - np.conj(q[:k] @ np.conj(w)) @ q[:k]
             r = r - np.conj(q[:k] @ np.conj(r)) @ q[:k]
             if np.linalg.norm(r) > SUBSPACE_TOL * scale[i]:
+                if k == d * d:
+                    raise IntegrationError(f"Gram-Schmidt broke down: more than d^2 = {k} "
+                                           "directions in the restriction of the generator")
                 if k == len(q):
                     q = np.concatenate([q, np.empty_like(q)])
                     images = np.concatenate([images, np.empty_like(images)], axis=1)
@@ -326,12 +356,22 @@ def _trace_first(q, g):
 
 
 def _pair_subspace(rho0, hamiltonian, code):
-    """(q, w, v, phi_k): q spans the subspace of rho0 invariant under the
-    noise -i[H, .] and the correction c = Phi (x) id_bath - id of
+    """(q, w, v, phi_k): q spans a subspace that holds rho0 and is invariant
+    under the noise -i[H, .] and the correction c = Phi (x) id_bath - id of
     ``Generator``, whose restrictions are -i v w v^dag (so exp(-i[H, .] t)
-    becomes v exp(-i w t) v^dag) and c_k, with phi_k = I + c_k."""
-    gen = Generator(code, hamiltonian, 0.0, 0.0)
-    q, (n_k, c_k) = invariant_subspace([gen.noise, gen.correction], rho0)
+    becomes v exp(-i w t) v^dag) and c_k, with phi_k = I + c_k.
+
+    Where the reduced model's tables describe the model (the pair-coupled
+    bitflip3 code with rho0 in the class span, as ``hamiltonian-3q``), q is
+    the 13 normalised class states and the restrictions are read from the
+    tables (``reduced_model.class_restriction``); otherwise q is the Krylov
+    basis of ``invariant_subspace``."""
+    restriction = _in_double_precision(reduced_model.class_restriction, rho0, hamiltonian, code)
+    if restriction is None:
+        gen = Generator(code, hamiltonian, 0.0, 0.0)
+        q, (n_k, c_k) = invariant_subspace([gen.noise, gen.correction], rho0)
+    else:
+        q, n_k, c_k = restriction
     w, v = np.linalg.eigh(1j * n_k)
     return q, w, v, np.eye(len(w)) + c_k
 
@@ -342,9 +382,10 @@ def step_weak_map(rho0, hamiltonian, code, eps, tau_c, n_steps, sample_stride=1)
     after every ``sample_stride`` cycles and after the last one.
 
     Samples are reached by powers of the one-cycle map ((1-eps) I + eps
-    phi_k) exp(tau_c N_k) on the coordinates of ``_pair_subspace``, where
-    N_k restricts -i[H, .] and phi_k = I + c_k, c_k the restriction of the
-    correction Phi (x) id_bath - id.
+    phi_k) exp(tau_c N_k) on the coordinates of ``_pair_subspace`` (the 13
+    class states for ``hamiltonian-3q``), where N_k restricts -i[H, .] and
+    phi_k = I + c_k, c_k the restriction of the correction
+    Phi (x) id_bath - id.
     Equivalent continuous correction rate: kappa = eps / tau_c.  The
     samples are checked as those of ``integrate`` (``_check_samples``).
     """
@@ -383,7 +424,8 @@ def jump_monte_carlo(rho0, hamiltonian, code, kappa, t_max, n_traj, seed, n_samp
     ensemble mean/stderr of the codeword fidelity in `observables`.
 
     A chunk of trajectories evolves together, each as its k coordinates on
-    ``_pair_subspace`` in the eigenbasis v, taken in the interaction picture
+    ``_pair_subspace`` (k = 13 class states for ``hamiltonian-3q``) in the
+    eigenbasis v, taken in the interaction picture
     z = y e^{iwt}: free evolution leaves z as it is, a recovery at t is
     z -> ((z e^{-iwt}) @ R) e^{iwt} (for the trajectories whose next jump
     precedes the next sample), and the phases e^{-iw t_s} that turn z back

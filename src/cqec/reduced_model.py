@@ -22,11 +22,18 @@ The codeword fidelity is C000_000 and the code-space weight is
 C000_000 + C111_111; the physical trace is the weighted sum
 1*C000_000 + 3*C100_100 + 3*C110_110 + 1*C111_111 = 1, conserved by M
 for every R.
+
+The class states (``class_basis``) span a subspace that the model's noise
+and correction maps send into itself, and the two tables below are those
+maps restricted to it, exactly.  ``class_restriction`` hands them, on the
+normalised class states, to the weak map and Monte Carlo.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from .codes_and_maps import bitflip3_code, pair_hamiltonian
 
 # class representatives (lmn, pqr) as 3-bit integers, in vector order
 ORDER = [
@@ -167,10 +174,58 @@ def class_basis():
     flattened sum of the members of class i, each times its phase, so the
     state with class coefficients c is class_basis() @ c.  Built from the
     512 nonzero entries alone."""
+    return _class_columns(np.ones(13))
+
+
+def _class_columns(norms):
+    """The class states as columns (4096, 13), column i divided by norms[i]."""
     index, phases = _members()
     basis = np.zeros((64 * 64, 13), dtype=complex)
-    basis[index, _CLASS_OF[:, None]] = phases[:, None] / 8.0
+    basis[index, _CLASS_OF[:, None]] = (phases / (8.0 * norms[_CLASS_OF]))[:, None]
     return basis
+
+
+def class_restriction(rho0, hamiltonian, code):
+    """(q, n_k, c_k): the class states as orthonormal columns q (4096, 13),
+    q_i = b_i / |b_i| with b = class_basis() and |b_i|^2 the multiplicity of
+    class i over 8, and the restrictions n_k = q^dag noise(q) and
+    c_k = q^dag correction(q) of ``Generator(code, hamiltonian, 0, 0)``'s
+    maps, read from the tables: n_k = g N M_FREE N^-1 and c_k = N M_CORR N^-1
+    with N = diag(|b_i|).  None unless the tables describe the model: the
+    code has bitflip3's syndrome tables, the Hamiltonian is
+    ``pair_hamiltonian(code, g)`` bit for bit (g read from its first pair's
+    entry), and rho0 lies in the class span (residual at most 1e-13 |rho0|,
+    taken on the 512 entries the class states cover and the norm of the
+    rest).
+
+    At a g whose table entries overflow, n_k holds inf (FloatingPointError
+    under ``np.errstate(over="raise")``)."""
+    bitflip3 = bitflip3_code()
+    hamiltonian, rho = np.asarray(hamiltonian), np.asarray(rho0)
+    if ((code.syndrome_of, code.corrected) != (bitflip3.syndrome_of, bitflip3.corrected)
+            or hamiltonian.shape != (64, 64) or rho.shape != (64, 64)):
+        return None
+    g = hamiltonian[0, 0b100100].real  # X on system qubit 0 and bath qubit 0
+    if not np.array_equal(hamiltonian, pair_hamiltonian(code, g)):
+        return None
+    index, phases = _members()
+    flat = rho.ravel()
+    on = flat[index]
+    raw = np.conj(phases) * on.sum(axis=1)  # as ``_raw_and_off``
+    counts = np.bincount(_CLASS_OF, minlength=13)
+    coeffs = np.bincount(_CLASS_OF, raw.real, 13) + 1j * np.bincount(_CLASS_OF, raw.imag, 13)
+    rest = on - (phases * coeffs[_CLASS_OF] / counts[_CLASS_OF] / 8.0)[:, None]
+    off = flat.copy()
+    off[index] = 0.0
+    if np.hypot(np.linalg.norm(off), np.linalg.norm(rest)) > 1e-13 * np.linalg.norm(flat):
+        return None
+    norms = np.sqrt(counts / 8.0)
+    m_corr = np.zeros((13, 13))
+    rows, cols, values = zip(*_M_CORR)
+    m_corr[rows, cols] = values
+    n_k = g * (norms[:, None] * _M_FREE / norms)
+    c_k = norms[:, None] * m_corr / norms
+    return _class_columns(norms), n_k, c_k
 
 
 def _raw_and_off(basis):

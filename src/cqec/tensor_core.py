@@ -1,4 +1,4 @@
-"""Qubit-register linear algebra: Pauli strings, basis kets, registers.
+"""Qubit-register basics: basis kets, projectors, registers.
 
 Conventions used throughout the package
 ---------------------------------------
@@ -23,43 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 TOL_POS = 1e-8
-
-I2 = np.eye(2, dtype=complex)
-X = np.array([[0, 1], [1, 0]], dtype=complex)
-Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-PAULI = {"I": I2, "X": X, "Y": Y, "Z": Z}
-
-
-def kron_all(*ops):
-    """Kronecker product of any number of operators, left factor most significant."""
-    out = np.array([[1.0 + 0j]])
-    for op in ops:
-        out = np.kron(out, np.asarray(op, dtype=complex))
-    return out
-
-
-def pauli_string(spec):
-    """Dense operator for a Pauli string such as ``"XIZ"`` (one letter per qubit).
-
-    Raises ValueError on letters outside I/X/Y/Z.  The string length fixes
-    the number of qubits; ``pauli_string("X")`` is just the Pauli X.
-    """
-    if not spec:
-        raise ValueError("empty Pauli string")
-    mats = []
-    for ch in spec:
-        if ch not in PAULI:
-            raise ValueError(f"unknown Pauli letter {ch!r} in {spec!r}")
-        mats.append(PAULI[ch])
-    return kron_all(*mats)
-
-
-def pauli_on(letter, pos, n):
-    """Pauli `letter` acting on qubit `pos` of an n-qubit register."""
-    assert 0 <= pos < n
-    return pauli_string("I" * pos + letter + "I" * (n - pos - 1))
 
 
 def basis_ket(bits, n=None):

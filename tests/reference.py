@@ -1,7 +1,9 @@
 """Reference implementations that the tests compare the package against.
 
 Each one is the textbook form of something the package computes another
-way: the Kraus form of the recovery channel (``apply_recovery`` gathers
+way: Pauli strings as Kronecker products and the pair Hamiltonian summed
+from them (``pair_hamiltonian`` sets the flipped entries instead), the
+Kraus form of the recovery channel (``apply_recovery`` gathers
 syndrome blocks instead), the code-space projector and the partial trace
 over the bath (``CodeSpec.diagonal_weights`` reads F_cw and P_cs from the
 diagonal instead), and the 64 raw coefficients of the reduced model with
@@ -13,6 +15,55 @@ import numpy as np
 
 from cqec.reduced_model import _CLASS_OF, _raw_and_off
 from cqec.tensor_core import basis_ket, projector
+
+I2 = np.eye(2, dtype=complex)
+X = np.array([[0, 1], [1, 0]], dtype=complex)
+Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+PAULI = {"I": I2, "X": X, "Y": Y, "Z": Z}
+
+
+def kron_all(*ops):
+    """Kronecker product of any number of operators, left factor most significant."""
+    out = np.array([[1.0 + 0j]])
+    for op in ops:
+        out = np.kron(out, np.asarray(op, dtype=complex))
+    return out
+
+
+def pauli_string(spec):
+    """Dense operator for a Pauli string such as ``"XIZ"`` (one letter per qubit).
+
+    Raises ValueError on letters outside I/X/Y/Z.  The string length fixes
+    the number of qubits; ``pauli_string("X")`` is just the Pauli X.
+    """
+    if not spec:
+        raise ValueError("empty Pauli string")
+    mats = []
+    for ch in spec:
+        if ch not in PAULI:
+            raise ValueError(f"unknown Pauli letter {ch!r} in {spec!r}")
+        mats.append(PAULI[ch])
+    return kron_all(*mats)
+
+
+def pauli_on(letter, pos, n):
+    """Pauli `letter` acting on qubit `pos` of an n-qubit register."""
+    assert 0 <= pos < n
+    return pauli_string("I" * pos + letter + "I" * (n - pos - 1))
+
+
+def kron_pair_hamiltonian(code, gamma, strengths=None):
+    """H = gamma * sum_j s_j X_(system j) X_(bath j) on the doubled register,
+    summed from Kronecker products; s_j = 1 unless ``strengths`` gives them."""
+    n = code.system_count
+    d = 2 ** (2 * n)
+    strengths = [1.0] * n if strengths is None else strengths
+    h = np.zeros((d, d), dtype=complex)
+    for j in range(n):
+        h += strengths[j] * (pauli_on("X", j, 2 * n) @ pauli_on("X", n + j, 2 * n))
+    return gamma * h
 
 
 def kraus(code):

@@ -464,15 +464,18 @@ def test_unresolved_slow_mode_exits_3(tmp_path, capsys):
     ["--scenario", "hamiltonian-3q", "--gamma", "1e160", "--R", "10"],
     ["--scenario", "hamiltonian-1q", "--gamma", "1e160", "--R", "1",
      "--engine", "monte-carlo", "--n-traj", "10"],
-    ["--scenario", "hamiltonian-3q", "--gamma", "1e160", "--R", "10",
+    # Monte Carlo reads hamiltonian-3q's restriction from the reduced model's
+    # tables, gamma times entries up to 2.45, which overflow only from ~7e307
+    ["--scenario", "hamiltonian-3q", "--gamma", "1.5e308", "--R", "1",
      "--engine", "monte-carlo", "--n-traj", "10"],
     ["--scenario", "markovian-1q", "--lambda", "1e300", "--kappa", "1e300"],
 ], ids=["full-1q", "full-1q-restriction", "full-3q", "monte-carlo-1q", "monte-carlo-3q",
         "markovian-1q"])
 def test_rates_beyond_double_precision_exit_3(tmp_path, capsys, argv):
-    """Rates whose square overflows cannot be restricted: the run exits 3
-    with a message and writes no CSV, rather than a state that never moves
-    (F_cw = 1 at every sample)."""
+    """Rates whose square overflows (for hamiltonian-3q's Monte Carlo, whose
+    product with the tables) cannot be restricted: the run exits 3 with a
+    message and writes no CSV, rather than a state that never moves (F_cw = 1
+    at every sample) or a traceback."""
     out = tmp_path / "run.csv"
     rc = main(["simulate", *argv, "--t-max", "1", "--samples", "3", "--out", str(out)])
     assert rc == 3
@@ -480,18 +483,64 @@ def test_rates_beyond_double_precision_exit_3(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def _rows_at_gammas(tmp_path, argv, gammas):
+    """{gamma: CSV rows} of ``simulate`` with ``argv`` at each gamma, to
+    gamma t = 1 in 3 samples; every run must exit 0."""
+    rows = {}
+    for gamma in gammas:
+        out = tmp_path / f"g{gamma}.csv"
+        assert main(["simulate", *argv, "--gamma", gamma, "--t-max", "1", "--samples", "3",
+                     "--out", str(out)]) == 0
+        rows[gamma] = _read_csv(out)[2]
+    return rows
+
+
 def test_large_rates_give_the_unit_rate_curve(tmp_path):
     """Below the overflow, a run at gamma = 1e150 writes the gamma = 1 curve
-    in dimensionless time, F_cw = 0.6057 at gamma t = 1 for R = 1."""
-    rows = {}
-    for gamma in ("1", "1e150"):
-        out = tmp_path / f"g{gamma}.csv"
-        argv = ["simulate", "--scenario", "hamiltonian-1q", "--gamma", gamma, "--R", "1",
-                "--t-max", "1", "--samples", "3", "--out", str(out)]
-        assert main(argv) == 0
-        rows[gamma] = _read_csv(out)[2]
+    in dimensionless time, F_cw = 0.6057 at gamma t = 1 for R = 1; and
+    hamiltonian-3q's Monte Carlo at gamma = 1e160 writes the same seed's
+    gamma = 1 curve."""
+    rows = _rows_at_gammas(tmp_path, ["--scenario", "hamiltonian-1q", "--R", "1"],
+                           ["1", "1e150"])
     assert np.max(np.abs(rows["1e150"][:, :3] - rows["1"][:, :3])) <= 1e-12
     assert rows["1e150"][-1, 1] == pytest.approx(alpha_nonmarkov_1q(1.0, 1.0, 1.0), abs=1e-12)
+
+    rows = _rows_at_gammas(tmp_path, ["--scenario", "hamiltonian-3q", "--R", "10",
+                                      "--engine", "monte-carlo", "--n-traj", "10"],
+                           ["1", "1e160"])
+    assert np.max(np.abs(rows["1e160"][:, :3] - rows["1"][:, :3])) <= 1e-12
+
+
+def test_small_rates_give_the_unit_rate_curve(tmp_path):
+    """Above the underflow, the full engine at gamma = 1e-140 and 1e-150
+    writes the gamma = 1 curve, for one qubit and for three."""
+    for scenario in ("hamiltonian-1q", "hamiltonian-3q"):
+        rows = _rows_at_gammas(tmp_path, ["--scenario", scenario, "--R", "1"],
+                               ["1", "1e-140", "1e-150"])
+        for gamma in ("1e-140", "1e-150"):
+            assert np.max(np.abs(rows[gamma][:, :3] - rows["1"][:, :3])) <= 1e-12
+
+
+@pytest.mark.parametrize("argv", [
+    ["--scenario", "hamiltonian-1q", "--gamma", "1e-300", "--R", "1"],
+    ["--scenario", "hamiltonian-1q", "--gamma", "1e-160", "--R", "1"],
+    ["--scenario", "markovian-1q", "--lambda", "1e-300", "--kappa", "1e-300"],
+    ["--scenario", "hamiltonian-1q", "--gamma", "1e-160", "--R", "1",
+     "--engine", "monte-carlo", "--n-traj", "10"],
+], ids=["full-1q-1e-300", "full-1q-1e-160", "markovian-1q", "monte-carlo-1q"])
+def test_rates_below_double_precision_exit_3(tmp_path, argv):
+    """Rates whose images have subnormal squares cannot be restricted: the
+    run exits 3 with a message and writes no CSV, rather than F_cw = 1 at
+    every sample (1e-300, where the norms read 0), a curve off in the 6th
+    digit (1e-160), or a Monte Carlo run that never returns (Gram-Schmidt
+    on such norms adds a direction for every image).  Each run is a fresh
+    interpreter under a timeout."""
+    out = tmp_path / "run.csv"
+    proc = _run_python("-m", "cqec.cli", "simulate", *argv, "--t-max", "1", "--samples", "3",
+                       "--out", str(out), timeout=60)
+    assert proc.returncode == 3
+    assert "rates below double precision" in proc.stderr
+    assert not out.exists()
 
 
 def test_bad_config_file_returns_2(tmp_path, capsys):
@@ -906,13 +955,13 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch):
         assert main(argv) == 0, argv
 
 
-def _run_python(*args):
+def _run_python(*args, timeout=120):
     """A fresh interpreter with this checkout's `src` first on its path."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, timeout=120, env=env
+        [sys.executable, *args], capture_output=True, text=True, timeout=timeout, env=env
     )
 
 

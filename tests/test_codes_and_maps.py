@@ -3,24 +3,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqec.tensor_core import (
-    QubitRegister,
-    basis_ket,
-    pauli_string,
-    pauli_on,
-    projector,
-)
+from cqec.tensor_core import QubitRegister, basis_ket, projector
 from cqec.codes_and_maps import (
     SCENARIOS,
     ModelParams,
     apply_recovery,
     bitflip3_code,
+    pair_hamiltonian,
     scenario_rho0,
     total_generator,
     trivial_code,
 )
 from cqec.dynamics import step_weak_map
-from reference import apply_kraus, code_projector, kraus, lifted_kraus, raw_coefficients
+from reference import (
+    apply_kraus,
+    code_projector,
+    kraus,
+    kron_pair_hamiltonian,
+    lifted_kraus,
+    pauli_on,
+    pauli_string,
+    raw_coefficients,
+)
 
 
 def _random_hermitian(rng, d, unit_trace=False):
@@ -128,6 +132,15 @@ def test_lindblad_zero_is_zero():
     gen = total_generator("markovian-1q", ModelParams())
     rho = _random_hermitian(np.random.default_rng(2), 2)
     assert np.max(np.abs(gen.apply(rho))) == 0.0
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1.0, 0.37])
+@pytest.mark.parametrize("code_factory", [trivial_code, bitflip3_code])
+def test_pair_hamiltonian_is_the_kronecker_sum(code_factory, gamma):
+    """The flip-index pair Hamiltonian equals gamma * sum_j X_j X_(n+j)
+    summed from Kronecker products, exactly."""
+    code = code_factory()
+    assert np.array_equal(pair_hamiltonian(code, gamma), kron_pair_hamiltonian(code, gamma))
 
 
 def test_hamiltonian_generator_single_pair_ode():

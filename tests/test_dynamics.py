@@ -44,6 +44,7 @@ from reference import (
     apply_kraus,
     class_spread,
     code_projector,
+    kron_pair_hamiltonian,
     lifted_kraus,
     partial_trace_bath,
     system_dim,
@@ -540,19 +541,23 @@ def _random_state(rng, d):
 
 def _pair_setup(scenario, start="scenario"):
     """Code, register, H and rho0: the scenario state, a random state of the
-    whole register ("random"), or a random system state (x) I/d_bath
-    ("random-system")."""
+    whole register ("random"), a random system state (x) I/d_bath
+    ("random-system"), or the scenario state under pair strengths 1, 1 and
+    1.1 in place of the equal ones ("unequal-pairs", three qubits)."""
     code = SCENARIOS[scenario].code()
     register = SCENARIOS[scenario].register
+    h = pair_hamiltonian(code, 1.0)
     rng = np.random.default_rng(5)
-    if start == "scenario":
+    if start in ("scenario", "unequal-pairs"):
         rho0 = scenario_rho0(scenario)
     elif start == "random":
         rho0 = _random_state(rng, register.dim)
     else:
         db = 2**register.bath_count
         rho0 = np.kron(_random_state(rng, system_dim(register)), np.eye(db) / db)
-    return code, register, pair_hamiltonian(code, 1.0), rho0
+    if start == "unequal-pairs":
+        h = kron_pair_hamiltonian(code, 1.0, strengths=[1.0, 1.0, 1.1])
+    return code, register, h, rho0
 
 
 def _propagator(h):
@@ -628,6 +633,8 @@ def test_recovery_gather_matches_kraus_on_batched_stack():
     pytest.param("hamiltonian-1q", 1000, 7, 0.02, "random", id="hamiltonian-1q-random"),
     pytest.param("hamiltonian-3q", 60, 7, 0.02, "random-system",
                  id="hamiltonian-3q-random-system"),
+    pytest.param("hamiltonian-3q", 60, 7, 0.02, "unequal-pairs",
+                 id="hamiltonian-3q-unequal-pairs"),
 ])
 def test_weak_map_matches_sequential_reference(scenario, n_steps, stride, eps, start):
     code, register, h, rho0 = _pair_setup(scenario, start)
@@ -650,6 +657,8 @@ FEW_JUMPS, MANY_JUMPS, LONG_RUN = (4.0, 1.0, 6), (40.0, 2.0, 3), (4.0, 25.0, 6)
     pytest.param("hamiltonian-1q", 50, "random", 11, None, FEW_JUMPS, id="hamiltonian-1q-random"),
     pytest.param("hamiltonian-3q", 30, "random-system", 11, None, FEW_JUMPS,
                  id="hamiltonian-3q-random-system"),
+    pytest.param("hamiltonian-3q", 30, "unequal-pairs", 11, None, FEW_JUMPS,
+                 id="hamiltonian-3q-unequal-pairs"),
     pytest.param("hamiltonian-1q", 50, "scenario", 2**64 - 5, None, FEW_JUMPS,
                  id="hamiltonian-1q-seed-2**64-5"),
     pytest.param("hamiltonian-3q", 30, "scenario", 2**63 + 1, None, FEW_JUMPS,
@@ -691,6 +700,46 @@ def test_monte_carlo_matches_sequential_reference(monkeypatch, scenario, n_traj,
     assert np.max(np.abs(traj.observables["F_cw_mean"] - f_mean)) < 1e-11
     assert np.max(np.abs(traj.observables["F_cw_se"] - f_se)) < 1e-11
     assert np.all(f_se[1:] > 0)
+
+
+def test_pair_subspace_takes_the_class_states_where_the_tables_apply():
+    """On the scenario state of hamiltonian-3q the weak map and Monte Carlo
+    run on the 13 normalised class states; on a random system state, which
+    is off their span, on the Krylov basis of ``invariant_subspace``."""
+    code, _, h, rho0 = _pair_setup("hamiltonian-3q")
+    q, w, _, _ = _pair_subspace(rho0, h, code)
+    basis = reduced_model.class_basis()
+    assert len(w) == 13
+    assert np.array_equal(q, basis / np.linalg.norm(basis, axis=0))
+
+    code, _, h, rho0 = _pair_setup("hamiltonian-3q", "random-system")
+    q, w, _, _ = _pair_subspace(rho0, h, code)
+    gen = total_generator("hamiltonian-3q", ModelParams(gamma=1.0))
+    q_krylov, _ = invariant_subspace([gen.noise, gen.correction], rho0)
+    assert len(w) == q_krylov.shape[1] != 13
+    assert np.array_equal(q, q_krylov)
+
+
+def test_class_states_give_the_krylov_trajectories(monkeypatch):
+    """The weak map and Monte Carlo of hamiltonian-3q at R = 10 on the class
+    states against the same runs on the Krylov basis of the scenario state
+    (the fallback, forced): states within 1e-12, and Monte Carlo's F_cw
+    mean and standard error within 1e-13 from the same jumps."""
+    code, _, h, rho0 = _pair_setup("hamiltonian-3q")
+
+    def run():
+        weak = step_weak_map(rho0, h, code, 10.0 * 2e-3, 2e-3, 500, sample_stride=25)
+        return weak, jump_monte_carlo(rho0, h, code, 10.0, 1.0, 1000, 7, n_samples=21)
+
+    weak, mc = run()
+    assert len(weak.basis.T) == len(mc.basis.T) == 13
+    monkeypatch.setattr("cqec.reduced_model.class_restriction", lambda *args: None)
+    weak_krylov, mc_krylov = run()
+    assert len(weak_krylov.basis.T) == len(mc_krylov.basis.T) == 9
+    assert np.max(np.abs(weak.states - weak_krylov.states)) <= 1e-12
+    assert np.max(np.abs(mc.states - mc_krylov.states)) <= 1e-12
+    for key in ("F_cw_mean", "F_cw_se"):
+        assert np.max(np.abs(mc.observables[key] - mc_krylov.observables[key])) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -981,3 +1030,14 @@ def test_invariant_subspace_grows_past_its_first_rows():
     h = h + h.conj().T
     ops = [lambda r: -1j * (h @ r - r @ h), lambda r: a @ r @ a.conj().T]
     assert _assert_subspace_matches_vstack(ops, _random_state(rng, 8)) == 64
+
+
+def test_invariant_subspace_stops_at_d_squared_directions(monkeypatch):
+    """With the underflow check off, hamiltonian-1q's maps at gamma = 1e-160
+    have image norms from subnormal squares: Gram-Schmidt stops removing the
+    span, and every image adds a direction.  The one past d^2 = 16 raises
+    IntegrationError, where the loop would otherwise never end."""
+    monkeypatch.setattr("cqec.dynamics.UNDERFLOW_NORM", 0.0)
+    gen = total_generator("hamiltonian-1q", ModelParams(gamma=1e-160, kappa=1e-160))
+    with pytest.raises(IntegrationError, match="Gram-Schmidt broke down"):
+        invariant_subspace([gen.noise, gen.correction], scenario_rho0("hamiltonian-1q"))

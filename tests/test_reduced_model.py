@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cqec.tensor_core import basis_ket, projector, kron_all
+from cqec.tensor_core import basis_ket, projector
 from cqec.codes_and_maps import (
     Generator,
     ModelParams,
@@ -28,7 +28,7 @@ from cqec.reduced_model import (
     graph_as_json,
     transition_graph,
 )
-from reference import class_spread, partial_trace_bath
+from reference import class_spread, kron_all, partial_trace_bath
 
 
 # ---------------------------------------------------------------------------

@@ -3,17 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cqec.tensor_core import (
-    I2,
-    X,
-    Z,
-    QubitRegister,
-    basis_ket,
-    kron_all,
-    pauli_string,
-    projector,
-)
-from reference import partial_trace_bath, system_dim
+from cqec.tensor_core import QubitRegister, basis_ket, projector
+from reference import I2, X, Z, kron_all, partial_trace_bath, pauli_string, system_dim
 
 
 def test_kron_identity():
