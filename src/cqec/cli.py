@@ -445,7 +445,9 @@ def cmd_scan(scenario, grid, fit, out):
 def cmd_graph(big_r, out):
     if big_r is None or not (np.isfinite(big_r) and big_r >= 0):
         raise ConfigError("graph needs a finite --R >= 0")
-    edges = reduced_model.graph_as_json(reduced_model.transition_graph(big_r))
+    edges = reduced_model.transition_graph(big_r)
+    if not np.isfinite([e["rate_over_gamma"] for e in edges]).all():
+        raise ConfigError(f"graph needs finite rates R x table entry; R = {big_r:g} overflows")
     _write_json(out, {"R": big_r, "edges": edges})
     return 0
 

@@ -236,9 +236,13 @@ def integrate_reduced(big_r, gamma, t_max, n_samples=201):
     applied to the unit first one (``propagate_linear``) on a uniform grid
     of t in [0, t_max], t_max > 0: real coordinates on the class states
     ``reduced_model.class_basis()``, checked as every engine's samples
-    (``_check_samples``)."""
+    (``_check_samples``).  Rates with an entry of gamma M(R) beyond double
+    precision raise IntegrationError."""
     times = np.linspace(0.0, t_max, n_samples)
     m = reduced_model.build_reduced_matrix(big_r, gamma)
+    if not np.isfinite(m).all():
+        raise IntegrationError(f"rates beyond double precision: gamma M(R) is not finite "
+                               f"at R = {big_r:g}, gamma = {gamma:g}")
     # a copy of the real part, so that the complex result is freed
     coords = propagate_linear(m, np.eye(13)[0], times).real.copy()
     basis = reduced_model.class_basis()
@@ -387,7 +391,9 @@ def step_weak_map(rho0, hamiltonian, code, eps, tau_c, n_steps, sample_stride=1)
     phi_k = I + c_k, c_k the restriction of the correction
     Phi (x) id_bath - id.
     Equivalent continuous correction rate: kappa = eps / tau_c.  The
-    samples are checked as those of ``integrate`` (``_check_samples``).
+    samples are checked as those of ``integrate`` (``_check_samples``); a
+    power or sample that overflows (rounding compounded over 1e18 cycles at
+    hamiltonian-3q's R = 10) raises IntegrationError.
     """
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps must lie in [0, 1], got {eps}")
@@ -401,11 +407,18 @@ def step_weak_map(rho0, hamiltonian, code, eps, tau_c, n_steps, sample_stride=1)
     steps = list(range(sample_stride, n_steps + 1, sample_stride))
     if steps[-1:] != [n_steps]:
         steps.append(n_steps)
-    gaps = np.diff([0] + steps)  # the stride, and a shorter last gap
-    powers = {n: np.linalg.matrix_power(s, n) for n in set(gaps)}
-    coords = [q.conj().T @ rho.ravel()]
-    for n in gaps:
-        coords.append(powers[n] @ coords[-1])
+    # the stride, and a shorter last gap; Python ints, which past 2**63 cycles
+    # numpy would hold as floats
+    gaps = [b - a for a, b in zip([0] + steps, steps)]
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            powers = {n: np.linalg.matrix_power(s, n) for n in set(gaps)}
+            coords = [q.conj().T @ rho.ravel()]
+            for n in gaps:
+                coords.append(powers[n] @ coords[-1])
+    except FloatingPointError as exc:
+        raise IntegrationError(f"{n_steps:.3g} cycles of the one-cycle map are beyond "
+                               f"double precision: {exc}") from exc
     times = np.array([0.0] + [k * tau_c for k in steps])
     coords = np.array(coords)
     _check_samples(times, coords, q)

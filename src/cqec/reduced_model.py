@@ -29,8 +29,6 @@ maps restricted to it, exactly.  ``class_restriction`` hands them, on the
 normalised class states, to the weak map and Monte Carlo.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .codes_and_maps import bitflip3_code, pair_hamiltonian
@@ -77,34 +75,38 @@ _M_FREE = np.array(
     dtype=float,
 )
 
-# entries proportional to R (correction flows): (row, col, coefficient)
-_M_CORR = [
-    (0, 4, 3.0),
-    (1, 1, -1.0),
-    (2, 2, -1.0),
-    (3, 3, -1.0),
-    (4, 4, -1.0),
-    (5, 5, -1.0),
-    (6, 5, -3.0),
-    (7, 7, -1.0),
-    (8, 8, -1.0),
-    (9, 9, -1.0),
-    (10, 10, -1.0),
-    (11, 11, -1.0),
-    (12, 8, 3.0),
-]
+# part proportional to R (correction flows), in units of gamma; its zero
+# columns are the classes the correction leaves alone
+_M_CORR = np.array(
+    [
+        [0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0],
+        [0, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, -3, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0],
+    ],
+    dtype=float,
+)
 
 
 def build_reduced_matrix(big_r, gamma=1.0):
-    """The 13x13 generator gamma*M(R) of the reduced coefficient vector."""
+    """The 13x13 generator gamma*M(R) of the reduced coefficient vector,
+    gamma (M_FREE + R M_CORR).  Entries beyond double precision read inf
+    (nan at R = inf), without a warning."""
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
     if big_r < 0:
         raise ValueError("R must be >= 0")
-    m = _M_FREE.copy()
-    for i, j, coeff in _M_CORR:
-        m[i, j] += coeff * big_r
-    return gamma * m
+    with np.errstate(over="ignore", invalid="ignore"):
+        return gamma * (_M_FREE + big_r * _M_CORR)
 
 
 def slow_eigenvalue(matrix):
@@ -194,9 +196,8 @@ def class_restriction(rho0, hamiltonian, code):
     with N = diag(|b_i|).  None unless the tables describe the model: the
     code has bitflip3's syndrome tables, the Hamiltonian is
     ``pair_hamiltonian(code, g)`` bit for bit (g read from its first pair's
-    entry), and rho0 lies in the class span (residual at most 1e-13 |rho0|,
-    taken on the 512 entries the class states cover and the norm of the
-    rest).
+    entry), and rho0 lies in the class span (``_class_projection``'s
+    residual at most 1e-13 |rho0|).
 
     At a g whose table entries overflow, n_k holds inf (FloatingPointError
     under ``np.errstate(over="raise")``)."""
@@ -208,59 +209,52 @@ def class_restriction(rho0, hamiltonian, code):
     g = hamiltonian[0, 0b100100].real  # X on system qubit 0 and bath qubit 0
     if not np.array_equal(hamiltonian, pair_hamiltonian(code, g)):
         return None
-    index, phases = _members()
-    flat = rho.ravel()
-    on = flat[index]
-    raw = np.conj(phases) * on.sum(axis=1)  # as ``_raw_and_off``
-    counts = np.bincount(_CLASS_OF, minlength=13)
-    coeffs = np.bincount(_CLASS_OF, raw.real, 13) + 1j * np.bincount(_CLASS_OF, raw.imag, 13)
-    rest = on - (phases * coeffs[_CLASS_OF] / counts[_CLASS_OF] / 8.0)[:, None]
-    off = flat.copy()
-    off[index] = 0.0
-    if np.hypot(np.linalg.norm(off), np.linalg.norm(rest)) > 1e-13 * np.linalg.norm(flat):
+    _, gram = _class_projection(rho.reshape(-1, 1))
+    if np.sqrt(gram[0, 0].real) > 1e-13 * np.linalg.norm(rho):
         return None
-    norms = np.sqrt(counts / 8.0)
-    m_corr = np.zeros((13, 13))
-    rows, cols, values = zip(*_M_CORR)
-    m_corr[rows, cols] = values
+    norms = np.sqrt(np.bincount(_CLASS_OF, minlength=13) / 8.0)
     n_k = g * (norms[:, None] * _M_FREE / norms)
-    c_k = norms[:, None] * m_corr / norms
+    c_k = norms[:, None] * _M_CORR / norms
     return _class_columns(norms), n_k, c_k
 
 
-def _raw_and_off(basis):
-    """The coefficients C_{lmn,pqr} (64, k) of the basis columns (row-major
-    flattened 64 x 64 states) and the columns' part off the members' span
-    (4096, k).  The members are orthogonal with norm^2 = 1/8, so a coefficient
-    is the sum of its member's 8 entries of the state, phase peeled off."""
+def _class_projection(basis):
+    """(coeffs, gram): the class coefficients (13, k) of the basis columns
+    (row-major flattened 64 x 64 states, (4096, k)) and the Gram matrix
+    (k, k) of the columns' part outside the class span.  The members are
+    orthogonal with norm^2 = 1/8, so a member's coefficient is the sum of
+    its 8 entries of the state, phase peeled off, and a class coefficient,
+    the mean of its members' ones, is the orthogonal projection onto that
+    class state."""
     index, phases = _members()
     raw = np.conj(phases)[:, None] * basis[index].sum(axis=1)
+    counts = np.bincount(_CLASS_OF, minlength=13)
+    coeffs = (_CLASS_OF == np.arange(13)[:, None]) @ raw / counts[:, None]
     off = np.array(basis, dtype=complex)
-    off[index] -= (phases[:, None] * raw / 8.0)[:, None, :]
-    return raw, off
+    off[index] -= (phases[:, None] * coeffs[_CLASS_OF] / 8.0)[:, None, :]
+    return coeffs, off.conj().T @ off
 
 
 def class_coefficients(coords, basis):
     """The 13 class coefficients (n, 13) of the states coords[i] @ basis.T,
-    each the mean of its class's raw coefficients, taken on the k basis
-    columns (the residuals from the Gram matrix of their part off the
-    manifold).  Raises ValueError at the first state whose raw coefficients
-    are complex (imaginary part > 1e-10), that has left the symmetric
-    manifold (residual > 1e-8) or whose weighted trace is off 1 by > 1e-10."""
-    basis_raw, off = _raw_and_off(basis)
-    raw = coords @ basis_raw.T
-    gram = off.conj().T @ off
+    taken on the k basis columns (``_class_projection``).  Raises
+    ValueError at the first state whose class coefficients are complex
+    (imaginary part > 1e-10), that has left the real symmetric manifold
+    (residual > 1e-8: its distance from the class span, which counts the
+    spread of the raw coefficients inside a class as well as a part off
+    the 64 members) or whose weighted trace is off 1 by > 1e-10."""
+    basis_coeffs, gram = _class_projection(basis)
+    coeffs = coords @ basis_coeffs.T
     residual = np.sqrt(np.abs(np.einsum("ni,ij,nj->n", coords.conj(), gram, coords)))
-    coeffs = np.stack([raw.real[:, _CLASS_OF == i].mean(axis=1) for i in range(13)], axis=1)
-    traces = coeffs[:, list(TRACE_WEIGHTS)] @ list(TRACE_WEIGHTS.values())
-    for n, (imag, res, wt) in enumerate(zip(np.abs(raw.imag).max(axis=1), residual, traces)):
+    traces = coeffs.real[:, list(TRACE_WEIGHTS)] @ list(TRACE_WEIGHTS.values())
+    for n, (imag, res, wt) in enumerate(zip(np.abs(coeffs.imag).max(axis=1), residual, traces)):
         if imag > 1e-10:
             raise ValueError(f"coefficients not real: max imaginary part {imag:.3e} (state {n})")
         if res > 1e-8:
             raise ValueError(f"state left the symmetric manifold: residual {res:.3e} (state {n})")
         if abs(wt - 1.0) > 1e-10:
             raise ValueError(f"weighted trace {wt} deviates from 1 (state {n})")
-    return coeffs
+    return coeffs.real
 
 
 # ---------------------------------------------------------------------------
@@ -268,38 +262,22 @@ def class_coefficients(coords, basis):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Edge:
-    src: str
-    dst: str
-    rate_over_gamma: float
-    source: str  # "decoherence" or "correction"
-
-
 def transition_graph(big_r):
-    """Off-diagonal flows of the reduced matrix as provenance-tagged edges.
+    """Off-diagonal flows of the reduced matrix as JSON records
+    {"from", "to", "rate_over_gamma", "source"}.
 
     Edges run from the column class to the row class it feeds; rates are
-    the signed matrix entries in units of gamma.  Entries proportional to
-    R come from the correction channel, the rest from the pair coupling.
+    the signed matrix entries in units of gamma, "decoherence" from the
+    free table and, for R > 0, "correction" from R times the correction
+    table.  A rate that overflows reads inf.
     """
     if big_r < 0:
         raise ValueError("R must be >= 0")
-    edges = []
-    corr = {(i, j): c for i, j, c in _M_CORR}
-    for i in range(13):
-        for j in range(13):
-            if i == j:
-                continue
-            if _M_FREE[i, j] != 0.0:
-                edges.append(Edge(LABELS[j], LABELS[i], float(_M_FREE[i, j]), "decoherence"))
-            if (i, j) in corr and big_r > 0:
-                edges.append(Edge(LABELS[j], LABELS[i], corr[(i, j)] * big_r, "correction"))
-    return edges
-
-
-def graph_as_json(edges):
+    tables = [(_M_FREE, 1.0, "decoherence"), (_M_CORR, big_r, "correction")]
     return [
-        {"from": e.src, "to": e.dst, "rate_over_gamma": e.rate_over_gamma, "source": e.source}
-        for e in edges
+        {"from": LABELS[j], "to": LABELS[i], "rate_over_gamma": float(m[i, j]) * scale,
+         "source": source}
+        for i, j in np.argwhere(~np.eye(13, dtype=bool))
+        for m, scale, source in tables
+        if m[i, j] and scale
     ]

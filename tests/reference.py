@@ -6,14 +6,15 @@ from them (``pair_hamiltonian`` sets the flipped entries instead), the
 Kraus form of the recovery channel (``apply_recovery`` gathers
 syndrome blocks instead), the code-space projector and the partial trace
 over the bath (``CodeSpec.diagonal_weights`` reads F_cw and P_cs from the
-diagonal instead), and the 64 raw coefficients of the reduced model with
-their spread inside each class (``class_coefficients`` takes the class
-means on a whole trajectory instead).  No command runs them.
+diagonal instead), and the 64 raw coefficients of the reduced model,
+projected onto its members built as Kronecker products, with their
+spread inside each class (``class_coefficients`` reads the class means
+from the members' nonzero entries on a whole trajectory instead).  No
+command runs them.
 """
 
 import numpy as np
 
-from cqec.reduced_model import _CLASS_OF, _raw_and_off
 from cqec.tensor_core import basis_ket, projector
 
 I2 = np.eye(2, dtype=complex)
@@ -116,14 +117,45 @@ def system_dim(register):
     return 2**register.system_count
 
 
+def manifold_members():
+    """The 64 members rho_{lmn,pqr} = |lmn><pqr| (x) X^(l xor p)/2 (x)
+    X^(m xor q)/2 (x) X^(n xor r)/2 of the symmetric manifold as row-major
+    flattened rows (64, 4096), (lmn, pqr) in the order (0, 0), (0, 1), ...,
+    (7, 7), and the phase
+    (-i)^(l+m+n) i^(p+q+r) of each, with which the state is
+    sum C_{lmn,pqr} phase rho_{lmn,pqr}."""
+    members, phases = [], []
+    for lmn in range(8):
+        for pqr in range(8):
+            bits = [(lmn >> s & 1, pqr >> s & 1) for s in (2, 1, 0)]
+            flips = [np.linalg.matrix_power(X, a ^ b) / 2.0 for a, b in bits]
+            members.append(kron_all(np.outer(basis_ket(lmn, 3), basis_ket(pqr, 3)), *flips))
+            phases.append((-1j) ** bin(lmn).count("1") * 1j ** bin(pqr).count("1"))
+    return np.array(members).reshape(64, -1), np.array(phases)
+
+
+MEMBERS, PHASES = manifold_members()
+
+
 def raw_coefficients(rho):
     """The 64 coefficients C_{lmn,pqr} of a 64 x 64 state on the symmetric
-    manifold: (coeffs[64], max imaginary part, expansion residual)."""
-    raw, off = _raw_and_off(np.asarray(rho, dtype=complex).reshape(-1, 1))
-    return raw[:, 0], float(np.max(np.abs(raw.imag))), float(np.linalg.norm(off))
+    manifold, projected onto the members (orthogonal, each of norm^2 1/8):
+    (coeffs[64], max imaginary part, expansion residual)."""
+    rho = np.asarray(rho, dtype=complex).ravel()
+    coeffs = 8.0 * (MEMBERS.conj() @ rho) / PHASES
+    residual = rho - (coeffs * PHASES) @ MEMBERS
+    return coeffs, float(np.max(np.abs(coeffs.imag))), float(np.linalg.norm(residual))
 
 
 def class_spread(rho):
-    """Largest within-class spread of the 64 raw coefficients (symmetry check)."""
+    """Largest spread of the 64 raw coefficients inside a symmetry class, the
+    coefficients of (lmn, pqr) with the same numbers of 1s on the left and
+    right (unordered) and of 1s in common (symmetry check)."""
     raw, _, _ = raw_coefficients(rho)
-    return float(max(np.ptp(raw.real[_CLASS_OF == i]) for i in range(13)))
+    classes = {}
+    for index, c in enumerate(raw.real):
+        lmn, pqr = divmod(index, 8)
+        ones = sorted([bin(lmn).count("1"), bin(pqr).count("1")])
+        classes.setdefault((*ones, bin(lmn & pqr).count("1")), []).append(c)
+    assert len(classes) == 13
+    return float(max(np.ptp(values) for values in classes.values()))

@@ -469,17 +469,38 @@ def test_unresolved_slow_mode_exits_3(tmp_path, capsys):
     ["--scenario", "hamiltonian-3q", "--gamma", "1.5e308", "--R", "1",
      "--engine", "monte-carlo", "--n-traj", "10"],
     ["--scenario", "markovian-1q", "--lambda", "1e300", "--kappa", "1e300"],
+    # the reduced engine's gamma (M_FREE + R M_CORR), with R = 3e308 in an
+    # entry or R = kappa/gamma = inf
+    ["--scenario", "hamiltonian-3q", "--R", "1e308", "--engine", "reduced"],
+    ["--scenario", "hamiltonian-3q", "--gamma", "1e-300", "--kappa", "1e10",
+     "--engine", "reduced"],
 ], ids=["full-1q", "full-1q-restriction", "full-3q", "monte-carlo-1q", "monte-carlo-3q",
-        "markovian-1q"])
+        "markovian-1q", "reduced-R", "reduced-kappa-over-gamma"])
 def test_rates_beyond_double_precision_exit_3(tmp_path, capsys, argv):
-    """Rates whose square overflows (for hamiltonian-3q's Monte Carlo, whose
-    product with the tables) cannot be restricted: the run exits 3 with a
-    message and writes no CSV, rather than a state that never moves (F_cw = 1
-    at every sample) or a traceback."""
+    """Rates whose square overflows (for hamiltonian-3q's Monte Carlo and
+    reduced engine, their product with the tables or the quotient
+    R = kappa/gamma) cannot be restricted: the
+    run exits 3 with a message and writes no CSV, rather than a state that
+    never moves (F_cw = 1 at every sample) or a traceback."""
     out = tmp_path / "run.csv"
     rc = main(["simulate", *argv, "--t-max", "1", "--samples", "3", "--out", str(out)])
     assert rc == 3
     assert "rates beyond double precision" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("gamma, cycles", [("1e-160", "1e+163"), ("1e-16", "1e+19")])
+def test_weak_step_power_beyond_double_precision_exits_3(tmp_path, capsys, gamma, cycles):
+    """Vast cycle counts compound the one-cycle map's rounding past the
+    largest double: the run exits 3 naming the cycle count, with no numpy
+    warning and no CSV, rather than a trace that reads nan.  At gamma = 1e-16
+    the samples lie past 2**63 cycles, beyond numpy's int64."""
+    out = tmp_path / "run.csv"
+    rc = main(["simulate", "--scenario", "hamiltonian-3q", "--engine", "weak-step",
+               "--gamma", gamma, "--R", "10", "--t-max", "1", "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert f"{cycles} cycles of the one-cycle map are beyond double precision" in err
     assert not out.exists()
 
 
@@ -838,8 +859,9 @@ def test_eig_report(tmp_path):
     ["eig", "--R", "1e-109"],
     ["graph", "--R", "1e400"],
     ["graph", "--R", "nan"],
+    ["graph", "--R", "1e308"],  # 3 R overflows
 ], ids=["eig-R-nan", "eig-R-inf", "eig-kappa-nan", "eig-gamma-0", "eig-R-1e103", "eig-R-1e-107",
-        "eig-R-1e-109", "graph-R-1e400", "graph-R-nan"])
+        "eig-R-1e-109", "graph-R-1e400", "graph-R-nan", "graph-R-1e308"])
 def test_eig_and_graph_need_finite_positive_rates(argv, tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(argv + ["--out", str(out)]) == 2
@@ -956,12 +978,14 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch):
 
 
 def _run_python(*args, timeout=120):
-    """A fresh interpreter with this checkout's `src` first on its path."""
+    """A fresh interpreter with this checkout's `src` first on its path and
+    the suite's warning policy (a RuntimeWarning is an error)."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, timeout=timeout, env=env
+        [sys.executable, "-W", "error::RuntimeWarning", *args],
+        capture_output=True, text=True, timeout=timeout, env=env,
     )
 
 
