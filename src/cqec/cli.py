@@ -368,6 +368,8 @@ def cmd_eig(big_r, gamma, out):
         raise ConfigError(f"eig needs a finite, nonzero slow pair -144 gamma/R^3 + 24i gamma/R^2;"
                           f" R = {big_r:g} gives {slow:g}")
     m = reduced_model.build_reduced_matrix(big_r, gamma)
+    if not np.isfinite(m).all():
+        raise ConfigError(f"eig needs a finite gamma M(R); gamma = {gamma:g}, R = {big_r:g} overflows")
     numerical = np.linalg.eigvals(m)
     matches = match_spectrum(numerical, big_r, gamma)
     conj_closed = bool(

@@ -294,15 +294,15 @@ def invariant_subspace(ops, rho0):
     return _in_double_precision(restrict)
 
 
-def _in_double_precision(restrict, *args):
-    """restrict(*args), with an overflow or invalid value in it raised as
-    IntegrationError: rates whose restriction exceeds double precision."""
+def _in_double_precision(compute, *args, message="rates beyond double precision in the "
+                                                "restriction of the generator"):
+    """compute(*args), with an overflow or invalid value in it raised as
+    IntegrationError "<message>: <the numpy error>"."""
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return restrict(*args)
+            return compute(*args)
     except FloatingPointError as exc:
-        raise IntegrationError(f"rates beyond double precision: {exc} in the restriction "
-                               "of the generator") from exc
+        raise IntegrationError(f"{message}: {exc}") from exc
 
 
 def _krylov_rows(ops, rho0):
@@ -410,17 +410,17 @@ def step_weak_map(rho0, hamiltonian, code, eps, tau_c, n_steps, sample_stride=1)
     # the stride, and a shorter last gap; Python ints, which past 2**63 cycles
     # numpy would hold as floats
     gaps = [b - a for a, b in zip([0] + steps, steps)]
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            powers = {n: np.linalg.matrix_power(s, n) for n in set(gaps)}
-            coords = [q.conj().T @ rho.ravel()]
-            for n in gaps:
-                coords.append(powers[n] @ coords[-1])
-    except FloatingPointError as exc:
-        raise IntegrationError(f"{n_steps:.3g} cycles of the one-cycle map are beyond "
-                               f"double precision: {exc}") from exc
+
+    def samples():
+        powers = {n: np.linalg.matrix_power(s, n) for n in set(gaps)}
+        coords = [q.conj().T @ rho.ravel()]
+        for n in gaps:
+            coords.append(powers[n] @ coords[-1])
+        return np.array(coords)
+
+    coords = _in_double_precision(samples, message=f"{n_steps:.3g} cycles of the one-cycle "
+                                                   "map are beyond double precision")
     times = np.array([0.0] + [k * tau_c for k in steps])
-    coords = np.array(coords)
     _check_samples(times, coords, q)
     return Trajectory(times, coords, q)
 

@@ -209,7 +209,7 @@ def class_restriction(rho0, hamiltonian, code):
     g = hamiltonian[0, 0b100100].real  # X on system qubit 0 and bath qubit 0
     if not np.array_equal(hamiltonian, pair_hamiltonian(code, g)):
         return None
-    _, gram = _class_projection(rho.reshape(-1, 1))
+    *_, gram = _class_projection(rho.reshape(-1, 1))
     if np.sqrt(gram[0, 0].real) > 1e-13 * np.linalg.norm(rho):
         return None
     norms = np.sqrt(np.bincount(_CLASS_OF, minlength=13) / 8.0)
@@ -219,35 +219,36 @@ def class_restriction(rho0, hamiltonian, code):
 
 
 def _class_projection(basis):
-    """(coeffs, gram): the class coefficients (13, k) of the basis columns
-    (row-major flattened 64 x 64 states, (4096, k)) and the Gram matrix
-    (k, k) of the columns' part outside the class span.  The members are
-    orthogonal with norm^2 = 1/8, so a member's coefficient is the sum of
-    its 8 entries of the state, phase peeled off, and a class coefficient,
-    the mean of its members' ones, is the orthogonal projection onto that
-    class state."""
+    """(raw, coeffs, gram): the coefficients C_{lmn,pqr} (64, k) of the basis
+    columns (row-major flattened 64 x 64 states, (4096, k)), their class
+    coefficients (13, k) and the Gram matrix (k, k) of the columns' part
+    outside the class span.  The members are orthogonal with norm^2 = 1/8,
+    so a member's coefficient is the sum of its 8 entries of the state,
+    phase peeled off, and a class coefficient, the mean of its members'
+    ones, is the orthogonal projection onto that class state."""
     index, phases = _members()
     raw = np.conj(phases)[:, None] * basis[index].sum(axis=1)
     counts = np.bincount(_CLASS_OF, minlength=13)
     coeffs = (_CLASS_OF == np.arange(13)[:, None]) @ raw / counts[:, None]
     off = np.array(basis, dtype=complex)
     off[index] -= (phases[:, None] * coeffs[_CLASS_OF] / 8.0)[:, None, :]
-    return coeffs, off.conj().T @ off
+    return raw, coeffs, off.conj().T @ off
 
 
 def class_coefficients(coords, basis):
     """The 13 class coefficients (n, 13) of the states coords[i] @ basis.T,
     taken on the k basis columns (``_class_projection``).  Raises
-    ValueError at the first state whose class coefficients are complex
+    ValueError at the first state whose raw coefficients are complex
     (imaginary part > 1e-10), that has left the real symmetric manifold
     (residual > 1e-8: its distance from the class span, which counts the
     spread of the raw coefficients inside a class as well as a part off
     the 64 members) or whose weighted trace is off 1 by > 1e-10."""
-    basis_coeffs, gram = _class_projection(basis)
+    basis_raw, basis_coeffs, gram = _class_projection(basis)
     coeffs = coords @ basis_coeffs.T
+    imags = np.abs((coords @ basis_raw.T).imag).max(axis=1)
     residual = np.sqrt(np.abs(np.einsum("ni,ij,nj->n", coords.conj(), gram, coords)))
     traces = coeffs.real[:, list(TRACE_WEIGHTS)] @ list(TRACE_WEIGHTS.values())
-    for n, (imag, res, wt) in enumerate(zip(np.abs(coeffs.imag).max(axis=1), residual, traces)):
+    for n, (imag, res, wt) in enumerate(zip(imags, residual, traces)):
         if imag > 1e-10:
             raise ValueError(f"coefficients not real: max imaginary part {imag:.3e} (state {n})")
         if res > 1e-8:

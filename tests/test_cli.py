@@ -857,11 +857,12 @@ def test_eig_report(tmp_path):
     ["eig", "--R", "1e103"],
     ["eig", "--R", "1e-107"],
     ["eig", "--R", "1e-109"],
+    ["eig", "--gamma", "1e300", "--R", "1e8"],  # finite slow pair, 3 R gamma overflows
     ["graph", "--R", "1e400"],
     ["graph", "--R", "nan"],
     ["graph", "--R", "1e308"],  # 3 R overflows
 ], ids=["eig-R-nan", "eig-R-inf", "eig-kappa-nan", "eig-gamma-0", "eig-R-1e103", "eig-R-1e-107",
-        "eig-R-1e-109", "graph-R-1e400", "graph-R-nan", "graph-R-1e308"])
+        "eig-R-1e-109", "eig-gamma-1e300-R-1e8", "graph-R-1e400", "graph-R-nan", "graph-R-1e308"])
 def test_eig_and_graph_need_finite_positive_rates(argv, tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(argv + ["--out", str(out)]) == 2

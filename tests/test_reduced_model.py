@@ -222,6 +222,13 @@ def test_class_spread_stays_small_under_evolution():
     (0.01 * kron_all(np.outer(basis_ket("100"), basis_ket("000")),
                      np.array([[0.0, 0.5], [0.5, 0.0]]), np.eye(2) / 2.0, np.eye(2) / 2.0),
      "not real"),
+    # two members of C100_000 without their phase -i, at opposite signs: raw
+    # coefficients +-1e-9 i whose class mean is 0 (residual 5e-10)
+    (1e-9 * kron_all(np.outer(basis_ket("100"), basis_ket("000")),
+                     np.array([[0.0, 0.5], [0.5, 0.0]]), np.eye(2) / 2.0, np.eye(2) / 2.0)
+     - 1e-9 * kron_all(np.outer(basis_ket("010"), basis_ket("000")),
+                       np.eye(2) / 2.0, np.array([[0.0, 0.5], [0.5, 0.0]]), np.eye(2) / 2.0),
+     "not real"),
 ])
 def test_extract_rejects_states_off_the_manifold(extra, message):
     with pytest.raises(ValueError, match=message):
