@@ -15,7 +15,6 @@ and no horizon are involved.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,28 +51,6 @@ class ObservableSample(namedtuple("ObservableSample", "time f_cw p_cs error_rate
         return tuple.__new__(cls, (time, f_cw, p_cs, error_rate))
 
 
-@dataclass
-class FitResult:
-    model: str  # "power-law"
-    params: dict
-    stderr: dict
-    residual: float
-    window: tuple
-
-    def __post_init__(self):
-        if not np.isfinite(self.residual):
-            raise ValueError("residual norm must be finite")
-
-    def to_json(self):
-        return {
-            "model": self.model,
-            "params": {k: float(v) for k, v in self.params.items()},
-            "stderr": {k: float(v) for k, v in self.stderr.items()},
-            "residual": float(self.residual),
-            "window": [float(self.window[0]), float(self.window[1])],
-        }
-
-
 # ---------------------------------------------------------------------------
 # observables
 # ---------------------------------------------------------------------------
@@ -87,9 +64,7 @@ def fidelity_weight_series(traj, code):
     coordinates (no d x d state is built).  On the 13 class states of the
     reduced model these are C000_000 and C000_000 + C111_111."""
     d = int(np.sqrt(len(traj.basis)))
-    weights = traj.basis[:: d + 1].T @ code.diagonal_weights(d)
-    # real weights (the class states') spare real coordinates a complex copy
-    fp = (traj.coords @ (weights if weights.imag.any() else weights.real)).real
+    fp = (traj.coords @ (traj.basis[:: d + 1].T @ code.diagonal_weights(d))).real
     return fp[:, 0], fp[:, 1]
 
 
@@ -123,8 +98,11 @@ def fit_power_law(points):
     """Least-squares slope of log y vs log x.
 
     `points` is a sequence of (x, y) pairs, all positive, at least 4 of
-    them.  Returns slope and prefactor of y = prefactor * x**slope with
-    standard errors from the linear regression.
+    them.  Returns the JSON record of ``scan --fit``: {"model":
+    "power-law", "params": {slope, prefactor} of y = prefactor * x**slope,
+    "stderr": their standard errors from the linear regression, "residual":
+    the rms of the log residuals, "window": [min x, max x]}, all Python
+    floats.  A residual that is not finite raises ValueError.
     """
     pts = np.asarray(list(points), dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 4:
@@ -140,30 +118,24 @@ def fit_power_law(points):
     s2 = float(np.sum((ly - fitted) ** 2)) / dof
     cov = s2 * np.linalg.inv(a.T @ a)
     slope, intercept = coef
-    return FitResult(
-        model="power-law",
-        params={"slope": slope, "prefactor": np.exp(intercept)},
-        stderr={
-            "slope": np.sqrt(cov[0, 0]),
-            "prefactor": np.exp(intercept) * np.sqrt(cov[1, 1]),
+    residual = float(np.sqrt(np.mean((ly - fitted) ** 2)))
+    if not np.isfinite(residual):
+        raise ValueError("residual norm must be finite")
+    return {
+        "model": "power-law",
+        "params": {"slope": float(slope), "prefactor": float(np.exp(intercept))},
+        "stderr": {
+            "slope": float(np.sqrt(cov[0, 0])),
+            "prefactor": float(np.exp(intercept) * np.sqrt(cov[1, 1])),
         },
-        residual=float(np.sqrt(np.mean((ly - fitted) ** 2))),
-        window=(float(pts[:, 0].min()), float(pts[:, 0].max())),
-    )
+        "residual": residual,
+        "window": [float(pts[:, 0].min()), float(pts[:, 0].max())],
+    }
 
 
 # ---------------------------------------------------------------------------
 # spectrum matching
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MatchedEigenvalue:
-    predicted: complex
-    numerical: complex
-    residual_over_gamma: float
-    kind: str  # "zero" | "fast" | "slow"
-    ok: bool
 
 
 def _band_ok(kind, predicted, numerical, big_r, gamma):
@@ -186,22 +158,19 @@ def match_spectrum(numerical, big_r, gamma=1.0):
     total distance is locally minimal (the spectrum is well-separated for
     R >= 10, so this settles immediately in practice).  Band tests: the
     zero mode at 1e-10, fast eigenvalues within 10 gamma / R, the slow
-    pair within 1% (imaginary) / 20% (real) of its leading form.
+    pair within 1% (imaginary) / 20% (real) of its leading form.  Returns
+    the 13 ``entries`` records of ``eig.json``, in predicted order:
+    {"predicted": [re, im], "numerical": [re, im], "residual_over_gamma",
+    "kind": "zero" | "fast" | "slow", "ok": whether it is in its band}.
     """
     numerical = np.asarray(numerical, dtype=complex)
     if numerical.shape != (13,):
         raise ValueError("expected 13 eigenvalues")
     predicted = predicted_spectrum(big_r, gamma)
     kinds = ["zero"] + ["fast"] * 10 + ["slow"] * 2
-    order = []
-    used = set()
+    order = []  # greedy: each predicted value takes its nearest unassigned eigenvalue
     for p in predicted:
-        dists = [
-            (abs(p - numerical[j]), j) for j in range(13) if j not in used
-        ]
-        _, j = min(dists)
-        used.add(j)
-        order.append(j)
+        order.append(min((abs(p - numerical[j]), j) for j in range(13) if j not in order)[1])
     # 2-opt: swap assignments while it shrinks the total distance.  The sums
     # are of half distances (exact in binary), so that two distances near the
     # largest float do not overflow at R ~ 1e-102.
@@ -219,19 +188,12 @@ def match_spectrum(numerical, big_r, gamma=1.0):
                 if swapped < now - 0.5e-15:
                     order[i], order[k] = order[k], order[i]
                     improved = True
-    out = []
-    for i, (p, kind) in enumerate(zip(predicted, kinds)):
-        num = numerical[order[i]]
-        out.append(
-            MatchedEigenvalue(
-                predicted=complex(p),
-                numerical=complex(num),
-                residual_over_gamma=float(abs(num - p) / gamma),
-                kind=kind,
-                ok=bool(_band_ok(kind, p, num, big_r, gamma)),
-            )
-        )
-    return out
+    return [{"predicted": [float(p.real), float(p.imag)],
+             "numerical": [float(num.real), float(num.imag)],
+             "residual_over_gamma": float(abs(num - p) / gamma),
+             "kind": kind,
+             "ok": bool(_band_ok(kind, p, num, big_r, gamma))}
+            for p, kind, num in zip(predicted, kinds, numerical[order])]
 
 
 # ---------------------------------------------------------------------------

@@ -122,12 +122,16 @@ class ExperimentConfig:
             raise ConfigError("Markovian scenarios need lambda > 0")
         if spec.time_unit == "gamma" and self.gamma <= 0:
             raise ConfigError("Hamiltonian scenarios need gamma > 0")
-        if self.kappa < 0:
-            raise ConfigError("kappa must be >= 0")
+        for name in ("lam", "gamma", "kappa"):  # the other scenarios' rate too
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
         if self.t_max < 0:
             raise ConfigError("t_max must be >= 0")
         if self.samples < 1:
             raise ConfigError("samples must be >= 1")
+        most = np.iinfo(np.intp).max // 8  # float64 times that fill numpy's largest array
+        if self.samples > most:
+            raise ConfigError(f"samples must be <= {most}, got {self.samples}")
         if self.t_max > 0 and self.samples < 2:
             raise ConfigError("samples must be >= 2 when t_max > 0 (the first and last times)")
         if not 0 <= self.seed < 2**64:
@@ -149,7 +153,7 @@ class ExperimentConfig:
         """Number of weak-map cycles in the horizon, which must hold a whole
         number >= 1 of cycles tau_c (to 1e-9 relative)."""
         cycles = self.t_max / self.unit / self.tau_c
-        n_steps = round(cycles)
+        n_steps = round(cycles) if np.isfinite(cycles) else 0
         if n_steps < 1 or abs(cycles - n_steps) > 1e-9 * cycles:
             raise ConfigError(
                 f"weak-step horizon {self.t_max:g} is {cycles:.6g} cycles of tau_c = "
@@ -225,8 +229,14 @@ def _resolve_config(args):
 
 
 def _open_out(path):
-    """The file `path` opened for writing, or stdout (left open) for "-"."""
-    return contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w")
+    """The file `path` opened for writing, or stdout (left open) for "-"; a
+    path that cannot be opened is a config error."""
+    if path == "-":
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _write_csv(path, config_dict, header, rows):
@@ -291,16 +301,20 @@ def cmd_simulate(config, out, cross_validate=False):
         _write_csv(out, config.to_dict(), header, [[0.0, 1.0, 1.0, 0.0, *c0]])
         return 0
 
-    traj = _run_trajectory(config)
-    coords = traj.coords if reduced else np.empty((len(traj), 0))
-    # built one at a time as `_write_csv` writes them
-    rows = (
-        [t * config.unit, o.f_cw, o.p_cs, o.error_rate / config.unit, *c]
-        for t, o, c in zip(traj.times, observables(traj, code), coords)
-    )
+    try:
+        traj = _run_trajectory(config)
+        coords = traj.coords if reduced else np.empty((len(traj), 0))
+        # built one at a time as `_write_csv` writes them (the observables at once)
+        rows = (
+            [t * config.unit, o.f_cw, o.p_cs, o.error_rate / config.unit, *c]
+            for t, o, c in zip(traj.times, observables(traj, code), coords)
+        )
+        dev = _cross_validate(config, traj) if cross_validate else None
+    except MemoryError as exc:  # the arrays of all samples are allocated up front
+        msg = f"samples = {config.samples}: the run does not fit in memory ({exc})"
+        raise ConfigError(msg) from exc
 
     if cross_validate:
-        dev = _cross_validate(config, traj)
         print(f"cross-validate: max coefficient deviation {dev:.3e}", file=sys.stderr)
         if dev > 1e-6:
             raise IntegrationError(
@@ -334,7 +348,10 @@ def _cross_validate(config, traj):
 
 
 def cmd_fig(fig_id, out_dir):
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:  # a file in the way, or a path through one
+        raise ConfigError(f"cannot make the output directory {out_dir}: {exc.strerror}") from exc
     if fig_id == 1:
         for big_r in (1, 2, 5):
             config = ExperimentConfig(
@@ -381,17 +398,8 @@ def cmd_eig(big_r, gamma, out):
     report = {
         "R": big_r,
         "gamma": gamma,
-        "entries": [
-            {
-                "predicted": [ev.predicted.real, ev.predicted.imag],
-                "numerical": [ev.numerical.real, ev.numerical.imag],
-                "residual_over_gamma": ev.residual_over_gamma,
-                "kind": ev.kind,
-                "ok": ev.ok,
-            }
-            for ev in matches
-        ],
-        "all_bands_ok": all(ev.ok for ev in matches),
+        "entries": matches,
+        "all_bands_ok": all(ev["ok"] for ev in matches),
         "conjugation_closed": conj_closed,
     }
     _write_json(out, report)
@@ -436,10 +444,10 @@ def cmd_scan(scenario, grid, fit, out):
             result = fit_power_law(points)
         except ValueError as exc:  # e.g. an infidelity that reads 0
             raise FitError(str(exc)) from exc
-        _write_json(out + ".fit.json" if out != "-" else "-", result.to_json())
+        _write_json(out + ".fit.json" if out != "-" else "-", result)
         print(
-            f"power-law slope {result.params['slope']:+.4f} "
-            f"+- {result.stderr['slope']:.4f}"
+            f"power-law slope {result['params']['slope']:+.4f} "
+            f"+- {result['stderr']['slope']:.4f}"
         )
     return 0
 

@@ -97,8 +97,9 @@ class Trajectory:
     """Sampled evolution: the samples at `times` as coordinates `coords`
     (n, k) on the basis columns `basis` (d^2, k, the row-major flattened
     d x d basis states).  `states` (n, d, d) complex is coords @ basis.T,
-    built on first access and kept.  `observables` are filled in by
-    cqec.analysis (Monte Carlo adds its own mean/stderr entries)."""
+    built on first access and kept.  `observables` is empty except for
+    Monte Carlo, whose ensemble mean and standard error of F_cw it holds
+    (``F_cw_mean``, ``F_cw_se``)."""
 
     def __init__(self, times, coords, basis, observables=None):
         self.times = np.asarray(times, dtype=float)
@@ -202,6 +203,18 @@ def _check_samples(times, coords, q):
         raise IntegrationError(f"eigenvalue {lo[stop]:.3e} at t={t:g}; integration diverged")
 
 
+def _sample_times(t_max, n_samples):
+    """n_samples uniform times in [0, t_max]; a horizon that double precision
+    cannot split into that many distinct, finite times raises
+    IntegrationError."""
+    if np.isfinite(t_max):
+        times = np.linspace(0.0, t_max, n_samples)
+        if np.all(times[1:] > times[:-1]):
+            return times
+    raise IntegrationError(f"{n_samples} sample times in [0, {t_max:g}] are not distinct and "
+                           "finite in double precision")
+
+
 def integrate(generator, rho0, t_max, n_samples=201):
     """Propagate drho/dt = G(rho) exactly and sample on a uniform grid.
 
@@ -223,7 +236,7 @@ def integrate(generator, rho0, t_max, n_samples=201):
     if t_max == 0:
         return Trajectory(np.zeros(1), np.ones((1, 1)), rho0.reshape(-1, 1))
 
-    times = np.linspace(0.0, t_max, n_samples)
+    times = _sample_times(t_max, n_samples)
     q, (g,) = invariant_subspace([generator.apply], rho0)
     h, g = _trace_first(q, g)
     coords = propagate_linear(g, h @ (q.conj().T @ rho0.ravel()), times) @ h.T
@@ -238,7 +251,7 @@ def integrate_reduced(big_r, gamma, t_max, n_samples=201):
     ``reduced_model.class_basis()``, checked as every engine's samples
     (``_check_samples``).  Rates with an entry of gamma M(R) beyond double
     precision raise IntegrationError."""
-    times = np.linspace(0.0, t_max, n_samples)
+    times = _sample_times(t_max, n_samples)
     m = reduced_model.build_reduced_matrix(big_r, gamma)
     if not np.isfinite(m).all():
         raise IntegrationError(f"rates beyond double precision: gamma M(R) is not finite "
@@ -265,7 +278,9 @@ def propagate_linear(system_matrix, x0, times):
         raise IntegrationError(f"eigenbasis condition number {cond:.3e} >= 1e8; "
                                "exp(M t) is not resolved")
     c = np.linalg.solve(v, x0)
-    return (np.exp(np.outer(times, w)) * c) @ v.T
+    # a phase w t beyond double precision reads nan, which the sample checks refuse
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (np.exp(np.outer(times, w)) * c) @ v.T
 
 
 def invariant_subspace(ops, rho0):
@@ -431,9 +446,11 @@ def jump_monte_carlo(rho0, hamiltonian, code, kappa, t_max, n_traj, seed, n_samp
     Each trajectory evolves unitarily under H and suffers instantaneous
     full recoveries Phi at Poisson(kappa) random times.  Trajectory i draws
     its jump count and times from Generator(Philox(key=(seed, i))), the
-    key taken as two uint64 words, so results are reproducible, independent
-    of execution order and of the chunking, and every seed in [0, 2**64)
-    has its own streams.  Returns the mean state per sample time, with the
+    key taken as two uint64 words, so its draws do not depend on execution
+    order or chunking, and every seed in [0, 2**64) has its own streams.
+    The results are byte-reproducible at a fixed BLAS thread count; between
+    1 and 2 OpenBLAS threads they differ by rounding (up to 2.2e-15 in
+    F_cw at seed 7).  Returns the mean state per sample time, with the
     ensemble mean/stderr of the codeword fidelity in `observables`.
 
     A chunk of trajectories evolves together, each as its k coordinates on
@@ -458,9 +475,11 @@ def jump_monte_carlo(rho0, hamiltonian, code, kappa, t_max, n_traj, seed, n_samp
     p_eig = code.diagonal_weights(d)[:, 0] @ qv[:: d + 1]  # F_cw = p_eig @ y
     y0 = qv.conj().T @ rho0.ravel()
 
-    times = np.linspace(0.0, t_max, n_samples)
+    times = _sample_times(t_max, n_samples)
     rate = -1j * w  # y(t) = y(0) * e^{rate t} between jumps
-    to_y = np.exp(np.outer(times, rate))  # y = z * to_y[s] at sample s
+    # a phase beyond double precision reads nan, as in propagate_linear
+    with np.errstate(over="ignore", invalid="ignore"):
+        to_y = np.exp(np.outer(times, rate))  # y = z * to_y[s] at sample s
     p_z = to_y * p_eig  # F_cw = p_z[s] @ z at sample s
     sum_z = np.zeros((n_samples, len(w)), dtype=complex)
     # sums of f - shift, with the first trajectory's f as shift: the variance

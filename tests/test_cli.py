@@ -613,9 +613,17 @@ def test_bad_config_file_returns_2(tmp_path, capsys):
     ({"scenario": ["hamiltonian-1q"]}, ["--R", "2"], "unknown scenario ['hamiltonian-1q']"),
     ({"n_traj": 2}, ["--engine", "monte-carlo", "--R", "1e15", "--t-max", "1"],
      "monte-carlo expects kappa t = 1e+15 jumps per trajectory, more than the 262144 array"),
+    ({"gamma": -1}, ["--scenario", "markovian-1q"], "gamma must be >= 0"),
+    # allocation fails (711 PiB) before any memory is touched
+    ({"samples": 10**17}, [],
+     "samples = 100000000000000000: the run does not fit in memory (Unable to allocate"),
+    ({"samples": 2**62}, [], "samples must be <= 1152921504606846975, got 4611686018427387904"),
+    ({"tau_c": 5e-324}, ["--engine", "weak-step", "--R", "1", "--t-max", "1"],
+     "weak-step horizon 1 is inf cycles of tau_c = 4.94066e-324"),
 ], ids=["samples-float", "samples-1", "seed-bool", "seed-negative", "seed-2**64",
         "n_traj-str", "t_max-bool", "t_max-str", "kappa-null", "gamma-str-with-R",
-        "scenario-list-with-R", "monte-carlo-jumps"])
+        "scenario-list-with-R", "monte-carlo-jumps", "gamma-negative-markovian",
+        "samples-1e17", "samples-2**62", "tau_c-subnormal"])
 def test_config_file_field_types_exit_2(loaded, flags, message, tmp_path, capsys):
     """A config file value of the wrong type or out of range is a config
     error naming the field, also where --R reads it before the config is
@@ -626,6 +634,104 @@ def test_config_file_field_types_exit_2(loaded, flags, message, tmp_path, capsys
     assert main(["simulate", "--config", str(path), *flags, "--out", str(out)]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, path, reason", [
+    (["simulate", "--t-max", "1", "--samples", "3", "--out"], "missing/x.csv",
+     "No such file or directory"),
+    (["eig", "--R", "100", "--out"], "missing/e.json", "No such file or directory"),
+    (["scan", "--scenario", "markovian-1q", "--grid", "1,2,3,4", "--out"], "missing/s.csv",
+     "No such file or directory"),
+    (["graph", "--R", "100", "--out"], "missing/g.json", "No such file or directory"),
+    (["fig", "4", "--out"], "a_file", "File exists"),
+    (["fig", "1", "--out"], "a_file/figs", "Not a directory"),
+], ids=["simulate", "eig", "scan", "graph", "fig-onto-a-file", "fig-through-a-file"])
+def test_unusable_output_path_exits_2(argv, path, reason, tmp_path, capsys):
+    """An output file that cannot be opened, or an output directory that
+    cannot be made, is a config error naming the path: no traceback."""
+    (tmp_path / "a_file").write_text("")
+    out = str(tmp_path / path)
+    assert main([*argv, out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and out in err and reason in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--t-max", "5e-324"], "3 sample times in [0, 4.94066e-324] are not distinct"),
+    (["--scenario", "hamiltonian-3q", "--engine", "reduced", "--gamma", "5e-324", "--R", "0"],
+     "3 sample times in [0, inf] are not distinct and finite"),
+    (["--t-max", "1e308"], "trace deviates by nan"),
+    (["--t-max", "1e308", "--engine", "monte-carlo", "--R", "0", "--n-traj", "2"],
+     "trace deviates by"),
+], ids=["full-subnormal-horizon", "reduced-infinite-horizon", "full-phase-overflow",
+        "monte-carlo-phase-overflow"])
+def test_horizons_beyond_double_precision_exit_3(argv, message, tmp_path, capsys):
+    """A horizon that double precision cannot split into distinct, finite
+    sample times, or whose phases w t overflow, is a numerical failure:
+    exit 3 with no numpy warning and no CSV."""
+    out = tmp_path / "run.csv"
+    assert main(["simulate", "--samples", "3", *argv, "--out", str(out)]) == 3
+    assert f"numerical failure: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# valid values of each config field, then values that may fail: edge numbers,
+# the NaN and Infinity tokens that json.loads accepts, and wrong types
+_FUZZ_VALID = {
+    "scenario": sorted(SCENARIOS), "engine": ENGINES, "code": [""],
+    "lam": [1, 0.5, 2.0], "gamma": [1, 0.5, 2.0], "kappa": [0, 1, 10.0],
+    "t_max": [0, 0.5, 2], "tau_c": [1e-3], "samples": [2, 3, 11],
+    "seed": [0, 7, 2**64 - 1], "n_traj": [1, 3],
+}
+_FUZZ_EDGES = [0, -1, 5e-324, 1e-300, 1e308, 2**64, float("nan"), float("inf"),
+               float("-inf"), None, True, "x", [1.0]]
+_FUZZ_ODD = {field: _FUZZ_EDGES for field in _FUZZ_VALID}
+_FUZZ_ODD["samples"] = [1, 10**17, 2**62, 2**63, 2.5, *_FUZZ_EDGES]  # 10**17 and up fail fast
+_FUZZ_ODD["tau_c"] = [0.5, 7e-4, *_FUZZ_EDGES]
+_FUZZ_ODD["code"] = ["trivial", "bitflip3", "bogus", *_FUZZ_EDGES]
+_FUZZ_ODD["scenario"] = ["bogus", *_FUZZ_EDGES]
+_FUZZ_ODD["engine"] = ["rk4", *_FUZZ_EDGES]
+_FUZZ_ODD["schema_version"] = [1, 2.0, None, "2"]
+# a valid 2**64 trajectories would run for ages: run time grows with n_traj
+_FUZZ_ODD["n_traj"] = [value for value in _FUZZ_EDGES if value != 2**64]
+
+
+@st.composite
+def _config_files(draw):
+    """A config object of schema_version 2, each field valid or absent, then
+    one or two fields set to an odd value, or (as one more odd field) a JSON
+    document that is not an object."""
+    loaded = {"schema_version": 2}
+    for field, values in _FUZZ_VALID.items():
+        value = draw(st.sampled_from([*values, "absent"]))
+        if value != "absent":
+            loaded[field] = value
+    for field in draw(st.lists(st.sampled_from([*sorted(_FUZZ_ODD), "document"]), min_size=1,
+                               max_size=2, unique=True)):
+        if field == "document":
+            return draw(st.sampled_from([[], None, 2, "x"]))
+        loaded[field] = draw(st.sampled_from(_FUZZ_ODD[field]))
+    return loaded
+
+
+@given(command=st.sampled_from(["simulate", "scan"]), loaded=_config_files())
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_config_files_exit_0_2_3_or_4(command, loaded):
+    """`simulate --config` and `scan --config` on a config file whose fields
+    are drawn from valid values, wrong types (null, true, strings, lists),
+    the NaN and Infinity tokens that json.loads accepts, and edge numbers
+    (5e-324, 1e308, 2**64) exit 0, 2, 3 or 4: never 1, and never raise.
+    The sample counts 1e17, 2**62 and 2**63 are drawn, because they fail
+    fast (at allocation, before any memory is touched, or on the bound of
+    samples); counts that would allocate gigabytes and then run are left
+    out.  n_traj and the horizons stay
+    small, because run time grows with them (that is not a fault)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(loaded))  # NaN, Infinity and -Infinity as tokens
+        out = str(Path(tmp) / "run.csv")
+        argv = ["--grid", "10,30,100,300"] if command == "scan" else []
+        assert main([command, "--config", str(path), *argv, "--out", out]) in (0, 2, 3, 4)
 
 
 def test_numerical_failure_returns_3(monkeypatch):
