@@ -48,12 +48,16 @@ states too, 2 of 2 x 2 for ``hamiltonian-1q``, 1 x 1 for the Markovian
 scenarios).  Blocks whose rows of q are equal bit for bit hold equal
 entries in every state (all 8 for ``hamiltonian-3q``, both for
 ``hamiltonian-1q``), so only the distinct blocks are read: 1 x 1 and 2 x 2
-blocks in closed form, larger ones by one batched ``eigvalsh`` per block
-size.
+blocks in closed form, larger ones compressed to the joint range of their
+basis matrices (``_compressed_blocks``; 4 x 4 for the Krylov basis of
+``hamiltonian-3q``, while the class states stay 8 x 8) and read by one
+batched ``eigvalsh`` per compressed size.  The class states and what the
+check reads of them are built once per process (``_class_blocks``); a
+Krylov basis is read anew on each call.
 """
 
 import warnings
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -140,6 +144,46 @@ def _diagonal_blocks(q, d):
     return [np.nonzero(members[sizes == s])[1].reshape(-1, s) for s in sorted(set(sizes))]
 
 
+def _compressed_blocks(q):
+    """What ``_min_eigenvalues`` reads of the basis q (d^2, k): one triple
+    (qt, r, dropped) per size r of the compressed blocks, where
+    coords @ qt holds the distinct r x r blocks of the state with those
+    coordinates side by side, row-major, and ``dropped`` tells that the
+    blocks lost directions to the compression.
+
+    Blocks (``_diagonal_blocks``) whose rows of q are equal bit for bit hold
+    equal entries in every state, so only the first of each such group is
+    kept.  A kept block of size s > 2 is reduced to W^dag B W, with W an
+    orthonormal basis of the joint range of the block's basis matrices Q_j
+    and Q_j^dag: the left singular vectors of [Q_1 ... Q_k Q_1^dag ...
+    Q_k^dag] whose singular values exceed ``SUBSPACE_TOL`` times the
+    largest.  Every state in span(q) is zero on the other s - r directions
+    (both B and B^dag vanish there), so the Hermitian part of its block has
+    the eigenvalues of the r x r one and s - r zeros.  Blocks of size 1 and
+    2, read in closed form, are kept as they are, and so is a block whose
+    range is all of it (r = s)."""
+    d = int(np.sqrt(len(q)))
+    groups = {}
+    for idx in _diagonal_blocks(q, d):
+        s = idx.shape[1]
+        distinct = {}
+        for rows in idx[:, :, None] * d + idx[:, None, :]:
+            distinct.setdefault(q[rows.ravel()].tobytes(), rows.ravel())
+        for rows in distinct.values():
+            mats = q[rows].T.reshape(-1, s, s)  # the block of each basis state, Q_j
+            r = s
+            if s > 2:
+                joint = np.concatenate([mats, mats.conj().swapaxes(1, 2)])
+                u, sv, _ = np.linalg.svd(joint.swapaxes(0, 1).reshape(s, -1),
+                                         full_matrices=False)
+                r = int(np.count_nonzero(sv > SUBSPACE_TOL * sv[0]))
+                if r < s:
+                    w = u[:, :r]
+                    mats = w.conj().T @ mats @ w
+            groups.setdefault((r, r < s), []).append(mats.reshape(len(mats), r * r))
+    return [(np.concatenate(g, axis=1), r, dropped) for (r, dropped), g in groups.items()]
+
+
 def _block_minima(blocks):
     """Smallest eigenvalue of the Hermitian part of each s x s block of the
     stack ``blocks`` (..., s, s), over the last two axes.  Blocks of size 1
@@ -156,37 +200,36 @@ def _block_minima(blocks):
     return np.linalg.eigvalsh((blocks + blocks.conj().swapaxes(-1, -2)) / 2.0).min(axis=-1)
 
 
-def _min_eigenvalues(coords, q):
+def _min_eigenvalues(coords, q, blocks=None):
     """Smallest eigenvalue of the Hermitian part of each state coords[i] @ q.T,
-    from its diagonal blocks (``_diagonal_blocks``, ``_block_minima``).  Blocks
-    whose rows of q are equal bit for bit hold equal entries in every state, so
-    only the first of each such group is read."""
-    d = int(np.sqrt(len(q)))
+    from its compressed diagonal blocks ``blocks`` (``_compressed_blocks(q)``,
+    derived here if not given; ``_block_minima``), and 0 where a block lost
+    directions to the compression."""
+    if blocks is None:
+        blocks = _compressed_blocks(q)
     lo = np.full(len(coords), np.inf)
-    for idx in _diagonal_blocks(q, d):
-        s = idx.shape[1]
-        distinct = {}
-        for rows in idx[:, :, None] * d + idx[:, None, :]:
-            distinct.setdefault(q[rows.ravel()].tobytes(), rows.ravel())
-        qt = q[np.concatenate(list(distinct.values()))].T
+    for qt, r, dropped in blocks:
         for i in range(0, len(coords), 256):  # 256 samples at a time bound the memory
             part = slice(i, i + 256)
-            blocks = (coords[part] @ qt).reshape(-1, len(distinct), s, s)
-            lo[part] = np.minimum(lo[part], _block_minima(blocks).min(axis=1))
+            minima = _block_minima((coords[part] @ qt).reshape(-1, qt.shape[1] // (r * r), r, r))
+            lo[part] = np.minimum(lo[part], minima.min(axis=1))
+        if dropped:
+            lo = np.minimum(lo, 0.0)
     return lo
 
 
-def _check_samples(times, coords, q):
+def _check_samples(times, coords, q, blocks=None):
     """Check the states coords[i] @ q.T sampled at ``times`` in time order:
     every sample before the first failing one that dips below -TOL_POS
     warns, and the first failing sample (trace off by more than TRACE_TOL,
-    an eigenvalue below -100 TOL_POS, or either non-finite) raises."""
+    an eigenvalue below -100 TOL_POS, or either non-finite) raises.
+    ``blocks`` is ``_compressed_blocks(q)``, derived here if not given."""
     d = int(np.sqrt(len(q)))
     finite = np.isfinite(coords).all(axis=1)
     coords = np.where(finite[:, None], coords, 0.0)  # such a sample reads nan below
     trace = np.where(finite, coords @ q[:: d + 1].sum(axis=0), np.nan)  # tr of basis states
     tr_dev = np.abs(trace.real - 1.0)
-    lo = np.where(finite, _min_eigenvalues(coords, q), np.nan)
+    lo = np.where(finite, _min_eigenvalues(coords, q, blocks), np.nan)
     trace_ok = (tr_dev <= TRACE_TOL) & (np.abs(trace.imag) <= TRACE_TOL)
     fails = ~(trace_ok & (lo >= -100.0 * TOL_POS))
     stop = int(np.argmax(fails)) if fails.any() else len(times)
@@ -201,6 +244,13 @@ def _check_samples(times, coords, q):
         if not trace_ok[stop]:
             raise IntegrationError(f"trace deviates by {tr_dev[stop]:.3e} at t={t:g}")
         raise IntegrationError(f"eigenvalue {lo[stop]:.3e} at t={t:g}; integration diverged")
+
+
+@cache
+def _class_blocks(normalised):
+    """``_compressed_blocks`` of ``reduced_model.class_basis(normalised)``,
+    derived once per process, as the class states are built."""
+    return _compressed_blocks(reduced_model.class_basis(normalised))
 
 
 def _sample_times(t_max, n_samples):
@@ -259,7 +309,7 @@ def integrate_reduced(big_r, gamma, t_max, n_samples=201):
     # a copy of the real part, so that the complex result is freed
     coords = propagate_linear(m, np.eye(13)[0], times).real.copy()
     basis = reduced_model.class_basis()
-    _check_samples(times, coords, basis)
+    _check_samples(times, coords, basis, _class_blocks(False))
     return Trajectory(times, coords, basis)
 
 
@@ -375,24 +425,29 @@ def _trace_first(q, g):
 
 
 def _pair_subspace(rho0, hamiltonian, code):
-    """(q, w, v, phi_k): q spans a subspace that holds rho0 and is invariant
-    under the noise -i[H, .] and the correction c = Phi (x) id_bath - id of
-    ``Generator``, whose restrictions are -i v w v^dag (so exp(-i[H, .] t)
-    becomes v exp(-i w t) v^dag) and c_k, with phi_k = I + c_k.
+    """(q, w, v, phi_k, blocks): q spans a subspace that holds rho0 and is
+    invariant under the noise -i[H, .] and the correction
+    c = Phi (x) id_bath - id of ``Generator``, whose restrictions are
+    -i v w v^dag (so exp(-i[H, .] t) becomes v exp(-i w t) v^dag) and c_k,
+    with phi_k = I + c_k; ``blocks`` is what the sample check reads of q.
 
     Where the reduced model's tables describe the model (the pair-coupled
     bitflip3 code with rho0 in the class span, as ``hamiltonian-3q``), q is
-    the 13 normalised class states and the restrictions are read from the
-    tables (``reduced_model.class_restriction``); otherwise q is the Krylov
-    basis of ``invariant_subspace``."""
+    the 13 normalised class states, the restrictions are read from the
+    tables (``reduced_model.class_restriction``) and ``blocks`` is the one
+    derived for those states once per process; otherwise q is the Krylov
+    basis of ``invariant_subspace`` and ``blocks`` is None, derived by the
+    check itself."""
     restriction = _in_double_precision(reduced_model.class_restriction, rho0, hamiltonian, code)
     if restriction is None:
         gen = Generator(code, hamiltonian, 0.0, 0.0)
         q, (n_k, c_k) = invariant_subspace([gen.noise, gen.correction], rho0)
+        blocks = None
     else:
         q, n_k, c_k = restriction
+        blocks = _class_blocks(True)
     w, v = np.linalg.eigh(1j * n_k)
-    return q, w, v, np.eye(len(w)) + c_k
+    return q, w, v, np.eye(len(w)) + c_k, blocks
 
 
 def step_weak_map(rho0, hamiltonian, code, eps, tau_c, n_steps, sample_stride=1):
@@ -415,7 +470,7 @@ def step_weak_map(rho0, hamiltonian, code, eps, tau_c, n_steps, sample_stride=1)
     if tau_c <= 0 or n_steps < 1 or sample_stride < 1:
         raise ValueError("need tau_c > 0, n_steps >= 1 and sample_stride >= 1")
     rho = np.asarray(rho0, dtype=complex)
-    q, w, v, phi_k = _pair_subspace(rho, hamiltonian, code)
+    q, w, v, phi_k, blocks = _pair_subspace(rho, hamiltonian, code)
     unitary = (v * np.exp(-1j * w * tau_c)) @ v.conj().T
     s = ((1.0 - eps) * np.eye(len(w)) + eps * phi_k) @ unitary
 
@@ -436,7 +491,7 @@ def step_weak_map(rho0, hamiltonian, code, eps, tau_c, n_steps, sample_stride=1)
     coords = _in_double_precision(samples, message=f"{n_steps:.3g} cycles of the one-cycle "
                                                    "map are beyond double precision")
     times = np.array([0.0] + [k * tau_c for k in steps])
-    _check_samples(times, coords, q)
+    _check_samples(times, coords, q, blocks)
     return Trajectory(times, coords, q)
 
 
@@ -468,7 +523,7 @@ def jump_monte_carlo(rho0, hamiltonian, code, kappa, t_max, n_traj, seed, n_samp
     if kappa < 0 or t_max <= 0:
         raise ValueError("need kappa >= 0 and t_max > 0")
     rho0 = np.asarray(rho0, dtype=complex)
-    q, w, v, phi_k = _pair_subspace(rho0, hamiltonian, code)
+    q, w, v, phi_k, blocks = _pair_subspace(rho0, hamiltonian, code)
     d = len(rho0)
     qv = q @ v  # eigen-coordinates -> row-major flattened states
     recover_t = (v.conj().T @ phi_k @ v).T  # y -> y @ recover_t is one recovery
@@ -543,7 +598,7 @@ def jump_monte_carlo(rho0, hamiltonian, code, kappa, t_max, n_traj, seed, n_samp
         dev_sqsum += (dev * dev).sum(axis=1)
 
     mean_y = sum_z * to_y / n_traj
-    _check_samples(times, mean_y @ v.T, q)  # the mean states' coordinates on q
+    _check_samples(times, mean_y @ v.T, q, blocks)  # the mean states' coordinates on q
     f_mean = shift + dev_sum / n_traj
     if n_traj > 1:
         var = (dev_sqsum - dev_sum**2 / n_traj) / (n_traj - 1)

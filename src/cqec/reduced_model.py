@@ -29,6 +29,8 @@ maps restricted to it, exactly.  ``class_restriction`` hands them, on the
 normalised class states, to the weak map and Monte Carlo.
 """
 
+from functools import cache
+
 import numpy as np
 
 from .codes_and_maps import bitflip3_code, pair_hamiltonian
@@ -153,11 +155,6 @@ assert len(_SIG_TO_INDEX) == 13
 _CLASS_OF = np.array([_SIG_TO_INDEX[_signature(l, p)] for l in range(8) for p in range(8)])
 
 
-# ---------------------------------------------------------------------------
-# class states and extraction
-# ---------------------------------------------------------------------------
-
-
 def _members():
     """The 64 members rho_{lmn,pqr}, in the order of ``_CLASS_OF``: the
     row-major flat indices (64, 8) of each member's 8 nonzero entries, all
@@ -171,33 +168,47 @@ def _members():
     return index, np.array([1, 1j, -1, -1j])[(ones[pqr] - ones[lmn]) % 4]
 
 
-def class_basis():
+_MEMBER_INDEX, _MEMBER_PHASE = _members()
+# norm |b_i| of each class state: the members are orthogonal with norm^2 1/8
+_CLASS_NORMS = np.sqrt(np.bincount(_CLASS_OF, minlength=13) / 8.0)
+
+
+# ---------------------------------------------------------------------------
+# class states and extraction
+# ---------------------------------------------------------------------------
+
+
+def class_basis(normalised=False):
     """The 13 class states as columns (4096, 13): column i is the row-major
     flattened sum of the members of class i, each times its phase, so the
-    state with class coefficients c is class_basis() @ c.  Built from the
-    512 nonzero entries alone."""
-    return _class_columns(np.ones(13))
+    state with class coefficients c is class_basis() @ c; with
+    ``normalised``, column i divided by its norm |b_i| (the square root of
+    the multiplicity of class i over 8).  Each form is built once per
+    process, on first use, from the 512 nonzero entries, and is read-only."""
+    return _class_columns(bool(normalised))
 
 
-def _class_columns(norms):
-    """The class states as columns (4096, 13), column i divided by norms[i]."""
-    index, phases = _members()
+@cache
+def _class_columns(normalised):
+    """``class_basis(normalised)``, built on the first call and kept."""
     basis = np.zeros((64 * 64, 13), dtype=complex)
-    basis[index, _CLASS_OF[:, None]] = (phases / (8.0 * norms[_CLASS_OF]))[:, None]
+    norms = _CLASS_NORMS if normalised else np.ones(13)
+    basis[_MEMBER_INDEX, _CLASS_OF[:, None]] = (_MEMBER_PHASE / (8.0 * norms[_CLASS_OF]))[:, None]
+    basis.setflags(write=False)
     return basis
 
 
 def class_restriction(rho0, hamiltonian, code):
     """(q, n_k, c_k): the class states as orthonormal columns q (4096, 13),
     q_i = b_i / |b_i| with b = class_basis() and |b_i|^2 the multiplicity of
-    class i over 8, and the restrictions n_k = q^dag noise(q) and
-    c_k = q^dag correction(q) of ``Generator(code, hamiltonian, 0, 0)``'s
-    maps, read from the tables: n_k = g N M_FREE N^-1 and c_k = N M_CORR N^-1
-    with N = diag(|b_i|).  None unless the tables describe the model: the
-    code has bitflip3's syndrome tables, the Hamiltonian is
-    ``pair_hamiltonian(code, g)`` bit for bit (g read from its first pair's
-    entry), and rho0 lies in the class span (``_class_projection``'s
-    residual at most 1e-13 |rho0|).
+    class i over 8 (the shared ``class_basis(normalised=True)``), and the
+    restrictions n_k = q^dag noise(q) and c_k = q^dag correction(q) of
+    ``Generator(code, hamiltonian, 0, 0)``'s maps, read from the tables:
+    n_k = g N M_FREE N^-1 and c_k = N M_CORR N^-1 with N = diag(|b_i|).
+    None unless the tables describe the model: the code has bitflip3's
+    syndrome tables, the Hamiltonian is ``pair_hamiltonian(code, g)`` bit
+    for bit (g read from its first pair's entry), and rho0 lies in the class
+    span (``_class_projection``'s residual at most 1e-13 |rho0|).
 
     At a g whose table entries overflow, n_k holds inf (FloatingPointError
     under ``np.errstate(over="raise")``)."""
@@ -212,10 +223,9 @@ def class_restriction(rho0, hamiltonian, code):
     *_, gram = _class_projection(rho.reshape(-1, 1))
     if np.sqrt(gram[0, 0].real) > 1e-13 * np.linalg.norm(rho):
         return None
-    norms = np.sqrt(np.bincount(_CLASS_OF, minlength=13) / 8.0)
-    n_k = g * (norms[:, None] * _M_FREE / norms)
-    c_k = norms[:, None] * _M_CORR / norms
-    return _class_columns(norms), n_k, c_k
+    n_k = g * (_CLASS_NORMS[:, None] * _M_FREE / _CLASS_NORMS)
+    c_k = _CLASS_NORMS[:, None] * _M_CORR / _CLASS_NORMS
+    return class_basis(normalised=True), n_k, c_k
 
 
 def _class_projection(basis):
@@ -226,12 +236,11 @@ def _class_projection(basis):
     so a member's coefficient is the sum of its 8 entries of the state,
     phase peeled off, and a class coefficient, the mean of its members'
     ones, is the orthogonal projection onto that class state."""
-    index, phases = _members()
-    raw = np.conj(phases)[:, None] * basis[index].sum(axis=1)
+    raw = np.conj(_MEMBER_PHASE)[:, None] * basis[_MEMBER_INDEX].sum(axis=1)
     counts = np.bincount(_CLASS_OF, minlength=13)
     coeffs = (_CLASS_OF == np.arange(13)[:, None]) @ raw / counts[:, None]
     off = np.array(basis, dtype=complex)
-    off[index] -= (phases[:, None] * coeffs[_CLASS_OF] / 8.0)[:, None, :]
+    off[_MEMBER_INDEX] -= (_MEMBER_PHASE[:, None] * coeffs[_CLASS_OF] / 8.0)[:, None, :]
     return raw, coeffs, off.conj().T @ off
 
 

@@ -734,6 +734,60 @@ def test_fuzzed_config_files_exit_0_2_3_or_4(command, loaded):
         assert main([command, "--config", str(path), *argv, "--out", out]) in (0, 2, 3, 4)
 
 
+# values of the numeric flags of eig, scan and graph: valid rates, edge
+# numbers, the words float() reads as nan and inf, and text it refuses
+_FLAG_NUMBERS = ["1", "100", "0.5", "0", "-1", "5e-324", "1e-300", "1e-102", "1e5", "1e16",
+                 "1e154", "1e308", "1e400", "nan", "inf", "-inf", "x", "", "1,2"]
+
+
+@st.composite
+def _command_lines(draw):
+    """An argument list of ``eig``, ``scan``, ``graph`` or ``fig``, each flag
+    absent, valid or odd.  scan grids have at most 6 rates, so a run stays
+    short; ``{cfg}`` stands for a config file naming a scenario and
+    ``{missing}`` for a path that does not exist."""
+    command = draw(st.sampled_from(["fig", "graph", "eig", "scan"]))
+    # a valid rate half of the time, so that the other flags are reached too
+    number = st.one_of(st.sampled_from(["3", "30", "100", "1000"]), st.sampled_from(_FLAG_NUMBERS))
+    if command == "fig":
+        return ["fig", draw(st.sampled_from(["1", "3", "4", "0", "2", "-1", "x", "1e0"]))]
+    argv = [command]
+    flags = {"eig": ["--R", "--kappa", "--gamma"], "graph": ["--R"], "scan": []}[command]
+    for flag in flags:
+        if draw(st.booleans()):
+            argv += [flag, draw(number)]
+    if command == "scan":
+        scenario = draw(st.sampled_from([*sorted(SCENARIOS), "bogus", "absent", "{cfg}",
+                                         "{missing}"]))
+        if scenario in ("{cfg}", "{missing}"):
+            argv += ["--config", scenario]
+        elif scenario != "absent":
+            argv += ["--scenario", scenario]
+        argv += ["--grid", ",".join(draw(st.lists(number, min_size=3, max_size=6)))]
+        if draw(st.booleans()):
+            argv.append("--fit")
+    return argv
+
+
+@given(argv=_command_lines(), scenario=st.sampled_from([*sorted(SCENARIOS), "bogus", 5, None]))
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_command_flags_exit_0_2_3_or_4(argv, scenario):
+    """The flags of eig, scan and graph, and the fig ids, drawn as in
+    ``_command_lines``: every command line exits 0, 2 (argparse's usage
+    errors included), 3 or 4, and none raises."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "config.json"
+        cfg.write_text(json.dumps({"schema_version": 2, "scenario": scenario}))
+        paths = {"{cfg}": str(cfg), "{missing}": str(Path(tmp) / "missing.json")}
+        argv = [paths.get(arg, arg) for arg in argv]
+        out = Path(tmp) / ("figs" if argv[0] == "fig" else "out")
+        try:
+            code = main([*argv, "--out", str(out)])
+        except SystemExit as exc:  # argparse refuses the command line
+            code = exc.code
+        assert code in (0, 2, 3, 4)
+
+
 def test_numerical_failure_returns_3(monkeypatch):
     def boom(*args, **kwargs):
         raise IntegrationError("synthetic blow-up")
@@ -786,7 +840,11 @@ def _reduced_argv(big_r, t_max, out):
      r"^numerical failure: full/reduced cross-validation failed: coefficients not real"),
     # the eigenbasis of M(R) is singular in double precision
     ("1e50", "10", [], r"^numerical failure: eigenbasis condition number \S+ >= 1e8"),
-], ids=["slow-horizon", "slow-horizon-cross-validate", "R-1e50"])
+    # R t = 3e6: the full engine's rounding passes the 1e-10 bound on the
+    # imaginary parts of its class coefficients, while reduced alone exits 0
+    ("1000", "3000", ["--engine", "full", "--cross-validate"],
+     r"^numerical failure: full/reduced cross-validation failed: coefficients not real"),
+], ids=["slow-horizon", "slow-horizon-cross-validate", "R-1e50", "Rt-3e6-cross-validate"])
 def test_reduced_engine_check_failure_returns_3(big_r, t_max, extra, message, tmp_path,
                                                 capsys):
     """A reduced run the double-precision model does not resolve is exit 3,
@@ -795,6 +853,14 @@ def test_reduced_engine_check_failure_returns_3(big_r, t_max, extra, message, tm
     assert main(_reduced_argv(big_r, t_max, out) + extra) == 3
     assert re.search(message, capsys.readouterr().err.strip())
     assert not out.exists()
+
+
+def test_reduced_engine_runs_where_cross_validation_refuses(tmp_path):
+    """At R = 1000 over t = 3000, where the cross-check exits 3, the reduced
+    engine alone resolves the run and exits 0."""
+    out = tmp_path / "run.csv"
+    assert main(_reduced_argv("1000", "3000", out)) == 0
+    assert out.exists()
 
 
 @pytest.mark.parametrize("extra", [[], ["--engine", "full", "--cross-validate"]],

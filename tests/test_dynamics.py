@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -22,10 +23,13 @@ from cqec.dynamics import (
     PositivityWarning,
     Trajectory,
     _check_samples,
+    _class_blocks,
+    _compressed_blocks,
     _diagonal_blocks,
     _min_eigenvalues,
     _pair_subspace,
     integrate,
+    integrate_reduced,
     invariant_subspace,
     jump_monte_carlo,
     propagate_linear,
@@ -369,7 +373,7 @@ def _params(scenario, rate):
 RATES = st.floats(min_value=-6.0, max_value=5.0).map(lambda e: 10.0**e)
 
 
-@pytest.mark.parametrize("rate", [1e-6, 1e-2, 1.0, 100.0, 1e5])
+@pytest.mark.parametrize("rate", [1e-6, 1e-2, 1.0, 100.0, 1e5, 1e7])
 @pytest.mark.parametrize("scenario, shapes", [
     ("markovian-1q", [(2, 1)]),
     ("markovian-3q", [(8, 1)]),
@@ -377,22 +381,34 @@ RATES = st.floats(min_value=-6.0, max_value=5.0).map(lambda e: 10.0**e)
     ("hamiltonian-3q", [(8, 8)]),
 ])
 def test_diagonal_blocks_of_the_scenarios(scenario, shapes, rate):
-    """(blocks, block size) of the Krylov basis of each scenario state."""
+    """(blocks, block size) of the Krylov basis of each scenario state, and
+    (distinct blocks, compressed size, directions dropped) of what the check
+    reads: hamiltonian-3q's 8 x 8 blocks, all equal, compress to 4 x 4 (its
+    9 basis matrices and their adjoints span 4 of the 8 directions)."""
+    compressed = {"markovian-1q": [(2, 1, False)], "markovian-3q": [(4, 1, False)],
+                  "hamiltonian-1q": [(1, 2, False)], "hamiltonian-3q": [(1, 4, True)]}[scenario]
     rho0 = scenario_rho0(scenario)
     gen = total_generator(scenario, _params(scenario, rate))
     q, _ = invariant_subspace([gen.apply], rho0)
     blocks = _diagonal_blocks(q, len(rho0))
     assert [b.shape for b in blocks] == shapes
     assert sorted(np.concatenate([b.ravel() for b in blocks])) == list(range(len(rho0)))
+    assert [(qt.shape[1] // r**2, r, dropped) for qt, r, dropped in _compressed_blocks(q)] == (
+        compressed)
+
+
+def _dense_minimum(coords, q):
+    """Smallest eigenvalue of the Hermitian part of each state coords[i] @ q.T
+    by dense eigvalsh of the whole d x d state."""
+    d = int(np.sqrt(len(q)))
+    states = (coords @ q.T).reshape(-1, d, d)
+    return np.linalg.eigvalsh((states + states.conj().swapaxes(1, 2)) / 2.0).min(axis=1)
 
 
 def _assert_block_minimum_matches_eigvalsh(gen, rho0):
     q, (g,) = invariant_subspace([gen.apply], rho0)
     coords = propagate_linear(g, q.conj().T @ rho0.ravel(), np.linspace(0.0, 1.0, 6))
-    d = len(rho0)
-    states = (coords @ q.T).reshape(-1, d, d)
-    full = np.linalg.eigvalsh((states + states.conj().swapaxes(1, 2)) / 2.0).min(axis=1)
-    assert np.max(np.abs(_min_eigenvalues(coords, q) - full)) <= 1e-12
+    assert np.max(np.abs(_min_eigenvalues(coords, q) - _dense_minimum(coords, q))) <= 1e-12
 
 
 @given(st.sampled_from(sorted(SCENARIOS)), RATES)
@@ -401,6 +417,30 @@ def test_block_minimum_eigenvalue_matches_full_eigvalsh(scenario, rate):
     _assert_block_minimum_matches_eigvalsh(
         total_generator(scenario, _params(scenario, rate)), scenario_rho0(scenario)
     )
+
+
+@given(st.integers(0, 2**32 - 1), st.floats(min_value=-6.0, max_value=7.0).map(lambda e: 10.0**e))
+@settings(max_examples=20, deadline=None)
+def test_block_minimum_on_compressed_and_class_blocks(seed, rate):
+    """The minimum from hamiltonian-3q's compressed 4 x 4 blocks and from the
+    class states' 8 x 8 ones against dense eigvalsh of the 64 x 64 states,
+    within 1e-12: the Krylov basis at R in [1e-6, 1e7] with its samples
+    (states of rank below 8 per block, so the dropped zeros decide the
+    minimum where the 4 x 4 one is positive) and with random complex
+    coordinates, and both forms of the class states with random real
+    class coefficients."""
+    rng = np.random.default_rng(seed)
+    gen = total_generator("hamiltonian-3q", ModelParams(gamma=1.0, kappa=rate))
+    rho0 = scenario_rho0("hamiltonian-3q")
+    _assert_block_minimum_matches_eigvalsh(gen, rho0)
+    q, _ = invariant_subspace([gen.apply], rho0)
+    coords = rng.normal(size=(6, 9)) + 1j * rng.normal(size=(6, 9))
+    assert np.max(np.abs(_min_eigenvalues(coords, q) - _dense_minimum(coords, q))) <= 1e-12
+    for normalised in (False, True):
+        basis = reduced_model.class_basis(normalised)
+        coords = rng.normal(size=(6, 13))
+        lo = _min_eigenvalues(coords, basis, _class_blocks(normalised))
+        assert np.max(np.abs(lo - _dense_minimum(coords, basis))) <= 1e-12
 
 
 @given(st.integers(0, 2**32 - 1), RATES)
@@ -494,6 +534,57 @@ def test_check_raises_on_large_dip_in_2x2_blocks():
         "state eigenvalue -4.000e-07 below -1e-08 at t=0.1",
         "state eigenvalue -8.000e-07 below -1e-08 at t=0.2",
     ]
+
+
+def _compressed_dip_samples(step):
+    """Samples at t = 0.1 n, n = 0..10, on the Krylov basis q of
+    hamiltonian-3q at R = 10, whose blocks compress to 4 x 4:
+    (1 + step n) rho0 - step n rho(1), of trace 1.  Within the compressed
+    range rho0 is zero but for one direction and rho(1) is positive there,
+    so the smallest eigenvalue falls about linearly in n.  Returns
+    (times, coords, q, the smallest eigenvalue of each sample by dense
+    eigvalsh)."""
+    gen = total_generator("hamiltonian-3q", ModelParams(gamma=1.0, kappa=10.0))
+    rho0 = scenario_rho0("hamiltonian-3q")
+    q, (g,) = invariant_subspace([gen.apply], rho0)
+    assert [(r, dropped) for _, r, dropped in _compressed_blocks(q)] == [(4, True)]
+    y0 = q.conj().T @ rho0.ravel()
+    y1 = propagate_linear(g, y0, [1.0])[0]
+    n = np.arange(11)[:, None]
+    coords = (1.0 + step * n) * y0 - step * n * y1
+    return 0.1 * n.ravel(), coords, q, _dense_minimum(coords, q)
+
+
+def _assert_warned(record, samples, times, dense):
+    """The PositivityWarnings in ``record`` are one per sample in ``samples``,
+    in order, in today's message format, each with its dense minimum."""
+    pattern = r"state eigenvalue (-\d\.\d{3}e-\d\d) below -1e-08 at t=(\S+)"
+    got = [re.fullmatch(pattern, str(w.message)).groups() for w in record]
+    assert [(float(lo), t) for lo, t in got] == [
+        (pytest.approx(dense[i], rel=1e-3), f"{times[i]:g}") for i in samples
+    ]
+
+
+def test_check_warns_on_small_dip_in_compressed_blocks():
+    """step = 4e-6: every sample from t = 0.1 on dips below -1e-8 (to
+    -2.6e-7 at t = 1) and warns, in time order, with the dense minimum."""
+    times, coords, q, dense = _compressed_dip_samples(4e-6)
+    assert dense[0] > -1e-8 and np.all(dense[1:] < -1e-8) and dense.min() > -1e-6
+    with pytest.warns(PositivityWarning) as record:
+        _check_samples(times, coords, q)
+    _assert_warned(record, range(1, 11), times, dense)
+
+
+def test_check_raises_on_large_dip_in_compressed_blocks():
+    """step = 2e-5: t = 0.1 to 0.7 warn, then t = 0.8 (-1.04e-6) raises."""
+    times, coords, q, dense = _compressed_dip_samples(2e-5)
+    assert np.all(dense[1:8] < -1e-8) and dense[7] > -1e-6 > dense[8]
+    with pytest.warns(PositivityWarning) as record:
+        with pytest.raises(IntegrationError, match=r"^eigenvalue -1\.0\d\de-06 at t=0\.8; "
+                                                   r"integration diverged$") as failure:
+            _check_samples(times, coords, q)
+    assert float(str(failure.value).split()[1]) == pytest.approx(dense[8], rel=1e-3)
+    _assert_warned(record, range(1, 8), times, dense)
 
 
 # ---------------------------------------------------------------------------
@@ -735,17 +826,39 @@ def test_pair_subspace_takes_the_class_states_where_the_tables_apply():
     run on the 13 normalised class states; on a random system state, which
     is off their span, on the Krylov basis of ``invariant_subspace``."""
     code, _, h, rho0 = _pair_setup("hamiltonian-3q")
-    q, w, _, _ = _pair_subspace(rho0, h, code)
+    q, w, _, _, blocks = _pair_subspace(rho0, h, code)
     basis = reduced_model.class_basis()
     assert len(w) == 13
     assert np.array_equal(q, basis / np.linalg.norm(basis, axis=0))
+    assert blocks is _class_blocks(True)
 
     code, _, h, rho0 = _pair_setup("hamiltonian-3q", "random-system")
-    q, w, _, _ = _pair_subspace(rho0, h, code)
+    q, w, _, _, blocks = _pair_subspace(rho0, h, code)
     gen = total_generator("hamiltonian-3q", ModelParams(gamma=1.0))
     q_krylov, _ = invariant_subspace([gen.noise, gen.correction], rho0)
     assert len(w) == q_krylov.shape[1] != 13
     assert np.array_equal(q, q_krylov)
+    assert blocks is None
+
+
+def test_class_states_are_shared_and_read_only():
+    """The class states are built once per process: every reduced
+    trajectory holds the one class basis, and every weak map on the class
+    states the one normalised form, with the check's blocks derived once
+    (one distinct block, which spans all 8 directions and stays 8 x 8).
+    Writing to either form raises."""
+    first, second = integrate_reduced(10.0, 1.0, 1.0, 5), integrate_reduced(100.0, 1.0, 2.0, 7)
+    assert first.basis is second.basis is reduced_model.class_basis()
+    code, _, h, rho0 = _pair_setup("hamiltonian-3q")
+    weak = [step_weak_map(rho0, h, code, 0.02, 2e-3, 10) for _ in range(2)]
+    assert weak[0].basis is weak[1].basis is reduced_model.class_basis(normalised=True)
+    assert _class_blocks(True) is _class_blocks(True)
+    for normalised in (False, True):
+        ((qt, r, dropped),) = _class_blocks(normalised)
+        assert (qt.shape, r, dropped) == ((13, 64), 8, False)
+    for basis in (reduced_model.class_basis(), reduced_model.class_basis(True)):
+        with pytest.raises(ValueError, match="read-only"):
+            basis[0, 0] = 1.0
 
 
 def test_class_states_give_the_krylov_trajectories(monkeypatch):
