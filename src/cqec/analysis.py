@@ -102,7 +102,8 @@ def fit_power_law(points):
     "power-law", "params": {slope, prefactor} of y = prefactor * x**slope,
     "stderr": their standard errors from the linear regression, "residual":
     the rms of the log residuals, "window": [min x, max x]}, all Python
-    floats.  A residual that is not finite raises ValueError.
+    floats.  Fewer than two distinct log x, where no slope is defined, or a
+    residual that is not finite raises ValueError.
     """
     pts = np.asarray(list(points), dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 4:
@@ -110,6 +111,8 @@ def fit_power_law(points):
     if np.any(pts <= 0):
         raise ValueError("power-law fit needs positive data")
     lx, ly = np.log(pts[:, 0]), np.log(pts[:, 1])
+    if np.all(lx == lx[0]):
+        raise ValueError("power-law fit needs at least two distinct x")
     a = np.stack([lx, np.ones_like(lx)], axis=1)
     coef, _, _, _ = np.linalg.lstsq(a, ly, rcond=None)
     fitted = a @ coef

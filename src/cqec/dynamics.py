@@ -16,7 +16,11 @@
 * ``jump_monte_carlo`` -- the jump-process reading of the same model:
   full recoveries applied at Poisson(kappa) random times, averaged over
   trajectories.  Trajectories are stepped in the interaction picture of
-  the free evolution, so only a recovery changes their coordinates.
+  the free evolution, so only a recovery changes their coordinates, and
+  a chunk of them in rounds by jump index: round r applies the r-th
+  recovery of every trajectory that has one.  Each round writes its
+  coordinates into a table of the states at the samples, which the
+  sample sums then read in a few vectorized steps.
 * ``integrate_reduced`` -- the 13 class coefficients of the reduced model
   (:mod:`cqec.reduced_model`, ``hamiltonian-3q``) on the 13 class states.
 
@@ -33,7 +37,9 @@ span, their subspace is the 13 class states, with both restrictions read
 from the reduced model's tables (``reduced_model.class_restriction``);
 otherwise it is the Krylov space of rho0 under the two maps.
 A trajectory keeps only its coordinates and the basis (d is read from
-it); the d x d states are built only when ``Trajectory.states`` is read.
+it; Monte Carlo and the weak map return the class states themselves, not
+a copy); the d x d states are built only when ``Trajectory.states`` is
+read.
 
 Every engine checks its samples, never repairs them: the trace must stay
 within 1e-8 of 1, and an eigenvalue below -1e-8 triggers a
@@ -66,7 +72,8 @@ from .tensor_core import TOL_POS
 from .codes_and_maps import Generator
 
 TRACE_TOL = 1e-8
-# Largest number of array entries in one Monte Carlo chunk, which bounds its memory.
+# Largest number of array entries in one Monte Carlo chunk (``mc_trajectory_entries``
+# per trajectory), which bounds its memory.
 MC_CHUNK_ENTRIES = 2**18
 # Smallest new direction in ``invariant_subspace``, relative to the largest image;
 # rounding leaves ~1e-16.  hamiltonian-3q keeps all k = 9 for R in [1e-10, 3e7].
@@ -495,6 +502,62 @@ def step_weak_map(rho0, hamiltonian, code, eps, tau_c, n_steps, sample_stride=1)
     return Trajectory(times, coords, q)
 
 
+def mc_trajectory_entries(kappa_t, k=0, n_samples=0):
+    """Array entries that one Monte Carlo trajectory takes in a chunk, on k
+    coordinates with n_samples samples: (n_samples + 2) k coordinates (a
+    row of the state table per sample, one for the jumps after the last
+    sample, and its current coordinates), 3 (n_samples + 1) more (its
+    fidelity samples, their deviations, the table's written flags and its
+    jump count), and its jump times, kappa t of them on average.  A chunk
+    holds as many trajectories as ``MC_CHUNK_ENTRIES`` entries take, and at
+    least one."""
+    return k * (n_samples + 2) + 3 * (n_samples + 1) + kappa_t
+
+
+def _states_at_samples(pending, times, y0, recover_t, rate):
+    """(states, order): the interaction-picture coordinates of a chunk of
+    trajectories at each sample, (n_samples, n, k), with the trajectories
+    in the order ``order`` of their rows in ``pending``.
+
+    Row i of ``pending`` holds trajectory i's jump times, in any order,
+    padded with +inf.  Every trajectory starts at y0 and its r-th jump at t
+    maps z to ((z b) @ recover_t) conj(b), b = e^{rate t} for the imaginary
+    rates ``rate``.  The trajectories are ordered by jump count, most
+    first, so that round r applies the r-th jump of a prefix of them; a
+    chunk takes as many rounds as its largest jump count.  Each round
+    writes the new coordinates into the row of the first sample at or after
+    the jump (a jump at a sample's time counts before it), and a later jump
+    before the same sample overwrites them.  A sample row that no jump
+    wrote holds the row before it."""
+    n, n_samples, k = len(pending), len(times), len(y0)
+    counts = np.count_nonzero(pending < np.inf, axis=1)
+    order = np.argsort(counts)[::-1]
+    active = np.bincount(counts)[:0:-1].cumsum()[::-1]  # rows with more than r jumps
+    jumps = np.sort(pending[order], axis=1).T
+    jumps = jumps[jumps < np.inf]  # the r-th jumps of those rows, for r = 1, 2, ...
+    # the state table: one element per row of k coordinates, so that a
+    # scatter or a masked copy moves a trajectory's coordinates at once
+    table = np.empty((n_samples + 1, n, k), dtype=complex)
+    table[0] = y0
+    row = np.dtype((np.void, table.itemsize * k))
+    entries = table.view(row).reshape(n_samples + 1, n)
+    written = np.zeros((n_samples + 1, n), dtype=bool)
+    z = table[0].copy()
+    trajectories = np.arange(n)
+    for a, end in zip(active, active.cumsum()):
+        t = jumps[end - a:end]
+        back = np.exp(t[:, None] * rate)
+        z_r = (z[:a] * back) @ recover_t
+        z_r *= back.conj()
+        z[:a] = z_r
+        at = np.searchsorted(times, t) * n + trajectories[:a]
+        entries.ravel()[at] = z_r.view(row)[:, 0]
+        written.ravel()[at] = True
+    for s in range(1, n_samples):
+        np.copyto(entries[s], entries[s - 1], where=~written[s])
+    return table[:n_samples], order
+
+
 def jump_monte_carlo(rho0, hamiltonian, code, kappa, t_max, n_traj, seed, n_samples=21):
     """Ensemble average of the jump-process unraveling.
 
@@ -505,18 +568,22 @@ def jump_monte_carlo(rho0, hamiltonian, code, kappa, t_max, n_traj, seed, n_samp
     order or chunking, and every seed in [0, 2**64) has its own streams.
     The results are byte-reproducible at a fixed BLAS thread count; between
     1 and 2 OpenBLAS threads they differ by rounding (up to 2.2e-15 in
-    F_cw at seed 7).  Returns the mean state per sample time, with the
-    ensemble mean/stderr of the codeword fidelity in `observables`.
+    F_cw at seed 7).  Returns the mean state per sample time as
+    coordinates on the basis q of ``_pair_subspace`` (the shared class
+    states for ``hamiltonian-3q``), with the ensemble mean/stderr of the
+    codeword fidelity in `observables`.
 
-    A chunk of trajectories evolves together, each as its k coordinates on
-    ``_pair_subspace`` (k = 13 class states for ``hamiltonian-3q``) in the
-    eigenbasis v, taken in the interaction picture
-    z = y e^{iwt}: free evolution leaves z as it is, a recovery at t is
-    z -> ((z e^{-iwt}) @ R) e^{iwt} (for the trajectories whose next jump
-    precedes the next sample), and the phases e^{-iw t_s} that turn z back
-    into y at the samples are formed once per call.  F_cw is a dot product
-    with those phases folded into its weights.  The mean state is checked
-    as the samples of ``integrate`` (``_check_samples``).
+    A chunk of trajectories (``mc_trajectory_entries``) evolves together,
+    each as its k coordinates on q in the eigenbasis v, taken in the
+    interaction picture z = y e^{iwt}: free evolution leaves z as it is,
+    and a recovery at t is z -> ((z e^{-iwt}) @ R) e^{iwt}.  The recoveries
+    are applied in rounds by jump index, and each trajectory's z at a
+    sample is the one after its last jump at or before that time
+    (``_states_at_samples``).  The sample sums, F_cw and its standard error
+    then take a few vectorized steps per chunk: F_cw is a dot product with
+    the phases e^{-iw t_s} of the samples, formed once per call, folded
+    into its weights.  The mean state is checked as the samples of
+    ``integrate`` (``_check_samples``).
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
@@ -525,26 +592,25 @@ def jump_monte_carlo(rho0, hamiltonian, code, kappa, t_max, n_traj, seed, n_samp
     rho0 = np.asarray(rho0, dtype=complex)
     q, w, v, phi_k, blocks = _pair_subspace(rho0, hamiltonian, code)
     d = len(rho0)
-    qv = q @ v  # eigen-coordinates -> row-major flattened states
     recover_t = (v.conj().T @ phi_k @ v).T  # y -> y @ recover_t is one recovery
-    p_eig = code.diagonal_weights(d)[:, 0] @ qv[:: d + 1]  # F_cw = p_eig @ y
-    y0 = qv.conj().T @ rho0.ravel()
+    p_eig = code.diagonal_weights(d)[:, 0] @ q[:: d + 1] @ v  # F_cw = p_eig @ y
+    # q^dag rho0 = conj(conj(rho0) @ q), without a conjugate copy of q
+    y0 = v.conj().T @ np.conj(np.conj(rho0.ravel()) @ q)
 
     times = _sample_times(t_max, n_samples)
     rate = -1j * w  # y(t) = y(0) * e^{rate t} between jumps
     # a phase beyond double precision reads nan, as in propagate_linear
     with np.errstate(over="ignore", invalid="ignore"):
         to_y = np.exp(np.outer(times, rate))  # y = z * to_y[s] at sample s
-    p_z = to_y * p_eig  # F_cw = p_z[s] @ z at sample s
+    p_z = (to_y * p_eig)[:, :, None]  # F_cw = z @ p_z[s] at sample s
     sum_z = np.zeros((n_samples, len(w)), dtype=complex)
     # sums of f - shift, with the first trajectory's f as shift: the variance
     # of nearly equal values then suffers no cancellation (and is 0 if equal)
     shift = None
     dev_sum = np.zeros(n_samples)
     dev_sqsum = np.zeros(n_samples)
-    # per trajectory: coordinates, fidelity samples and the padded jump
-    # times, with the mean jump count standing in for the chunk's largest
-    chunk = max(1, MC_CHUNK_ENTRIES // (len(w) + n_samples + 2 + int(kappa * t_max)))
+    chunk = max(1, int(MC_CHUNK_ENTRIES // mc_trajectory_entries(kappa * t_max, len(w),
+                                                                   n_samples)))
 
     # one generator, reset to counter 0 and key (seed, i) before trajectory i's
     # draws: the stream of Generator(Philox(key=(seed, i))) without building
@@ -565,40 +631,27 @@ def jump_monte_carlo(rho0, hamiltonian, code, kappa, t_max, n_traj, seed, n_samp
             counts.append(rng.poisson(kappa * t_max))
             draws.append(rng.random(counts[-1]))
         counts = np.array(counts)
-        # jump times padded with +inf; one extra column so every row ends in inf.
-        # u * t_max is rng.uniform(0.0, t_max)'s 0.0 + t_max * u bit for bit.
-        pending = np.full((len(counts), 1 + counts.max()), np.inf)
+        # jump times padded with +inf.  u * t_max is rng.uniform(0.0, t_max)'s
+        # 0.0 + t_max * u bit for bit.
+        pending = np.full((len(counts), counts.max()), np.inf)
         pending[np.arange(pending.shape[1]) < counts[:, None]] = np.concatenate(draws) * t_max
-        pending.sort(axis=1)
-        nxt = np.zeros(len(counts), dtype=int)
-        t_next = pending[:, 0].copy()  # each trajectory's next jump
-        z = np.broadcast_to(y0, (len(counts), len(w))).copy()
-        ones = np.ones(len(counts))  # ones @ z sums the rows, faster than z.sum(axis=0)
-        fids = np.empty((n_samples, len(counts)))
-        for s, ts in enumerate(times):
-            # jumps before this sample, in rounds of each row's next one; a
-            # later round visits only the rows that jumped in the one before
-            hit = np.flatnonzero(t_next <= ts)
-            while hit.size:
-                back = np.exp(np.outer(t_next[hit], rate))
-                z_hit = (z[hit] * back) @ recover_t
-                z_hit *= back.conj()
-                z[hit] = z_hit
-                nxt_hit = nxt[hit] + 1
-                nxt[hit] = nxt_hit
-                t_hit = pending[hit, nxt_hit]
-                t_next[hit] = t_hit
-                hit = hit[t_hit <= ts]
-            sum_z[s] += ones @ z
-            fids[s] = (z @ p_z[s]).real
+        # the draws and the padded times are dropped once read, which keeps them
+        # out of the chunk's peak memory, the state table and its sums
+        del draws
+        states, order = _states_at_samples(pending, times, y0, recover_t, rate)
+        del pending
+        ones = np.ones(len(counts))  # ones @ sums over the trajectories
+        sum_z += ones @ states
+        fids = (states @ p_z)[:, :, 0].real.copy()  # frees the complex products
         if shift is None:
-            shift = fids[:, 0].copy()
+            shift = fids[:, np.argmax(order == 0)].copy()
         dev = fids - shift[:, None]
-        dev_sum += dev.sum(axis=1)
-        dev_sqsum += (dev * dev).sum(axis=1)
+        dev_sum += dev @ ones
+        dev_sqsum += (dev * dev) @ ones
 
     mean_y = sum_z * to_y / n_traj
-    _check_samples(times, mean_y @ v.T, q, blocks)  # the mean states' coordinates on q
+    coords = mean_y @ v.T  # the mean states' coordinates on q
+    _check_samples(times, coords, q, blocks)
     f_mean = shift + dev_sum / n_traj
     if n_traj > 1:
         var = (dev_sqsum - dev_sum**2 / n_traj) / (n_traj - 1)
@@ -606,4 +659,4 @@ def jump_monte_carlo(rho0, hamiltonian, code, kappa, t_max, n_traj, seed, n_samp
     else:
         f_se = np.zeros(n_samples)
     observables = {"F_cw_mean": f_mean, "F_cw_se": f_se}
-    return Trajectory(times, mean_y, qv, observables)
+    return Trajectory(times, coords, q, observables)

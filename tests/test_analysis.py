@@ -151,6 +151,19 @@ def test_power_law_input_guards():
         fit_power_law([(1.0, 1.0), (2.0, -0.5), (3.0, 0.3), (4.0, 0.2)])
 
 
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_power_law_refuses_repeated_x(n):
+    """A single distinct x defines no slope: with 4 equal points the normal
+    matrix was singular, with 5 its inverse had a negative diagonal (a
+    standard error of nan), so every count raises ValueError.  Two
+    distinct x still fit."""
+    ys = np.linspace(1.0, 2.0, n)
+    with pytest.raises(ValueError, match="at least two distinct x"):
+        fit_power_law([(1000.0, y) for y in ys])
+    fit = fit_power_law([(10.0 if i % 2 else 1000.0, y) for i, y in enumerate(ys)])
+    assert np.isfinite(fit["stderr"]["slope"])
+
+
 # ---------------------------------------------------------------------------
 # spectrum matching
 # ---------------------------------------------------------------------------

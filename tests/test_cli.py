@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cqec import dynamics, reduced_model
 from cqec.cli import ENGINES, ExperimentConfig, _run_trajectory, main
@@ -771,6 +771,9 @@ def _command_lines(draw):
 
 @given(argv=_command_lines(), scenario=st.sampled_from([*sorted(SCENARIOS), "bogus", 5, None]))
 @settings(max_examples=300, deadline=None)
+# a grid of one distinct rate: the fit's standard error was nan, with a warning
+@example(argv=["scan", "--scenario", "hamiltonian-1q", "--grid", "1000,1000,1000,1000,1000",
+               "--fit"], scenario="hamiltonian-1q")
 def test_fuzzed_command_flags_exit_0_2_3_or_4(argv, scenario):
     """The flags of eig, scan and graph, and the fig ids, drawn as in
     ``_command_lines``: every command line exits 0, 2 (argparse's usage

@@ -28,10 +28,12 @@ from cqec.dynamics import (
     _diagonal_blocks,
     _min_eigenvalues,
     _pair_subspace,
+    _states_at_samples,
     integrate,
     integrate_reduced,
     invariant_subspace,
     jump_monte_carlo,
+    mc_trajectory_entries,
     propagate_linear,
     step_weak_map,
 )
@@ -798,19 +800,30 @@ FEW_JUMPS, MANY_JUMPS, LONG_RUN = (4.0, 1.0, 6), (40.0, 2.0, 3), (4.0, 25.0, 6)
 def test_monte_carlo_matches_sequential_reference(monkeypatch, scenario, n_traj, start, seed,
                                                   chunk, jumps):
     """The engine against the one-trajectory-at-a-time reference.  With
-    ``chunk`` set, MC_CHUNK_ENTRIES holds that many trajectories: 3 or 4
-    full chunks and a short last one, so the streams and the sums carried
-    from chunk to chunk are checked across chunk boundaries.  The
-    MANY_JUMPS and LONG_RUN rows take many recoveries between two samples,
-    up to gamma t = 25."""
+    ``chunk`` set, MC_CHUNK_ENTRIES holds that many trajectories: the
+    engine runs 3 or 4 full chunks and a short last one, so the streams and
+    the sums carried from chunk to chunk are checked across chunk
+    boundaries.  The MANY_JUMPS and LONG_RUN rows take many recoveries
+    between two samples, up to gamma t = 25."""
     code, register, h, rho0 = _pair_setup(scenario, start)
     kappa, t_max, n_samples = jumps
     if chunk is not None:
         k = len(_pair_subspace(rho0, h, code)[1])
         monkeypatch.setattr("cqec.dynamics.MC_CHUNK_ENTRIES",
-                            chunk * (k + n_samples + 2 + int(kappa * t_max)))
-        assert n_traj // chunk >= 3 and n_traj % chunk != 0
+                            chunk * mc_trajectory_entries(kappa * t_max, k, n_samples))
+    sizes = []  # the trajectories of each chunk, as the engine runs them
+
+    def counted(pending, *args):
+        sizes.append(len(pending))
+        return _states_at_samples(pending, *args)
+
+    monkeypatch.setattr("cqec.dynamics._states_at_samples", counted)
     traj = jump_monte_carlo(rho0, h, code, kappa, t_max, n_traj, seed, n_samples=n_samples)
+    if chunk is None:
+        assert sizes == [n_traj]
+    else:
+        assert 3 <= n_traj // chunk <= 4 and n_traj % chunk != 0
+        assert sizes == [chunk] * (n_traj // chunk) + [n_traj % chunk]
     times, mean, f_mean, f_se = _monte_carlo_reference(
         rho0, h, code, register, kappa, t_max, n_traj, seed, n_samples
     )
@@ -819,6 +832,58 @@ def test_monte_carlo_matches_sequential_reference(monkeypatch, scenario, n_traj,
     assert np.max(np.abs(traj.observables["F_cw_mean"] - f_mean)) < 1e-11
     assert np.max(np.abs(traj.observables["F_cw_se"] - f_se)) < 1e-11
     assert np.all(f_se[1:] > 0)
+
+
+def test_jumps_count_at_the_first_sample_at_or_after_them():
+    """Hand-made jump times through the rounds: with no free evolution and
+    a recovery that adds one to the second coordinate, a trajectory's
+    state at a sample counts its jumps at or before that time.  A jump at a
+    sample's time counts before it, jumps between two samples all count at
+    the later one, the +inf padding never counts (a jump after the last
+    sample counts at none), and a trajectory without jumps reads y0 at every
+    sample.  The trajectories come back in the returned order."""
+    times = np.array([0.0, 1.0, 2.0, 3.0])
+    inf = np.inf
+    pending = np.array([
+        [1.0, inf, inf, inf],  # at a sample time
+        [inf, inf, inf, inf],  # no jumps
+        [2.5, 0.5, 0.0, inf],  # unsorted, one at t = 0
+        [1.2, 1.5, 1.7, 3.0],  # three in one interval, one at the last sample
+        [3.5, inf, inf, inf],  # after the last sample
+    ])
+    expected = np.array([
+        [0, 1, 1, 1],
+        [0, 0, 0, 0],
+        [1, 2, 2, 3],
+        [0, 0, 3, 4],
+        [0, 0, 0, 0],
+    ])
+    y0 = np.array([1.0, 0.0], dtype=complex)
+    add_one = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)  # z -> z @ add_one
+    states, order = _states_at_samples(pending, times, y0, add_one, np.zeros(2, dtype=complex))
+    assert states.shape == (4, 5, 2)
+    assert sorted(order) == list(range(5))
+    by_trajectory = np.empty_like(states)
+    by_trajectory[:, order] = states
+    assert np.array_equal(by_trajectory[:, :, 0], np.ones((4, 5)))
+    assert np.array_equal(by_trajectory[:, :, 1], expected.T)
+    assert np.array_equal(by_trajectory[:, 1], np.broadcast_to(y0, (4, 2)))
+
+
+def test_monte_carlo_returns_the_shared_basis():
+    """Monte Carlo's trajectory holds coordinates on the basis of
+    ``_pair_subspace``: the shared normalised class states themselves for
+    hamiltonian-3q (no copy per call), the Krylov basis for hamiltonian-1q."""
+    code, _, h, rho0 = _pair_setup("hamiltonian-3q")
+    traj = jump_monte_carlo(rho0, h, code, 10.0, 1.0, 20, 7, n_samples=5)
+    assert traj.basis is reduced_model.class_basis(normalised=True)
+    assert traj.coords.shape == (5, 13)
+    code, _, h, rho0 = _pair_setup("hamiltonian-1q")
+    traj = jump_monte_carlo(rho0, h, code, 10.0, 1.0, 20, 7, n_samples=5)
+    gen = total_generator("hamiltonian-1q", ModelParams(gamma=1.0))
+    q_krylov, _ = invariant_subspace([gen.noise, gen.correction], rho0)
+    assert np.array_equal(traj.basis, q_krylov)
+    assert traj.coords.shape == (5, 3)
 
 
 def test_pair_subspace_takes_the_class_states_where_the_tables_apply():
