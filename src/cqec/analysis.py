@@ -146,11 +146,9 @@ def _band_ok(kind, predicted, numerical, big_r, gamma):
         return abs(numerical) <= 1e-10 * gamma
     if kind == "fast":
         return abs(numerical - predicted) <= 10.0 * gamma / big_r
-    im_ref = 24.0 * gamma / big_r**2 * np.sign(predicted.imag)
-    re_ref = -144.0 * gamma / big_r**3
     return (
-        abs(numerical.imag - im_ref) <= 0.01 * abs(im_ref)
-        and abs(numerical.real - re_ref) <= 0.20 * abs(re_ref)
+        abs(numerical.imag - predicted.imag) <= 0.01 * abs(predicted.imag)
+        and abs(numerical.real - predicted.real) <= 0.20 * abs(predicted.real)
     )
 
 

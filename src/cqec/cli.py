@@ -45,7 +45,6 @@ from .dynamics import (
     integrate_reduced,
     step_weak_map,
     jump_monte_carlo,
-    mc_trajectory_entries,
 )
 from .analysis import (
     FitError,
@@ -146,9 +145,8 @@ class ExperimentConfig:
         if self.engine == "weak-step" and self.t_max > 0:
             self.weak_steps()
         jumps = self.kappa * self.t_max / self.unit  # expected per Monte Carlo trajectory
-        # refused where its jump times alone outgrow a chunk: kappa t > MC_CHUNK_ENTRIES
-        if self.engine == "monte-carlo" and (mc_trajectory_entries(jumps)
-                                             > mc_trajectory_entries(MC_CHUNK_ENTRIES)):
+        # refused where its jump times alone outgrow a chunk
+        if self.engine == "monte-carlo" and jumps > MC_CHUNK_ENTRIES:
             raise ConfigError(f"monte-carlo expects kappa t = {jumps:.6g} jumps per trajectory, "
                               f"more than the {MC_CHUNK_ENTRIES} array entries of one chunk")
 

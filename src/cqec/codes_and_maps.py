@@ -48,7 +48,8 @@ class CodeSpec:
 
     def __post_init__(self):
         d = 2**self.system_count
-        assert len(self.syndrome_of) == d and len(self.corrected) == d
+        if len(self.syndrome_of) != d or len(self.corrected) != d:
+            raise ValueError(f"syndrome_of and corrected need {d} entries, one per basis state")
 
     @cached_property
     def recovery_gather(self):

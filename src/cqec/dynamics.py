@@ -502,7 +502,7 @@ def step_weak_map(rho0, hamiltonian, code, eps, tau_c, n_steps, sample_stride=1)
     return Trajectory(times, coords, q)
 
 
-def mc_trajectory_entries(kappa_t, k=0, n_samples=0):
+def mc_trajectory_entries(kappa_t, k, n_samples):
     """Array entries that one Monte Carlo trajectory takes in a chunk, on k
     coordinates with n_samples samples: (n_samples + 2) k coordinates (a
     row of the state table per sample, one for the jumps after the last

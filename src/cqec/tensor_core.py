@@ -35,7 +35,8 @@ def basis_ket(bits, n=None):
         n = len(bits)
         idx = int(bits, 2)
     else:
-        assert n is not None, "qubit count required for integer basis index"
+        if n is None:
+            raise ValueError("qubit count required for integer basis index")
         idx = int(bits)
     ket = np.zeros((2**n, 1), dtype=complex)
     ket[idx, 0] = 1.0

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cqec import dynamics, reduced_model
-from cqec.cli import ENGINES, ExperimentConfig, _run_trajectory, main
+from cqec.cli import ENGINES, ConfigError, ExperimentConfig, _run_trajectory, main
 from cqec.codes_and_maps import SCENARIOS, apply_recovery
 from cqec.closed_forms import alpha_nonmarkov_1q
 from cqec.reduced_model import LABELS
@@ -634,6 +634,16 @@ def test_config_file_field_types_exit_2(loaded, flags, message, tmp_path, capsys
     assert main(["simulate", "--config", str(path), *flags, "--out", str(out)]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_monte_carlo_jumps_bound_is_one_chunk():
+    """kappa t = MC_CHUNK_ENTRIES = 2**18 expected jumps per trajectory is
+    accepted and the next float above it refused.  Only the configs are
+    built; no run starts."""
+    assert dynamics.MC_CHUNK_ENTRIES == 2**18
+    ExperimentConfig(engine="monte-carlo", kappa=1.0, t_max=2.0**18)
+    with pytest.raises(ConfigError, match="jumps per trajectory, more than the 262144"):
+        ExperimentConfig(engine="monte-carlo", kappa=1.0, t_max=np.nextafter(2.0**18, np.inf))
 
 
 @pytest.mark.parametrize("argv, path, reason", [

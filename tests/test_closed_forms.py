@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from cqec.codes_and_maps import bitflip3_code, pair_hamiltonian, trivial_code
+from cqec.dynamics import integrate_reduced
 from cqec.closed_forms import (
-    Approximation,
-    ApproximationWarning,
     alpha_markov_1q,
     alpha_nonmarkov_1q,
     alpha_star_markov,
@@ -142,28 +141,35 @@ def test_markov3q_approx_a():
 
 
 def test_fidelity_approx_values():
-    assert fidelity_approx_lowest(0.0, 1.0, 100.0).value == pytest.approx(1.0)
+    assert fidelity_approx_lowest(0.0, 1.0, 100.0) == pytest.approx(1.0)
     t_half = np.pi * 100.0**2 / 24.0
-    assert fidelity_approx_lowest(t_half, 1.0, 100.0).value == pytest.approx(0.0, abs=1e-12)
-    damped = fidelity_approx_damped(t_half, 1.0, 100.0).value
+    assert fidelity_approx_lowest(t_half, 1.0, 100.0) == pytest.approx(0.0, abs=1e-12)
+    damped = fidelity_approx_damped(t_half, 1.0, 100.0)
     assert damped == pytest.approx((1.0 - np.exp(-6 * np.pi / 100.0)) / 2.0)
     assert damped == pytest.approx(0.0859, abs=5e-5)
     t_env = 100.0**3 / 144.0
-    assert fidelity_approx_damped(t_env, 1.0, 100.0).value == pytest.approx(
+    assert fidelity_approx_damped(t_env, 1.0, 100.0) == pytest.approx(
         (1.0 + np.exp(-1.0) * np.cos(100.0 / 6.0)) / 2.0
     )
 
 
-def test_fidelity_approx_annotations():
-    approx = fidelity_approx_damped(1.0, 1.0, 50.0)
-    assert isinstance(approx, Approximation)
-    assert approx.precision == pytest.approx(0.02)
-    assert approx.horizon == pytest.approx(50.0**3)
-
-
-def test_fidelity_approx_warns_small_R():
-    with pytest.warns(ApproximationWarning):
-        fidelity_approx_lowest(1.0, 1.0, 3.0)
+@pytest.mark.parametrize("form, big_r, window, bound", [
+    *[pytest.param(fidelity_approx_lowest, r, r**2 / 72, 1.0, id=f"lowest-R{r}")
+      for r in (10, 30, 100, 300, 1000)],
+    *[pytest.param(fidelity_approx_damped, r, 10 * r**3 / 144, 1.5, id=f"damped-R{r}")
+      for r in (10, 30, 100)],
+    # the reduced engine's trace defect passes 1e-8 beyond gamma t ~ 5e5 at R = 300
+    pytest.param(fidelity_approx_damped, 300, 300**3 / 144, 1.5, id="damped-R300"),
+])
+def test_slow_forms_hold_in_their_windows(form, big_r, window, bound):
+    """Each slow form is within bound/R of the reduced model's F_cw (its
+    first class coordinate) for gamma t in [10/R, window], after the fast
+    transient: the undamped form up to the oscillation scale R^2/72, the
+    damped one up to the damping scale 10 R^3/144."""
+    traj = integrate_reduced(big_r, 1.0, window, n_samples=2001)
+    after = traj.times >= 10.0 / big_r
+    err = np.max(np.abs(traj.coords[after, 0] - form(traj.times[after], 1.0, big_r)))
+    assert err <= bound / big_r
 
 
 # ---------------------------------------------------------------------------

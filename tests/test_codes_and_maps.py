@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from cqec.tensor_core import QubitRegister, basis_ket, projector
 from cqec.codes_and_maps import (
     SCENARIOS,
+    CodeSpec,
     ModelParams,
     apply_recovery,
     bitflip3_code,
@@ -62,6 +63,14 @@ def test_bitflip3_syndrome_structure():
         assert np.linalg.matrix_rank(k) == 2
     total = sum(k.conj().T @ k for k in ops)
     assert np.allclose(total, np.eye(8))
+
+
+@pytest.mark.parametrize("syndrome_of, corrected", [((0,) * 7, (0,) * 8), ((0,) * 8, (0,) * 9)],
+                         ids=["short-syndrome-table", "long-correction-table"])
+def test_code_tables_need_one_entry_per_basis_state(syndrome_of, corrected):
+    """A table of the wrong length is a ValueError, also under python -O."""
+    with pytest.raises(ValueError, match="need 8 entries"):
+        CodeSpec("bad", 3, 0, 7, syndrome_of, corrected)
 
 
 @pytest.mark.parametrize("code_factory", [trivial_code, bitflip3_code])

@@ -90,3 +90,9 @@ def test_density_matrix_system_state():
 def test_basis_ket_forms():
     assert np.array_equal(basis_ket("011"), basis_ket(3, 3))
     assert basis_ket("011")[3, 0] == 1.0
+
+
+def test_basis_ket_integer_index_needs_qubit_count():
+    """A ValueError, also under python -O."""
+    with pytest.raises(ValueError, match="qubit count required"):
+        basis_ket(3)
