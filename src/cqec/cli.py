@@ -305,10 +305,14 @@ def cmd_simulate(config, out, cross_validate=False):
     try:
         traj = _run_trajectory(config)
         coords = traj.coords if reduced else np.empty((len(traj), 0))
-        # built one at a time as `_write_csv` writes them (the observables at once)
+        try:
+            samples = observables(traj, code)
+        except ValueError as exc:  # F_cw > P_cs beyond rounding, in samples the check passed
+            raise IntegrationError(str(exc)) from exc
+        # built one at a time as `_write_csv` writes them
         rows = (
             [t * config.unit, o.f_cw, o.p_cs, o.error_rate / config.unit, *c]
-            for t, o, c in zip(traj.times, observables(traj, code), coords)
+            for t, o, c in zip(traj.times, samples, coords)
         )
         dev = _cross_validate(config, traj) if cross_validate else None
     except MemoryError as exc:  # the arrays of all samples are allocated up front

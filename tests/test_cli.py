@@ -564,6 +564,24 @@ def test_rates_below_double_precision_exit_3(tmp_path, argv):
     assert not out.exists()
 
 
+# a state dipping below -1e-8 warns, as the command does on stderr with exit 0
+@pytest.mark.filterwarnings("ignore::cqec.dynamics.PositivityWarning")
+@pytest.mark.parametrize("rate", [f"{m}e{e}" for e in range(6, 14) for m in (1, 3)])
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_simulate_at_large_rates_exits_0_or_3(scenario, rate, tmp_path):
+    """Over rates 1e6 ... 3e13 every scenario's default engine resolves the
+    run (exit 0) or refuses it (exit 3, no CSV), never with a traceback.
+    Some of these runs pass the engine's sample check but give F_cw above
+    P_cs beyond ObservableSample's rounding bound (markovian-3q at kappa =
+    1e9 and 1e10, hamiltonian-3q at R = 3e7)."""
+    flag = "--kappa" if SCENARIOS[scenario].time_unit == "lambda" else "--R"
+    out = tmp_path / "run.csv"
+    rc = main(["simulate", "--scenario", scenario, flag, rate, "--t-max", "1", "--samples", "3",
+               "--out", str(out)])
+    assert rc in (0, 3)
+    assert out.exists() == (rc == 0)
+
+
 def test_bad_config_file_returns_2(tmp_path, capsys):
     bad_version = tmp_path / "v9.json"
     bad_version.write_text(json.dumps({"schema_version": 9, "scenario": "markovian-1q"}))
