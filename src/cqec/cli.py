@@ -310,10 +310,8 @@ def cmd_simulate(config, out, cross_validate=False):
         except ValueError as exc:  # F_cw > P_cs beyond rounding, in samples the check passed
             raise IntegrationError(str(exc)) from exc
         # built one at a time as `_write_csv` writes them
-        rows = (
-            [t * config.unit, o.f_cw, o.p_cs, o.error_rate / config.unit, *c]
-            for t, o, c in zip(traj.times, samples, coords)
-        )
+        rows = ([t * config.unit, o.f_cw, o.p_cs, o.error_rate / config.unit, *c]
+                for t, o, c in zip(traj.times, samples, coords))
         dev = _cross_validate(config, traj) if cross_validate else None
     except MemoryError as exc:  # the arrays of all samples are allocated up front
         msg = f"samples = {config.samples}: the run does not fit in memory ({exc})"

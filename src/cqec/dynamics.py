@@ -30,16 +30,18 @@ the smallest one, the Krylov space of rho0 under the ``Generator``'s
 ``apply`` (``invariant_subspace``; Saad, SIAM J. Numer. Anal. 29, 209
 (1992), with several operators in place of one): k = 3 for
 ``hamiltonian-1q`` and 9 for ``hamiltonian-3q`` from the scenario states.
+The subspace comes in Arnoldi form: the restriction of each operator is
+the Gram-Schmidt coefficients that built the basis, equal to q^dag op(q)
+to rounding, and rho0 is |rho0| q_0, so no image of the basis is kept.
 The weak map and Monte Carlo take the rate-free ``noise`` and
 ``correction`` (Phi (x) id_bath - id), with Phi restricted as I plus the
 restricted correction.  For ``hamiltonian-3q`` from states in the class
 span, their subspace is the 13 class states, with both restrictions read
 from the reduced model's tables (``reduced_model.class_restriction``);
-otherwise it is the Krylov space of rho0 under the two maps.
-A trajectory keeps only its coordinates and the basis (d is read from
-it; Monte Carlo and the weak map return the class states themselves, not
-a copy); the d x d states are built only when ``Trajectory.states`` is
-read.
+otherwise it is the Krylov space of rho0 under the two maps.  A
+trajectory keeps only its coordinates and the basis (d is read from it;
+Monte Carlo and the weak map return the class states themselves, not a
+copy); the d x d states are built only when ``Trajectory.states`` is read.
 
 Every engine checks its samples, never repairs them: the trace must stay
 within 1e-8 of 1, and an eigenvalue below -1e-8 triggers a
@@ -47,19 +49,13 @@ PositivityWarning (below -1e-6, or a non-finite trace or eigenvalue, an
 IntegrationError).  ``integrate``, the reduced engine and the weak map
 check every sample, Monte Carlo its mean state.  The check runs on the
 coordinates of the whole trajectory at once: the trace is one product
-with the traces of the basis states, and every state in span(q) is block
-diagonal on the connected components of the union of the basis states'
-nonzero patterns (8 blocks of 8 x 8 for ``hamiltonian-3q``, its class
-states too, 2 of 2 x 2 for ``hamiltonian-1q``, 1 x 1 for the Markovian
-scenarios).  Blocks whose rows of q are equal bit for bit hold equal
-entries in every state (all 8 for ``hamiltonian-3q``, both for
-``hamiltonian-1q``), so only the distinct blocks are read: 1 x 1 and 2 x 2
-blocks in closed form, larger ones compressed to the joint range of their
-basis matrices (``_compressed_blocks``; 4 x 4 for the Krylov basis of
-``hamiltonian-3q``, while the class states stay 8 x 8) and read by one
-batched ``eigvalsh`` per compressed size.  The class states and what the
-check reads of them are built once per process (``_class_blocks``); a
-Krylov basis is read anew on each call.
+with the traces of the basis states, and the eigenvalues come from the
+distinct diagonal blocks that every state in span(q) is confined to
+(``_compressed_blocks``: one 4 x 4 block for the Krylov basis of
+``hamiltonian-3q``, one 8 x 8 for its class states, one 2 x 2 for
+``hamiltonian-1q``, 1 x 1 blocks for the Markovian scenarios).  The class
+states and what the check reads of them are built once per process
+(``_class_blocks``); a Krylov basis is read anew on each call.
 """
 
 import warnings
@@ -275,9 +271,10 @@ def _sample_times(t_max, n_samples):
 def integrate(generator, rho0, t_max, n_samples=201):
     """Propagate drho/dt = G(rho) exactly and sample on a uniform grid.
 
-    The generator exposes ``apply(rho)``.  It is restricted
-    to the k coordinates of the Krylov space of rho0 (``invariant_subspace``),
-    where exp(g t) is taken by ``propagate_linear``.  If g keeps the trace
+    The generator exposes ``apply(rho)``.  It is restricted to the k
+    coordinates of the Krylov space of rho0 (``invariant_subspace``), where
+    rho0 is |rho0| times the first basis state, |rho0| e_0, and exp(g t) is
+    taken by ``propagate_linear``.  If g keeps the trace
     to rounding, it is propagated in the reflected coordinates of
     ``_trace_first``, so that the trace is one coordinate held constant
     exactly.  All samples are checked on their coordinates
@@ -296,7 +293,7 @@ def integrate(generator, rho0, t_max, n_samples=201):
     times = _sample_times(t_max, n_samples)
     q, (g,) = invariant_subspace([generator.apply], rho0)
     h, g = _trace_first(q, g)
-    coords = propagate_linear(g, h @ (q.conj().T @ rho0.ravel()), times) @ h.T
+    coords = propagate_linear(g, h[:, 0] * np.linalg.norm(rho0), times) @ h.T
     _check_samples(times, coords, q)
     return Trajectory(times, coords, q)
 
@@ -344,26 +341,25 @@ def invariant_subspace(ops, rho0):
     """(q, blocks): orthonormal columns q (row-major flattened d x d
     states) spanning the smallest subspace that holds rho0 and is mapped
     into itself by every op in ``ops`` (linear maps of d x d matrices),
-    and blocks[i] = q^dag ops[i](q), the k x k restriction of ops[i].
+    and blocks (len(ops), k, k), the restrictions of the ops in Arnoldi form.
 
     An image of a basis vector, orthogonalised twice against the basis,
     adds a vector when its norm exceeds ``SUBSPACE_TOL`` times the largest
-    image of the same op.  An overflow on the way, in an image, its norm or
-    the norm of the blocks that ``_trace_first`` takes (rates whose square
-    exceeds the largest float, from ~4e153 for hamiltonian-1q), raises
-    IntegrationError: a norm read as inf would stop the subspace at k = 1,
-    a state that never moves.  So does a nonzero image while the op's
-    largest image norm is below ``UNDERFLOW_NORM`` (rates below ~1e-154),
-    whose norms read 0 or lose digits, and a direction past the d^2 that
-    the states hold, which only a Gram-Schmidt that lost orthogonality adds.
+    image of the same op.  Column j of blocks[i] holds the coefficients of
+    ops[i](q_j): the sum of the two passes' projections and, where the rest
+    added q_m, its norm at row m (one op's block is upper Hessenberg).  It
+    equals q^dag ops[i](q) to rounding, and q_0 is rho0 / |rho0|.  An
+    overflow on the way, in an image, its norm or the norm of the blocks
+    that ``_trace_first`` takes (rates whose square exceeds the largest
+    float, from ~4e153 for hamiltonian-1q), raises IntegrationError: a norm
+    read as inf would stop the subspace at k = 1, a state that never moves.
+    So does a nonzero image while the op's largest image norm is below
+    ``UNDERFLOW_NORM`` (rates below ~1e-154), whose norms read 0 or lose
+    digits, and a direction past the d^2 that the states hold, which only a
+    Gram-Schmidt that lost orthogonality adds.
     """
-    def restrict():
-        q, images = _krylov_rows(ops, np.asarray(rho0, dtype=complex))
-        blocks = [q.conj() @ img.T for img in images]
-        np.linalg.norm(blocks)
-        return q.T, blocks
-
-    return _in_double_precision(restrict)
+    q, blocks = _in_double_precision(_krylov_rows, ops, np.asarray(rho0, dtype=complex))
+    return q.T, blocks
 
 
 def _in_double_precision(compute, *args, message="rates beyond double precision in the "
@@ -378,13 +374,11 @@ def _in_double_precision(compute, *args, message="rates beyond double precision 
 
 
 def _krylov_rows(ops, rho0):
-    """(q, images): the basis of ``invariant_subspace`` as rows q (k, d^2)
-    and the images of each row under each op, (len(ops), k, d^2)."""
+    """(q, blocks) of ``invariant_subspace``, with the basis as rows q (k, d^2)."""
     d = rho0.shape[0]
-    # basis vectors (rows of q) and their images under each op, in arrays
-    # whose rows double when full
+    # basis vectors (rows of q) and the coefficients, in arrays that double when full
     q = np.empty((16, d * d), dtype=complex)
-    images = np.empty((len(ops), 16, d * d), dtype=complex)
+    blocks = np.zeros((len(ops), 16, 16), dtype=complex)
     q[0] = rho0.ravel() / np.linalg.norm(rho0)
     scale = np.zeros(len(ops))
     k = 1
@@ -392,25 +386,29 @@ def _krylov_rows(ops, rho0):
     while j < k:
         for i, op in enumerate(ops):
             w = np.asarray(op(q[j].reshape(d, d)), dtype=complex).ravel()
-            images[i, j] = w
             scale[i] = max(scale[i], np.linalg.norm(w))
             if scale[i] < UNDERFLOW_NORM and w.any():
                 raise IntegrationError(f"rates below double precision: image norm "
                                        f"{scale[i]:.3e} in the restriction of the generator")
-            # conj(b @ conj(w)) = b.conj() @ w without a conjugate copy of b
-            r = w - np.conj(q[:k] @ np.conj(w)) @ q[:k]
-            r = r - np.conj(q[:k] @ np.conj(r)) @ q[:k]
-            if np.linalg.norm(r) > SUBSPACE_TOL * scale[i]:
+            r = w
+            for _ in range(2):  # conj(b @ conj(r)) = b.conj() @ r without a conjugate copy of b
+                c = np.conj(q[:k] @ np.conj(r))
+                r = r - c @ q[:k]
+                blocks[i, :k, j] += c
+            norm = np.linalg.norm(r)
+            if norm > SUBSPACE_TOL * scale[i]:
                 if k == d * d:
                     raise IntegrationError(f"Gram-Schmidt broke down: more than d^2 = {k} "
                                            "directions in the restriction of the generator")
                 if k == len(q):
                     q = np.concatenate([q, np.empty_like(q)])
-                    images = np.concatenate([images, np.empty_like(images)], axis=1)
-                q[k] = r / np.linalg.norm(r)
+                    blocks = np.pad(blocks, ((0, 0), (0, k), (0, k)))
+                q[k] = r / norm
+                blocks[i, k, j] = norm
                 k += 1
         j += 1
-    return q[:k], images[:, :k]
+    np.linalg.norm(blocks)  # an overflow in the blocks, which _trace_first takes the norm of
+    return q[:k], blocks[:, :k, :k]
 
 
 def _trace_first(q, g):
@@ -490,7 +488,7 @@ def step_weak_map(rho0, hamiltonian, code, eps, tau_c, n_steps, sample_stride=1)
 
     def samples():
         powers = {n: np.linalg.matrix_power(s, n) for n in set(gaps)}
-        coords = [q.conj().T @ rho.ravel()]
+        coords = [np.conj(np.conj(rho.ravel()) @ q)]  # q^dag rho, without a conjugate copy of q
         for n in gaps:
             coords.append(powers[n] @ coords[-1])
         return np.array(coords)

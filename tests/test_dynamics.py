@@ -1166,6 +1166,21 @@ def test_fig4_case_peaks_under_8_mb():
     assert peak < 8e6
 
 
+def test_integrate_of_the_six_qubit_state_peaks_under_2_mb():
+    """integrate of hamiltonian-3q at R = 10 to t = 5 with 201 samples holds
+    q (k = 9 rows of 4096) and the samples' coordinates, but no image of q:
+    the restriction is read off Gram-Schmidt and rho0 off q's first row."""
+    gen = total_generator("hamiltonian-3q", ModelParams(gamma=1.0, kappa=10.0))
+    rho0 = scenario_rho0("hamiltonian-3q")
+    tracemalloc.start()
+    try:
+        integrate(gen, rho0, 5.0, n_samples=201)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+
+
 def _vstack_subspace(ops, rho0):
     """``invariant_subspace`` as it was written before its arrays were
     preallocated: the basis regrown by one row per new vector."""
@@ -1204,6 +1219,12 @@ def _assert_subspace_matches_vstack(ops, rho0):
 def test_invariant_subspace_of_the_scenario_states(scenario, k, rate):
     gen = total_generator(scenario, _params(scenario, rate))
     assert _assert_subspace_matches_vstack([gen.apply], scenario_rho0(scenario)) == k
+    # the Arnoldi form: the block is the op's Gram-Schmidt coefficients, upper
+    # Hessenberg with each new direction's norm on the subdiagonal
+    (g,) = invariant_subspace([gen.apply], scenario_rho0(scenario))[1]
+    assert np.all(np.tril(g, -2) == 0)
+    sub = np.diagonal(g, -1)
+    assert np.all(sub.imag == 0) and np.all(sub.real > 0)
 
 
 @pytest.mark.parametrize("rate", [1e-6, 1.0, 1e3, 1e7])
