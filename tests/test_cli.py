@@ -573,7 +573,7 @@ def test_simulate_at_large_rates_exits_0_or_3(scenario, rate, tmp_path):
     run (exit 0) or refuses it (exit 3, no CSV), never with a traceback.
     Some of these runs pass the engine's sample check but give F_cw above
     P_cs beyond ObservableSample's rounding bound (markovian-3q at kappa =
-    1e9 and 1e10, hamiltonian-3q at R = 3e7)."""
+    1e9, hamiltonian-3q at R = 3e7 and 3e9 ... 3e11), which is exit 3 too."""
     flag = "--kappa" if SCENARIOS[scenario].time_unit == "lambda" else "--R"
     out = tmp_path / "run.csv"
     rc = main(["simulate", "--scenario", scenario, flag, rate, "--t-max", "1", "--samples", "3",
