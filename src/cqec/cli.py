@@ -309,9 +309,11 @@ def cmd_simulate(config, out, cross_validate=False):
             samples = observables(traj, code)
         except ValueError as exc:  # F_cw > P_cs beyond rounding, in samples the check passed
             raise IntegrationError(str(exc)) from exc
-        # built one at a time as `_write_csv` writes them
-        rows = ([t * config.unit, o.f_cw, o.p_cs, o.error_rate / config.unit, *c]
-                for t, o, c in zip(traj.times, samples, coords))
+        # built one at a time as `_write_csv` writes them, from Python floats,
+        # which %.17g formats faster than numpy scalars (to the same text)
+        unit = config.unit
+        rows = ([o.time * unit, o.f_cw, o.p_cs, o.error_rate / unit, *c]
+                for o, c in zip(samples, coords.tolist()))
         dev = _cross_validate(config, traj) if cross_validate else None
     except MemoryError as exc:  # the arrays of all samples are allocated up front
         msg = f"samples = {config.samples}: the run does not fit in memory ({exc})"

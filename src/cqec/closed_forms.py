@@ -201,13 +201,15 @@ def zeno_coefficient(h, rho_system0, rho_bath0):
     if np.max(np.abs(p0 @ p0 - p0)) > 1e-10:
         raise ValueError("initial system state must be a pure projector")
     rho_b = np.asarray(rho_bath0, dtype=complex)
+    if np.max(np.abs(rho_b - rho_b.conj().T)) > 1e-12:
+        raise ValueError("bath state must be Hermitian")
     db = rho_b.shape[0]
     full0 = np.kron(p0, rho_b)
     p0_lift = np.kron(p0, np.eye(db, dtype=complex))
     if full0.shape != h.shape:
         raise ValueError("system (x) bath dimensions do not match H")
+    # both traces are of products of two Hermitian matrices, so C is real
     c = np.trace(h @ h @ full0) - np.trace(h @ p0_lift @ h @ full0)
-    assert abs(c.imag) < 1e-10
     return float(c.real)
 
 

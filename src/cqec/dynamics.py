@@ -9,7 +9,10 @@
   1e8 with IntegrationError.  A generator that keeps the trace is
   propagated in coordinates whose first one is the trace, with that
   coordinate's rate set to exactly zero (``_trace_first``), so the trace
-  does not drift with t.
+  does not drift with t.  ``hamiltonian-3q`` runs on the 13 class states
+  instead, split into exact slow and fast blocks (``_slow_fast_split``),
+  so that the slow pair ~24 gamma / R^2 carries no error of the size of
+  the fast rates ~R gamma.
 * ``step_weak_map`` -- discrete cycles of unitary evolution over tau_c
   followed by the weak recovery channel (1-eps) id + eps Phi; converges
   first-order in tau_c to the continuous dynamics at kappa = eps/tau_c.
@@ -25,23 +28,24 @@
   (:mod:`cqec.reduced_model`, ``hamiltonian-3q``) on the 13 class states.
 
 The other engines run on the k coordinates of a subspace that holds rho0
-and is mapped into itself by the model's operators.  ``integrate`` takes
-the smallest one, the Krylov space of rho0 under the ``Generator``'s
-``apply`` (``invariant_subspace``; Saad, SIAM J. Numer. Anal. 29, 209
-(1992), with several operators in place of one): k = 3 for
-``hamiltonian-1q`` and 9 for ``hamiltonian-3q`` from the scenario states.
-The subspace comes in Arnoldi form: the restriction of each operator is
-the Gram-Schmidt coefficients that built the basis, equal to q^dag op(q)
-to rounding, and rho0 is |rho0| q_0, so no image of the basis is kept.
-The weak map and Monte Carlo take the rate-free ``noise`` and
-``correction`` (Phi (x) id_bath - id), with Phi restricted as I plus the
-restricted correction.  For ``hamiltonian-3q`` from states in the class
-span, their subspace is the 13 class states, with both restrictions read
-from the reduced model's tables (``reduced_model.class_restriction``);
-otherwise it is the Krylov space of rho0 under the two maps.  A
-trajectory keeps only its coordinates and the basis (d is read from it;
-Monte Carlo and the weak map return the class states themselves, not a
-copy); the d x d states are built only when ``Trajectory.states`` is read.
+and is mapped into itself by the model's operators.  For
+``hamiltonian-3q`` from states in the class span, that is the 13 class
+states, with the restrictions of the noise and the correction
+(Phi (x) id_bath - id) read from the reduced model's tables
+(``reduced_model.class_restriction``), for every engine.  Otherwise
+``integrate`` takes the smallest one, the Krylov space of rho0 under the
+``Generator``'s ``apply`` (``invariant_subspace``; Saad, SIAM J. Numer.
+Anal. 29, 209 (1992), with several operators in place of one): k = 3 for
+``hamiltonian-1q`` from the scenario state.  The subspace comes in
+Arnoldi form: the restriction of each operator is the Gram-Schmidt
+coefficients that built the basis, equal to q^dag op(q) to rounding, and
+rho0 is |rho0| q_0, so no image of the basis is kept.  The weak map and
+Monte Carlo take the Krylov space of rho0 under the rate-free ``noise``
+and ``correction``, with Phi restricted as I plus the restricted
+correction.  A trajectory keeps only its coordinates and the basis (d is
+read from it; on the class states it holds the shared class states
+themselves, not a copy); the d x d states are built only when
+``Trajectory.states`` is read.
 
 Every engine checks its samples, never repairs them: the trace must stay
 within 1e-8 of 1, and an eigenvalue below -1e-8 triggers a
@@ -52,10 +56,11 @@ coordinates of the whole trajectory at once: the trace is one product
 with the traces of the basis states, and the eigenvalues come from the
 distinct diagonal blocks that every state in span(q) is confined to
 (``_compressed_blocks``: one 4 x 4 block for the Krylov basis of
-``hamiltonian-3q``, one 8 x 8 for its class states, one 2 x 2 for
-``hamiltonian-1q``, 1 x 1 blocks for the Markovian scenarios).  The class
-states and what the check reads of them are built once per process
-(``_class_blocks``); a Krylov basis is read anew on each call.
+``hamiltonian-3q``, one 2 x 2 for ``hamiltonian-1q``, 1 x 1 blocks for
+the Markovian scenarios).  The class states' one 8 x 8 block is split by
+the permutations of the qubit pairs into one 4 x 4 and two 2 x 2 blocks
+(``_class_blocks``); they and what the check reads of them are built
+once per process, and a Krylov basis is read anew on each call.
 """
 
 import warnings
@@ -73,7 +78,7 @@ TRACE_TOL = 1e-8
 MC_CHUNK_ENTRIES = 2**18
 # Smallest new direction in ``invariant_subspace``, relative to the largest image;
 # rounding leaves ~1e-16.  hamiltonian-3q keeps all k = 9 for R in [1e-10, 3e7].
-# Beyond, ``integrate``'s restriction of one rate's ``apply`` finds k = 8 at R = 1e8,
+# Beyond, the restriction of one rate's ``apply`` finds k = 8 at R = 1e8,
 # 15 at 1e10 and 2 from 1e13 on, where the noise's images sink to the rounding of the
 # kappa-sized correction; the rate-free noise and correction of the weak map, Monte
 # Carlo and the scan keep k = 9.
@@ -85,8 +90,8 @@ SUBSPACE_TOL = 1e-12
 # ``invariant_subspace``: it is the norm whose square is the smallest normal double.
 # Below it the squares of the entries lose digits (all of them from ~1e-162), and
 # Gram-Schmidt on such norms no longer removes the span.  Without the check, the
-# full engine's F_cw at gamma t = 1 is off the unit-rate curve by 7e-16 at
-# gamma = 1e-154, 5e-14 at 1e-155 and 1e-4 at 1e-160 (hamiltonian-3q, R = 1).
+# full engine's F_cw at gamma t = 1 on the Krylov basis of hamiltonian-3q (R = 1) is
+# off the unit-rate curve by 7e-16 at gamma = 1e-154, 5e-14 at 1e-155 and 1e-4 at 1e-160.
 UNDERFLOW_NORM = np.sqrt(np.finfo(float).tiny)
 
 
@@ -251,9 +256,19 @@ def _check_samples(times, coords, q, blocks=None):
 
 @cache
 def _class_blocks(normalised):
-    """``_compressed_blocks`` of ``reduced_model.class_basis(normalised)``,
-    derived once per process, as the class states are built."""
-    return _compressed_blocks(reduced_model.class_basis(normalised))
+    """What ``_min_eigenvalues`` reads of ``reduced_model.class_basis(normalised)``,
+    derived once per process, as the class states are built.  A class state
+    repeats one 8 x 8 diagonal block, on rows and columns s (x) (s xor c)
+    for each c (``_diagonal_blocks``); in the basis
+    ``reduced_model.pair_swap_basis()`` that block splits into one 4 x 4 and
+    two 2 x 2 blocks, an orthogonal change of basis that keeps the
+    eigenvalues."""
+    diag = 9 * np.arange(8)  # s (x) s: the block of c = 0
+    q = reduced_model.class_basis(normalised)
+    w = reduced_model.pair_swap_basis()
+    mats = w.T @ q[diag[:, None] * 64 + diag].transpose(2, 0, 1) @ w
+    pairs = [mats[:, 4:6, 4:6].reshape(13, 4), mats[:, 6:, 6:].reshape(13, 4)]
+    return [(mats[:, :4, :4].reshape(13, 16), 4, False), (np.concatenate(pairs, axis=1), 2, False)]
 
 
 def _sample_times(t_max, n_samples):
@@ -281,6 +296,12 @@ def integrate(generator, rho0, t_max, n_samples=201):
     (``_check_samples``) and kept as coordinates on q.  t_max = 0 returns
     the single sample rho0, as the coordinate 1 on the basis column rho0.
 
+    A ``Generator`` without Lindblad flips whose model the reduced model's
+    tables describe (``reduced_model.class_restriction``: ``hamiltonian-3q``
+    from states in the class span) is restricted to the 13 normalised class
+    states instead, g = n_k + kappa c_k read from the tables, and propagated
+    by ``_propagate_classes``.
+
     The scenario states give k <= 9.  A generic six-qubit rho0 gives
     k = 1287, whose restriction takes tens of seconds to build.
     """
@@ -291,11 +312,100 @@ def integrate(generator, rho0, t_max, n_samples=201):
         return Trajectory(np.zeros(1), np.ones((1, 1)), rho0.reshape(-1, 1))
 
     times = _sample_times(t_max, n_samples)
+    restriction = None
+    if isinstance(generator, Generator) and not generator.lam:
+        restriction = _in_double_precision(reduced_model.class_restriction, rho0,
+                                           generator.hamiltonian, generator.code)
+    if restriction is not None:
+        q, n_k, c_k, y0 = restriction
+        g = _in_double_precision(lambda: n_k + generator.kappa * c_k)
+        coords = _propagate_classes(g, ~c_k.any(axis=0), q[:: len(rho0) + 1].sum(axis=0),
+                                    y0, times)
+        _check_samples(times, coords, q, _class_blocks(True))
+        return Trajectory(times, coords, q)
     q, (g,) = invariant_subspace([generator.apply], rho0)
-    h, g = _trace_first(q, g)
+    h, g = _trace_first((np.eye(len(rho0)).ravel() @ q).conj(), g)
     coords = propagate_linear(g, h[:, 0] * np.linalg.norm(rho0), times) @ h.T
     _check_samples(times, coords, q)
     return Trajectory(times, coords, q)
+
+
+def _propagate_classes(g, slow, trace, y0, times):
+    """Rows exp(g t) y0 for each t, for a generator g on the class states
+    that keeps the trace trace^dag y exactly, split over the classes
+    ``slow`` (a boolean mask; those that the correction leaves alone) and
+    the rest, ``fast``, by ``_slow_fast_split``: with g in blocks
+    [[A, B], [C, D]] over (slow, fast), T = [[I, Y], [X, XY + I]] takes
+    g to diag(S, F), so that exp(g t) = T diag(exp(S t), exp(F t)) T^-1.
+    The slow block S carries the slow pair (~24 gamma / R^2) with no error
+    of the size of the fast rates (~R gamma), and is propagated with the
+    trace as its first coordinate, whose rate is set to exactly zero (the
+    trace's rate in S is zero but for rounding that grows with R).  Where
+    the split does not converge (R below ~3.9), g is propagated in one
+    block, with its trace coordinate the same way."""
+    split = _slow_fast_split(g, slow)
+    if split is None:
+        return _propagate_keeping_trace(g, trace.conj(), y0, times)
+    x, y, s, f = split
+    fast = ~slow
+    # z = T^-1 y0, with T^-1 = [[I + YX, -Y], [-X, I]]
+    z_fast = y0[fast] - x @ y0[slow]
+    z_slow = y0[slow] - y @ z_fast
+    # the trace of T z is u^dag z_slow, u = conj(trace_slow + X^T trace_fast)
+    u = (trace[slow] + x.T @ trace[fast]).conj()
+    e_fast = propagate_linear(f, z_fast, times)
+    top = _propagate_keeping_trace(s, u, z_slow, times) + e_fast @ y.T
+    coords = np.empty((len(times), len(g)), dtype=complex)
+    coords[:, slow] = top
+    coords[:, fast] = top @ x.T + e_fast
+    return coords
+
+
+def _propagate_keeping_trace(g, v, x0, times):
+    """Rows exp(g t) x0 for a g that keeps the trace v^dag x exactly,
+    propagated in the coordinates of ``_trace_first`` with the trace's rate
+    set to zero."""
+    h, g = _trace_first(v, g, exact=True)
+    return propagate_linear(g, h @ x0, times) @ h.T
+
+
+def _slow_fast_split(g, slow):
+    """(X, Y, S, F) that block-diagonalise g = [[A, B], [C, D]] over the
+    coordinates ``slow`` and the rest (adiabatic elimination done exactly;
+    Reiter & Sorensen, PRA 85, 032111 (2012)): X solves the Riccati equation
+    C + D X - X (A + B X) = 0 by the iteration X <- D^-1 (X (A + B X) - C)
+    from X = 0, S = A + B X and F = D - X B, and Y solves the Sylvester
+    equation S Y - Y F = -B (Stewart & Sun, Matrix Perturbation Theory
+    (1990), chapter V).  None where the iteration stops short of a relative
+    change of 4 eps: at a step that does not shrink, after 100 steps, or
+    where D is singular.  For hamiltonian-3q it converges from R ~ 3.9 on
+    (75 steps at R = 4, 15 at 10, 6 at 100, 2 from 1e6); below, the fast
+    rates do not dominate the slow block's."""
+    fast = ~slow
+    a, b = g[np.ix_(slow, slow)], g[np.ix_(slow, fast)]
+    c, d = g[np.ix_(fast, slow)], g[np.ix_(fast, fast)]
+    try:
+        d_inv = np.linalg.inv(d)
+    except np.linalg.LinAlgError:
+        return None
+    x = np.zeros_like(c)
+    step = np.inf
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverging X reads inf or nan
+        for _ in range(100):
+            new = d_inv @ (x @ (a + b @ x) - c)
+            change = np.abs(new - x).max()
+            if not change < step:
+                return None
+            if change <= 4.0 * np.finfo(float).eps * np.abs(new).max():
+                break
+            x, step = new, change
+        else:
+            return None
+    s, f = a + b @ new, d - new @ b
+    k, m = len(s), len(f)
+    # S Y - Y F = -B, row-major: (S (x) I - I (x) F^T) vec(Y) = -vec(B)
+    y = np.linalg.solve(np.kron(s, np.eye(m)) - np.kron(np.eye(k), f.T), -b.ravel())
+    return new, y.reshape(k, m), s, f
 
 
 def integrate_reduced(big_r, gamma, t_max, n_samples=201):
@@ -411,48 +521,51 @@ def _krylov_rows(ops, rho0):
     return q[:k], blocks[:, :k, :k]
 
 
-def _trace_first(q, g):
+def _trace_first(v, g, exact=False):
     """(h, g'): the Householder reflection h (h = h^dag = h^-1) whose
-    coordinates c' = h c carry the trace tr(q c) in c'_0 alone, and
+    coordinates c' = h c carry the trace v^dag c in c'_0 alone, and
     g' = h g h.  The first row of g' is the trace's rate of change; below
-    ``SUBSPACE_TOL`` |g| it is rounding and is set to zero, so that LAPACK's
+    ``SUBSPACE_TOL`` |g|, or at any size for a g that keeps the trace
+    exactly (``exact``), it is rounding and is set to zero, so that LAPACK's
     balancing isolates an exact zero eigenvalue (with g kept as it is, eig
-    puts it ~1e-16 |g| off zero and the trace drifts by that rate times t)."""
-    d = int(np.sqrt(len(q)))
-    v = (np.eye(d).ravel() @ q).conj()  # tr(q c) = v^dag c
+    puts it ~1e-16 |g| off zero and the trace drifts by that rate times t).
+    v, complex, is overwritten."""
     # the reflection along v - beta e_0 maps v to beta e_0; this beta avoids cancellation
     v[0] += np.exp(1j * np.angle(v[0])) * np.linalg.norm(v)
     h = np.eye(len(v)) - 2.0 * np.outer(v, v.conj()) / np.vdot(v, v).real
     g = h @ g @ h
-    if np.linalg.norm(g[0]) <= SUBSPACE_TOL * np.linalg.norm(g):
+    if exact or np.linalg.norm(g[0]) <= SUBSPACE_TOL * np.linalg.norm(g):
         g[0] = 0.0
     return h, g
 
 
 def _pair_subspace(rho0, hamiltonian, code):
-    """(q, w, v, phi_k, blocks): q spans a subspace that holds rho0 and is
-    invariant under the noise -i[H, .] and the correction
+    """(q, w, v, phi_k, blocks, y0): q spans a subspace that holds rho0 and
+    is invariant under the noise -i[H, .] and the correction
     c = Phi (x) id_bath - id of ``Generator``, whose restrictions are
     -i v w v^dag (so exp(-i[H, .] t) becomes v exp(-i w t) v^dag) and c_k,
-    with phi_k = I + c_k; ``blocks`` is what the sample check reads of q.
+    with phi_k = I + c_k; ``blocks`` is what the sample check reads of q,
+    and y0 = q^dag rho0.
 
     Where the reduced model's tables describe the model (the pair-coupled
     bitflip3 code with rho0 in the class span, as ``hamiltonian-3q``), q is
-    the 13 normalised class states, the restrictions are read from the
-    tables (``reduced_model.class_restriction``) and ``blocks`` is the one
-    derived for those states once per process; otherwise q is the Krylov
-    basis of ``invariant_subspace`` and ``blocks`` is None, derived by the
-    check itself."""
+    the 13 normalised class states, the restrictions and y0 are read from
+    the tables and the class projection (``reduced_model.class_restriction``)
+    and ``blocks`` is the one derived for those states once per process;
+    otherwise q is the Krylov basis of ``invariant_subspace``, y0 is
+    conj(conj(rho0) @ q) (q^dag rho0 without a conjugate copy of q), and
+    ``blocks`` is None, derived by the check itself."""
     restriction = _in_double_precision(reduced_model.class_restriction, rho0, hamiltonian, code)
     if restriction is None:
         gen = Generator(code, hamiltonian, 0.0, 0.0)
         q, (n_k, c_k) = invariant_subspace([gen.noise, gen.correction], rho0)
         blocks = None
+        y0 = np.conj(np.conj(rho0.ravel()) @ q)
     else:
-        q, n_k, c_k = restriction
+        q, n_k, c_k, y0 = restriction
         blocks = _class_blocks(True)
     w, v = np.linalg.eigh(1j * n_k)
-    return q, w, v, np.eye(len(w)) + c_k, blocks
+    return q, w, v, np.eye(len(w)) + c_k, blocks, y0
 
 
 def step_weak_map(rho0, hamiltonian, code, eps, tau_c, n_steps, sample_stride=1):
@@ -475,7 +588,7 @@ def step_weak_map(rho0, hamiltonian, code, eps, tau_c, n_steps, sample_stride=1)
     if tau_c <= 0 or n_steps < 1 or sample_stride < 1:
         raise ValueError("need tau_c > 0, n_steps >= 1 and sample_stride >= 1")
     rho = np.asarray(rho0, dtype=complex)
-    q, w, v, phi_k, blocks = _pair_subspace(rho, hamiltonian, code)
+    q, w, v, phi_k, blocks, y0 = _pair_subspace(rho, hamiltonian, code)
     unitary = (v * np.exp(-1j * w * tau_c)) @ v.conj().T
     s = ((1.0 - eps) * np.eye(len(w)) + eps * phi_k) @ unitary
 
@@ -488,7 +601,7 @@ def step_weak_map(rho0, hamiltonian, code, eps, tau_c, n_steps, sample_stride=1)
 
     def samples():
         powers = {n: np.linalg.matrix_power(s, n) for n in set(gaps)}
-        coords = [np.conj(np.conj(rho.ravel()) @ q)]  # q^dag rho, without a conjugate copy of q
+        coords = [y0]
         for n in gaps:
             coords.append(powers[n] @ coords[-1])
         return np.array(coords)
@@ -588,12 +701,11 @@ def jump_monte_carlo(rho0, hamiltonian, code, kappa, t_max, n_traj, seed, n_samp
     if kappa < 0 or t_max <= 0:
         raise ValueError("need kappa >= 0 and t_max > 0")
     rho0 = np.asarray(rho0, dtype=complex)
-    q, w, v, phi_k, blocks = _pair_subspace(rho0, hamiltonian, code)
+    q, w, v, phi_k, blocks, y0 = _pair_subspace(rho0, hamiltonian, code)
     d = len(rho0)
     recover_t = (v.conj().T @ phi_k @ v).T  # y -> y @ recover_t is one recovery
     p_eig = code.diagonal_weights(d)[:, 0] @ q[:: d + 1] @ v  # F_cw = p_eig @ y
-    # q^dag rho0 = conj(conj(rho0) @ q), without a conjugate copy of q
-    y0 = v.conj().T @ np.conj(np.conj(rho0.ravel()) @ q)
+    y0 = v.conj().T @ y0
 
     times = _sample_times(t_max, n_samples)
     rate = -1j * w  # y(t) = y(0) * e^{rate t} between jumps

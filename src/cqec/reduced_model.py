@@ -26,7 +26,11 @@ for every R.
 The class states (``class_basis``) span a subspace that the model's noise
 and correction maps send into itself, and the two tables below are those
 maps restricted to it, exactly.  ``class_restriction`` hands them, on the
-normalised class states, to the weak map and Monte Carlo.
+normalised class states, to the full engine, the weak map and Monte
+Carlo.  Every class state is left as it is by the permutations of the
+three (system, bath) qubit pairs, and so is each of its diagonal blocks;
+``pair_swap_basis`` is the change of basis that splits such a block by
+that symmetry.
 """
 
 from functools import cache
@@ -149,7 +153,6 @@ def _signature(lmn, pqr):
 
 
 _SIG_TO_INDEX = {_signature(l, p): i for i, (l, p) in enumerate(ORDER)}
-assert len(_SIG_TO_INDEX) == 13
 
 # class of each C_{lmn,pqr}, (lmn, pqr) in the order (0, 0), (0, 1), ..., (7, 7)
 _CLASS_OF = np.array([_SIG_TO_INDEX[_signature(l, p)] for l in range(8) for p in range(8)])
@@ -198,34 +201,73 @@ def _class_columns(normalised):
     return basis
 
 
+# what ``class_restriction`` compares a model with, built once: bitflip3's
+# syndrome tables, and the 192 flat indices of the unit pair Hamiltonian's
+# nonzero entries (the ones that ``pair_hamiltonian(code, g)`` sets to g)
+_BITFLIP3 = bitflip3_code()
+_BITFLIP3_TABLES = (_BITFLIP3.syndrome_of, _BITFLIP3.corrected)
+_PAIR_INDEX = np.flatnonzero(pair_hamiltonian(_BITFLIP3, 1.0))
+
+
 def class_restriction(rho0, hamiltonian, code):
-    """(q, n_k, c_k): the class states as orthonormal columns q (4096, 13),
-    q_i = b_i / |b_i| with b = class_basis() and |b_i|^2 the multiplicity of
-    class i over 8 (the shared ``class_basis(normalised=True)``), and the
-    restrictions n_k = q^dag noise(q) and c_k = q^dag correction(q) of
+    """(q, n_k, c_k, y0): the class states as orthonormal columns q (4096,
+    13), q_i = b_i / |b_i| with b = class_basis() and |b_i|^2 the
+    multiplicity of class i over 8 (the shared ``class_basis(normalised=True)``),
+    the restrictions n_k = q^dag noise(q) and c_k = q^dag correction(q) of
     ``Generator(code, hamiltonian, 0, 0)``'s maps, read from the tables:
-    n_k = g N M_FREE N^-1 and c_k = N M_CORR N^-1 with N = diag(|b_i|).
+    n_k = g N M_FREE N^-1 and c_k = N M_CORR N^-1 with N = diag(|b_i|), and
+    rho0's coordinates y0 = q^dag rho0 (13,), complex.
     None unless the tables describe the model: the code has bitflip3's
     syndrome tables, the Hamiltonian is ``pair_hamiltonian(code, g)`` bit
-    for bit (g read from its first pair's entry), and rho0 lies in the class
-    span (``_class_projection``'s residual at most 1e-13 |rho0|).
+    for bit, g read from its first pair's entry (g is finite, each of the
+    192 pair entries equals it and every other entry is 0), and rho0 lies
+    in the class span (``_class_projection``'s residual at most
+    1e-13 |rho0|).
 
     At a g whose table entries overflow, n_k holds inf (FloatingPointError
     under ``np.errstate(over="raise")``)."""
-    bitflip3 = bitflip3_code()
     hamiltonian, rho = np.asarray(hamiltonian), np.asarray(rho0)
-    if ((code.syndrome_of, code.corrected) != (bitflip3.syndrome_of, bitflip3.corrected)
+    if ((code.syndrome_of, code.corrected) != _BITFLIP3_TABLES
             or hamiltonian.shape != (64, 64) or rho.shape != (64, 64)):
         return None
     g = hamiltonian[0, 0b100100].real  # X on system qubit 0 and bath qubit 0
-    if not np.array_equal(hamiltonian, pair_hamiltonian(code, g)):
+    flat = hamiltonian.ravel()
+    pairs = flat[_PAIR_INDEX]
+    if not (np.isfinite(g) and (pairs == g).all()
+            and np.count_nonzero(flat) == np.count_nonzero(pairs)):
         return None
-    *_, gram = _class_projection(rho.reshape(-1, 1))
+    _, coeffs, gram = _class_projection(rho.reshape(-1, 1))
     if np.sqrt(gram[0, 0].real) > 1e-13 * np.linalg.norm(rho):
         return None
     n_k = g * (_CLASS_NORMS[:, None] * _M_FREE / _CLASS_NORMS)
     c_k = _CLASS_NORMS[:, None] * _M_CORR / _CLASS_NORMS
-    return class_basis(normalised=True), n_k, c_k
+    return class_basis(normalised=True), n_k, c_k, coeffs[:, 0] * _CLASS_NORMS
+
+
+def pair_swap_basis():
+    """W (8, 8), real orthogonal: a change of basis of the 8 x 8 diagonal
+    blocks of the class states, indexed by the system part s = lmn of
+    their rows and columns.  A permutation of the qubit pairs permutes the
+    bits of s and leaves every class state as it is, so W^T B W is block
+    diagonal for such a block B, with blocks of sizes 4, 2 and 2:
+
+    * columns 0-3, the normalised sums over the s with 0, 1, 2 and 3 ones,
+      which every permutation keeps;
+    * columns 4-5, e_100 - e_010 and e_101 - e_011 over sqrt 2, which the
+      swap of pairs 0 and 1 negates;
+    * columns 6-7, e_100 + e_010 - 2 e_001 and e_101 + e_011 - 2 e_110 over
+      sqrt 6, which that swap keeps, orthogonal to the sums.
+
+    The last two pairs carry the two-dimensional representation of the
+    pair permutations twice over, so their 2 x 2 blocks have the same
+    eigenvalues.  Built from the bit counts and index triples alone."""
+    ones = np.array([bin(s).count("1") for s in range(8)])
+    w = np.zeros((8, 8))
+    w[np.arange(8), ones] = 1.0 / np.sqrt(np.bincount(ones)[ones])
+    for col, (a, b, c) in ((4, (0b100, 0b010, 0b001)), (5, (0b101, 0b011, 0b110))):
+        w[[a, b], col] = np.array([1.0, -1.0]) / np.sqrt(2.0)
+        w[[a, b, c], col + 2] = np.array([1.0, 1.0, -2.0]) / np.sqrt(6.0)
+    return w
 
 
 def _class_projection(basis):

@@ -461,7 +461,8 @@ def test_unresolved_slow_mode_exits_3(tmp_path, capsys):
     ["--scenario", "hamiltonian-1q", "--gamma", "1e160", "--R", "1"],
     # the images' norms hold, but that of the 3 x 3 restriction overflows
     ["--scenario", "hamiltonian-1q", "--gamma", "4.2e153", "--R", "1"],
-    ["--scenario", "hamiltonian-3q", "--gamma", "1e160", "--R", "10"],
+    # the full engine reads hamiltonian-3q's restriction from the tables too
+    ["--scenario", "hamiltonian-3q", "--gamma", "1.5e308", "--R", "1"],
     ["--scenario", "hamiltonian-1q", "--gamma", "1e160", "--R", "1",
      "--engine", "monte-carlo", "--n-traj", "10"],
     # Monte Carlo reads hamiltonian-3q's restriction from the reduced model's
@@ -477,8 +478,8 @@ def test_unresolved_slow_mode_exits_3(tmp_path, capsys):
 ], ids=["full-1q", "full-1q-restriction", "full-3q", "monte-carlo-1q", "monte-carlo-3q",
         "markovian-1q", "reduced-R", "reduced-kappa-over-gamma"])
 def test_rates_beyond_double_precision_exit_3(tmp_path, capsys, argv):
-    """Rates whose square overflows (for hamiltonian-3q's Monte Carlo and
-    reduced engine, their product with the tables or the quotient
+    """Rates whose square overflows (for hamiltonian-3q, whose engines read
+    the tables, their product with the tables or the quotient
     R = kappa/gamma) cannot be restricted: the
     run exits 3 with a message and writes no CSV, rather than a state that
     never moves (F_cw = 1 at every sample) or a traceback."""
@@ -518,8 +519,9 @@ def _rows_at_gammas(tmp_path, argv, gammas):
 
 def test_large_rates_give_the_unit_rate_curve(tmp_path):
     """Below the overflow, a run at gamma = 1e150 writes the gamma = 1 curve
-    in dimensionless time, F_cw = 0.6057 at gamma t = 1 for R = 1; and
+    in dimensionless time, F_cw = 0.6057 at gamma t = 1 for R = 1;
     hamiltonian-3q's Monte Carlo at gamma = 1e160 writes the same seed's
+    gamma = 1 curve, and its full engine, on the tables as well, the
     gamma = 1 curve."""
     rows = _rows_at_gammas(tmp_path, ["--scenario", "hamiltonian-1q", "--R", "1"],
                            ["1", "1e150"])
@@ -528,6 +530,10 @@ def test_large_rates_give_the_unit_rate_curve(tmp_path):
 
     rows = _rows_at_gammas(tmp_path, ["--scenario", "hamiltonian-3q", "--R", "10",
                                       "--engine", "monte-carlo", "--n-traj", "10"],
+                           ["1", "1e160"])
+    assert np.max(np.abs(rows["1e160"][:, :3] - rows["1"][:, :3])) <= 1e-12
+
+    rows = _rows_at_gammas(tmp_path, ["--scenario", "hamiltonian-3q", "--R", "10"],
                            ["1", "1e160"])
     assert np.max(np.abs(rows["1e160"][:, :3] - rows["1"][:, :3])) <= 1e-12
 
@@ -866,17 +872,13 @@ def _reduced_argv(big_r, t_max, out):
 @pytest.mark.parametrize("big_r, t_max, extra, message", [
     # the slow pair is lost in rounding, and the weighted trace drifts
     ("3e4", "1.18e8", [], r"^numerical failure: trace deviates by \S+ at t=\S+$"),
-    # the full engine's rounding at R t ~ 4e12 dips a state below -1e-6, so
-    # its own check refuses the run before the cross-check
+    # the full engine resolves the slow pair on its slow/fast split, and the
+    # reduced engine that the cross-check runs refuses as it does alone
     ("3e4", "1.18e8", ["--engine", "full", "--cross-validate"],
-     r"^numerical failure: eigenvalue \S+ at t=\S+; integration diverged$"),
+     r"^numerical failure: trace deviates by \S+ at t=\S+$"),
     # the eigenbasis of M(R) is singular in double precision
     ("1e50", "10", [], r"^numerical failure: eigenbasis condition number \S+ >= 1e8"),
-    # R t = 3e6: the full engine's rounding passes the 1e-10 bound on the
-    # imaginary parts of its class coefficients, while reduced alone exits 0
-    ("1000", "3000", ["--engine", "full", "--cross-validate"],
-     r"^numerical failure: full/reduced cross-validation failed: coefficients not real"),
-], ids=["slow-horizon", "slow-horizon-cross-validate", "R-1e50", "Rt-3e6-cross-validate"])
+], ids=["slow-horizon", "slow-horizon-cross-validate", "R-1e50"])
 def test_reduced_engine_check_failure_returns_3(big_r, t_max, extra, message, tmp_path,
                                                 capsys):
     """A reduced run the double-precision model does not resolve is exit 3,
@@ -888,10 +890,23 @@ def test_reduced_engine_check_failure_returns_3(big_r, t_max, extra, message, tm
 
 
 def test_reduced_engine_runs_where_cross_validation_refuses(tmp_path):
-    """At R = 1000 over t = 3000, where the cross-check exits 3, the reduced
-    engine alone resolves the run and exits 0."""
+    """At R = 1000 over t = 3000 (R t = 3e6) the reduced engine alone
+    resolves the run and exits 0."""
     out = tmp_path / "run.csv"
     assert main(_reduced_argv("1000", "3000", out)) == 0
+    assert out.exists()
+
+
+def test_cross_validate_at_R_t_3e6_exits_0(tmp_path, capsys):
+    """At R = 1000 over t = 3000 the full engine, on the class states and
+    their slow/fast split, agrees with the reduced engine within 1e-6, and
+    its class coefficients pass the 1e-10 bound on their imaginary parts
+    (a Krylov basis of the 64-dim model passed it only up to R t ~ 3e6)."""
+    out = tmp_path / "run.csv"
+    assert main(_reduced_argv("1000", "3000", out) + ["--engine", "full", "--cross-validate"]) == 0
+    dev = re.fullmatch(r"cross-validate: max coefficient deviation (\S+)",
+                       capsys.readouterr().err.strip())
+    assert float(dev[1]) <= 1e-6
     assert out.exists()
 
 

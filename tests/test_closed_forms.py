@@ -216,6 +216,17 @@ def test_zeno_coefficient_values():
         zeno_coefficient(np.array([[0, 1], [0, 0]]), np.diag([1.0, 0.0]), np.eye(1))
 
 
+def test_zeno_coefficient_refuses_a_bath_state_that_is_not_hermitian():
+    """A bath state that is not Hermitian would make C complex: ValueError,
+    which ``python -O`` keeps, for a random Hermitian H on a system and a
+    bath qubit."""
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    h = a + a.conj().T
+    with pytest.raises(ValueError, match="bath state must be Hermitian"):
+        zeno_coefficient(h, np.diag([1.0, 0.0]), np.array([[0.5, 0.5], [0.0, 0.5]]))
+
+
 def test_zeno_equilibrium():
     assert zeno_equilibrium(1.0, 5.0) == pytest.approx(0.92)
     assert zeno_equilibrium(0.0, 3.0) == pytest.approx(1.0)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cqec.codes_and_maps import (
     SCENARIOS,
+    Generator,
     ModelParams,
     apply_recovery,
     bitflip3_code,
@@ -28,6 +29,7 @@ from cqec.dynamics import (
     _diagonal_blocks,
     _min_eigenvalues,
     _pair_subspace,
+    _slow_fast_split,
     _states_at_samples,
     integrate,
     integrate_reduced,
@@ -425,7 +427,7 @@ def test_block_minimum_eigenvalue_matches_full_eigvalsh(scenario, rate):
 @settings(max_examples=20, deadline=None)
 def test_block_minimum_on_compressed_and_class_blocks(seed, rate):
     """The minimum from hamiltonian-3q's compressed 4 x 4 blocks and from the
-    class states' 8 x 8 ones against dense eigvalsh of the 64 x 64 states,
+    class states' 4 x 4 and 2 x 2 ones against dense eigvalsh of the 64 x 64 states,
     within 1e-12: the Krylov basis at R in [1e-6, 1e7] with its samples
     (states of rank below 8 per block, so the dropped zeros decide the
     minimum where the 4 x 4 one is positive) and with random complex
@@ -891,14 +893,14 @@ def test_pair_subspace_takes_the_class_states_where_the_tables_apply():
     run on the 13 normalised class states; on a random system state, which
     is off their span, on the Krylov basis of ``invariant_subspace``."""
     code, _, h, rho0 = _pair_setup("hamiltonian-3q")
-    q, w, _, _, blocks = _pair_subspace(rho0, h, code)
+    q, w, _, _, blocks, _ = _pair_subspace(rho0, h, code)
     basis = reduced_model.class_basis()
     assert len(w) == 13
     assert np.array_equal(q, basis / np.linalg.norm(basis, axis=0))
     assert blocks is _class_blocks(True)
 
     code, _, h, rho0 = _pair_setup("hamiltonian-3q", "random-system")
-    q, w, _, _, blocks = _pair_subspace(rho0, h, code)
+    q, w, _, _, blocks, _ = _pair_subspace(rho0, h, code)
     gen = total_generator("hamiltonian-3q", ModelParams(gamma=1.0))
     q_krylov, _ = invariant_subspace([gen.noise, gen.correction], rho0)
     assert len(w) == q_krylov.shape[1] != 13
@@ -910,8 +912,8 @@ def test_class_states_are_shared_and_read_only():
     """The class states are built once per process: every reduced
     trajectory holds the one class basis, and every weak map on the class
     states the one normalised form, with the check's blocks derived once
-    (one distinct block, which spans all 8 directions and stays 8 x 8).
-    Writing to either form raises."""
+    (the one distinct 8 x 8 block, split by the pair permutations into one
+    4 x 4 and two 2 x 2 blocks).  Writing to either form raises."""
     first, second = integrate_reduced(10.0, 1.0, 1.0, 5), integrate_reduced(100.0, 1.0, 2.0, 7)
     assert first.basis is second.basis is reduced_model.class_basis()
     code, _, h, rho0 = _pair_setup("hamiltonian-3q")
@@ -919,8 +921,8 @@ def test_class_states_are_shared_and_read_only():
     assert weak[0].basis is weak[1].basis is reduced_model.class_basis(normalised=True)
     assert _class_blocks(True) is _class_blocks(True)
     for normalised in (False, True):
-        ((qt, r, dropped),) = _class_blocks(normalised)
-        assert (qt.shape, r, dropped) == ((13, 64), 8, False)
+        assert [(qt.shape, r, dropped) for qt, r, dropped in _class_blocks(normalised)] == [
+            ((13, 16), 4, False), ((13, 8), 2, False)]
     for basis in (reduced_model.class_basis(), reduced_model.class_basis(True)):
         with pytest.raises(ValueError, match="read-only"):
             basis[0, 0] = 1.0
@@ -946,6 +948,91 @@ def test_class_states_give_the_krylov_trajectories(monkeypatch):
     assert np.max(np.abs(mc.states - mc_krylov.states)) <= 1e-12
     for key in ("F_cw_mean", "F_cw_se"):
         assert np.max(np.abs(mc.observables[key] - mc_krylov.observables[key])) <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# the full engine on the class states
+# ---------------------------------------------------------------------------
+
+
+def _six_qubit_run(big_r, t_max, n_samples=2):
+    """integrate of hamiltonian-3q at gamma = 1 and R = big_r, with its F_cw."""
+    gen = total_generator("hamiltonian-3q", ModelParams(gamma=1.0, kappa=big_r))
+    traj = integrate(gen, scenario_rho0("hamiltonian-3q"), t_max, n_samples=n_samples)
+    return traj, _fidelity(traj, "hamiltonian-3q")
+
+
+# F_cw of exp(gamma t M(R)) applied to the unit first class coefficient, with
+# M(R) = build_reduced_matrix(R, 1) in double precision, from a 60-digit
+# mpmath.expm, to 6 digits.  A Krylov basis of the 64-dim model gave 0.683267,
+# 0.640692, 0.228365, 0.305463 and 0.239894 here.
+@pytest.mark.parametrize("big_r, t_max, f_exact", [
+    (1e3, 1e6, 0.683266),
+    (1e4, 1e9, 0.641084),
+    (1e4, 3e9, 0.227593),
+    (3e4, 3e10, 0.309079),
+    (3e4, 1e11, 0.249265),
+])
+def test_full_engine_resolves_the_slow_pair_at_large_R(big_r, t_max, f_exact):
+    """On the slow time scale, where the slow pair ~24i/R^2 has turned many
+    times, the full engine's F_cw is within 1e-5 of the exact value: its
+    slow block carries no error of the size of the fast rates ~R."""
+    _, f = _six_qubit_run(big_r, t_max)
+    assert abs(f[-1] - f_exact) <= 1e-5
+
+
+@pytest.mark.parametrize("big_r", [1e10, 1e11])
+def test_full_engine_keeps_unit_fidelity_at_vast_rates(big_r):
+    """At R = 1e10 and 1e11 the encoded qubit has not moved by gamma t = 1
+    (1 - F_cw ~ 1/R^2): F_cw is 1 to within 1e-12."""
+    _, f = _six_qubit_run(big_r, 1.0)
+    assert abs(1.0 - f[-1]) <= 1e-12
+
+
+# at R = 9.03e-143 the fast block D is singular to rounding, and the
+# iteration overflows at its second step
+@pytest.mark.parametrize("big_r, split", [(9.031624397423422e-143, False), (1.0, False),
+                                          (3.0, False), (10.0, True), (100.0, True),
+                                          (1e4, True)])
+def test_class_path_agrees_with_the_reduced_and_krylov_engines(big_r, split, monkeypatch):
+    """The full engine of hamiltonian-3q runs on the shared normalised class
+    states, split into slow and fast blocks where the split converges (from
+    R ~ 3.9) and in one block below; either way its states match the Krylov
+    basis of the 64-dim model (the fallback, forced) and its class
+    coefficients the reduced engine's, within 1e-12 over gamma t = 1."""
+    gen = total_generator("hamiltonian-3q", ModelParams(gamma=1.0, kappa=big_r))
+    code, rho0 = gen.code, scenario_rho0("hamiltonian-3q")
+    q, n_k, c_k, _ = reduced_model.class_restriction(rho0, gen.hamiltonian, code)
+    assert (_slow_fast_split(n_k + big_r * c_k, ~c_k.any(axis=0)) is not None) == split
+    traj = integrate(gen, rho0, 1.0, n_samples=11)
+    assert traj.basis is reduced_model.class_basis(normalised=True)
+    reduced = integrate_reduced(big_r, 1.0, 1.0, n_samples=11)
+    coeffs = reduced_model.class_coefficients(traj.coords, traj.basis)
+    assert np.max(np.abs(coeffs - reduced.coords)) <= 1e-12
+    monkeypatch.setattr("cqec.reduced_model.class_restriction", lambda *args: None)
+    krylov = integrate(gen, rho0, 1.0, n_samples=11)
+    assert krylov.basis.shape[1] < 13
+    assert np.max(np.abs(traj.states - krylov.states)) <= 1e-12
+
+
+def test_integrate_off_the_class_span_takes_the_krylov_basis():
+    """A random system state (x) I/8 lies off the class span: integrate runs on
+    the Krylov basis of the generator, as for the other scenarios."""
+    code, _, h, rho0 = _pair_setup("hamiltonian-3q", "random-system")
+    gen = Generator(code, h, 0.0, 10.0)
+    traj = integrate(gen, rho0, 0.5, n_samples=5)
+    q, _ = invariant_subspace([gen.apply], rho0)
+    assert q.shape[1] != 13
+    assert np.array_equal(traj.basis, q)
+
+
+def test_class_path_holds_the_trace_at_vast_horizons():
+    """At R = 1e6 out to gamma t = 1e15, about 2e4 slow periods and 7e-4 of
+    a damping time, every sample's trace is 1 within 1e-12: it is an exact
+    coordinate of the slow block (taken from the slow block's rounded trace
+    row it drifted by 5e-7)."""
+    traj, _ = _six_qubit_run(1e6, 1e15, n_samples=11)
+    assert np.max(np.abs(np.einsum("tii->t", traj.states) - 1.0)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -1168,8 +1255,9 @@ def test_fig4_case_peaks_under_8_mb():
 
 def test_integrate_of_the_six_qubit_state_peaks_under_2_mb():
     """integrate of hamiltonian-3q at R = 10 to t = 5 with 201 samples holds
-    q (k = 9 rows of 4096) and the samples' coordinates, but no image of q:
-    the restriction is read off Gram-Schmidt and rho0 off q's first row."""
+    the samples' coordinates on the 13 class states, which are built once
+    per process (0.85 MB, here or before), and no image of them: the
+    restriction is read from the reduced model's tables."""
     gen = total_generator("hamiltonian-3q", ModelParams(gamma=1.0, kappa=10.0))
     rho0 = scenario_rho0("hamiltonian-3q")
     tracemalloc.start()

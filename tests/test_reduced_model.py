@@ -12,10 +12,12 @@ from cqec.codes_and_maps import (
     pair_hamiltonian,
     scenario_rho0,
     total_generator,
+    trivial_code,
 )
 from cqec.dynamics import integrate, integrate_reduced, propagate_linear
 from cqec.reduced_model import (
     _CLASS_OF,
+    _SIG_TO_INDEX,
     _M_CORR,
     _M_FREE,
     _signature,
@@ -25,6 +27,8 @@ from cqec.reduced_model import (
     build_reduced_matrix,
     class_basis,
     class_coefficients,
+    class_restriction,
+    pair_swap_basis,
     transition_graph,
 )
 from reference import class_spread, kron_all, partial_trace_bath
@@ -52,9 +56,10 @@ def test_coeff_class_examples():
 
 
 def test_classes_partition_all_64_pairs():
-    """_CLASS_OF puts each of the 64 (lmn, pqr) in one of 13 classes, each
-    representative in its own, and the diagonal classes' sizes are the
-    trace weights."""
+    """The 13 representatives have 13 distinct signatures, _CLASS_OF puts
+    each of the 64 (lmn, pqr) in one of 13 classes, each representative in
+    its own, and the diagonal classes' sizes are the trace weights."""
+    assert len(_SIG_TO_INDEX) == 13
     multiplicity = np.bincount(_CLASS_OF, minlength=13)
     assert len(_CLASS_OF) == 64 and set(_CLASS_OF) == set(range(13))
     for idx, (l, p) in enumerate(ORDER):
@@ -116,6 +121,58 @@ def test_tables_are_the_restriction_of_the_maps():
         state = b.reshape(64, 64)
         assert np.array_equal(gen.noise(state).ravel(), basis @ _M_FREE[:, j])
         assert np.array_equal(gen.correction(state).ravel(), basis @ _M_CORR[:, j])
+
+
+def _near_misses():
+    """(name, rho0, H, code, accepted) of inputs on and around the scenario
+    model."""
+    code, rho0 = bitflip3_code(), scenario_rho0("hamiltonian-3q")
+    h = pair_hamiltonian(code, 1.3)
+    ulp = h.copy()
+    ulp[5, 5 ^ 0b010010] = np.nextafter(1.3, 2.0)  # one pair entry one ulp off
+    extra = h.copy()
+    extra[0, 1] = 1e-300  # one nonzero entry off the pairs
+    imaginary = h.copy()
+    imaginary[0, 0b100100] += 1e-300j  # the first pair entry, where g is read
+    infinite = np.where(h != 0, np.inf, 0.0)
+    off_span = rho0 + 1e-3 * (projector(basis_ket(8, 6)) - np.eye(64) / 64.0)
+    cases = [("scenario", rho0, h, code, True), ("gamma-0", rho0, np.zeros((64, 64)), code, True),
+             ("pair-entry-one-ulp-off", rho0, ulp, code, False),
+             ("extra-nonzero-entry", rho0, extra, code, False),
+             ("imaginary-g", rho0, imaginary, code, False), ("infinite-g", rho0, infinite, code, False),
+             ("trivial-code", rho0, h, trivial_code(), False),
+             ("rho0-off-the-span", off_span, h, code, False)]
+    return [pytest.param(*case, id=case[0]) for case in cases]
+
+
+@pytest.mark.parametrize("name, rho0, h, code, accepted", _near_misses())
+def test_class_restriction_accepts_the_pair_model_bit_for_bit(name, rho0, h, code, accepted):
+    """``class_restriction`` accepts a model exactly where the code has
+    bitflip3's tables, H equals pair_hamiltonian(code, g) bit for bit, g its
+    first pair entry (H = 0 is g = 0), and rho0 lies in the class span; y0
+    is then q^dag rho0."""
+    with np.errstate(invalid="ignore"):  # pair_hamiltonian(code, inf) holds nan
+        same = np.array_equal(h, pair_hamiltonian(code, h[0, 0b100100].real))
+    assert same == (accepted or name == "rho0-off-the-span")
+    restriction = class_restriction(rho0, h, code)
+    assert (restriction is not None) == accepted
+    if accepted:
+        q, _, _, y0 = restriction
+        assert np.max(np.abs(y0 - q.conj().T @ rho0.ravel())) <= 1e-16
+
+
+def test_pair_swap_basis_splits_the_class_blocks():
+    """W is orthogonal, and W^T B W of the 8 x 8 diagonal block B of every
+    class state is zero outside its 4 x 4 and two 2 x 2 diagonal blocks,
+    to rounding."""
+    w = pair_swap_basis()
+    assert np.max(np.abs(w.T @ w - np.eye(8))) <= 1e-15
+    inside = np.zeros((8, 8), dtype=bool)
+    inside[:4, :4] = inside[4:6, 4:6] = inside[6:, 6:] = True
+    diag = 9 * np.arange(8)
+    for b in class_basis().T:
+        split = w.T @ b.reshape(64, 64)[np.ix_(diag, diag)] @ w
+        assert np.max(np.abs(split[~inside])) <= 1e-16
 
 
 def test_spectrum_contains_zero_for_any_rate():
@@ -195,10 +252,8 @@ def test_reduced_propagation_matches_full_dynamics():
 @settings(max_examples=25, deadline=None)
 def test_full_engine_matches_reduced_engine(big_r, t_max):
     """At random R and gamma t, the class coefficients of the full engine's
-    samples (``integrate`` on the 64-dim model) match the reduced engine's
-    to --cross-validate's 1e-6.  R t stays below 1e5: rounding grows with
-    it, and from R t ~ 3e6 the imaginary parts of the full engine's
-    coefficients reach class_coefficients' 1e-10."""
+    samples (``integrate`` of the 64-dim model, restricted to the class
+    states) match the reduced engine's to --cross-validate's 1e-6."""
     gen = total_generator("hamiltonian-3q", ModelParams(gamma=1.0, kappa=big_r))
     full = integrate(gen, scenario_rho0("hamiltonian-3q"), t_max, n_samples=11)
     reduced = integrate_reduced(big_r, 1.0, t_max, n_samples=11)
