@@ -25,7 +25,8 @@
   coordinates into a table of the states at the samples, which the
   sample sums then read in a few vectorized steps.
 * ``integrate_reduced`` -- the 13 class coefficients of the reduced model
-  (:mod:`cqec.reduced_model`, ``hamiltonian-3q``) on the 13 class states.
+  (:mod:`cqec.reduced_model`, ``hamiltonian-3q``) on the 13 class states,
+  propagated through the same split (``_propagate_classes``).
 
 The other engines run on the k coordinates of a subspace that holds rho0
 and is mapped into itself by the model's operators.  For
@@ -55,12 +56,13 @@ check every sample, Monte Carlo its mean state.  The check runs on the
 coordinates of the whole trajectory at once: the trace is one product
 with the traces of the basis states, and the eigenvalues come from the
 distinct diagonal blocks that every state in span(q) is confined to
-(``_compressed_blocks``: one 4 x 4 block for the Krylov basis of
+(``_distinct_blocks``: one 8 x 8 block for the Krylov basis of
 ``hamiltonian-3q``, one 2 x 2 for ``hamiltonian-1q``, 1 x 1 blocks for
 the Markovian scenarios).  The class states' one 8 x 8 block is split by
 the permutations of the qubit pairs into one 4 x 4 and two 2 x 2 blocks
-(``_class_blocks``); they and what the check reads of them are built
-once per process, and a Krylov basis is read anew on each call.
+with the same eigenvalues, of which the check reads the 4 x 4 and one
+2 x 2 (``_class_blocks``); they are derived once per process, and a
+Krylov basis is read anew on each call.
 """
 
 import warnings
@@ -85,6 +87,7 @@ MC_CHUNK_ENTRIES = 2**18
 # Also the largest trace row of the reflected generator, relative to its norm, that
 # ``_trace_first`` zeroes as rounding: the scenario generators leave ~1e-16, and up
 # to 1e-12 at rates above ~1e12, where a Krylov direction falls below the tolerance.
+# On the class states (``_propagate_classes``) the trace row is zeroed at any size.
 SUBSPACE_TOL = 1e-12
 # An op whose nonzero images all have norms below this one is refused by
 # ``invariant_subspace``: it is the norm whose square is the smallest normal double.
@@ -152,44 +155,21 @@ def _diagonal_blocks(q, d):
     return [np.nonzero(members[sizes == s])[1].reshape(-1, s) for s in sorted(set(sizes))]
 
 
-def _compressed_blocks(q):
-    """What ``_min_eigenvalues`` reads of the basis q (d^2, k): one triple
-    (qt, r, dropped) per size r of the compressed blocks, where
-    coords @ qt holds the distinct r x r blocks of the state with those
-    coordinates side by side, row-major, and ``dropped`` tells that the
-    blocks lost directions to the compression.
-
-    Blocks (``_diagonal_blocks``) whose rows of q are equal bit for bit hold
-    equal entries in every state, so only the first of each such group is
-    kept.  A kept block of size s > 2 is reduced to W^dag B W, with W an
-    orthonormal basis of the joint range of the block's basis matrices Q_j
-    and Q_j^dag: the left singular vectors of [Q_1 ... Q_k Q_1^dag ...
-    Q_k^dag] whose singular values exceed ``SUBSPACE_TOL`` times the
-    largest.  Every state in span(q) is zero on the other s - r directions
-    (both B and B^dag vanish there), so the Hermitian part of its block has
-    the eigenvalues of the r x r one and s - r zeros.  Blocks of size 1 and
-    2, read in closed form, are kept as they are, and so is a block whose
-    range is all of it (r = s)."""
+def _distinct_blocks(q):
+    """What ``_min_eigenvalues`` reads of the basis q (d^2, k): one pair
+    (qt, s) per size s of the diagonal blocks (``_diagonal_blocks``), where
+    coords @ qt holds the distinct s x s blocks of the state with those
+    coordinates side by side, row-major.  Blocks whose rows of q are equal
+    bit for bit hold equal entries in every state, so only the first of each
+    such group is kept."""
     d = int(np.sqrt(len(q)))
-    groups = {}
+    blocks = []
     for idx in _diagonal_blocks(q, d):
-        s = idx.shape[1]
         distinct = {}
         for rows in idx[:, :, None] * d + idx[:, None, :]:
             distinct.setdefault(q[rows.ravel()].tobytes(), rows.ravel())
-        for rows in distinct.values():
-            mats = q[rows].T.reshape(-1, s, s)  # the block of each basis state, Q_j
-            r = s
-            if s > 2:
-                joint = np.concatenate([mats, mats.conj().swapaxes(1, 2)])
-                u, sv, _ = np.linalg.svd(joint.swapaxes(0, 1).reshape(s, -1),
-                                         full_matrices=False)
-                r = int(np.count_nonzero(sv > SUBSPACE_TOL * sv[0]))
-                if r < s:
-                    w = u[:, :r]
-                    mats = w.conj().T @ mats @ w
-            groups.setdefault((r, r < s), []).append(mats.reshape(len(mats), r * r))
-    return [(np.concatenate(g, axis=1), r, dropped) for (r, dropped), g in groups.items()]
+        blocks.append((q[np.concatenate(list(distinct.values()))].T, idx.shape[1]))
+    return blocks
 
 
 def _block_minima(blocks):
@@ -210,19 +190,16 @@ def _block_minima(blocks):
 
 def _min_eigenvalues(coords, q, blocks=None):
     """Smallest eigenvalue of the Hermitian part of each state coords[i] @ q.T,
-    from its compressed diagonal blocks ``blocks`` (``_compressed_blocks(q)``,
-    derived here if not given; ``_block_minima``), and 0 where a block lost
-    directions to the compression."""
+    from its distinct diagonal blocks ``blocks`` (``_distinct_blocks(q)``,
+    derived here if not given; ``_block_minima``)."""
     if blocks is None:
-        blocks = _compressed_blocks(q)
+        blocks = _distinct_blocks(q)
     lo = np.full(len(coords), np.inf)
-    for qt, r, dropped in blocks:
+    for qt, s in blocks:
         for i in range(0, len(coords), 256):  # 256 samples at a time bound the memory
             part = slice(i, i + 256)
-            minima = _block_minima((coords[part] @ qt).reshape(-1, qt.shape[1] // (r * r), r, r))
+            minima = _block_minima((coords[part] @ qt).reshape(-1, qt.shape[1] // (s * s), s, s))
             lo[part] = np.minimum(lo[part], minima.min(axis=1))
-        if dropped:
-            lo = np.minimum(lo, 0.0)
     return lo
 
 
@@ -231,7 +208,7 @@ def _check_samples(times, coords, q, blocks=None):
     every sample before the first failing one that dips below -TOL_POS
     warns, and the first failing sample (trace off by more than TRACE_TOL,
     an eigenvalue below -100 TOL_POS, or either non-finite) raises.
-    ``blocks`` is ``_compressed_blocks(q)``, derived here if not given."""
+    ``blocks`` is ``_distinct_blocks(q)``, derived here if not given."""
     d = int(np.sqrt(len(q)))
     finite = np.isfinite(coords).all(axis=1)
     coords = np.where(finite[:, None], coords, 0.0)  # such a sample reads nan below
@@ -262,13 +239,14 @@ def _class_blocks(normalised):
     for each c (``_diagonal_blocks``); in the basis
     ``reduced_model.pair_swap_basis()`` that block splits into one 4 x 4 and
     two 2 x 2 blocks, an orthogonal change of basis that keeps the
-    eigenvalues."""
+    eigenvalues.  The two 2 x 2 blocks carry the same representation of the
+    pair permutations and have the same eigenvalues, so only the first is
+    read."""
     diag = 9 * np.arange(8)  # s (x) s: the block of c = 0
     q = reduced_model.class_basis(normalised)
     w = reduced_model.pair_swap_basis()
     mats = w.T @ q[diag[:, None] * 64 + diag].transpose(2, 0, 1) @ w
-    pairs = [mats[:, 4:6, 4:6].reshape(13, 4), mats[:, 6:, 6:].reshape(13, 4)]
-    return [(mats[:, :4, :4].reshape(13, 16), 4, False), (np.concatenate(pairs, axis=1), 2, False)]
+    return [(mats[:, :4, :4].reshape(13, 16), 4), (mats[:, 4:6, 4:6].reshape(13, 4), 2)]
 
 
 def _sample_times(t_max, n_samples):
@@ -410,8 +388,9 @@ def _slow_fast_split(g, slow):
 
 def integrate_reduced(big_r, gamma, t_max, n_samples=201):
     """The 13 class coefficients of the reduced model, exp(gamma M(R) t)
-    applied to the unit first one (``propagate_linear``) on a uniform grid
-    of t in [0, t_max], t_max > 0: real coordinates on the class states
+    applied to the unit first one on a uniform grid of t in [0, t_max],
+    t_max > 0, propagated by ``_propagate_classes`` as the full engine's
+    class coordinates are: real coordinates on the class states
     ``reduced_model.class_basis()``, checked as every engine's samples
     (``_check_samples``).  Rates with an entry of gamma M(R) beyond double
     precision raise IntegrationError."""
@@ -420,9 +399,11 @@ def integrate_reduced(big_r, gamma, t_max, n_samples=201):
     if not np.isfinite(m).all():
         raise IntegrationError(f"rates beyond double precision: gamma M(R) is not finite "
                                f"at R = {big_r:g}, gamma = {gamma:g}")
-    # a copy of the real part, so that the complex result is freed
-    coords = propagate_linear(m, np.eye(13)[0], times).real.copy()
     basis = reduced_model.class_basis()
+    slow = ~reduced_model._M_CORR.any(axis=0)  # the classes the correction leaves alone
+    trace = basis[:: 64 + 1].sum(axis=0)  # the traces of the class states
+    # a copy of the real part, so that the complex result is freed
+    coords = _propagate_classes(m, slow, trace, np.eye(13)[0], times).real.copy()
     _check_samples(times, coords, basis, _class_blocks(False))
     return Trajectory(times, coords, basis)
 

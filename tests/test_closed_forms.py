@@ -155,17 +155,16 @@ def test_fidelity_approx_values():
 
 @pytest.mark.parametrize("form, big_r, window, bound", [
     *[pytest.param(fidelity_approx_lowest, r, r**2 / 72, 1.0, id=f"lowest-R{r}")
-      for r in (10, 30, 100, 300, 1000)],
+      for r in (10, 30, 100, 300, 1000, 10000, 100000)],
     *[pytest.param(fidelity_approx_damped, r, 10 * r**3 / 144, 1.5, id=f"damped-R{r}")
-      for r in (10, 30, 100)],
-    # the reduced engine's trace defect passes 1e-8 beyond gamma t ~ 5e5 at R = 300
-    pytest.param(fidelity_approx_damped, 300, 300**3 / 144, 1.5, id="damped-R300"),
+      for r in (10, 30, 100, 300, 1000, 10000, 100000)],
 ])
 def test_slow_forms_hold_in_their_windows(form, big_r, window, bound):
     """Each slow form is within bound/R of the reduced model's F_cw (its
     first class coordinate) for gamma t in [10/R, window], after the fast
     transient: the undamped form up to the oscillation scale R^2/72, the
-    damped one up to the damping scale 10 R^3/144."""
+    damped one up to the damping scale 10 R^3/144, for R = 10 ... 1e5 (the
+    reduced engine's slow/fast split resolves the slow pair at every R)."""
     traj = integrate_reduced(big_r, 1.0, window, n_samples=2001)
     after = traj.times >= 10.0 / big_r
     err = np.max(np.abs(traj.coords[after, 0] - form(traj.times[after], 1.0, big_r)))

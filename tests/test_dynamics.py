@@ -25,8 +25,8 @@ from cqec.dynamics import (
     Trajectory,
     _check_samples,
     _class_blocks,
-    _compressed_blocks,
     _diagonal_blocks,
+    _distinct_blocks,
     _min_eigenvalues,
     _pair_subspace,
     _slow_fast_split,
@@ -386,19 +386,17 @@ RATES = st.floats(min_value=-6.0, max_value=5.0).map(lambda e: 10.0**e)
 ])
 def test_diagonal_blocks_of_the_scenarios(scenario, shapes, rate):
     """(blocks, block size) of the Krylov basis of each scenario state, and
-    (distinct blocks, compressed size, directions dropped) of what the check
-    reads: hamiltonian-3q's 8 x 8 blocks, all equal, compress to 4 x 4 (its
-    9 basis matrices and their adjoints span 4 of the 8 directions)."""
-    compressed = {"markovian-1q": [(2, 1, False)], "markovian-3q": [(4, 1, False)],
-                  "hamiltonian-1q": [(1, 2, False)], "hamiltonian-3q": [(1, 4, True)]}[scenario]
+    (distinct blocks, block size) of what the check reads: hamiltonian-3q's
+    8 x 8 blocks are all equal and read once."""
+    distinct = {"markovian-1q": [(2, 1)], "markovian-3q": [(4, 1)],
+                "hamiltonian-1q": [(1, 2)], "hamiltonian-3q": [(1, 8)]}[scenario]
     rho0 = scenario_rho0(scenario)
     gen = total_generator(scenario, _params(scenario, rate))
     q, _ = invariant_subspace([gen.apply], rho0)
     blocks = _diagonal_blocks(q, len(rho0))
     assert [b.shape for b in blocks] == shapes
     assert sorted(np.concatenate([b.ravel() for b in blocks])) == list(range(len(rho0)))
-    assert [(qt.shape[1] // r**2, r, dropped) for qt, r, dropped in _compressed_blocks(q)] == (
-        compressed)
+    assert [(qt.shape[1] // s**2, s) for qt, s in _distinct_blocks(q)] == distinct
 
 
 def _dense_minimum(coords, q):
@@ -426,13 +424,13 @@ def test_block_minimum_eigenvalue_matches_full_eigvalsh(scenario, rate):
 @given(st.integers(0, 2**32 - 1), st.floats(min_value=-6.0, max_value=7.0).map(lambda e: 10.0**e))
 @settings(max_examples=20, deadline=None)
 def test_block_minimum_on_compressed_and_class_blocks(seed, rate):
-    """The minimum from hamiltonian-3q's compressed 4 x 4 blocks and from the
+    """The minimum from hamiltonian-3q's 8 x 8 Krylov blocks and from the
     class states' 4 x 4 and 2 x 2 ones against dense eigvalsh of the 64 x 64 states,
     within 1e-12: the Krylov basis at R in [1e-6, 1e7] with its samples
-    (states of rank below 8 per block, so the dropped zeros decide the
-    minimum where the 4 x 4 one is positive) and with random complex
+    (states of rank below 8 per block, whose basis matrices and their
+    adjoints span 4 of the 8 directions) and with random complex
     coordinates, and both forms of the class states with random real
-    class coefficients."""
+    class coefficients (of whose two 2 x 2 blocks the check reads one)."""
     rng = np.random.default_rng(seed)
     gen = total_generator("hamiltonian-3q", ModelParams(gamma=1.0, kappa=rate))
     rho0 = scenario_rho0("hamiltonian-3q")
@@ -540,18 +538,16 @@ def test_check_raises_on_large_dip_in_2x2_blocks():
     ]
 
 
-def _compressed_dip_samples(step):
+def _krylov_8x8_dip_samples(step):
     """Samples at t = 0.1 n, n = 0..10, on the Krylov basis q of
-    hamiltonian-3q at R = 10, whose blocks compress to 4 x 4:
-    (1 + step n) rho0 - step n rho(1), of trace 1.  Within the compressed
-    range rho0 is zero but for one direction and rho(1) is positive there,
-    so the smallest eigenvalue falls about linearly in n.  Returns
-    (times, coords, q, the smallest eigenvalue of each sample by dense
-    eigvalsh)."""
+    hamiltonian-3q at R = 10, whose 8 x 8 blocks its basis matrices span in
+    4 directions: (1 + step n) rho0 - step n rho(1), of trace 1.  On those
+    directions rho0 is zero but for one and rho(1) is positive, so the
+    smallest eigenvalue falls about linearly in n.  Returns (times, coords,
+    q, the smallest eigenvalue of each sample by dense eigvalsh)."""
     gen = total_generator("hamiltonian-3q", ModelParams(gamma=1.0, kappa=10.0))
     rho0 = scenario_rho0("hamiltonian-3q")
     q, (g,) = invariant_subspace([gen.apply], rho0)
-    assert [(r, dropped) for _, r, dropped in _compressed_blocks(q)] == [(4, True)]
     y0 = q.conj().T @ rho0.ravel()
     y1 = propagate_linear(g, y0, [1.0])[0]
     n = np.arange(11)[:, None]
@@ -572,7 +568,7 @@ def _assert_warned(record, samples, times, dense):
 def test_check_warns_on_small_dip_in_compressed_blocks():
     """step = 4e-6: every sample from t = 0.1 on dips below -1e-8 (to
     -2.6e-7 at t = 1) and warns, in time order, with the dense minimum."""
-    times, coords, q, dense = _compressed_dip_samples(4e-6)
+    times, coords, q, dense = _krylov_8x8_dip_samples(4e-6)
     assert dense[0] > -1e-8 and np.all(dense[1:] < -1e-8) and dense.min() > -1e-6
     with pytest.warns(PositivityWarning) as record:
         _check_samples(times, coords, q)
@@ -581,7 +577,7 @@ def test_check_warns_on_small_dip_in_compressed_blocks():
 
 def test_check_raises_on_large_dip_in_compressed_blocks():
     """step = 2e-5: t = 0.1 to 0.7 warn, then t = 0.8 (-1.04e-6) raises."""
-    times, coords, q, dense = _compressed_dip_samples(2e-5)
+    times, coords, q, dense = _krylov_8x8_dip_samples(2e-5)
     assert np.all(dense[1:8] < -1e-8) and dense[7] > -1e-6 > dense[8]
     with pytest.warns(PositivityWarning) as record:
         with pytest.raises(IntegrationError, match=r"^eigenvalue -1\.0\d\de-06 at t=0\.8; "
@@ -913,7 +909,8 @@ def test_class_states_are_shared_and_read_only():
     trajectory holds the one class basis, and every weak map on the class
     states the one normalised form, with the check's blocks derived once
     (the one distinct 8 x 8 block, split by the pair permutations into one
-    4 x 4 and two 2 x 2 blocks).  Writing to either form raises."""
+    4 x 4 and two 2 x 2 blocks, of which the check reads the 4 x 4 and the
+    first 2 x 2).  Writing to either form raises."""
     first, second = integrate_reduced(10.0, 1.0, 1.0, 5), integrate_reduced(100.0, 1.0, 2.0, 7)
     assert first.basis is second.basis is reduced_model.class_basis()
     code, _, h, rho0 = _pair_setup("hamiltonian-3q")
@@ -921,8 +918,8 @@ def test_class_states_are_shared_and_read_only():
     assert weak[0].basis is weak[1].basis is reduced_model.class_basis(normalised=True)
     assert _class_blocks(True) is _class_blocks(True)
     for normalised in (False, True):
-        assert [(qt.shape, r, dropped) for qt, r, dropped in _class_blocks(normalised)] == [
-            ((13, 16), 4, False), ((13, 8), 2, False)]
+        assert [(qt.shape, s) for qt, s in _class_blocks(normalised)] == [((13, 16), 4),
+                                                                          ((13, 4), 2)]
     for basis in (reduced_model.class_basis(), reduced_model.class_basis(True)):
         with pytest.raises(ValueError, match="read-only"):
             basis[0, 0] = 1.0
@@ -965,19 +962,31 @@ def _six_qubit_run(big_r, t_max, n_samples=2):
 # F_cw of exp(gamma t M(R)) applied to the unit first class coefficient, with
 # M(R) = build_reduced_matrix(R, 1) in double precision, from a 60-digit
 # mpmath.expm, to 6 digits.  A Krylov basis of the 64-dim model gave 0.683267,
-# 0.640692, 0.228365, 0.305463 and 0.239894 here.
-@pytest.mark.parametrize("big_r, t_max, f_exact", [
+# 0.640692, 0.228365, 0.305463 and 0.239894 here; the plain eig of M(R) refused
+# from R = 1e3 on, its trace off by more than 1e-8.
+_SLOW_PAIR_REFERENCE = [
     (1e3, 1e6, 0.683266),
     (1e4, 1e9, 0.641084),
     (1e4, 3e9, 0.227593),
     (3e4, 3e10, 0.309079),
     (3e4, 1e11, 0.249265),
+]
+
+
+@pytest.mark.parametrize("big_r, t_max, f_exact, engine", [
+    *[pytest.param(*row, "full", id="-".join(map(str, row))) for row in _SLOW_PAIR_REFERENCE],
+    *[pytest.param(*row, "reduced", id="-".join(map(str, ("reduced", *row))))
+      for row in _SLOW_PAIR_REFERENCE],
 ])
-def test_full_engine_resolves_the_slow_pair_at_large_R(big_r, t_max, f_exact):
+def test_full_engine_resolves_the_slow_pair_at_large_R(big_r, t_max, f_exact, engine):
     """On the slow time scale, where the slow pair ~24i/R^2 has turned many
-    times, the full engine's F_cw is within 1e-5 of the exact value: its
-    slow block carries no error of the size of the fast rates ~R."""
-    _, f = _six_qubit_run(big_r, t_max)
+    times, the full engine's F_cw, and the reduced engine's, is within 1e-5
+    of the exact value: their slow block carries no error of the size of the
+    fast rates ~R."""
+    if engine == "full":
+        _, f = _six_qubit_run(big_r, t_max)
+    else:
+        f = integrate_reduced(big_r, 1.0, t_max, n_samples=2).coords[:, 0]
     assert abs(f[-1] - f_exact) <= 1e-5
 
 
@@ -998,8 +1007,10 @@ def test_class_path_agrees_with_the_reduced_and_krylov_engines(big_r, split, mon
     """The full engine of hamiltonian-3q runs on the shared normalised class
     states, split into slow and fast blocks where the split converges (from
     R ~ 3.9) and in one block below; either way its states match the Krylov
-    basis of the 64-dim model (the fallback, forced) and its class
-    coefficients the reduced engine's, within 1e-12 over gamma t = 1."""
+    basis of the 64-dim model (the fallback, forced), and its class
+    coefficients the reduced engine's (the same split on the unnormalised
+    class states) and the unsplit reference (propagate_linear of M(R)),
+    within 1e-12 over gamma t = 1."""
     gen = total_generator("hamiltonian-3q", ModelParams(gamma=1.0, kappa=big_r))
     code, rho0 = gen.code, scenario_rho0("hamiltonian-3q")
     q, n_k, c_k, _ = reduced_model.class_restriction(rho0, gen.hamiltonian, code)
@@ -1007,7 +1018,11 @@ def test_class_path_agrees_with_the_reduced_and_krylov_engines(big_r, split, mon
     traj = integrate(gen, rho0, 1.0, n_samples=11)
     assert traj.basis is reduced_model.class_basis(normalised=True)
     reduced = integrate_reduced(big_r, 1.0, 1.0, n_samples=11)
+    unsplit = propagate_linear(reduced_model.build_reduced_matrix(big_r, 1.0), np.eye(13)[0],
+                               traj.times).real
     coeffs = reduced_model.class_coefficients(traj.coords, traj.basis)
+    for split_coeffs in (coeffs, reduced.coords):
+        assert np.max(np.abs(split_coeffs - unsplit)) <= 1e-12
     assert np.max(np.abs(coeffs - reduced.coords)) <= 1e-12
     monkeypatch.setattr("cqec.reduced_model.class_restriction", lambda *args: None)
     krylov = integrate(gen, rho0, 1.0, n_samples=11)
@@ -1033,6 +1048,19 @@ def test_class_path_holds_the_trace_at_vast_horizons():
     row it drifted by 5e-7)."""
     traj, _ = _six_qubit_run(1e6, 1e15, n_samples=11)
     assert np.max(np.abs(np.einsum("tii->t", traj.states) - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("big_r", [100.0, 1e3, 1e4, 1e5])
+def test_reduced_engine_holds_the_trace_over_half_a_slow_period(big_r):
+    """The reduced engine's weighted trace C000_000 + 3 C100_100 + 3 C110_110
+    + C111_111 stays within 1e-14 of 1 over half a slow period, gamma t =
+    pi R^2 / 24: it is an exact coordinate of the slow block (the plain eig
+    of M(R) drifted by 2.7e-12 at R = 100 and 2.8e-9 at 1e3, and refused from
+    R ~ 3e3)."""
+    traj = integrate_reduced(big_r, 1.0, np.pi * big_r**2 / 24, n_samples=2001)
+    weights = reduced_model.TRACE_WEIGHTS
+    trace = traj.coords[:, list(weights)] @ list(weights.values())
+    assert np.max(np.abs(trace - 1.0)) <= 1e-14
 
 
 # ---------------------------------------------------------------------------

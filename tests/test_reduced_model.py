@@ -253,11 +253,17 @@ def test_reduced_propagation_matches_full_dynamics():
 def test_full_engine_matches_reduced_engine(big_r, t_max):
     """At random R and gamma t, the class coefficients of the full engine's
     samples (``integrate`` of the 64-dim model, restricted to the class
-    states) match the reduced engine's to --cross-validate's 1e-6."""
+    states) match the reduced engine's to --cross-validate's 1e-6, and
+    both, which run the same slow/fast split, match the unsplit reference
+    (propagate_linear of M(R)) as closely."""
     gen = total_generator("hamiltonian-3q", ModelParams(gamma=1.0, kappa=big_r))
     full = integrate(gen, scenario_rho0("hamiltonian-3q"), t_max, n_samples=11)
     reduced = integrate_reduced(big_r, 1.0, t_max, n_samples=11)
-    assert np.max(np.abs(class_coefficients(full.coords, full.basis) - reduced.coords)) <= 1e-6
+    unsplit = propagate_linear(build_reduced_matrix(big_r, 1.0), np.eye(13)[0], full.times).real
+    coeffs = class_coefficients(full.coords, full.basis)
+    assert np.max(np.abs(coeffs - reduced.coords)) <= 1e-6
+    for split in (coeffs, reduced.coords):
+        assert np.max(np.abs(split - unsplit)) <= 1e-6
 
 
 def test_class_spread_stays_small_under_evolution():
