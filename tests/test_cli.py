@@ -890,7 +890,8 @@ def test_reduced_engine_resolves_slow_horizons_and_vast_R(big_r, t_max, extra, f
     assert main(_reduced_argv(big_r, t_max, out) + extra) == 0
     err = capsys.readouterr().err.strip()
     if extra:
-        assert float(re.fullmatch(r"cross-validate: max coefficient deviation (\S+)", err)[1]) <= 1e-6
+        dev = re.fullmatch(r"cross-validate: max coefficient deviation (\S+)", err)
+        assert float(dev[1]) <= 1e-6
     else:
         assert err == ""
     assert abs(_read_csv(out)[2][-1, 1] - f_cw) <= 1e-10
