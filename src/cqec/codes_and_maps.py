@@ -197,14 +197,14 @@ class Generator:
         d = len(self.hamiltonian)
         self.bath_dim = d >> code.system_count
         # qubit j is bit d >> (j + 1) of a basis index (qubit 0 most significant)
-        self.flips = [np.arange(d) ^ (d >> (j + 1)) for j in range(code.system_count)]
+        self.flips = np.arange(d) ^ (d >> np.arange(1, code.system_count + 1))[:, None]
 
     def noise(self, rho):
         rho = np.asarray(rho, dtype=complex)
         out = -1j * (self.hamiltonian @ rho - rho @ self.hamiltonian)
-        if self.lam:
-            for p in self.flips:
-                out += self.lam * (rho[..., p, :][..., p] - rho)
+        if self.lam:  # sum_j X_j rho X_j by one gather of the flipped rows and columns
+            flipped = rho[..., self.flips[:, :, None], self.flips[:, None, :]].sum(axis=-3)
+            out += self.lam * (flipped - len(self.flips) * rho)
         return out
 
     def correction(self, rho):

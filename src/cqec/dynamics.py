@@ -1,18 +1,19 @@
 """Time-evolution engines for master equations and their discretizations.
 
 * ``integrate`` -- the master equation ``drho/dt = G(rho)`` solved
-  exactly.  G is a constant linear generator (kappa (Phi - id) is a
-  rate, not a train of discrete events), so rho(t) = exp(G t) rho0, taken
-  by eigendecomposition of its restriction to the Krylov coordinates
-  (``propagate_linear``; Moler & Van Loan, SIAM Rev. 45, 3 (2003),
-  method 14), which refuses an eigenbasis whose condition number reaches
-  1e8 with IntegrationError.  A generator that keeps the trace is
-  propagated in coordinates whose first one is the trace, with that
-  coordinate's rate set to exactly zero (``_trace_first``), so the trace
-  does not drift with t.  ``hamiltonian-3q`` runs on the 13 class states
-  instead, split into exact slow and fast blocks (``_slow_fast_split``),
-  so that the slow pair ~24 gamma / R^2 carries no error of the size of
-  the fast rates ~R gamma.
+  exactly.  G = noise + kappa correction is a constant linear generator
+  (kappa (Phi - id) is a rate, not a train of discrete events), so
+  rho(t) = exp(G t) rho0, taken on the restriction of the rate-free noise
+  and correction (``_restriction``) by ``_propagate``: an exact split
+  into a slow block on the kernel of the correction and a fast block
+  (``_slow_fast_split``), so that no slow rate (the slow pair ~24 gamma /
+  R^2 of ``hamiltonian-3q``, the logical rate ~12 lambda / r of
+  ``markovian-3q``) carries an error of the size of the fast rates ~kappa,
+  each block by eigendecomposition (Moler & Van Loan, SIAM Rev. 45, 3
+  (2003), method 14), refused with IntegrationError where its eigenbasis
+  has condition number 1e8 or more.  The trace is the slow block's first
+  coordinate, with its rate set to exactly zero (``_trace_first``), so it
+  does not drift with t.
 * ``step_weak_map`` -- discrete cycles of unitary evolution over tau_c
   followed by the weak recovery channel (1-eps) id + eps Phi; converges
   first-order in tau_c to the continuous dynamics at kappa = eps/tau_c.
@@ -26,27 +27,25 @@
   sample sums then read in a few vectorized steps.
 * ``integrate_reduced`` -- the 13 class coefficients of the reduced model
   (:mod:`cqec.reduced_model`, ``hamiltonian-3q``) on the 13 class states,
-  propagated through the same split (``_propagate_classes``).
+  propagated through the same split (``_propagate``).
 
-The other engines run on the k coordinates of a subspace that holds rho0
-and is mapped into itself by the model's operators.  For
+The engines run on the k coordinates of a subspace that holds rho0 and
+is mapped into itself by the rate-free noise and correction
+(Phi (x) id_bath - id), from one function, ``_restriction``.  For
 ``hamiltonian-3q`` from states in the class span, that is the 13 class
-states, with the restrictions of the noise and the correction
-(Phi (x) id_bath - id) read from the reduced model's tables
-(``reduced_model.class_restriction``), for every engine.  Otherwise
-``integrate`` takes the smallest one, the Krylov space of rho0 under the
-``Generator``'s ``apply`` (``invariant_subspace``; Saad, SIAM J. Numer.
-Anal. 29, 209 (1992), with several operators in place of one): k = 3 for
-``hamiltonian-1q`` from the scenario state.  The subspace comes in
-Arnoldi form: the restriction of each operator is the Gram-Schmidt
-coefficients that built the basis, equal to q^dag op(q) to rounding, and
-rho0 is |rho0| q_0, so no image of the basis is kept.  The weak map and
-Monte Carlo take the Krylov space of rho0 under the rate-free ``noise``
-and ``correction``, with Phi restricted as I plus the restricted
-correction.  A trajectory keeps only its coordinates and the basis (d is
-read from it; on the class states it holds the shared class states
-themselves, not a copy); the d x d states are built only when
-``Trajectory.states`` is read.
+states, with both restrictions read from the reduced model's tables
+(``reduced_model.class_restriction``).  Otherwise it is the smallest one,
+the Krylov space of rho0 under both maps (``invariant_subspace``; Saad,
+SIAM J. Numer. Anal. 29, 209 (1992), with several operators in place of
+one): k = 3 for ``hamiltonian-1q`` from the scenario state.  It comes in
+Arnoldi form (the restriction of each map is the Gram-Schmidt
+coefficients that built the basis, equal to q^dag op(q) to rounding, so
+no image of the basis is kept), rotated onto the kernel of the
+restricted correction and its complement.  The weak map and Monte Carlo
+restrict Phi as I plus the restricted correction.  A trajectory keeps
+only its coordinates and the basis (d is read from it; on the class
+states it holds the shared class states themselves, not a copy); the
+d x d states are built only when ``Trajectory.states`` is read.
 
 Every engine checks its samples, never repairs them: the trace must stay
 within 1e-8 of 1, and an eigenvalue below -1e-8 triggers a
@@ -78,16 +77,11 @@ TRACE_TOL = 1e-8
 # Largest number of array entries in one Monte Carlo chunk (``mc_trajectory_entries``
 # per trajectory), which bounds its memory.
 MC_CHUNK_ENTRIES = 2**18
-# Smallest new direction in ``invariant_subspace``, relative to the largest image;
-# rounding leaves ~1e-16.  hamiltonian-3q keeps all k = 9 for R in [1e-10, 3e7].
-# Beyond, the restriction of one rate's ``apply`` finds k = 8 at R = 1e8,
-# 15 at 1e10 and 2 from 1e13 on, where the noise's images sink to the rounding of the
-# kappa-sized correction; the rate-free noise and correction of the weak map, Monte
-# Carlo and the scan keep k = 9.
-# Also the largest trace row of the reflected generator, relative to its norm, that
-# ``_trace_first`` zeroes as rounding: the scenario generators leave ~1e-16, and up
-# to 1e-12 at rates above ~1e12, where a Krylov direction falls below the tolerance.
-# On the class states (``_propagate_classes``) the trace row is zeroed at any size.
+# Smallest new direction in ``invariant_subspace``, relative to the largest image of
+# the same map; rounding leaves ~1e-16.  Also the smallest singular value of the
+# restricted correction, relative to its largest, outside its kernel
+# (``_restriction``), and the largest trace row of the restricted noise or
+# correction, relative to its scale, that ``integrate`` accepts as rounding.
 SUBSPACE_TOL = 1e-12
 # An op whose nonzero images all have norms below this one is refused by
 # ``invariant_subspace``: it is the norm whose square is the smallest normal double.
@@ -264,24 +258,26 @@ def _sample_times(t_max, n_samples):
 def integrate(generator, rho0, t_max, n_samples=201):
     """Propagate drho/dt = G(rho) exactly and sample on a uniform grid.
 
-    The generator exposes ``apply(rho)``.  It is restricted to the k
-    coordinates of the Krylov space of rho0 (``invariant_subspace``), where
-    rho0 is |rho0| times the first basis state, |rho0| e_0, and exp(g t) is
-    taken by ``propagate_linear``.  If g keeps the trace
-    to rounding, it is propagated in the reflected coordinates of
-    ``_trace_first``, so that the trace is one coordinate held constant
-    exactly.  All samples are checked on their coordinates
+    G = noise + kappa correction: the generator exposes the rate-free maps
+    ``noise`` and ``correction`` and the rate ``kappa``.  Both maps are
+    restricted to the k coordinates of ``_restriction`` (the 13 normalised
+    class states for ``hamiltonian-3q`` from states in the class span,
+    otherwise the Krylov space of rho0 under both maps, rotated onto the
+    kernel of the correction and its complement), and g = n_k + kappa c_k
+    is propagated by ``_propagate`` with that kernel as its slow set, so
+    that no slow rate carries an error of the size of kappa.  A restricted
+    noise or correction that changes the trace, by a trace row t . op
+    above ``SUBSPACE_TOL`` sum |t| max |op| (t the traces of the basis
+    states), is refused with IntegrationError before it is propagated:
+    the trace is held as an exact coordinate, and these rows, unlike g's,
+    do not grow with kappa.  All samples are checked on their coordinates
     (``_check_samples``) and kept as coordinates on q.  t_max = 0 returns
     the single sample rho0, as the coordinate 1 on the basis column rho0.
 
-    A ``Generator`` without Lindblad flips whose model the reduced model's
-    tables describe (``reduced_model.class_restriction``: ``hamiltonian-3q``
-    from states in the class span) is restricted to the 13 normalised class
-    states instead, g = n_k + kappa c_k read from the tables, and propagated
-    by ``_propagate_classes``.
-
     The scenario states give k <= 9.  A generic six-qubit rho0 gives
-    k = 1287, whose restriction takes tens of seconds to build.
+    k = 93 in ~0.1 s (the Krylov space of one rate's generator, noise +
+    kappa correction, ran to ~1290 directions in ~10 s, all but at most 93
+    of them rounding).
     """
     rho0 = np.array(rho0, dtype=complex)
     if t_max < 0:
@@ -290,107 +286,103 @@ def integrate(generator, rho0, t_max, n_samples=201):
         return Trajectory(np.zeros(1), np.ones((1, 1)), rho0.reshape(-1, 1))
 
     times = _sample_times(t_max, n_samples)
-    restriction = None
-    if isinstance(generator, Generator) and not generator.lam:
-        restriction = _in_double_precision(reduced_model.class_restriction, rho0,
-                                           generator.hamiltonian, generator.code)
-    if restriction is not None:
-        q, n_k, c_k, y0 = restriction
-        g = _in_double_precision(lambda: n_k + generator.kappa * c_k)
-        coords = _propagate_classes(g, ~c_k.any(axis=0), q[:: len(rho0) + 1].sum(axis=0),
-                                    y0, times)
-        _check_samples(times, coords, q, _class_blocks(True))
-        return Trajectory(times, coords, q)
-    q, (g,) = invariant_subspace([generator.apply], rho0)
-    h, g = _trace_first((np.eye(len(rho0)).ravel() @ q).conj(), g)
-    coords = propagate_linear(g, h[:, 0] * np.linalg.norm(rho0), times) @ h.T
-    _check_samples(times, coords, q)
+    q, n_k, c_k, slow, y0, blocks = _restriction(generator, rho0)
+    trace = q[:: len(rho0) + 1].sum(axis=0)  # the traces of the basis states
+    for name, op in (("noise", n_k), ("correction", c_k)):
+        lost = np.abs(trace @ op).max()
+        if lost > SUBSPACE_TOL * np.abs(trace).sum() * np.abs(op).max():
+            raise IntegrationError(f"the {name} does not keep the trace: its restriction "
+                                   f"changes it at rate {lost:.3e}")
+    g = _in_double_precision(lambda: n_k + generator.kappa * c_k)
+    coords = _propagate(g, slow, trace, y0, times)
+    _check_samples(times, coords, q, blocks)
     return Trajectory(times, coords, q)
 
 
-def _propagate_classes(g, slow, trace, y0, times):
-    """Rows exp(g t) y0 for each t, for a generator g on the class states
-    that keeps the trace trace^dag y exactly, split over the classes
-    ``slow`` (a boolean mask; those that the correction leaves alone) and
-    the rest, ``fast``, by ``_slow_fast_split``: with g in blocks
-    [[A, B], [C, D]] over (slow, fast), T = [[I, Y], [X, XY + I]] takes
-    g to diag(S, F), so that exp(g t) = T diag(exp(S t), exp(F t)) T^-1.
-    The slow block S carries the slow pair (~24 gamma / R^2) with no error
-    of the size of the fast rates (~R gamma), and is propagated with the
-    trace as its first coordinate, whose rate is set to exactly zero (the
-    trace's rate in S is zero but for rounding that grows with R).  Where
-    the split does not converge (R below ~3.9), g is propagated in one
-    block, with its trace coordinate the same way."""
-    split = _slow_fast_split(g, slow)
+def _propagate(g, slow, trace, y0, times):
+    """Rows exp(g t) y0 for each t, for a generator g that keeps the trace
+    trace . y exactly, split over the coordinates ``slow`` (a boolean mask:
+    the kernel of the correction) and the rest, ``fast``, by
+    ``_slow_fast_split``: with g in blocks [[A, B], [C, D]] over (slow,
+    fast), T = [[I, Y], [X, XY + I]] takes g to diag(S, F).  The slow block
+    S carries the slow rates with no error of the size of the fast ones,
+    and is taken in the coordinates of ``_trace_first``, with the trace's
+    rate set to exactly zero.  With S = V_s W_s V_s^-1 and F = V_f W_f
+    V_f^-1 (``_eigenbasis``), Y = V_s Y' V_f^-1 solves S Y - Y F = -B with
+    Y'_ij = -(V_s^-1 B V_f)_ij / (w_s,i - w_f,j), and g = V W V^-1 with
+    V = T diag(V_s, V_f) = [[V_s, V_s Y'], [X V_s, X V_s Y' + V_f]], so
+    all k coordinates are propagated in one product.  With fewer than two
+    slow coordinates, no fast one, or a split that does not converge, g is
+    propagated in one block, its trace coordinate the same way."""
+    split = _slow_fast_split(g, slow) if 1 < np.count_nonzero(slow) < len(g) else None
     if split is None:
-        return _propagate_keeping_trace(g, trace.conj(), y0, times)
-    x, y, s, f = split
+        slow = np.ones(len(g), dtype=bool)
+        x, s = np.zeros((0, len(g))), g
+    else:
+        x, s, f = split
     fast = ~slow
-    # z = T^-1 y0, with T^-1 = [[I + YX, -Y], [-X, I]]
-    z_fast = y0[fast] - x @ y0[slow]
-    z_slow = y0[slow] - y @ z_fast
     # the trace of T z is u^dag z_slow, u = conj(trace_slow + X^T trace_fast)
-    u = (trace[slow] + x.T @ trace[fast]).conj()
-    e_fast = propagate_linear(f, z_fast, times)
-    top = _propagate_keeping_trace(s, u, z_slow, times) + e_fast @ y.T
-    coords = np.empty((len(times), len(g)), dtype=complex)
-    coords[:, slow] = top
-    coords[:, fast] = top @ x.T + e_fast
-    return coords
-
-
-def _propagate_keeping_trace(g, v, x0, times):
-    """Rows exp(g t) x0 for a g that keeps the trace v^dag x exactly,
-    propagated in the coordinates of ``_trace_first`` with the trace's rate
-    set to zero."""
-    h, g = _trace_first(v, g, exact=True)
-    return propagate_linear(g, h @ x0, times) @ h.T
+    h, s = _trace_first((trace[slow] + x.T @ trace[fast]).conj(), s)
+    w, v_s = _eigenbasis(s)
+    v_s = h @ v_s
+    if split is None:
+        v, c = v_s, np.linalg.solve(v_s, y0)
+    else:
+        w_f, v_f = _eigenbasis(f)
+        y = np.linalg.solve(v_s, g[slow][:, fast] @ v_f) / (w_f - w[:, None])
+        # V^-1 y0 = diag(V_s^-1, V_f^-1) T^-1 y0, with T^-1 = [[I + YX, -Y], [-X, I]]
+        c_f = np.linalg.solve(v_f, y0[fast] - x @ y0[slow])
+        c = np.concatenate([np.linalg.solve(v_s, y0[slow]) - y @ c_f, c_f])
+        top = np.hstack([v_s, v_s @ y])
+        v = np.empty((len(g), len(g)), dtype=complex)
+        v[slow] = top
+        v[fast] = x @ top
+        v[fast, len(w):] += v_f
+        w = np.concatenate([w, w_f])
+    # a phase w t beyond double precision reads nan, which the sample checks refuse
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (np.exp(np.outer(times, w)) * c) @ v.T
 
 
 def _slow_fast_split(g, slow):
-    """(X, Y, S, F) that block-diagonalise g = [[A, B], [C, D]] over the
+    """(X, S, F) that block-diagonalise g = [[A, B], [C, D]] over the
     coordinates ``slow`` and the rest (adiabatic elimination done exactly;
     Reiter & Sorensen, PRA 85, 032111 (2012)): X solves the Riccati equation
     C + D X - X (A + B X) = 0 by the iteration X <- D^-1 (X (A + B X) - C)
-    from X = 0, S = A + B X and F = D - X B, and Y solves the Sylvester
-    equation S Y - Y F = -B (Stewart & Sun, Matrix Perturbation Theory
-    (1990), chapter V).  None where the iteration stops short of a relative
-    change of 4 eps: at a step that does not shrink, after 100 steps, or
-    where D is singular.  For hamiltonian-3q it converges from R ~ 3.9 on
-    (75 steps at R = 4, 15 at 10, 6 at 100, 2 from 1e6); below, the fast
-    rates do not dominate the slow block's."""
+    from X = 0, S = A + B X and F = D - X B (Stewart & Sun, Matrix
+    Perturbation Theory (1990), chapter V).  None where the iteration stops
+    short of a change of 4 eps relative to its first step: at a step that
+    does not shrink, after 100 steps, or where D is singular.  It converges
+    for hamiltonian-3q from R ~ 3.9 on (75 steps at R = 4, 14 at 10, 5 at
+    100, 1 from 1e6) and for markovian-3q from r ~ 1.7 (15 steps at r =
+    10, 9 at 96, 2 at 1e6); below, the fast rates do not dominate the slow
+    block's."""
     fast = ~slow
-    a, b = g[np.ix_(slow, slow)], g[np.ix_(slow, fast)]
-    c, d = g[np.ix_(fast, slow)], g[np.ix_(fast, fast)]
+    (a, b), (c, d) = ((rows[:, slow], rows[:, fast]) for rows in (g[slow], g[fast]))
     try:
         d_inv = np.linalg.inv(d)
     except np.linalg.LinAlgError:
         return None
-    x = np.zeros_like(c)
-    step = np.inf
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging X reads inf or nan
+        p = d_inv @ c
+        x, step = -p, np.inf  # the first step from X = 0
+        tol = 4.0 * np.finfo(float).eps * np.abs(p).max()
         for _ in range(100):
-            new = d_inv @ (x @ (a + b @ x) - c)
+            new = d_inv @ (x @ (a + b @ x)) - p
             change = np.abs(new - x).max()
             if not change < step:
                 return None
-            if change <= 4.0 * np.finfo(float).eps * np.abs(new).max():
-                break
+            if change <= tol:
+                return new, a + b @ new, d - new @ b
             x, step = new, change
-        else:
-            return None
-    s, f = a + b @ new, d - new @ b
-    k, m = len(s), len(f)
-    # S Y - Y F = -B, row-major: (S (x) I - I (x) F^T) vec(Y) = -vec(B)
-    y = np.linalg.solve(np.kron(s, np.eye(m)) - np.kron(np.eye(k), f.T), -b.ravel())
-    return new, y.reshape(k, m), s, f
+    return None
 
 
 def integrate_reduced(big_r, gamma, t_max, n_samples=201):
     """The 13 class coefficients of the reduced model, exp(gamma M(R) t)
     applied to the unit first one on a uniform grid of t in [0, t_max],
-    t_max > 0, propagated by ``_propagate_classes`` as the full engine's
-    class coordinates are: real coordinates on the class states
+    t_max > 0, propagated by ``_propagate`` as the full engine's class
+    coordinates are: real coordinates on the class states
     ``reduced_model.class_basis()``, checked as every engine's samples
     (``_check_samples``).  Rates with an entry of gamma M(R) beyond double
     precision raise IntegrationError."""
@@ -403,29 +395,31 @@ def integrate_reduced(big_r, gamma, t_max, n_samples=201):
     slow = ~reduced_model._M_CORR.any(axis=0)  # the classes the correction leaves alone
     trace = basis[:: 64 + 1].sum(axis=0)  # the traces of the class states
     # a copy of the real part, so that the complex result is freed
-    coords = _propagate_classes(m, slow, trace, np.eye(13)[0], times).real.copy()
+    coords = _propagate(m, slow, trace, np.eye(13)[0], times).real.copy()
     _check_samples(times, coords, basis, _class_blocks(False))
     return Trajectory(times, coords, basis)
 
 
-def propagate_linear(system_matrix, x0, times):
-    """x(t) = exp(M t) x0 for each requested time, by eigendecomposition.
-
-    Raises IntegrationError when the eigenbasis condition number reaches
-    1e8 (M defective or nearly so), where the product is not resolved.
-    """
-    m = np.asarray(system_matrix)
-    x0 = np.asarray(x0, dtype=complex)
-    times = np.asarray(times, dtype=float)
+def _eigenbasis(m):
+    """(w, V), the eigenvalues and eigenvectors of m.  Raises
+    IntegrationError when the condition number of V reaches 1e8 (m
+    defective or nearly so), where exp(m t) = V exp(w t) V^-1 is not
+    resolved."""
     w, v = np.linalg.eig(m)
     cond = np.linalg.cond(v)
     if not cond < 1e8:
         raise IntegrationError(f"eigenbasis condition number {cond:.3e} >= 1e8; "
                                "exp(M t) is not resolved")
-    c = np.linalg.solve(v, x0)
-    # a phase w t beyond double precision reads nan, which the sample checks refuse
+    return w, v
+
+
+def propagate_linear(system_matrix, x0, times):
+    """x(t) = exp(M t) x0 for each requested time, by eigendecomposition
+    (``_eigenbasis``), in one block: the unsplit reference of the tests."""
+    w, v = _eigenbasis(np.asarray(system_matrix))
+    c = np.linalg.solve(v, np.asarray(x0, dtype=complex))
     with np.errstate(over="ignore", invalid="ignore"):
-        return (np.exp(np.outer(times, w)) * c) @ v.T
+        return (np.exp(np.outer(np.asarray(times, dtype=float), w)) * c) @ v.T
 
 
 def invariant_subspace(ops, rho0):
@@ -440,10 +434,10 @@ def invariant_subspace(ops, rho0):
     ops[i](q_j): the sum of the two passes' projections and, where the rest
     added q_m, its norm at row m (one op's block is upper Hessenberg).  It
     equals q^dag ops[i](q) to rounding, and q_0 is rho0 / |rho0|.  An
-    overflow on the way, in an image, its norm or the norm of the blocks
-    that ``_trace_first`` takes (rates whose square exceeds the largest
-    float, from ~4e153 for hamiltonian-1q), raises IntegrationError: a norm
-    read as inf would stop the subspace at k = 1, a state that never moves.
+    overflow on the way, in an image or its norm (rates whose square
+    exceeds the largest float, from ~1e154), raises IntegrationError: a
+    norm read as inf would stop the subspace at k = 1, a state that never
+    moves.
     So does a nonzero image while the op's largest image norm is below
     ``UNDERFLOW_NORM`` (rates below ~1e-154), whose norms read 0 or lose
     digits, and a direction past the d^2 that the states hold, which only a
@@ -481,12 +475,13 @@ def _krylov_rows(ops, rho0):
             if scale[i] < UNDERFLOW_NORM and w.any():
                 raise IntegrationError(f"rates below double precision: image norm "
                                        f"{scale[i]:.3e} in the restriction of the generator")
-            r = w
-            for _ in range(2):  # conj(b @ conj(r)) = b.conj() @ r without a conjugate copy of b
-                c = np.conj(q[:k] @ np.conj(r))
-                r = r - c @ q[:k]
-                blocks[i, :k, j] += c
-            norm = np.linalg.norm(r)
+            # conj(b @ conj(w)) = b.conj() @ w without a conjugate copy of b
+            c = np.conj(q[:k] @ np.conj(w))
+            r = w - c @ q[:k]
+            c2 = np.conj(q[:k] @ np.conj(r))  # the second pass
+            r -= c2 @ q[:k]
+            blocks[i, :k, j] = c + c2
+            norm = np.sqrt(np.vdot(r, r).real)  # at most |w|, whose norm did not overflow
             if norm > SUBSPACE_TOL * scale[i]:
                 if k == d * d:
                     raise IntegrationError(f"Gram-Schmidt broke down: more than d^2 = {k} "
@@ -498,16 +493,14 @@ def _krylov_rows(ops, rho0):
                 blocks[i, k, j] = norm
                 k += 1
         j += 1
-    np.linalg.norm(blocks)  # an overflow in the blocks, which _trace_first takes the norm of
     return q[:k], blocks[:, :k, :k]
 
 
-def _trace_first(v, g, exact=False):
+def _trace_first(v, g):
     """(h, g'): the Householder reflection h (h = h^dag = h^-1) whose
     coordinates c' = h c carry the trace v^dag c in c'_0 alone, and
-    g' = h g h.  The first row of g' is the trace's rate of change; below
-    ``SUBSPACE_TOL`` |g|, or at any size for a g that keeps the trace
-    exactly (``exact``), it is rounding and is set to zero, so that LAPACK's
+    g' = h g h with its first row, the trace's rate of change, set to zero:
+    for a g that keeps the trace it is rounding, and zeroed, LAPACK's
     balancing isolates an exact zero eigenvalue (with g kept as it is, eig
     puts it ~1e-16 |g| off zero and the trace drifts by that rate times t).
     v, complex, is overwritten."""
@@ -515,38 +508,42 @@ def _trace_first(v, g, exact=False):
     v[0] += np.exp(1j * np.angle(v[0])) * np.linalg.norm(v)
     h = np.eye(len(v)) - 2.0 * np.outer(v, v.conj()) / np.vdot(v, v).real
     g = h @ g @ h
-    if exact or np.linalg.norm(g[0]) <= SUBSPACE_TOL * np.linalg.norm(g):
-        g[0] = 0.0
+    g[0] = 0.0
     return h, g
 
 
-def _pair_subspace(rho0, hamiltonian, code):
-    """(q, w, v, phi_k, blocks, y0): q spans a subspace that holds rho0 and
-    is invariant under the noise -i[H, .] and the correction
-    c = Phi (x) id_bath - id of ``Generator``, whose restrictions are
-    -i v w v^dag (so exp(-i[H, .] t) becomes v exp(-i w t) v^dag) and c_k,
-    with phi_k = I + c_k; ``blocks`` is what the sample check reads of q,
-    and y0 = q^dag rho0.
+def _restriction(generator, rho0):
+    """(q, n_k, c_k, slow, y0, blocks): q spans a subspace that holds rho0
+    and is invariant under the rate-free ``noise`` and ``correction`` of
+    ``generator``, whose restrictions are n_k and c_k; ``slow`` marks the
+    coordinates that span the kernel of c_k, whose columns of c_k are exact
+    zeros; y0 = q^dag rho0, and ``blocks`` is what the sample check reads of
+    q.
 
-    Where the reduced model's tables describe the model (the pair-coupled
-    bitflip3 code with rho0 in the class span, as ``hamiltonian-3q``), q is
-    the 13 normalised class states, the restrictions and y0 are read from
-    the tables and the class projection (``reduced_model.class_restriction``)
-    and ``blocks`` is the one derived for those states once per process;
-    otherwise q is the Krylov basis of ``invariant_subspace``, y0 is
-    conj(conj(rho0) @ q) (q^dag rho0 without a conjugate copy of q), and
-    ``blocks`` is None, derived by the check itself."""
-    restriction = _in_double_precision(reduced_model.class_restriction, rho0, hamiltonian, code)
-    if restriction is None:
-        gen = Generator(code, hamiltonian, 0.0, 0.0)
-        q, (n_k, c_k) = invariant_subspace([gen.noise, gen.correction], rho0)
-        blocks = None
-        y0 = np.conj(np.conj(rho0.ravel()) @ q)
-    else:
-        q, n_k, c_k, y0 = restriction
-        blocks = _class_blocks(True)
-    w, v = np.linalg.eigh(1j * n_k)
-    return q, w, v, np.eye(len(w)) + c_k, blocks, y0
+    Where the reduced model's tables describe the model (a ``Generator``
+    without Lindblad flips for the pair-coupled bitflip3 code with rho0 in
+    the class span, as ``hamiltonian-3q``), q is the 13 normalised class
+    states, the restrictions and y0 are read from the tables and the class
+    projection (``reduced_model.class_restriction``), ``slow`` is the
+    classes that the correction leaves alone, and ``blocks`` is the one
+    derived for those states once per process.  Otherwise q is the Krylov
+    basis of ``invariant_subspace`` rotated by the right singular vectors of
+    its c_k, so that the singular values at most ``SUBSPACE_TOL`` of the
+    largest give the kernel coordinates, whose columns of the rotated c_k,
+    rounding, are set to zero; y0 is |rho0| times the rotated first basis
+    state, and ``blocks`` is None, derived by the check itself."""
+    if isinstance(generator, Generator) and not generator.lam:
+        restriction = _in_double_precision(reduced_model.class_restriction, rho0,
+                                           generator.hamiltonian, generator.code)
+        if restriction is not None:
+            q, n_k, c_k, y0 = restriction
+            return q, n_k, c_k, ~c_k.any(axis=0), y0, _class_blocks(True)
+    q, (n_k, c_k) = invariant_subspace([generator.noise, generator.correction], rho0)
+    _, sv, vh = np.linalg.svd(c_k)
+    slow = sv <= SUBSPACE_TOL * sv[0]
+    n_k, c_k = vh @ np.stack([n_k, c_k]) @ vh.conj().T
+    c_k[:, slow] = 0.0
+    return q @ vh.conj().T, n_k, c_k, slow, vh[:, 0] * np.linalg.norm(rho0), None
 
 
 def step_weak_map(rho0, hamiltonian, code, eps, tau_c, n_steps, sample_stride=1):
@@ -554,11 +551,10 @@ def step_weak_map(rho0, hamiltonian, code, eps, tau_c, n_steps, sample_stride=1)
     channel (1-eps) rho + eps Phi(rho), repeated n_steps times; sampled
     after every ``sample_stride`` cycles and after the last one.
 
-    Samples are reached by powers of the one-cycle map ((1-eps) I + eps
-    phi_k) exp(tau_c N_k) on the coordinates of ``_pair_subspace`` (the 13
-    class states for ``hamiltonian-3q``), where N_k restricts -i[H, .] and
-    phi_k = I + c_k, c_k the restriction of the correction
-    Phi (x) id_bath - id.
+    Samples are reached by powers of the one-cycle map (I + eps c_k)
+    exp(tau_c N_k) on the coordinates of ``_restriction`` (the 13 class
+    states for ``hamiltonian-3q``), where N_k restricts -i[H, .] and c_k
+    the correction Phi (x) id_bath - id.
     Equivalent continuous correction rate: kappa = eps / tau_c.  The
     samples are checked as those of ``integrate`` (``_check_samples``); a
     power or sample that overflows (rounding compounded over 1e18 cycles at
@@ -569,9 +565,10 @@ def step_weak_map(rho0, hamiltonian, code, eps, tau_c, n_steps, sample_stride=1)
     if tau_c <= 0 or n_steps < 1 or sample_stride < 1:
         raise ValueError("need tau_c > 0, n_steps >= 1 and sample_stride >= 1")
     rho = np.asarray(rho0, dtype=complex)
-    q, w, v, phi_k, blocks, y0 = _pair_subspace(rho, hamiltonian, code)
+    q, n_k, c_k, _, y0, blocks = _restriction(Generator(code, hamiltonian, 0.0, 0.0), rho)
+    w, v = np.linalg.eigh(1j * n_k)
     unitary = (v * np.exp(-1j * w * tau_c)) @ v.conj().T
-    s = ((1.0 - eps) * np.eye(len(w)) + eps * phi_k) @ unitary
+    s = (np.eye(len(w)) + eps * c_k) @ unitary
 
     steps = list(range(sample_stride, n_steps + 1, sample_stride))
     if steps[-1:] != [n_steps]:
@@ -661,14 +658,15 @@ def jump_monte_carlo(rho0, hamiltonian, code, kappa, t_max, n_traj, seed, n_samp
     The results are byte-reproducible at a fixed BLAS thread count; between
     1 and 2 OpenBLAS threads they differ by rounding (up to 2.2e-15 in
     F_cw at seed 7).  Returns the mean state per sample time as
-    coordinates on the basis q of ``_pair_subspace`` (the shared class
+    coordinates on the basis q of ``_restriction`` (the shared class
     states for ``hamiltonian-3q``), with the ensemble mean/stderr of the
     codeword fidelity in `observables`.
 
     A chunk of trajectories (``mc_trajectory_entries``) evolves together,
-    each as its k coordinates on q in the eigenbasis v, taken in the
-    interaction picture z = y e^{iwt}: free evolution leaves z as it is,
-    and a recovery at t is z -> ((z e^{-iwt}) @ R) e^{iwt}.  The recoveries
+    each as its k coordinates on q in the eigenbasis v of the restricted
+    -i[H, .] = -i v w v^dag, taken in the interaction picture
+    z = y e^{iwt}: free evolution leaves z as it is, and a recovery at t
+    is z -> ((z e^{-iwt}) @ R) e^{iwt}, R = I + v^dag c_k v.  The recoveries
     are applied in rounds by jump index, and each trajectory's z at a
     sample is the one after its last jump at or before that time
     (``_states_at_samples``).  The sample sums, F_cw and its standard error
@@ -682,9 +680,10 @@ def jump_monte_carlo(rho0, hamiltonian, code, kappa, t_max, n_traj, seed, n_samp
     if kappa < 0 or t_max <= 0:
         raise ValueError("need kappa >= 0 and t_max > 0")
     rho0 = np.asarray(rho0, dtype=complex)
-    q, w, v, phi_k, blocks, y0 = _pair_subspace(rho0, hamiltonian, code)
+    q, n_k, c_k, _, y0, blocks = _restriction(Generator(code, hamiltonian, 0.0, 0.0), rho0)
+    w, v = np.linalg.eigh(1j * n_k)
     d = len(rho0)
-    recover_t = (v.conj().T @ phi_k @ v).T  # y -> y @ recover_t is one recovery
+    recover_t = (np.eye(len(w)) + v.conj().T @ c_k @ v).T  # y -> y @ recover_t is one recovery
     p_eig = code.diagonal_weights(d)[:, 0] @ q[:: d + 1] @ v  # F_cw = p_eig @ y
     y0 = v.conj().T @ y0
 
