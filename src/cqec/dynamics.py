@@ -274,10 +274,9 @@ def integrate(generator, rho0, t_max, n_samples=201):
     (``_check_samples``) and kept as coordinates on q.  t_max = 0 returns
     the single sample rho0, as the coordinate 1 on the basis column rho0.
 
-    The scenario states give k <= 9.  A generic six-qubit rho0 gives
-    k = 93 in ~0.1 s (the Krylov space of one rate's generator, noise +
-    kappa correction, ran to ~1290 directions in ~10 s, all but at most 93
-    of them rounding).
+    The scenario states give k <= 9, a generic six-qubit rho0 k = 93 in
+    ~0.1 s (one rate's generator, noise + kappa correction, gave ~1290
+    Krylov directions in ~10 s, all but at most 93 of them rounding).
     """
     rho0 = np.array(rho0, dtype=complex)
     if t_max < 0:
@@ -308,7 +307,8 @@ def _propagate(g, slow, trace, y0, times):
     S carries the slow rates with no error of the size of the fast ones,
     and is taken in the coordinates of ``_trace_first``, with the trace's
     rate set to exactly zero.  With S = V_s W_s V_s^-1 and F = V_f W_f
-    V_f^-1 (``_eigenbasis``), Y = V_s Y' V_f^-1 solves S Y - Y F = -B with
+    V_f^-1 (``_eigenbasis``, of F less the mean of its diagonal times I),
+    Y = V_s Y' V_f^-1 solves S Y - Y F = -B with
     Y'_ij = -(V_s^-1 B V_f)_ij / (w_s,i - w_f,j), and g = V W V^-1 with
     V = T diag(V_s, V_f) = [[V_s, V_s Y'], [X V_s, X V_s Y' + V_f]], so
     all k coordinates are propagated in one product.  With fewer than two
@@ -328,7 +328,11 @@ def _propagate(g, slow, trace, y0, times):
     if split is None:
         v, c = v_s, np.linalg.solve(v_s, y0)
     else:
-        w_f, v_f = _eigenbasis(f)
+        # F ~ c I + slow-sized rates, c the mean of its diagonal (divided first, which
+        # cannot overflow): eig reads F - c I, whose eigenvectors its rounding of c would set
+        shift = np.sum(np.diag(f) / len(f))
+        w_f, v_f = _eigenbasis(f - shift * np.eye(len(f)))
+        w_f = w_f + shift
         y = np.linalg.solve(v_s, g[slow][:, fast] @ v_f) / (w_f - w[:, None])
         # V^-1 y0 = diag(V_s^-1, V_f^-1) T^-1 y0, with T^-1 = [[I + YX, -Y], [-X, I]]
         c_f = np.linalg.solve(v_f, y0[fast] - x @ y0[slow])
@@ -517,21 +521,18 @@ def _restriction(generator, rho0):
     and is invariant under the rate-free ``noise`` and ``correction`` of
     ``generator``, whose restrictions are n_k and c_k; ``slow`` marks the
     coordinates that span the kernel of c_k, whose columns of c_k are exact
-    zeros; y0 = q^dag rho0, and ``blocks`` is what the sample check reads of
-    q.
+    zeros; y0 = q^dag rho0, and ``blocks`` is what the sample check reads of q.
 
     Where the reduced model's tables describe the model (a ``Generator``
     without Lindblad flips for the pair-coupled bitflip3 code with rho0 in
     the class span, as ``hamiltonian-3q``), q is the 13 normalised class
     states, the restrictions and y0 are read from the tables and the class
-    projection (``reduced_model.class_restriction``), ``slow`` is the
-    classes that the correction leaves alone, and ``blocks`` is the one
+    projection (``reduced_model.class_restriction``), and ``blocks`` is
     derived for those states once per process.  Otherwise q is the Krylov
     basis of ``invariant_subspace`` rotated by the right singular vectors of
-    its c_k, so that the singular values at most ``SUBSPACE_TOL`` of the
-    largest give the kernel coordinates, whose columns of the rotated c_k,
-    rounding, are set to zero; y0 is |rho0| times the rotated first basis
-    state, and ``blocks`` is None, derived by the check itself."""
+    its c_k: those of singular values at most ``SUBSPACE_TOL`` of the
+    largest span the kernel, whose columns of the rotated c_k (rounding) are
+    set to zero, and ``blocks`` is None, derived by the check itself."""
     if isinstance(generator, Generator) and not generator.lam:
         restriction = _in_double_precision(reduced_model.class_restriction, rho0,
                                            generator.hamiltonian, generator.code)
