@@ -201,7 +201,8 @@ class Generator:
 
     def noise(self, rho):
         rho = np.asarray(rho, dtype=complex)
-        out = -1j * (self.hamiltonian @ rho - rho @ self.hamiltonian)
+        h = self.hamiltonian  # zero in the Markovian scenarios, whose commutator is skipped
+        out = -1j * (h @ rho - rho @ h) if h.any() else np.zeros_like(rho)
         if self.lam:  # sum_j X_j rho X_j by one gather of the flipped rows and columns
             flipped = rho[..., self.flips[:, :, None], self.flips[:, None, :]].sum(axis=-3)
             out += self.lam * (flipped - len(self.flips) * rho)

@@ -406,9 +406,8 @@ def integrate_reduced(big_r, gamma, t_max, n_samples=201):
 
 def _eigenbasis(m):
     """(w, V), the eigenvalues and eigenvectors of m.  Raises
-    IntegrationError when the condition number of V reaches 1e8 (m
-    defective or nearly so), where exp(m t) = V exp(w t) V^-1 is not
-    resolved."""
+    IntegrationError where the condition number of V reaches 1e8 (m
+    defective or nearly so): exp(m t) = V exp(w t) V^-1 is not resolved."""
     w, v = np.linalg.eig(m)
     cond = np.linalg.cond(v)
     if not cond < 1e8:
