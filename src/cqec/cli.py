@@ -42,7 +42,7 @@ from .dynamics import (
     MC_CHUNK_ENTRIES,
     IntegrationError,
     integrate,
-    integrate_reduced,
+    integrate_krylov,
     step_weak_map,
     jump_monte_carlo,
 )
@@ -262,18 +262,14 @@ def _write_json(path, payload):
 
 
 def _run_trajectory(config):
-    """Dispatch on engine; returns the trajectory (reduced: on the class states)."""
+    """Dispatch on engine; returns the trajectory (reduced: the full run)."""
     code = SCENARIOS[config.scenario].code()
     t_phys = config.t_max / config.unit
     rho0 = scenario_rho0(config.scenario)
 
-    if config.engine == "full":
+    if config.engine in ("full", "reduced"):
         gen = total_generator(config.scenario, config.params())
         return integrate(gen, rho0, t_phys, n_samples=config.samples)
-
-    if config.engine == "reduced":
-        return integrate_reduced(config.kappa / config.gamma, config.gamma, t_phys,
-                                 n_samples=config.samples)
 
     h = pair_hamiltonian(code, config.gamma)
     if config.engine == "weak-step":
@@ -304,7 +300,7 @@ def cmd_simulate(config, out, cross_validate=False):
 
     try:
         traj = _run_trajectory(config)
-        coords = traj.coords if reduced else np.empty((len(traj), 0))
+        coords = _class_columns(traj) if reduced else np.empty((len(traj), 0))
         try:
             samples = observables(traj, code)
         except ValueError as exc:  # F_cw > P_cs beyond rounding, in samples the check passed
@@ -323,28 +319,36 @@ def cmd_simulate(config, out, cross_validate=False):
         print(f"cross-validate: max coefficient deviation {dev:.3e}", file=sys.stderr)
         if dev > 1e-6:
             raise IntegrationError(
-                f"full/reduced cross-validation failed: deviation {dev:.3e} > 1e-6"
+                f"table/Krylov cross-validation failed: deviation {dev:.3e} > 1e-6"
             )
 
     _write_csv(out, config.to_dict(), header, rows)
     return 0
 
 
-def _cross_validate(config, traj):
-    """Max deviation between the class coefficients of the full 64-dim
-    integration and those of the reduced engine, at every sample.  ``traj``
-    is the trajectory of the config's own engine, which stands in for that
-    engine's run."""
-    def run(engine):
-        return traj if config.engine == engine else _run_trajectory(replace(config, engine=engine))
+def _class_columns(traj):
+    """The reduced engine's 13 class coefficients: the coordinates of a run on
+    the shared class states over their norms |b_i|; any other run raises."""
+    if traj.basis is not reduced_model.class_basis():
+        raise IntegrationError("the reduced engine's run is not on the class states")
+    return traj.coords.real / reduced_model.CLASS_NORMS
 
-    full = run("full")
+
+def _cross_validate(config, traj):
+    """Max deviation, at every sample, between the class coefficients of the
+    run on the reduced model's tables (``traj`` where the engine is full or
+    reduced) and those of ``integrate_krylov``, which reads no table."""
+    if config.engine not in ("full", "reduced"):
+        traj = _run_trajectory(replace(config, engine="full"))
+    krylov = integrate_krylov(total_generator(config.scenario, config.params()),
+                              scenario_rho0(config.scenario), config.t_max / config.unit,
+                              n_samples=config.samples)
     try:
-        coeffs = reduced_model.class_coefficients(full.coords, full.basis)
+        table_c, krylov_c = [reduced_model.class_coefficients(run.coords, run.basis)
+                             for run in (traj, krylov)]
     except ValueError as exc:  # a sample off the real symmetric manifold
-        raise IntegrationError(f"full/reduced cross-validation failed: {exc}") from exc
-    reduced = run("reduced")
-    return float(np.max(np.abs(coeffs - reduced.coords)))
+        raise IntegrationError(f"table/Krylov cross-validation failed: {exc}") from exc
+    return float(np.max(np.abs(table_c - krylov_c)))
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +500,7 @@ def build_parser():
     p.add_argument("--tau-c", dest="tau_c", type=float)
     p.add_argument("--out", default="-", help="output path (default: stdout)")
     p.add_argument("--cross-validate", action="store_true",
-                   help="also run the full/reduced cross-check (hamiltonian-3q)")
+                   help="also compare the table run with a Krylov run (hamiltonian-3q)")
 
     p = sub.add_parser("fig", help="write canned demo datasets")
     p.add_argument("id", type=int, choices=(1, 3, 4))

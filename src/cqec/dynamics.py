@@ -25,19 +25,19 @@
   recovery of every trajectory that has one.  Each round writes its
   coordinates into a table of the states at the samples, which the
   sample sums then read in a few vectorized steps.
-* ``integrate_reduced`` -- the 13 class coefficients of the reduced model
-  (:mod:`cqec.reduced_model`, ``hamiltonian-3q``) on the 13 class states,
-  propagated through the same split (``_propagate``).
+* ``integrate_krylov`` -- ``integrate`` on the Krylov space of rho0 alone:
+  for ``hamiltonian-3q`` a second propagation that reads no table.
 
 The engines run on the k coordinates of a subspace that holds rho0 and
 is mapped into itself by the rate-free noise and correction
 (Phi (x) id_bath - id), from one function, ``_restriction``.  For
 ``hamiltonian-3q`` from states in the class span, that is the 13 class
 states, with both restrictions read from the reduced model's tables
-(``reduced_model.class_restriction``).  Otherwise it is the smallest one,
-the Krylov space of rho0 under both maps (``invariant_subspace``; Saad,
-SIAM J. Numer. Anal. 29, 209 (1992), with several operators in place of
-one): k = 3 for ``hamiltonian-1q`` from the scenario state.  It comes in
+(``reduced_model.class_restriction``).  Otherwise it is the smallest
+one, the Krylov space of rho0 under both maps (``_krylov_restriction``,
+``invariant_subspace``; Saad, SIAM J. Numer. Anal. 29, 209 (1992), with
+several operators in place of one): k = 3 for ``hamiltonian-1q`` from the
+scenario state.  It comes in
 Arnoldi form (the restriction of each map is the Gram-Schmidt
 coefficients that built the basis, equal to q^dag op(q) to rounding, so
 no image of the basis is kept), rotated onto the kernel of the
@@ -50,18 +50,18 @@ d x d states are built only when ``Trajectory.states`` is read.
 Every engine checks its samples, never repairs them: the trace must stay
 within 1e-8 of 1, and an eigenvalue below -1e-8 triggers a
 PositivityWarning (below -1e-6, or a non-finite trace or eigenvalue, an
-IntegrationError).  ``integrate``, the reduced engine and the weak map
-check every sample, Monte Carlo its mean state.  The check runs on the
-coordinates of the whole trajectory at once: the trace is one product
-with the traces of the basis states, and the eigenvalues come from the
-distinct diagonal blocks that every state in span(q) is confined to
-(``_distinct_blocks``: one 8 x 8 block for the Krylov basis of
-``hamiltonian-3q``, one 2 x 2 for ``hamiltonian-1q``, 1 x 1 blocks for
-the Markovian scenarios).  The class states' one 8 x 8 block is split by
-the permutations of the qubit pairs into one 4 x 4 and two 2 x 2 blocks
-with the same eigenvalues, of which the check reads the 4 x 4 and one
-2 x 2 (``_class_blocks``); they are derived once per process, and a
-Krylov basis is read anew on each call.
+IntegrationError).  ``integrate`` and the weak map check every sample,
+Monte Carlo its mean state.  The check runs on the coordinates of the
+whole trajectory at once: the trace is one product with the traces of
+the basis states, and the eigenvalues come from the distinct diagonal
+blocks that every state in span(q) is confined to (``_distinct_blocks``:
+one 8 x 8 block for the Krylov basis of ``hamiltonian-3q``, one 2 x 2
+for ``hamiltonian-1q``, 1 x 1 blocks for the Markovian scenarios).  The
+class states' one 8 x 8 block is split by the permutations of the qubit
+pairs into one 4 x 4 and two 2 x 2 blocks with the same eigenvalues, of
+which the check reads the 4 x 4 and one 2 x 2 (``_class_blocks``); they
+are derived once per process, and a Krylov basis is read anew on each
+call.
 """
 
 import warnings
@@ -80,7 +80,7 @@ MC_CHUNK_ENTRIES = 2**18
 # Smallest new direction in ``invariant_subspace``, relative to the largest image of
 # the same map; rounding leaves ~1e-16.  Also the smallest singular value of the
 # restricted correction, relative to its largest, outside its kernel
-# (``_restriction``), and the largest trace row of the restricted noise or
+# (``_krylov_restriction``), and the largest trace row of the restricted noise or
 # correction, relative to its scale, that ``integrate`` accepts as rounding.
 SUBSPACE_TOL = 1e-12
 # An op whose nonzero images all have norms below this one is refused by
@@ -226,8 +226,8 @@ def _check_samples(times, coords, q, blocks=None):
 
 
 @cache
-def _class_blocks(normalised):
-    """What ``_min_eigenvalues`` reads of ``reduced_model.class_basis(normalised)``,
+def _class_blocks():
+    """What ``_min_eigenvalues`` reads of ``reduced_model.class_basis()``,
     derived once per process, as the class states are built.  A class state
     repeats one 8 x 8 diagonal block, on rows and columns s (x) (s xor c)
     for each c (``_diagonal_blocks``); in the basis
@@ -237,7 +237,7 @@ def _class_blocks(normalised):
     pair permutations and have the same eigenvalues, so only the first is
     read."""
     diag = 9 * np.arange(8)  # s (x) s: the block of c = 0
-    q = reduced_model.class_basis(normalised)
+    q = reduced_model.class_basis()
     w = reduced_model.pair_swap_basis()
     mats = w.T @ q[diag[:, None] * 64 + diag].transpose(2, 0, 1) @ w
     return [(mats[:, :4, :4].reshape(13, 16), 4), (mats[:, 4:6, 4:6].reshape(13, 4), 2)]
@@ -285,17 +285,36 @@ def integrate(generator, rho0, t_max, n_samples=201):
         return Trajectory(np.zeros(1), np.ones((1, 1)), rho0.reshape(-1, 1))
 
     times = _sample_times(t_max, n_samples)
-    q, n_k, c_k, slow, y0, blocks = _restriction(generator, rho0)
-    trace = q[:: len(rho0) + 1].sum(axis=0)  # the traces of the basis states
+    q, coords, blocks = _propagate_restricted(_restriction(generator, rho0), generator.kappa,
+                                              times)
+    _check_samples(times, coords, q, blocks)
+    return Trajectory(times, coords, q)
+
+
+def integrate_krylov(generator, rho0, t_max, n_samples=201):
+    """``integrate`` (t_max > 0) on ``_krylov_restriction``, also where
+    ``_restriction`` reads the tables (k = 9 for ``hamiltonian-3q``)."""
+    times = _sample_times(t_max, n_samples)
+    restriction = _krylov_restriction(generator, np.array(rho0, dtype=complex))
+    q, coords, blocks = _propagate_restricted(restriction, generator.kappa, times)
+    _check_samples(times, coords, q, blocks)
+    return Trajectory(times, coords, q)
+
+
+def _propagate_restricted(restriction, kappa, times):
+    """(q, coords, blocks): ``integrate`` after the restriction, but the
+    sample check.  An overflow or invalid value in g or in its propagation
+    (before the phases w t) raises IntegrationError."""
+    q, n_k, c_k, slow, y0, blocks = restriction
+    trace = q[:: int(np.sqrt(len(q))) + 1].sum(axis=0)  # the traces of the basis states
     for name, op in (("noise", n_k), ("correction", c_k)):
         lost = np.abs(trace @ op).max()
         if lost > SUBSPACE_TOL * np.abs(trace).sum() * np.abs(op).max():
             raise IntegrationError(f"the {name} does not keep the trace: its restriction "
                                    f"changes it at rate {lost:.3e}")
-    g = _in_double_precision(lambda: n_k + generator.kappa * c_k)
-    coords = _propagate(g, slow, trace, y0, times)
-    _check_samples(times, coords, q, blocks)
-    return Trajectory(times, coords, q)
+    coords = _in_double_precision(lambda: _propagate(n_k + kappa * c_k, slow, trace, y0, times),
+                                  message="rates beyond double precision in the propagation")
+    return q, coords, blocks
 
 
 def _propagate(g, slow, trace, y0, times):
@@ -380,28 +399,6 @@ def _slow_fast_split(g, slow):
                 return new, a + b @ new, d - new @ b
             x, step = new, change
     return None
-
-
-def integrate_reduced(big_r, gamma, t_max, n_samples=201):
-    """The 13 class coefficients of the reduced model, exp(gamma M(R) t)
-    applied to the unit first one on a uniform grid of t in [0, t_max],
-    t_max > 0, propagated by ``_propagate`` as the full engine's class
-    coordinates are: real coordinates on the class states
-    ``reduced_model.class_basis()``, checked as every engine's samples
-    (``_check_samples``).  Rates with an entry of gamma M(R) beyond double
-    precision raise IntegrationError."""
-    times = _sample_times(t_max, n_samples)
-    m = reduced_model.build_reduced_matrix(big_r, gamma)
-    if not np.isfinite(m).all():
-        raise IntegrationError(f"rates beyond double precision: gamma M(R) is not finite "
-                               f"at R = {big_r:g}, gamma = {gamma:g}")
-    basis = reduced_model.class_basis()
-    slow = ~reduced_model._M_CORR.any(axis=0)  # the classes the correction leaves alone
-    trace = basis[:: 64 + 1].sum(axis=0)  # the traces of the class states
-    # a copy of the real part, so that the complex result is freed
-    coords = _propagate(m, slow, trace, np.eye(13)[0], times).real.copy()
-    _check_samples(times, coords, basis, _class_blocks(False))
-    return Trajectory(times, coords, basis)
 
 
 def _eigenbasis(m):
@@ -525,19 +522,25 @@ def _restriction(generator, rho0):
     Where the reduced model's tables describe the model (a ``Generator``
     without Lindblad flips for the pair-coupled bitflip3 code with rho0 in
     the class span, as ``hamiltonian-3q``), q is the 13 normalised class
-    states, the restrictions and y0 are read from the tables and the class
-    projection (``reduced_model.class_restriction``), and ``blocks`` is
-    derived for those states once per process.  Otherwise q is the Krylov
-    basis of ``invariant_subspace`` rotated by the right singular vectors of
-    its c_k: those of singular values at most ``SUBSPACE_TOL`` of the
-    largest span the kernel, whose columns of the rotated c_k (rounding) are
-    set to zero, and ``blocks`` is None, derived by the check itself."""
+    states ``reduced_model.class_basis()``, the restrictions and y0 are read
+    from the tables and the class projection
+    (``reduced_model.class_restriction``), and ``blocks`` is derived for
+    those states once per process (61 us at R = 10, one OpenBLAS thread,
+    against 2.5 ms for ``_krylov_restriction``, which is taken otherwise)."""
     if isinstance(generator, Generator) and not generator.lam:
         restriction = _in_double_precision(reduced_model.class_restriction, rho0,
                                            generator.hamiltonian, generator.code)
         if restriction is not None:
             q, n_k, c_k, y0 = restriction
-            return q, n_k, c_k, ~c_k.any(axis=0), y0, _class_blocks(True)
+            return q, n_k, c_k, ~c_k.any(axis=0), y0, _class_blocks()
+    return _krylov_restriction(generator, rho0)
+
+
+def _krylov_restriction(generator, rho0):
+    """``_restriction`` on the Krylov basis of both maps (no table), rotated
+    by the right singular vectors of its c_k: those of singular values at
+    most ``SUBSPACE_TOL`` of the largest span the kernel, whose columns of
+    c_k are set to zero; ``blocks`` is None, derived by the check."""
     q, (n_k, c_k) = invariant_subspace([generator.noise, generator.correction], rho0)
     _, sv, vh = np.linalg.svd(c_k)
     slow = sv <= SUBSPACE_TOL * sv[0]

@@ -23,14 +23,13 @@ C000_000 + C111_111; the physical trace is the weighted sum
 1*C000_000 + 3*C100_100 + 3*C110_110 + 1*C111_111 = 1, conserved by M
 for every R.
 
-The class states (``class_basis``) span a subspace that the model's noise
-and correction maps send into itself, and the two tables below are those
-maps restricted to it, exactly.  ``class_restriction`` hands them, on the
-normalised class states, to the full engine, the weak map and Monte
-Carlo.  Every class state is left as it is by the permutations of the
-three (system, bath) qubit pairs, and so is each of its diagonal blocks;
-``pair_swap_basis`` is the change of basis that splits such a block by
-that symmetry.
+The normalised class states (``class_basis``) span a subspace that the
+model's noise and correction maps send into itself, and the two tables
+below are those maps restricted to it, exactly.  ``class_restriction``
+hands them, on those states, to every engine.  Every class state is left
+as it is by the permutations of the three (system, bath) qubit pairs,
+and so is each of its diagonal blocks; ``pair_swap_basis`` is the change
+of basis that splits such a block by that symmetry.
 """
 
 from functools import cache
@@ -173,7 +172,7 @@ def _members():
 
 _MEMBER_INDEX, _MEMBER_PHASE = _members()
 # norm |b_i| of each class state: the members are orthogonal with norm^2 1/8
-_CLASS_NORMS = np.sqrt(np.bincount(_CLASS_OF, minlength=13) / 8.0)
+CLASS_NORMS = np.sqrt(np.bincount(_CLASS_OF, minlength=13) / 8.0)
 
 
 # ---------------------------------------------------------------------------
@@ -181,22 +180,16 @@ _CLASS_NORMS = np.sqrt(np.bincount(_CLASS_OF, minlength=13) / 8.0)
 # ---------------------------------------------------------------------------
 
 
-def class_basis(normalised=False):
-    """The 13 class states as columns (4096, 13): column i is the row-major
-    flattened sum of the members of class i, each times its phase, so the
-    state with class coefficients c is class_basis() @ c; with
-    ``normalised``, column i divided by its norm |b_i| (the square root of
-    the multiplicity of class i over 8).  Each form is built once per
-    process, on first use, from the 512 nonzero entries, and is read-only."""
-    return _class_columns(bool(normalised))
-
-
 @cache
-def _class_columns(normalised):
-    """``class_basis(normalised)``, built on the first call and kept."""
+def class_basis():
+    """The 13 class states as orthonormal columns (4096, 13): column i is the
+    row-major flattened sum b_i of the members of class i, each times its
+    phase, over its norm |b_i| = ``CLASS_NORMS[i]``, so that coordinates y
+    on it are the class coefficients y / CLASS_NORMS.  Built once per
+    process, on first use, from the 512 nonzero entries, and read-only."""
     basis = np.zeros((64 * 64, 13), dtype=complex)
-    norms = _CLASS_NORMS if normalised else np.ones(13)
-    basis[_MEMBER_INDEX, _CLASS_OF[:, None]] = (_MEMBER_PHASE / (8.0 * norms[_CLASS_OF]))[:, None]
+    entries = _MEMBER_PHASE / (8.0 * CLASS_NORMS[_CLASS_OF])
+    basis[_MEMBER_INDEX, _CLASS_OF[:, None]] = entries[:, None]
     basis.setflags(write=False)
     return basis
 
@@ -211,9 +204,8 @@ _PAIR_INDEX = np.flatnonzero(pair_hamiltonian(_BITFLIP3, 1.0))
 
 def class_restriction(rho0, hamiltonian, code):
     """(q, n_k, c_k, y0): the class states as orthonormal columns q (4096,
-    13), q_i = b_i / |b_i| with b = class_basis() and |b_i|^2 the
-    multiplicity of class i over 8 (the shared ``class_basis(normalised=True)``),
-    the restrictions n_k = q^dag noise(q) and c_k = q^dag correction(q) of
+    13), q_i = b_i / |b_i| (the shared ``class_basis()``), the
+    restrictions n_k = q^dag noise(q) and c_k = q^dag correction(q) of
     ``Generator(code, hamiltonian, 0, 0)``'s maps, read from the tables:
     n_k = g N M_FREE N^-1 and c_k = N M_CORR N^-1 with N = diag(|b_i|), and
     rho0's coordinates y0 = q^dag rho0 (13,), complex.
@@ -239,9 +231,9 @@ def class_restriction(rho0, hamiltonian, code):
     _, coeffs, gram = _class_projection(rho.reshape(-1, 1))
     if np.sqrt(gram[0, 0].real) > 1e-13 * np.linalg.norm(rho):
         return None
-    n_k = g * (_CLASS_NORMS[:, None] * _M_FREE / _CLASS_NORMS)
-    c_k = _CLASS_NORMS[:, None] * _M_CORR / _CLASS_NORMS
-    return class_basis(normalised=True), n_k, c_k, coeffs[:, 0] * _CLASS_NORMS
+    n_k = g * (CLASS_NORMS[:, None] * _M_FREE / CLASS_NORMS)
+    c_k = CLASS_NORMS[:, None] * _M_CORR / CLASS_NORMS
+    return class_basis(), n_k, c_k, coeffs[:, 0] * CLASS_NORMS
 
 
 def pair_swap_basis():

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cqec import dynamics, reduced_model
-from cqec.cli import ENGINES, ConfigError, ExperimentConfig, _run_trajectory, main
+from cqec.cli import ENGINES, ConfigError, ExperimentConfig, _class_columns, _run_trajectory, main
 from cqec.codes_and_maps import SCENARIOS, apply_recovery
 from cqec.closed_forms import alpha_markov_1q, alpha_nonmarkov_1q, markov3q_exact_leak
 from cqec.reduced_model import LABELS
@@ -158,19 +158,36 @@ def _reduced_config(big_r, t_max, samples):
 
 @pytest.mark.parametrize("big_r, t_max, samples", [(100, 3000, 3001), (10, 20, 201), (4, 5, 51)])
 def test_reduced_engine_gives_coordinates_on_the_class_states(big_r, t_max, samples):
-    """The reduced engine's trajectory is its 13 class coefficients on the 13
-    class states: F_cw and P_cs read from it are C000_000 and
-    C000_000 + C111_111 bit for bit, and its states are those that
-    class_basis() builds from the coefficients."""
+    """The reduced engine's run is the full run on the shared class states,
+    and its 13 columns are that run's coordinates over the class norms:
+    F_cw and P_cs read from the run are C000_000 and C000_000 + C111_111 to
+    rounding, the columns match the class projection of its states
+    (``class_coefficients``), and its states are those that the class
+    states build from the columns."""
     traj = _run_trajectory(_reduced_config(big_r, t_max, samples))
-    c = traj.coords
-    assert c.shape == (samples, 13) and traj.basis.shape == (4096, 13)
+    assert traj.basis is reduced_model.class_basis()
+    c = _class_columns(traj)
+    assert c.shape == (samples, 13)
     f, p = fidelity_weight_series(traj, SCENARIOS["hamiltonian-3q"].code())
-    assert np.array_equal(f, c[:, 0])
-    assert np.array_equal(p, c[:, 0] + c[:, 12])
+    assert np.max(np.abs(f - c[:, 0])) <= 1e-15
+    assert np.max(np.abs(p - (c[:, 0] + c[:, 12]))) <= 1e-15
+    projected = reduced_model.class_coefficients(traj.coords, traj.basis)
+    assert np.max(np.abs(projected - c)) <= 1e-15
     for i in np.linspace(0, samples - 1, 6).astype(int):
-        expanded = (reduced_model.class_basis() @ c[i]).reshape(64, 64)
-        assert np.max(np.abs(traj.states[i] - expanded)) <= 1e-15
+        expanded = (reduced_model.class_basis() @ (reduced_model.CLASS_NORMS * c[i]))
+        assert np.max(np.abs(traj.states[i] - expanded.reshape(64, 64))) <= 1e-15
+
+
+def test_reduced_engine_refuses_a_run_off_the_class_states(monkeypatch, tmp_path, capsys):
+    """The reduced engine's columns are coordinates on the class states: a
+    run on any other basis (here the Krylov basis, forced) exits 3 and
+    writes no columns."""
+    monkeypatch.setattr("cqec.reduced_model.class_restriction", lambda *args: None)
+    out = tmp_path / "run.csv"
+    assert main(_reduced_argv("10", "1", out)) == 3
+    assert capsys.readouterr().err.strip() == (
+        "numerical failure: the reduced engine's run is not on the class states")
+    assert not out.exists()
 
 
 def test_fig3_case_peaks_under_4_mb():
@@ -234,8 +251,8 @@ def test_simulate_monte_carlo_seeds_above_2_63(tmp_path):
 
 
 def test_simulate_cross_validate(tmp_path, capsys):
-    """Every sample of the full integration (all 6, all 201) is read as class
-    coefficients, and they agree with the reduced model."""
+    """Every sample of the run on the class tables and of the Krylov run
+    (all 6, all 201) is read as class coefficients, and they agree."""
     out = tmp_path / "xval.csv"
     for big_r, t_max, samples in (("4", "0.5", "6"), ("10", "20", "201")):
         rc = main(["simulate", "--scenario", "hamiltonian-3q", "--R", big_r, "--t-max", t_max,
@@ -247,20 +264,21 @@ def test_simulate_cross_validate(tmp_path, capsys):
 
 
 def test_cross_validate_runs_each_engine_once(monkeypatch, tmp_path, capsys):
-    """The trajectory of the engine that was asked for is the one compared:
-    the full and the reduced engine run once each, whichever was asked for,
-    and the deviation line is the same."""
+    """The trajectory of the engine that was asked for is the one compared
+    where it is the run on the class tables (full, reduced): the table run
+    (k = 13) and the Krylov run (k = 9) take place once each, whichever
+    engine was asked for, and the deviation line is the same."""
     calls = {}
 
     def counted(name, engine):
         def wrapper(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
-            return engine(*args, **kwargs)
+            traj = engine(*args, **kwargs)
+            calls.setdefault(name, []).append(traj.basis.shape[1])
+            return traj
         return wrapper
 
-    monkeypatch.setattr("cqec.cli.integrate", counted("full", dynamics.integrate))
-    monkeypatch.setattr("cqec.cli.integrate_reduced",
-                        counted("reduced", dynamics.integrate_reduced))
+    monkeypatch.setattr("cqec.cli.integrate", counted("table", dynamics.integrate))
+    monkeypatch.setattr("cqec.cli.integrate_krylov", counted("krylov", dynamics.integrate_krylov))
     lines = set()
     for engine in ("full", "reduced", "monte-carlo"):
         calls.clear()
@@ -268,7 +286,7 @@ def test_cross_validate_runs_each_engine_once(monkeypatch, tmp_path, capsys):
                 "--t-max", "1", "--n-traj", "20", "--cross-validate",
                 "--out", str(tmp_path / f"{engine}.csv")]
         assert main(argv) == 0
-        assert calls == {"full": 1, "reduced": 1}, engine
+        assert calls == {"table": [13], "krylov": [9]}, engine
         lines.add(capsys.readouterr().err)
     assert len(lines) == 1
     assert re.fullmatch(r"cross-validate: max coefficient deviation \S+\n", lines.pop())
@@ -468,24 +486,40 @@ def test_unresolved_slow_mode_exits_3(tmp_path, capsys):
     ["--scenario", "hamiltonian-3q", "--gamma", "1.5e308", "--R", "1",
      "--engine", "monte-carlo", "--n-traj", "10"],
     ["--scenario", "markovian-1q", "--lambda", "1e300", "--kappa", "1e300"],
-    # the reduced engine's gamma (M_FREE + R M_CORR), with R = 3e308 in an
-    # entry or R = kappa/gamma = inf
-    ["--scenario", "hamiltonian-3q", "--R", "1e308", "--engine", "reduced"],
-    ["--scenario", "hamiltonian-3q", "--gamma", "1e-300", "--kappa", "1e10",
-     "--engine", "reduced"],
-], ids=["full-1q", "full-3q", "monte-carlo-1q", "monte-carlo-3q", "markovian-1q", "reduced-R",
-        "reduced-kappa-over-gamma"])
+    # kappa times the restriction is finite, but the propagation's products
+    # with it overflow: h g h in the trace's reflection, or 0/0 in the split
+    ["--scenario", "markovian-1q", "--kappa", "1.5e308"],
+    ["--scenario", "hamiltonian-1q", "--R", "1.5e308"],
+    ["--scenario", "markovian-3q", "--lambda", "2", "--kappa", "1e308"],
+], ids=["full-1q", "full-3q", "monte-carlo-1q", "monte-carlo-3q", "markovian-1q",
+        "markovian-1q-propagation", "hamiltonian-1q-propagation", "markovian-3q-propagation"])
 def test_rates_beyond_double_precision_exit_3(tmp_path, capsys, argv):
     """Rates whose square overflows (for hamiltonian-3q, whose engines read
-    the tables, their product with the tables or the quotient
-    R = kappa/gamma) cannot be restricted: the
-    run exits 3 with a message and writes no CSV, rather than a state that
-    never moves (F_cw = 1 at every sample) or a traceback."""
+    the tables, their product with the tables) cannot be restricted, and
+    rates whose products in the propagation overflow cannot be propagated:
+    the run exits 3 with a message and writes no CSV, rather than a state
+    that never moves (F_cw = 1 at every sample), a numpy warning or a
+    traceback."""
     out = tmp_path / "run.csv"
     rc = main(["simulate", *argv, "--t-max", "1", "--samples", "3", "--out", str(out)])
     assert rc == 3
     assert "rates beyond double precision" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--R", "1e308"],
+    ["--gamma", "1e-300", "--kappa", "1e10"],
+], ids=["reduced-R", "reduced-kappa-over-gamma"])
+def test_reduced_engine_keeps_unit_fidelity_at_vast_rates(tmp_path, argv):
+    """The reduced engine is the full run on the class tables, which keeps
+    kappa apart from the tables: at R = 1e308, and at R = kappa/gamma =
+    1e310 (beyond the largest double), it exits 0 as the full engine does,
+    with F_cw within 1e-12 of 1 at every sample (1 - F_cw ~ 6/R^2)."""
+    out = tmp_path / "run.csv"
+    assert main(["simulate", "--scenario", "hamiltonian-3q", "--engine", "reduced", *argv,
+                 "--t-max", "1", "--samples", "3", "--out", str(out)]) == 0
+    assert np.max(np.abs(_read_csv(out)[2][:, 1] - 1.0)) <= 1e-12
 
 
 @pytest.mark.parametrize("gamma, cycles", [("1e-160", "1e+163"), ("1e-16", "1e+19")])
@@ -775,6 +809,9 @@ def _config_files(draw):
 
 @given(command=st.sampled_from(["simulate", "scan"]), loaded=_config_files())
 @settings(max_examples=300, deadline=None)
+# kappa = 1e308 overflowed in the propagation of markovian-3q with numpy warnings
+@example(command="simulate", loaded={"schema_version": 2, "scenario": "markovian-3q", "lam": 2,
+                                     "kappa": 1e308})
 def test_fuzzed_config_files_exit_0_2_3_or_4(command, loaded):
     """`simulate --config` and `scan --config` on a config file whose fields
     are drawn from valid values, wrong types (null, true, strings, lists),
@@ -903,11 +940,12 @@ def _reduced_argv(big_r, t_max, out):
 ], ids=["slow-horizon", "slow-horizon-cross-validate", "R-1e50"])
 def test_reduced_engine_resolves_slow_horizons_and_vast_R(big_r, t_max, extra, f_cw, tmp_path,
                                                           capsys):
-    """The reduced engine propagates M(R) on its slow/fast split, as the full
-    engine does: it exits 0 where the plain eig of M(R) refused (its trace
-    drifted past 1e-8 at R = 3e4, gamma t = 1.18e8, and its eigenbasis was
-    singular at R = 1e50), with F_cw within 1e-10 of the exact value, and
-    under --cross-validate the two engines agree within 1e-6."""
+    """The reduced engine is the full run on the class tables, on its
+    slow/fast split: it exits 0 where the plain eig of M(R) refused (its
+    trace drifted past 1e-8 at R = 3e4, gamma t = 1.18e8, and its eigenbasis
+    was singular at R = 1e50), with F_cw within 1e-10 of the exact value,
+    and under --cross-validate the Krylov run agrees with it within 1e-6
+    (measured 6.6e-9)."""
     out = tmp_path / "run.csv"
     assert main(_reduced_argv(big_r, t_max, out) + extra) == 0
     err = capsys.readouterr().err.strip()
@@ -928,10 +966,11 @@ def test_reduced_engine_runs_where_cross_validation_refuses(tmp_path):
 
 
 def test_cross_validate_at_R_t_3e6_exits_0(tmp_path, capsys):
-    """At R = 1000 over t = 3000 the full engine, on the class states and
-    their slow/fast split, agrees with the reduced engine within 1e-6, and
-    its class coefficients pass the 1e-10 bound on their imaginary parts
-    (a Krylov basis of the 64-dim model passed it only up to R t ~ 3e6)."""
+    """At R = 1000 over t = 3000 the Krylov run (k = 9, on the slow/fast
+    split over the correction's kernel) agrees with the run on the class
+    tables within 1e-6 (measured 5.5e-14), and the class coefficients of
+    both pass the 1e-10 bound on their imaginary parts (a Krylov basis of
+    one rate's generator passed it only up to R t ~ 3e6)."""
     out = tmp_path / "run.csv"
     assert main(_reduced_argv("1000", "3000", out) + ["--engine", "full", "--cross-validate"]) == 0
     dev = re.fullmatch(r"cross-validate: max coefficient deviation (\S+)",
@@ -940,15 +979,34 @@ def test_cross_validate_at_R_t_3e6_exits_0(tmp_path, capsys):
     assert out.exists()
 
 
+def test_cross_validate_catches_a_fault_in_the_tables(monkeypatch, tmp_path, capsys):
+    """--cross-validate compares the run on the reduced model's tables with
+    one that reads no table: a free table with one entry off (the rate
+    from C000_000 into C100_000, which carries no trace, 1 -> 1.01) passes
+    the run's own checks, and the comparison exits 3 with no CSV."""
+    faulty = reduced_model._M_FREE.copy()
+    faulty[1, 0] = 1.01
+    monkeypatch.setattr("cqec.reduced_model._M_FREE", faulty)
+    argv = ["simulate", "--scenario", "hamiltonian-3q", "--R", "10", "--out"]
+    assert main(argv + [str(tmp_path / "run.csv")]) == 0
+    out = tmp_path / "xval.csv"
+    assert main(argv + [str(out), "--cross-validate"]) == 3
+    assert re.search(r"\nnumerical failure: table/Krylov cross-validation failed: deviation "
+                     r"\S+ > 1e-6\n$", capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("extra", [[], ["--engine", "full", "--cross-validate"]],
                          ids=["reduced", "cross-validate"])
 def test_reduced_engine_rejects_non_finite_coefficients(extra, monkeypatch, tmp_path, capsys):
-    """The reduced coefficients are checked, under --cross-validate too: a
-    non-finite one fails even where the weighted trace does not see it."""
+    """The class coefficients of the run on the tables are checked, under
+    --cross-validate too: a non-finite one fails even where the weighted
+    trace does not see it.  Only the run on the 13 class states is stubbed,
+    not the Krylov run of --cross-validate."""
     shared = dynamics._propagate
 
     def propagate(g, slow, trace, y0, times):
-        if y0[0] != 1.0:  # the full engine's normalised class states under --cross-validate
+        if len(y0) != 13:  # the Krylov run under --cross-validate
             return shared(g, slow, trace, y0, times)
         xs = np.tile(y0, (len(times), 1)).astype(complex)
         xs[3:, 1] = np.nan  # C100_000, which carries no trace
@@ -976,13 +1034,16 @@ def test_reduced_engine_passes_its_check_on_long_horizons(tmp_path):
 
 def _dipping_propagation(dip):
     """A stub of the class-state propagation of the reduced engine: the unit
-    first coefficient, with 8 dip moved from the C100_100 class to the
-    C110_110 class from the fourth sample on.  The trace, F_cw and P_cs stay
-    1, and the smallest eigenvalue of those states is -dip."""
+    first class coefficient, with 8 dip moved from the C100_100 class to the
+    C110_110 class from the fourth sample on (coordinates on the normalised
+    class states, the coefficients times the class norms).  The trace, F_cw
+    and P_cs stay 1, and the smallest eigenvalue of those states is -dip."""
+    norms = reduced_model.CLASS_NORMS
+
     def propagate(g, slow, trace, y0, times):
         xs = np.tile(y0, (len(times), 1)).astype(complex)
-        xs[3:, 4] -= 8.0 * dip
-        xs[3:, 8] += 8.0 * dip
+        xs[3:, 4] -= 8.0 * dip * norms[4]
+        xs[3:, 8] += 8.0 * dip * norms[8]
         return xs
 
     return propagate

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
-from cqec.codes_and_maps import bitflip3_code, pair_hamiltonian, trivial_code
-from cqec.dynamics import integrate_reduced
+from cqec.cli import _class_columns
+from cqec.codes_and_maps import (
+    ModelParams,
+    bitflip3_code,
+    pair_hamiltonian,
+    scenario_rho0,
+    total_generator,
+    trivial_code,
+)
+from cqec.dynamics import integrate
 from cqec.closed_forms import (
     alpha_markov_1q,
     alpha_nonmarkov_1q,
@@ -165,9 +173,11 @@ def test_slow_forms_hold_in_their_windows(form, big_r, window, bound):
     transient: the undamped form up to the oscillation scale R^2/72, the
     damped one up to the damping scale 10 R^3/144, for R = 10 ... 1e5 (the
     reduced engine's slow/fast split resolves the slow pair at every R)."""
-    traj = integrate_reduced(big_r, 1.0, window, n_samples=2001)
+    gen = total_generator("hamiltonian-3q", ModelParams(gamma=1.0, kappa=big_r))
+    traj = integrate(gen, scenario_rho0("hamiltonian-3q"), window, n_samples=2001)
+    f = _class_columns(traj)[:, 0]
     after = traj.times >= 10.0 / big_r
-    err = np.max(np.abs(traj.coords[after, 0] - form(traj.times[after], 1.0, big_r)))
+    err = np.max(np.abs(f[after] - form(traj.times[after], 1.0, big_r)))
     assert err <= bound / big_r
 
 

@@ -32,7 +32,7 @@ from cqec.dynamics import (
     _slow_fast_split,
     _states_at_samples,
     integrate,
-    integrate_reduced,
+    integrate_krylov,
     invariant_subspace,
     jump_monte_carlo,
     mc_trajectory_entries,
@@ -40,6 +40,7 @@ from cqec.dynamics import (
     step_weak_map,
 )
 from cqec.analysis import fidelity_weight_series, fit_power_law, observables
+from cqec.cli import _class_columns
 from cqec.tensor_core import QubitRegister, basis_ket
 from cqec.closed_forms import (
     alpha_markov_1q,
@@ -444,8 +445,8 @@ def test_block_minimum_on_compressed_and_class_blocks(seed, rate):
     within 1e-12: the Krylov basis at R in [1e-6, 1e7] with its samples
     (states of rank below 8 per block, whose basis matrices and their
     adjoints span 4 of the 8 directions) and with random complex
-    coordinates, and both forms of the class states with random real
-    class coefficients (of whose two 2 x 2 blocks the check reads one)."""
+    coordinates, and the class states with random real coordinates (of
+    whose two 2 x 2 blocks the check reads one)."""
     rng = np.random.default_rng(seed)
     gen = total_generator("hamiltonian-3q", ModelParams(gamma=1.0, kappa=rate))
     rho0 = scenario_rho0("hamiltonian-3q")
@@ -453,11 +454,10 @@ def test_block_minimum_on_compressed_and_class_blocks(seed, rate):
     q, _ = invariant_subspace([gen.apply], rho0)
     coords = rng.normal(size=(6, 9)) + 1j * rng.normal(size=(6, 9))
     assert np.max(np.abs(_min_eigenvalues(coords, q) - _dense_minimum(coords, q))) <= 1e-12
-    for normalised in (False, True):
-        basis = reduced_model.class_basis(normalised)
-        coords = rng.normal(size=(6, 13))
-        lo = _min_eigenvalues(coords, basis, _class_blocks(normalised))
-        assert np.max(np.abs(lo - _dense_minimum(coords, basis))) <= 1e-12
+    basis = reduced_model.class_basis()
+    coords = rng.normal(size=(6, 13))
+    lo = _min_eigenvalues(coords, basis, _class_blocks())
+    assert np.max(np.abs(lo - _dense_minimum(coords, basis))) <= 1e-12
 
 
 @given(st.integers(0, 2**32 - 1), RATES)
@@ -885,12 +885,11 @@ def test_jumps_count_at_the_first_sample_at_or_after_them():
 
 def test_monte_carlo_returns_the_shared_basis():
     """Monte Carlo's trajectory holds coordinates on the basis of
-    ``_restriction``: the shared normalised class states themselves for
-    hamiltonian-3q (no copy per call), the rotated Krylov basis for
-    hamiltonian-1q."""
+    ``_restriction``: the shared class states themselves for hamiltonian-3q
+    (no copy per call), the rotated Krylov basis for hamiltonian-1q."""
     code, _, h, rho0 = _pair_setup("hamiltonian-3q")
     traj = jump_monte_carlo(rho0, h, code, 10.0, 1.0, 20, 7, n_samples=5)
-    assert traj.basis is reduced_model.class_basis(normalised=True)
+    assert traj.basis is reduced_model.class_basis()
     assert traj.coords.shape == (5, 13)
     code, _, h, rho0 = _pair_setup("hamiltonian-1q")
     traj = jump_monte_carlo(rho0, h, code, 10.0, 1.0, 20, 7, n_samples=5)
@@ -907,11 +906,11 @@ def test_pair_subspace_takes_the_class_states_where_the_tables_apply():
     and the rest of it keeps its singular values."""
     code, _, h, rho0 = _pair_setup("hamiltonian-3q")
     q, n_k, c_k, slow, _, blocks = _restriction(Generator(code, h, 0.0, 0.0), rho0)
-    basis = reduced_model.class_basis()
-    assert len(n_k) == 13
-    assert np.array_equal(q, basis / np.linalg.norm(basis, axis=0))
+    plain = reduced_model.class_basis() * reduced_model.CLASS_NORMS
+    assert len(n_k) == 13 and q is reduced_model.class_basis()
+    assert np.array_equal(q, plain / np.linalg.norm(plain, axis=0))
     assert np.array_equal(slow, ~c_k.any(axis=0)) and np.count_nonzero(slow) == 3
-    assert blocks is _class_blocks(True)
+    assert blocks is _class_blocks()
 
     code, _, h, rho0 = _pair_setup("hamiltonian-3q", "random-system")
     gen = Generator(code, h, 0.0, 0.0)
@@ -929,24 +928,20 @@ def test_pair_subspace_takes_the_class_states_where_the_tables_apply():
 
 
 def test_class_states_are_shared_and_read_only():
-    """The class states are built once per process: every reduced
-    trajectory holds the one class basis, and every weak map on the class
-    states the one normalised form, with the check's blocks derived once
-    (the one distinct 8 x 8 block, split by the pair permutations into one
-    4 x 4 and two 2 x 2 blocks, of which the check reads the 4 x 4 and the
-    first 2 x 2).  Writing to either form raises."""
-    first, second = integrate_reduced(10.0, 1.0, 1.0, 5), integrate_reduced(100.0, 1.0, 2.0, 7)
+    """The class states are built once per process: every full run and
+    every weak map on them holds the one class basis, with the check's
+    blocks derived once (the one distinct 8 x 8 block, split by the pair
+    permutations into one 4 x 4 and two 2 x 2 blocks, of which the check
+    reads the 4 x 4 and the first 2 x 2).  Writing to it raises."""
+    first, second = _six_qubit_run(10.0, 1.0, 5)[0], _six_qubit_run(100.0, 2.0, 7)[0]
     assert first.basis is second.basis is reduced_model.class_basis()
     code, _, h, rho0 = _pair_setup("hamiltonian-3q")
     weak = [step_weak_map(rho0, h, code, 0.02, 2e-3, 10) for _ in range(2)]
-    assert weak[0].basis is weak[1].basis is reduced_model.class_basis(normalised=True)
-    assert _class_blocks(True) is _class_blocks(True)
-    for normalised in (False, True):
-        assert [(qt.shape, s) for qt, s in _class_blocks(normalised)] == [((13, 16), 4),
-                                                                          ((13, 4), 2)]
-    for basis in (reduced_model.class_basis(), reduced_model.class_basis(True)):
-        with pytest.raises(ValueError, match="read-only"):
-            basis[0, 0] = 1.0
+    assert weak[0].basis is weak[1].basis is reduced_model.class_basis()
+    assert _class_blocks() is _class_blocks()
+    assert [(qt.shape, s) for qt, s in _class_blocks()] == [((13, 16), 4), ((13, 4), 2)]
+    with pytest.raises(ValueError, match="read-only"):
+        reduced_model.class_basis()[0, 0] = 1.0
 
 
 def test_class_states_give_the_krylov_trajectories(monkeypatch):
@@ -983,6 +978,11 @@ def _six_qubit_run(big_r, t_max, n_samples=2):
     return traj, _fidelity(traj, "hamiltonian-3q")
 
 
+def _reduced_columns(big_r, t_max, n_samples=2):
+    """The reduced engine's 13 class coefficients of that run (``_class_columns``)."""
+    return _class_columns(_six_qubit_run(big_r, t_max, n_samples)[0])
+
+
 # F_cw of exp(gamma t M(R)) applied to the unit first class coefficient, with
 # M(R) = build_reduced_matrix(R, 1) in double precision, from a 60-digit
 # mpmath.expm, to 6 digits.  A Krylov basis of the 64-dim model gave 0.683267,
@@ -1004,13 +1004,14 @@ _SLOW_PAIR_REFERENCE = [
 ])
 def test_full_engine_resolves_the_slow_pair_at_large_R(big_r, t_max, f_exact, engine):
     """On the slow time scale, where the slow pair ~24i/R^2 has turned many
-    times, the full engine's F_cw, and the reduced engine's, is within 1e-5
-    of the exact value: their slow block carries no error of the size of the
-    fast rates ~R."""
+    times, the full engine's F_cw, and the reduced engine's C000_000 (the
+    same run's first coordinate over its class norm), is within 1e-5 of the
+    exact value: the slow block carries no error of the size of the fast
+    rates ~R."""
     if engine == "full":
         _, f = _six_qubit_run(big_r, t_max)
     else:
-        f = integrate_reduced(big_r, 1.0, t_max, n_samples=2).coords[:, 0]
+        f = _reduced_columns(big_r, t_max)[:, 0]
     assert abs(f[-1] - f_exact) <= 1e-5
 
 
@@ -1063,30 +1064,32 @@ def test_markovian_3q_infidelity_falls_linearly_at_vast_rates(r):
                                           (3.0, False), (10.0, True), (100.0, True),
                                           (1e4, True)])
 def test_class_path_agrees_with_the_reduced_and_krylov_engines(big_r, split, monkeypatch):
-    """The full engine of hamiltonian-3q runs on the shared normalised class
-    states, split into slow and fast blocks where the split converges (from
-    R ~ 3.9) and in one block below; either way its states match the Krylov
-    basis of the 64-dim model (the fallback, forced), and its class
-    coefficients the reduced engine's (the same split on the unnormalised
-    class states) and the unsplit reference (propagate_linear of M(R)),
-    within 1e-12 over gamma t = 1."""
+    """The full engine of hamiltonian-3q runs on the shared class states,
+    split into slow and fast blocks where the split converges (from R ~
+    3.9) and in one block below; either way its states match the Krylov
+    basis of the 64-dim model (``integrate_krylov``, and the fallback,
+    forced, bit for bit), and its class coefficients, by the projection
+    (``class_coefficients``) and as the reduced engine's columns (its
+    coordinates over the class norms), match the unsplit reference
+    (propagate_linear of M(R)), within 1e-12 over gamma t = 1."""
     gen = total_generator("hamiltonian-3q", ModelParams(gamma=1.0, kappa=big_r))
     code, rho0 = gen.code, scenario_rho0("hamiltonian-3q")
     q, n_k, c_k, _ = reduced_model.class_restriction(rho0, gen.hamiltonian, code)
     assert (_slow_fast_split(n_k + big_r * c_k, ~c_k.any(axis=0)) is not None) == split
     traj = integrate(gen, rho0, 1.0, n_samples=11)
-    assert traj.basis is reduced_model.class_basis(normalised=True)
-    reduced = integrate_reduced(big_r, 1.0, 1.0, n_samples=11)
+    assert traj.basis is reduced_model.class_basis()
     unsplit = propagate_linear(reduced_model.build_reduced_matrix(big_r, 1.0), np.eye(13)[0],
                                traj.times).real
     coeffs = reduced_model.class_coefficients(traj.coords, traj.basis)
-    for split_coeffs in (coeffs, reduced.coords):
+    for split_coeffs in (coeffs, _class_columns(traj)):
         assert np.max(np.abs(split_coeffs - unsplit)) <= 1e-12
-    assert np.max(np.abs(coeffs - reduced.coords)) <= 1e-12
-    monkeypatch.setattr("cqec.reduced_model.class_restriction", lambda *args: None)
-    krylov = integrate(gen, rho0, 1.0, n_samples=11)
-    assert krylov.basis.shape[1] < 13
+    krylov = integrate_krylov(gen, rho0, 1.0, n_samples=11)
+    assert krylov.basis.shape[1] == 9
     assert np.max(np.abs(traj.states - krylov.states)) <= 1e-12
+    monkeypatch.setattr("cqec.reduced_model.class_restriction", lambda *args: None)
+    fallback = integrate(gen, rho0, 1.0, n_samples=11)
+    assert np.array_equal(fallback.coords, krylov.coords)
+    assert np.array_equal(fallback.basis, krylov.basis)
 
 
 def test_integrate_off_the_class_span_takes_the_krylov_basis():
@@ -1118,9 +1121,9 @@ def test_reduced_engine_holds_the_trace_over_half_a_slow_period(big_r):
     pi R^2 / 24: it is an exact coordinate of the slow block (the plain eig
     of M(R) drifted by 2.7e-12 at R = 100 and 2.8e-9 at 1e3, and refused from
     R ~ 3e3)."""
-    traj = integrate_reduced(big_r, 1.0, np.pi * big_r**2 / 24, n_samples=2001)
+    c = _reduced_columns(big_r, np.pi * big_r**2 / 24, n_samples=2001)
     weights = reduced_model.TRACE_WEIGHTS
-    trace = traj.coords[:, list(weights)] @ list(weights.values())
+    trace = c[:, list(weights)] @ list(weights.values())
     assert np.max(np.abs(trace - 1.0)) <= 1e-14
 
 

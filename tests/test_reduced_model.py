@@ -14,13 +14,15 @@ from cqec.codes_and_maps import (
     total_generator,
     trivial_code,
 )
-from cqec.dynamics import integrate, integrate_reduced, propagate_linear
+from cqec.cli import _class_columns, main
+from cqec.dynamics import integrate, integrate_krylov, propagate_linear
 from cqec.reduced_model import (
     _CLASS_OF,
     _SIG_TO_INDEX,
     _M_CORR,
     _M_FREE,
     _signature,
+    CLASS_NORMS,
     LABELS,
     ORDER,
     TRACE_WEIGHTS,
@@ -110,13 +112,14 @@ def test_weighted_trace_is_conserved(big_r):
 
 def test_tables_are_the_restriction_of_the_maps():
     """The model's noise and correction maps (``Generator``, gamma = 1) send
-    each class state b_j to class_basis() @ column j of the free and the
-    correction table, exactly: the 13x13 tables are the restriction of the
-    two maps, "decoherence" edges of the noise and "correction" edges of
-    the correction."""
+    each class state b_j to b @ column j of the free and the correction
+    table, exactly: the 13x13 tables are the restriction of the two maps,
+    "decoherence" edges of the noise and "correction" edges of the
+    correction.  The class states b_j are built from the shared normalised
+    ones and the class norms (bit for bit the phased sums of the members)."""
     code = bitflip3_code()
     gen = Generator(code, pair_hamiltonian(code, 1.0), 0.0, 0.0)
-    basis = class_basis()
+    basis = class_basis() * CLASS_NORMS
     for j, b in enumerate(basis.T):
         state = b.reshape(64, 64)
         assert np.array_equal(gen.noise(state).ravel(), basis @ _M_FREE[:, j])
@@ -200,19 +203,18 @@ def test_initial_state_is_unit_first_coefficient(tmp_path):
     """The reduced engine starts from the unit first coefficient (fidelity
     C000_000 = 1, weighted trace 1): its `--t-max 0` row is that vector,
     and its propagation returns it at t = 0 to rounding."""
-    from cqec.cli import main
-
+    argv = ["simulate", "--scenario", "hamiltonian-3q", "--engine", "reduced", "--R", "10"]
     out = tmp_path / "zero.csv"
-    argv = ["simulate", "--scenario", "hamiltonian-3q", "--engine", "reduced", "--R", "10",
-            "--t-max", "0", "--samples", "1", "--out", str(out)]
-    assert main(argv) == 0
+    assert main(argv + ["--t-max", "0", "--samples", "1", "--out", str(out)]) == 0
     header, row = out.read_text().splitlines()[1:]
     coeffs = np.array([float(x) for x in row.split(",")[4:]])
     assert header.split(",")[4:] == LABELS
     assert np.array_equal(coeffs, np.eye(13)[0])
     assert coeffs[list(TRACE_WEIGHTS)] @ list(TRACE_WEIGHTS.values()) == 1.0
-    traj = integrate_reduced(10.0, 1.0, 1.0, n_samples=2)
-    assert np.max(np.abs(traj.coords[0] - coeffs)) < 1e-15
+    out = tmp_path / "one.csv"
+    assert main(argv + ["--t-max", "1", "--samples", "2", "--out", str(out)]) == 0
+    first = np.array([float(x) for x in out.read_text().splitlines()[2].split(",")[4:]])
+    assert np.max(np.abs(first - coeffs)) < 1e-15
 
 
 def test_extract_from_initial_product_state():
@@ -221,7 +223,7 @@ def test_extract_from_initial_product_state():
 
 
 def test_expand_initial_state():
-    rho = (class_basis() @ np.eye(13)[0]).reshape(64, 64)
+    rho = (class_basis() @ (CLASS_NORMS * np.eye(13)[0])).reshape(64, 64)
     expected = kron_all(projector(basis_ket("000")), np.eye(8) / 8.0)
     assert np.allclose(rho, expected)
     assert partial_trace_bath(rho, 3, 3)[0, 0] == pytest.approx(1.0)
@@ -233,7 +235,7 @@ def test_extract_expand_round_trip_after_evolution():
     gen = total_generator("hamiltonian-3q", ModelParams(gamma=1.0, kappa=3.0))
     traj = integrate(gen, scenario_rho0("hamiltonian-3q"), 0.3, n_samples=4)
     c1 = _coefficients(traj.states[-1])
-    c2 = _coefficients(class_basis() @ c1)
+    c2 = _coefficients(class_basis() @ (CLASS_NORMS * c1))
     assert np.max(np.abs(c1 - c2)) < 1e-12
 
 
@@ -253,16 +255,19 @@ def test_reduced_propagation_matches_full_dynamics():
 def test_full_engine_matches_reduced_engine(big_r, t_max):
     """At random R and gamma t, the class coefficients of the full engine's
     samples (``integrate`` of the 64-dim model, restricted to the class
-    states) match the reduced engine's to --cross-validate's 1e-6, and
-    both, which run the same slow/fast split, match the unsplit reference
-    (propagate_linear of M(R)) as closely."""
+    states) match those of the Krylov run (``integrate_krylov``, which reads
+    no table) to --cross-validate's 1e-6, and both, and the reduced
+    engine's columns (the full run's coordinates over the class norms),
+    match the unsplit reference (propagate_linear of M(R)) as closely."""
     gen = total_generator("hamiltonian-3q", ModelParams(gamma=1.0, kappa=big_r))
-    full = integrate(gen, scenario_rho0("hamiltonian-3q"), t_max, n_samples=11)
-    reduced = integrate_reduced(big_r, 1.0, t_max, n_samples=11)
+    rho0 = scenario_rho0("hamiltonian-3q")
+    full = integrate(gen, rho0, t_max, n_samples=11)
+    krylov = integrate_krylov(gen, rho0, t_max, n_samples=11)
     unsplit = propagate_linear(build_reduced_matrix(big_r, 1.0), np.eye(13)[0], full.times).real
     coeffs = class_coefficients(full.coords, full.basis)
-    assert np.max(np.abs(coeffs - reduced.coords)) <= 1e-6
-    for split in (coeffs, reduced.coords):
+    krylov_coeffs = class_coefficients(krylov.coords, krylov.basis)
+    assert np.max(np.abs(coeffs - krylov_coeffs)) <= 1e-6
+    for split in (coeffs, krylov_coeffs, _class_columns(full)):
         assert np.max(np.abs(split - unsplit)) <= 1e-6
 
 
