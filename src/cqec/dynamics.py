@@ -47,21 +47,21 @@ only its coordinates and the basis (d is read from it; on the class
 states it holds the shared class states themselves, not a copy); the
 d x d states are built only when ``Trajectory.states`` is read.
 
-Every engine checks its samples, never repairs them: the trace must stay
-within 1e-8 of 1, and an eigenvalue below -1e-8 triggers a
-PositivityWarning (below -1e-6, or a non-finite trace or eigenvalue, an
-IntegrationError).  ``integrate`` and the weak map check every sample,
-Monte Carlo its mean state.  The check runs on the coordinates of the
-whole trajectory at once: the trace is one product with the traces of
-the basis states, and the eigenvalues come from the distinct diagonal
-blocks that every state in span(q) is confined to (``_distinct_blocks``:
-one 8 x 8 block for the Krylov basis of ``hamiltonian-3q``, one 2 x 2
-for ``hamiltonian-1q``, 1 x 1 blocks for the Markovian scenarios).  The
-class states' one 8 x 8 block is split by the permutations of the qubit
-pairs into one 4 x 4 and two 2 x 2 blocks with the same eigenvalues, of
-which the check reads the 4 x 4 and one 2 x 2 (``_class_blocks``); they
-are derived once per process, and a Krylov basis is read anew on each
-call.
+Every engine checks its samples, never repairs them (``_check_samples``):
+the trace must stay within TRACE_TOL = 1e-8 of 1, and an eigenvalue below
+-TOL_POS = -1e-8 triggers a PositivityWarning (below -100 TOL_POS, or a
+non-finite trace or eigenvalue, an IntegrationError).  ``integrate`` and
+the weak map check every sample, Monte Carlo its mean state.  The check
+runs on the coordinates of the whole trajectory at once: the trace is one
+product with the traces of the basis states, and the eigenvalues come
+from the distinct diagonal blocks that every state in span(q) is
+confined to, which the restriction hands over with q.  For a Krylov
+basis they are ``_distinct_blocks(q)`` (one 8 x 8 block for
+``hamiltonian-3q``, one 2 x 2 for ``hamiltonian-1q``, 1 x 1 blocks for
+the Markovian scenarios), derived where q is built; for the class states
+they are ``_class_blocks()``, their one 8 x 8 block split by the
+permutations of the qubit pairs into one 4 x 4 and two equal 2 x 2
+blocks, derived once per process.
 """
 
 import warnings
@@ -70,10 +70,12 @@ from functools import cache, cached_property
 import numpy as np
 
 from . import reduced_model
-from .tensor_core import TOL_POS
 from .codes_and_maps import Generator
 
+# A sample is a density matrix while its trace is within TRACE_TOL of 1 and no
+# eigenvalue is below -TOL_POS (``_check_samples``, which never renormalizes).
 TRACE_TOL = 1e-8
+TOL_POS = 1e-8
 # Largest number of array entries in one Monte Carlo chunk (``mc_trajectory_entries``
 # per trajectory), which bounds its memory.
 MC_CHUNK_ENTRIES = 2**18
@@ -182,12 +184,10 @@ def _block_minima(blocks):
     return np.linalg.eigvalsh((blocks + blocks.conj().swapaxes(-1, -2)) / 2.0).min(axis=-1)
 
 
-def _min_eigenvalues(coords, q, blocks=None):
+def _min_eigenvalues(coords, blocks):
     """Smallest eigenvalue of the Hermitian part of each state coords[i] @ q.T,
-    from its distinct diagonal blocks ``blocks`` (``_distinct_blocks(q)``,
-    derived here if not given; ``_block_minima``)."""
-    if blocks is None:
-        blocks = _distinct_blocks(q)
+    from its distinct diagonal blocks ``blocks`` (``_distinct_blocks(q)`` or
+    ``_class_blocks()``; ``_block_minima``)."""
     lo = np.full(len(coords), np.inf)
     for qt, s in blocks:
         for i in range(0, len(coords), 256):  # 256 samples at a time bound the memory
@@ -197,18 +197,18 @@ def _min_eigenvalues(coords, q, blocks=None):
     return lo
 
 
-def _check_samples(times, coords, q, blocks=None):
+def _check_samples(times, coords, q, blocks):
     """Check the states coords[i] @ q.T sampled at ``times`` in time order:
     every sample before the first failing one that dips below -TOL_POS
     warns, and the first failing sample (trace off by more than TRACE_TOL,
     an eigenvalue below -100 TOL_POS, or either non-finite) raises.
-    ``blocks`` is ``_distinct_blocks(q)``, derived here if not given."""
+    ``blocks`` is what ``_restriction`` hands over with q."""
     d = int(np.sqrt(len(q)))
     finite = np.isfinite(coords).all(axis=1)
     coords = np.where(finite[:, None], coords, 0.0)  # such a sample reads nan below
     trace = np.where(finite, coords @ q[:: d + 1].sum(axis=0), np.nan)  # tr of basis states
     tr_dev = np.abs(trace.real - 1.0)
-    lo = np.where(finite, _min_eigenvalues(coords, q, blocks), np.nan)
+    lo = np.where(finite, _min_eigenvalues(coords, blocks), np.nan)
     trace_ok = (tr_dev <= TRACE_TOL) & (np.abs(trace.imag) <= TRACE_TOL)
     fails = ~(trace_ok & (lo >= -100.0 * TOL_POS))
     stop = int(np.argmax(fails)) if fails.any() else len(times)
@@ -229,16 +229,30 @@ def _check_samples(times, coords, q, blocks=None):
 def _class_blocks():
     """What ``_min_eigenvalues`` reads of ``reduced_model.class_basis()``,
     derived once per process, as the class states are built.  A class state
-    repeats one 8 x 8 diagonal block, on rows and columns s (x) (s xor c)
-    for each c (``_diagonal_blocks``); in the basis
-    ``reduced_model.pair_swap_basis()`` that block splits into one 4 x 4 and
-    two 2 x 2 blocks, an orthogonal change of basis that keeps the
-    eigenvalues.  The two 2 x 2 blocks carry the same representation of the
-    pair permutations and have the same eigenvalues, so only the first is
-    read."""
+    repeats one 8 x 8 diagonal block B, on rows and columns s (x) (s xor c)
+    for each c (``_diagonal_blocks``), indexed by the system part s = lmn.
+    A permutation of the qubit pairs permutes the bits of s and leaves every
+    class state as it is, so the real orthogonal W below takes B to W^T B W,
+    block diagonal with blocks of sizes 4, 2 and 2 and the eigenvalues of B:
+
+    * columns 0-3, the normalised sums over the s with 0, 1, 2 and 3 ones,
+      which every permutation keeps;
+    * columns 4-5, e_100 - e_010 and e_101 - e_011 over sqrt 2, which the
+      swap of pairs 0 and 1 negates;
+    * columns 6-7, e_100 + e_010 - 2 e_001 and e_101 + e_011 - 2 e_110 over
+      sqrt 6, which that swap keeps, orthogonal to the sums.
+
+    The last two pairs carry the two-dimensional representation of the
+    pair permutations twice over, so their 2 x 2 blocks have the same
+    eigenvalues, and only the first is read."""
+    ones = np.array([bin(s).count("1") for s in range(8)])
+    w = np.zeros((8, 8))
+    w[np.arange(8), ones] = 1.0 / np.sqrt(np.bincount(ones)[ones])
+    for col, (a, b, c) in ((4, (0b100, 0b010, 0b001)), (5, (0b101, 0b011, 0b110))):
+        w[[a, b], col] = np.array([1.0, -1.0]) / np.sqrt(2.0)
+        w[[a, b, c], col + 2] = np.array([1.0, 1.0, -2.0]) / np.sqrt(6.0)
     diag = 9 * np.arange(8)  # s (x) s: the block of c = 0
     q = reduced_model.class_basis()
-    w = reduced_model.pair_swap_basis()
     mats = w.T @ q[diag[:, None] * 64 + diag].transpose(2, 0, 1) @ w
     return [(mats[:, :4, :4].reshape(13, 16), 4), (mats[:, 4:6, 4:6].reshape(13, 4), 2)]
 
@@ -294,6 +308,8 @@ def integrate(generator, rho0, t_max, n_samples=201):
 def integrate_krylov(generator, rho0, t_max, n_samples=201):
     """``integrate`` (t_max > 0) on ``_krylov_restriction``, also where
     ``_restriction`` reads the tables (k = 9 for ``hamiltonian-3q``)."""
+    if not t_max > 0:
+        raise ValueError("t_max must be > 0")
     times = _sample_times(t_max, n_samples)
     restriction = _krylov_restriction(generator, np.array(rho0, dtype=complex))
     q, coords, blocks = _propagate_restricted(restriction, generator.kappa, times)
@@ -304,7 +320,8 @@ def integrate_krylov(generator, rho0, t_max, n_samples=201):
 def _propagate_restricted(restriction, kappa, times):
     """(q, coords, blocks): ``integrate`` after the restriction, but the
     sample check.  An overflow or invalid value in g or in its propagation
-    (before the phases w t) raises IntegrationError."""
+    (before the phases w t), or a non-finite eigenbasis or coefficient that
+    a solve of ``numpy.linalg`` returned unraised, raises IntegrationError."""
     q, n_k, c_k, slow, y0, blocks = restriction
     trace = q[:: int(np.sqrt(len(q))) + 1].sum(axis=0)  # the traces of the basis states
     for name, op in (("noise", n_k), ("correction", c_k)):
@@ -362,6 +379,9 @@ def _propagate(g, slow, trace, y0, times):
         v[fast] = x @ top
         v[fast, len(w):] += v_f
         w = np.concatenate([w, w_f])
+    # numpy.linalg keeps its own errstate: a solve that overflows returns inf unraised
+    if not all(np.isfinite(a).all() for a in (w, v, c)):
+        raise FloatingPointError("overflow in the eigenbasis or its coefficients")
     # a phase w t beyond double precision reads nan, which the sample checks refuse
     with np.errstate(over="ignore", invalid="ignore"):
         return (np.exp(np.outer(times, w)) * c) @ v.T
@@ -540,13 +560,14 @@ def _krylov_restriction(generator, rho0):
     """``_restriction`` on the Krylov basis of both maps (no table), rotated
     by the right singular vectors of its c_k: those of singular values at
     most ``SUBSPACE_TOL`` of the largest span the kernel, whose columns of
-    c_k are set to zero; ``blocks`` is None, derived by the check."""
+    c_k are set to zero; ``blocks`` is ``_distinct_blocks`` of the rotated q."""
     q, (n_k, c_k) = invariant_subspace([generator.noise, generator.correction], rho0)
     _, sv, vh = np.linalg.svd(c_k)
     slow = sv <= SUBSPACE_TOL * sv[0]
     n_k, c_k = vh @ np.stack([n_k, c_k]) @ vh.conj().T
     c_k[:, slow] = 0.0
-    return q @ vh.conj().T, n_k, c_k, slow, vh[:, 0] * np.linalg.norm(rho0), None
+    q = q @ vh.conj().T
+    return q, n_k, c_k, slow, vh[:, 0] * np.linalg.norm(rho0), _distinct_blocks(q)
 
 
 def step_weak_map(rho0, hamiltonian, code, eps, tau_c, n_steps, sample_stride=1):

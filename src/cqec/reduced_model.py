@@ -28,8 +28,8 @@ model's noise and correction maps send into itself, and the two tables
 below are those maps restricted to it, exactly.  ``class_restriction``
 hands them, on those states, to every engine.  Every class state is left
 as it is by the permutations of the three (system, bath) qubit pairs,
-and so is each of its diagonal blocks; ``pair_swap_basis`` is the change
-of basis that splits such a block by that symmetry.
+which split its diagonal blocks for the sample check
+(``cqec.dynamics._class_blocks``).
 """
 
 from functools import cache
@@ -234,32 +234,6 @@ def class_restriction(rho0, hamiltonian, code):
     n_k = g * (CLASS_NORMS[:, None] * _M_FREE / CLASS_NORMS)
     c_k = CLASS_NORMS[:, None] * _M_CORR / CLASS_NORMS
     return class_basis(), n_k, c_k, coeffs[:, 0] * CLASS_NORMS
-
-
-def pair_swap_basis():
-    """W (8, 8), real orthogonal: a change of basis of the 8 x 8 diagonal
-    blocks of the class states, indexed by the system part s = lmn of
-    their rows and columns.  A permutation of the qubit pairs permutes the
-    bits of s and leaves every class state as it is, so W^T B W is block
-    diagonal for such a block B, with blocks of sizes 4, 2 and 2:
-
-    * columns 0-3, the normalised sums over the s with 0, 1, 2 and 3 ones,
-      which every permutation keeps;
-    * columns 4-5, e_100 - e_010 and e_101 - e_011 over sqrt 2, which the
-      swap of pairs 0 and 1 negates;
-    * columns 6-7, e_100 + e_010 - 2 e_001 and e_101 + e_011 - 2 e_110 over
-      sqrt 6, which that swap keeps, orthogonal to the sums.
-
-    The last two pairs carry the two-dimensional representation of the
-    pair permutations twice over, so their 2 x 2 blocks have the same
-    eigenvalues.  Built from the bit counts and index triples alone."""
-    ones = np.array([bin(s).count("1") for s in range(8)])
-    w = np.zeros((8, 8))
-    w[np.arange(8), ones] = 1.0 / np.sqrt(np.bincount(ones)[ones])
-    for col, (a, b, c) in ((4, (0b100, 0b010, 0b001)), (5, (0b101, 0b011, 0b110))):
-        w[[a, b], col] = np.array([1.0, -1.0]) / np.sqrt(2.0)
-        w[[a, b, c], col + 2] = np.array([1.0, 1.0, -2.0]) / np.sqrt(6.0)
-    return w
 
 
 def _class_projection(basis):

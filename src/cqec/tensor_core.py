@@ -12,17 +12,11 @@ Conventions used throughout the package
   Where the engines need coordinates, ``cqec.dynamics.invariant_subspace``
   flattens states row-major, ``rho.ravel()``; there is no other
   vectorization.
-
-* Tolerance: a sampled state counts as positive when its smallest
-  eigenvalue is above -TOL_POS = -1e-8 (``cqec.dynamics`` checks every
-  sample against it and raises or warns; it never renormalizes).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-
-TOL_POS = 1e-8
 
 
 def basis_ket(bits, n=None):

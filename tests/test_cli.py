@@ -491,15 +491,20 @@ def test_unresolved_slow_mode_exits_3(tmp_path, capsys):
     ["--scenario", "markovian-1q", "--kappa", "1.5e308"],
     ["--scenario", "hamiltonian-1q", "--R", "1.5e308"],
     ["--scenario", "markovian-3q", "--lambda", "2", "--kappa", "1e308"],
+    # a solve of the split returns inf from finite inputs, inside numpy.linalg,
+    # which keeps its own errstate
+    ["--scenario", "markovian-3q", "--kappa", "8.357077269294065e+307"],
+    ["--scenario", "markovian-3q", "--kappa", "9.488280603019884e+307"],
 ], ids=["full-1q", "full-3q", "monte-carlo-1q", "monte-carlo-3q", "markovian-1q",
-        "markovian-1q-propagation", "hamiltonian-1q-propagation", "markovian-3q-propagation"])
+        "markovian-1q-propagation", "hamiltonian-1q-propagation", "markovian-3q-propagation",
+        "markovian-3q-solve-8.4e307", "markovian-3q-solve-9.5e307"])
 def test_rates_beyond_double_precision_exit_3(tmp_path, capsys, argv):
     """Rates whose square overflows (for hamiltonian-3q, whose engines read
     the tables, their product with the tables) cannot be restricted, and
     rates whose products in the propagation overflow cannot be propagated:
     the run exits 3 with a message and writes no CSV, rather than a state
-    that never moves (F_cw = 1 at every sample), a numpy warning or a
-    traceback."""
+    that never moves (F_cw = 1 at every sample), a numpy warning, a
+    traceback or a trace of nan."""
     out = tmp_path / "run.csv"
     rc = main(["simulate", *argv, "--t-max", "1", "--samples", "3", "--out", str(out)])
     assert rc == 3

@@ -191,6 +191,16 @@ def test_integrate_rejects_negative_horizon():
         integrate(gen, scenario_rho0("markovian-1q"), -1.0)
 
 
+@pytest.mark.parametrize("t_max", [-1.0, 0.0])
+def test_integrate_krylov_rejects_a_horizon_that_is_not_positive(t_max):
+    """integrate_krylov takes t_max > 0, as its docstring states: a negative
+    or zero horizon is a ValueError up front, not an IntegrationError about
+    its sample times."""
+    gen = total_generator("hamiltonian-3q", ModelParams(gamma=1.0, kappa=10.0))
+    with pytest.raises(ValueError, match=r"^t_max must be > 0$"):
+        integrate_krylov(gen, scenario_rho0("hamiltonian-3q"), t_max)
+
+
 # ---------------------------------------------------------------------------
 # sample checks of integrate
 # ---------------------------------------------------------------------------
@@ -374,14 +384,14 @@ def test_non_finite_samples_raise():
     q, (g,) = invariant_subspace([gen.apply], rho0)
     times = np.linspace(0.0, 1.0, 6)
     coords = propagate_linear(g, q.conj().T @ rho0.ravel(), times)
-    _check_samples(times, coords, q)
+    _check_samples(times, coords, q, _distinct_blocks(q))
     traceless = int(np.argmin(np.abs(q[::5].sum(axis=0))))
     for bad in (np.nan, np.inf):
         for cols in (slice(None), traceless):
             broken = coords.copy()
             broken[3, cols] = bad
             with pytest.raises(IntegrationError, match=r"^trace deviates by nan at t=0\.6$"):
-                _check_samples(times, broken, q)
+                _check_samples(times, broken, q, _distinct_blocks(q))
 
 
 def _params(scenario, rate):
@@ -426,7 +436,8 @@ def _dense_minimum(coords, q):
 def _assert_block_minimum_matches_eigvalsh(gen, rho0):
     q, (g,) = invariant_subspace([gen.apply], rho0)
     coords = propagate_linear(g, q.conj().T @ rho0.ravel(), np.linspace(0.0, 1.0, 6))
-    assert np.max(np.abs(_min_eigenvalues(coords, q) - _dense_minimum(coords, q))) <= 1e-12
+    lo = _min_eigenvalues(coords, _distinct_blocks(q))
+    assert np.max(np.abs(lo - _dense_minimum(coords, q))) <= 1e-12
 
 
 @given(st.sampled_from(sorted(SCENARIOS)), RATES)
@@ -453,10 +464,11 @@ def test_block_minimum_on_compressed_and_class_blocks(seed, rate):
     _assert_block_minimum_matches_eigvalsh(gen, rho0)
     q, _ = invariant_subspace([gen.apply], rho0)
     coords = rng.normal(size=(6, 9)) + 1j * rng.normal(size=(6, 9))
-    assert np.max(np.abs(_min_eigenvalues(coords, q) - _dense_minimum(coords, q))) <= 1e-12
+    lo = _min_eigenvalues(coords, _distinct_blocks(q))
+    assert np.max(np.abs(lo - _dense_minimum(coords, q))) <= 1e-12
     basis = reduced_model.class_basis()
     coords = rng.normal(size=(6, 13))
-    lo = _min_eigenvalues(coords, basis, _class_blocks())
+    lo = _min_eigenvalues(coords, _class_blocks())
     assert np.max(np.abs(lo - _dense_minimum(coords, basis))) <= 1e-12
 
 
@@ -487,7 +499,7 @@ def test_block_minimum_eigenvalue_with_distinct_blocks():
     coords = rng.normal(size=(7, q.shape[1])) + 1j * rng.normal(size=(7, q.shape[1]))
     states = (coords @ q.T).reshape(-1, 8, 8)
     full = np.linalg.eigvalsh((states + states.conj().swapaxes(1, 2)) / 2.0).min(axis=1)
-    assert np.max(np.abs(_min_eigenvalues(coords, q) - full)) <= 1e-12
+    assert np.max(np.abs(_min_eigenvalues(coords, _distinct_blocks(q)) - full)) <= 1e-12
 
 
 @pytest.mark.parametrize("s", [1, 2])
@@ -507,7 +519,7 @@ def test_block_minimum_closed_forms_match_eigvalsh(s):
     states = herm + (a - a.conj().swapaxes(1, 2)) / 2.0
     full = np.linalg.eigvalsh((states + states.conj().swapaxes(1, 2)) / 2.0).min(axis=1)
     # on the basis of all s^2 entries the state is one s x s block
-    lo_blocks = _min_eigenvalues(states.reshape(-1, s * s), np.eye(s * s))
+    lo_blocks = _min_eigenvalues(states.reshape(-1, s * s), _distinct_blocks(np.eye(s * s)))
     assert np.max(np.abs(lo_blocks - full)) <= 1e-15
 
 
@@ -534,7 +546,7 @@ def test_check_warns_on_small_dip_in_2x2_blocks():
     none reaches -1e-6."""
     times, coords, q = _pair_dip_samples(4e-9)
     with pytest.warns(PositivityWarning) as record:
-        _check_samples(times, coords, q)
+        _check_samples(times, coords, q, _distinct_blocks(q))
     assert [str(w.message) for w in record] == [
         f"state eigenvalue {-4e-9 * n:.3e} below -1e-08 at t={0.1 * n:g}" for n in range(3, 11)
     ]
@@ -546,7 +558,7 @@ def test_check_raises_on_large_dip_in_2x2_blocks():
     error = r"^eigenvalue -1\.200e-06 at t=0\.3; integration diverged$"
     with pytest.warns(PositivityWarning) as record:
         with pytest.raises(IntegrationError, match=error):
-            _check_samples(times, coords, q)
+            _check_samples(times, coords, q, _distinct_blocks(q))
     assert [str(w.message) for w in record] == [
         "state eigenvalue -4.000e-07 below -1e-08 at t=0.1",
         "state eigenvalue -8.000e-07 below -1e-08 at t=0.2",
@@ -586,7 +598,7 @@ def test_check_warns_on_small_dip_in_compressed_blocks():
     times, coords, q, dense = _krylov_8x8_dip_samples(4e-6)
     assert dense[0] > -1e-8 and np.all(dense[1:] < -1e-8) and dense.min() > -1e-6
     with pytest.warns(PositivityWarning) as record:
-        _check_samples(times, coords, q)
+        _check_samples(times, coords, q, _distinct_blocks(q))
     _assert_warned(record, range(1, 11), times, dense)
 
 
@@ -597,7 +609,7 @@ def test_check_raises_on_large_dip_in_compressed_blocks():
     with pytest.warns(PositivityWarning) as record:
         with pytest.raises(IntegrationError, match=r"^eigenvalue -1\.0\d\de-06 at t=0\.8; "
                                                    r"integration diverged$") as failure:
-            _check_samples(times, coords, q)
+            _check_samples(times, coords, q, _distinct_blocks(q))
     assert float(str(failure.value).split()[1]) == pytest.approx(dense[8], rel=1e-3)
     _assert_warned(record, range(1, 8), times, dense)
 
@@ -903,7 +915,9 @@ def test_pair_subspace_takes_the_class_states_where_the_tables_apply():
     alone as the slow set; on a random system state, which is off their
     span, on the Krylov basis of ``invariant_subspace`` under the rate-free
     maps, rotated so that the correction's kernel columns are exact zeros
-    and the rest of it keeps its singular values."""
+    and the rest of it keeps its singular values.  Each hands over the
+    blocks that the sample check reads of its basis: ``_class_blocks()``,
+    and ``_distinct_blocks`` of the rotated Krylov basis."""
     code, _, h, rho0 = _pair_setup("hamiltonian-3q")
     q, n_k, c_k, slow, _, blocks = _restriction(Generator(code, h, 0.0, 0.0), rho0)
     plain = reduced_model.class_basis() * reduced_model.CLASS_NORMS
@@ -924,7 +938,9 @@ def test_pair_subspace_takes_the_class_states_where_the_tables_apply():
     assert np.all(c_k[:, slow] == 0) and slow.any() and not slow.all()
     kept = np.linalg.svd(c_k, compute_uv=False)[: np.count_nonzero(~slow)]
     assert np.max(np.abs(kept - np.linalg.svd(c_ref, compute_uv=False)[: len(kept)])) <= 1e-12
-    assert blocks is None
+    expected = _distinct_blocks(q)
+    assert [s for _, s in blocks] == [s for _, s in expected]
+    assert all(np.array_equal(qt, ref) for (qt, _), (ref, _) in zip(blocks, expected))
 
 
 def test_class_states_are_shared_and_read_only():
@@ -1013,6 +1029,35 @@ def test_full_engine_resolves_the_slow_pair_at_large_R(big_r, t_max, f_exact, en
     else:
         f = _reduced_columns(big_r, t_max)[:, 0]
     assert abs(f[-1] - f_exact) <= 1e-5
+
+
+# F_cw and P_cs of exp(gamma t M(R)) e0 at the end of a horizon of many slow
+# periods, with M(R) = build_reduced_matrix(R, 1) (integer entries, so exact in
+# double precision), from a 60-digit eigen-expansion (mpmath.eig); raising the
+# precision to 90 digits moved them by less than 1e-43.
+_LONG_HORIZON_REFERENCE = [
+    (1e5, 1e11,
+     0.660562282038012713190995932415840688386139869459623495185507,
+     0.999999999400000000959999998464000002457599996760911512566985),
+    (1e6, 1e12,
+     0.71205896453992282402753625046825967641900510785568794906777,
+     0.999999999994000000000095999999998464000000008251025054695869),
+]
+
+
+@pytest.mark.parametrize("big_r, t_max, f_exact, p_exact", _LONG_HORIZON_REFERENCE,
+                         ids=["R-1e5", "R-1e6"])
+def test_table_run_holds_the_slow_pair_at_long_horizons(big_r, t_max, f_exact, p_exact):
+    """The full engine's run on the class tables (also the reduced engine's)
+    at gamma t = 1e11 and 1e12, where the slow pair has turned ~38 and ~4
+    times: F_cw and P_cs within 1e-9 of the 60-digit reference (measured
+    3.6e-11 in F_cw, 2.2e-16 in P_cs).  The Krylov run of --cross-validate
+    is off by 1.3e-6 and 3.6e-5 in F_cw there, so the deviation that
+    --cross-validate reports at long horizons is the Krylov run's."""
+    traj, f = _six_qubit_run(big_r, t_max)
+    _, p = fidelity_weight_series(traj, bitflip3_code())
+    assert abs(f[-1] - f_exact) <= 1e-9
+    assert abs(p[-1] - p_exact) <= 1e-9
 
 
 @pytest.mark.parametrize("seed", [0, 2, 7])

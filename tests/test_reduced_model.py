@@ -15,7 +15,7 @@ from cqec.codes_and_maps import (
     trivial_code,
 )
 from cqec.cli import _class_columns, main
-from cqec.dynamics import integrate, integrate_krylov, propagate_linear
+from cqec.dynamics import _class_blocks, integrate, integrate_krylov, propagate_linear
 from cqec.reduced_model import (
     _CLASS_OF,
     _SIG_TO_INDEX,
@@ -30,7 +30,6 @@ from cqec.reduced_model import (
     class_basis,
     class_coefficients,
     class_restriction,
-    pair_swap_basis,
     transition_graph,
 )
 from reference import class_spread, kron_all, partial_trace_bath
@@ -165,17 +164,17 @@ def test_class_restriction_accepts_the_pair_model_bit_for_bit(name, rho0, h, cod
 
 
 def test_pair_swap_basis_splits_the_class_blocks():
-    """W is orthogonal, and W^T B W of the 8 x 8 diagonal block B of every
-    class state is zero outside its 4 x 4 and two 2 x 2 diagonal blocks,
-    to rounding."""
-    w = pair_swap_basis()
-    assert np.max(np.abs(w.T @ w - np.eye(8))) <= 1e-15
-    inside = np.zeros((8, 8), dtype=bool)
-    inside[:4, :4] = inside[4:6, 4:6] = inside[6:, 6:] = True
+    """The sample check reads of each class state the 4 x 4 block and the
+    first 2 x 2 block of its 8 x 8 diagonal block in the pair-swap basis
+    (``_class_blocks``): their eigenvalues, the 2 x 2 block's counted twice
+    for the second, equal one, are those of the 8 x 8 block within 1e-15."""
+    (quad, _), (pair, _) = _class_blocks()
     diag = 9 * np.arange(8)
-    for b in class_basis().T:
-        split = w.T @ b.reshape(64, 64)[np.ix_(diag, diag)] @ w
-        assert np.max(np.abs(split[~inside])) <= 1e-16
+    for b, q4, q2 in zip(class_basis().T, quad, pair):
+        split = np.concatenate([np.linalg.eigvalsh(q4.reshape(4, 4)),
+                                np.repeat(np.linalg.eigvalsh(q2.reshape(2, 2)), 2)])
+        whole = np.linalg.eigvalsh(b.reshape(64, 64)[np.ix_(diag, diag)])
+        assert np.max(np.abs(np.sort(split) - whole)) <= 1e-15
 
 
 def test_spectrum_contains_zero_for_any_rate():
